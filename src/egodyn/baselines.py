@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptySeries
-from .oracle import QARecord
+from .oracle import QARecord, _ordered_pair_exists
 from .questions import GEOMETRIC_SUBSET
 
 
@@ -113,13 +113,6 @@ BASELINE_THRESHOLD_SETS = {
 }
 
 
-def _ordered_hit(first_mask: np.ndarray, second_mask: np.ndarray) -> bool:
-    if not first_mask.any():
-        return False
-    start = int(np.argmax(first_mask))
-    return bool(second_mask[start + 1 :].any())
-
-
 def _record(clip_id, question, answer, rule, params, evidence) -> QARecord:
     return QARecord(clip_id, question, answer, rule, params, evidence)
 
@@ -149,8 +142,8 @@ def flow_answers(
 
     lateral = "yes" if max_abs_turn > th.lat else "no"
     heading = "yes" if sum_abs_turn > th.head else "no"
-    stop_go = _ordered_hit(series.m_mag < th.stop, series.m_mag > th.move)
-    brake_turn = _ordered_hit(
+    stop_go = _ordered_pair_exists(series.m_mag < th.stop, series.m_mag > th.move)
+    brake_turn = _ordered_pair_exists(
         series.s_exp < -th.exp, np.abs(series.s_turn) > th.turn
     )
 
@@ -207,7 +200,7 @@ def vo_answers(
 
     lateral = "yes" if peak_yaw > th.lat else "no"
     heading = "yes" if sum_abs_yaw > th.head else "no"
-    stop_go = _ordered_hit(series.m_disp < th.stop, series.m_disp > th.move)
+    stop_go = _ordered_pair_exists(series.m_disp < th.stop, series.m_disp > th.move)
 
     # Braking shows as a step drop between consecutive displacement
     # samples exceeding the fraction-of-mean threshold; degenerate
@@ -215,7 +208,7 @@ def vo_answers(
     drop = th.brake * mean_disp
     drops = np.zeros(series.m_disp.size, dtype=bool)
     drops[1:] = series.m_disp[1:] < (series.m_disp[:-1] - drop)
-    brake_turn = mean_disp > 0.5 and _ordered_hit(
+    brake_turn = mean_disp > 0.5 and _ordered_pair_exists(
         drops, np.abs(series.theta_deg) > th.yaw
     )
 

@@ -39,8 +39,25 @@ COMMANDS = (
     "calibrate-thresholds",
 )
 
-_READ_PATH_KEYS = ("input", "truth", "predictions", "trajectories", "proxies",
-                   "labels", "sources", "thresholds")
+# Config keys that name input files; a dict value maps names to paths.
+_INPUT_KEYS = ("input", "truth", "predictions", "trajectories", "proxies", "labels",
+               "sources", "thresholds")
+
+
+def _input_paths(params: dict) -> dict[str, str]:
+    """Input files of a config as ``key`` (or ``key.<name>``) -> path."""
+    paths = {}
+    for key in _INPUT_KEYS:
+        value = params.get(key)
+        if isinstance(value, str):
+            paths[key] = value
+        elif isinstance(value, dict):
+            paths.update(
+                (f"{key}.{name}", path)
+                for name, path in value.items()
+                if isinstance(path, str)
+            )
+    return paths
 
 
 @dataclass
@@ -57,12 +74,9 @@ class RunConfig:
     def validate(self) -> None:
         if self.command not in COMMANDS:
             raise ConfigError(f"unknown command {self.command!r}")
-        for key in _READ_PATH_KEYS:
-            value = self.params.get(key)
-            paths = value.values() if isinstance(value, dict) else [value]
-            for path in paths:
-                if isinstance(path, str) and not Path(path).exists():
-                    raise ConfigError(f"{key} path does not exist: {path}")
+        for name, path in _input_paths(self.params).items():
+            if not Path(path).exists():
+                raise ConfigError(f"{name} path does not exist: {path}")
         if self.command == "sweep":
             alphas = self.alphas or self.params.get("alphas")
             if not alphas or 1.0 not in [float(a) for a in alphas]:
@@ -192,7 +206,7 @@ def _cmd_evaluate(cfg: RunConfig) -> dict[str, Path]:
     truth = _read_truth(cfg.params["truth"])
     rows = io.read_predictions(cfg.params["predictions"])
     parsed = report.parse_predictions(rows)
-    doc = report.build_evaluation_report(truth, parsed)
+    doc = report.build_evaluation_report(truth, report.prediction_map(parsed))
     out = cfg.out_dir
     io.write_json(out / "report.json", doc)
     io.write_jsonl(out / "parsed_predictions.jsonl", parsed)
@@ -212,12 +226,7 @@ def _cmd_sweep(cfg: RunConfig) -> dict[str, Path]:
     model_predictions = {}
     for model, path in pred_spec.items():
         parsed = report.parse_predictions(io.read_predictions(path))
-        model_predictions[model] = {
-            (row["clip_id"], row["question_id"]): (
-                None if row["parsed"] == "unparsed" else row["parsed"]
-            )
-            for row in parsed
-        }
+        model_predictions[model] = report.prediction_map(parsed)
     results = metrics.sensitivity_sweep(sequences, model_predictions, thresholds, alphas)
     out = cfg.out_dir
     io.write_json(out / "sweep.json", {"results": [r.to_dict() for r in results]})
@@ -228,7 +237,7 @@ def _cmd_sweep(cfg: RunConfig) -> dict[str, Path]:
 def _cmd_parse(cfg: RunConfig) -> dict[str, Path]:
     rows = io.read_predictions(cfg.params["predictions"])
     parsed = report.parse_predictions(rows)
-    rates = report.parse_rate_report(rows)
+    rates = report.parse_rate_report(parsed)
     out = cfg.out_dir
     io.write_jsonl(out / "parsed_predictions.jsonl", parsed)
     io.write_json(out / "parse_report.json", rates)
@@ -331,27 +340,12 @@ _RUNNERS = {
     "calibrate-thresholds": _cmd_calibrate,
 }
 
-_INPUT_KEYS = ("input", "truth", "trajectories", "proxies", "labels", "sources",
-               "thresholds")
-
 
 def run(cfg: RunConfig) -> int:
     """Dispatch one command and write its manifest; returns exit status."""
     cfg.validate()
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     outputs = _RUNNERS[cfg.command](cfg)
-
-    inputs: dict[str, str] = {}
-    for key in _INPUT_KEYS:
-        value = cfg.params.get(key)
-        if isinstance(value, str):
-            inputs[key] = value
-    pred = cfg.params.get("predictions")
-    if isinstance(pred, str):
-        inputs["predictions"] = pred
-    elif isinstance(pred, dict):
-        for model, path in pred.items():
-            inputs[f"predictions.{model}"] = path
 
     manifest_config = {
         "command": cfg.command,
@@ -360,7 +354,9 @@ def run(cfg: RunConfig) -> int:
         "alphas": cfg.alphas,
         "encoding": cfg.encoding,
     }
-    io.write_manifest(cfg.out_dir, cfg.command, manifest_config, inputs, outputs)
+    io.write_manifest(
+        cfg.out_dir, cfg.command, manifest_config, _input_paths(cfg.params), outputs
+    )
     return 0
 
 

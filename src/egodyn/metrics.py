@@ -226,33 +226,52 @@ class SweepResult:
 PredictionMap = Mapping[tuple[str, str], str | None]
 
 
-def score_model(
+@dataclass(frozen=True)
+class ModelScores:
+    """One model scored against the truth, question by question."""
+
+    records: list[EvalRecord]
+    tables: dict[str, ConfusionTable]
+    per_question: dict[str, dict[str, float]]
+    aggregate: dict[str, float]
+
+
+def score_questions(
     truth: Mapping[tuple[str, str], str], predictions: PredictionMap
-) -> dict[str, float]:
-    """Aggregate accuracy/balanced accuracy/macro-F1 for one model.
+) -> ModelScores:
+    """Accuracy/balanced accuracy/macro-F1 per question and their means.
 
     Aggregates are unweighted means of the per-question metrics over the
-    questions present in the ground truth.
+    questions present in the ground truth, taken in ``QUESTION_ORDER``.
     """
     records = [
         EvalRecord(clip, q, label, predictions.get((clip, q)))
         for (clip, q), label in truth.items()
     ]
     tables = build_confusions(records)
-    accs, baccs, f1s = [], [], []
-    for q in QUESTION_ORDER:
-        if q not in tables:
-            continue
-        accs.append(accuracy(tables[q]))
-        baccs.append(balanced_accuracy(tables[q]))
-        f1s.append(macro_f1(tables[q]))
-    if not baccs:
-        raise NoGroundTruth("no scorable questions")
-    return {
-        "acc": float(np.mean(accs)),
-        "bacc": float(np.mean(baccs)),
-        "f1": float(np.mean(f1s)),
+    per_question = {
+        q: {
+            "acc": accuracy(tables[q]),
+            "bacc": balanced_accuracy(tables[q]),
+            "f1": macro_f1(tables[q]),
+        }
+        for q in QUESTION_ORDER
+        if q in tables
     }
+    if not per_question:
+        raise NoGroundTruth("no scorable questions in the truth set")
+    aggregate = {
+        name: float(np.mean([scores[name] for scores in per_question.values()]))
+        for name in ("acc", "bacc", "f1")
+    }
+    return ModelScores(records, tables, per_question, aggregate)
+
+
+def score_model(
+    truth: Mapping[tuple[str, str], str], predictions: PredictionMap
+) -> dict[str, float]:
+    """Aggregate accuracy/balanced accuracy/macro-F1 for one model."""
+    return score_questions(truth, predictions).aggregate
 
 
 def _rank_models(scores: Mapping[str, Mapping[str, float]]) -> tuple[str, ...]:

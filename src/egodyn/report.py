@@ -6,8 +6,6 @@ import csv
 from pathlib import Path
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from . import consistency, metrics, parsing
 from .errors import NoGroundTruth
 from .questions import QUESTION_ORDER, answer_space
@@ -28,7 +26,8 @@ def parse_predictions(rows: Sequence[Mapping]) -> list[dict]:
     return out
 
 
-def _prediction_map(parsed_rows: Sequence[Mapping]) -> dict[tuple[str, str], str | None]:
+def prediction_map(parsed_rows: Sequence[Mapping]) -> metrics.PredictionMap:
+    """(clip_id, question_id) -> parsed label, or None when unparsed."""
     preds: dict[tuple[str, str], str | None] = {}
     for row in parsed_rows:
         label = row["parsed"]
@@ -39,42 +38,19 @@ def _prediction_map(parsed_rows: Sequence[Mapping]) -> dict[tuple[str, str], str
 
 
 def build_evaluation_report(
-    truth: Mapping[tuple[str, str], str],
-    prediction_rows: Sequence[Mapping],
-    sweep_results: Sequence[metrics.SweepResult] | None = None,
+    truth: Mapping[tuple[str, str], str], predictions: metrics.PredictionMap
 ) -> dict:
     """Full per-question and aggregate report for one model.
 
-    ``truth`` maps (clip_id, question_id) to the ground-truth label;
-    prediction rows carry raw responses (parsed here) or parsed labels.
+    ``truth`` maps (clip_id, question_id) to the ground-truth label and
+    ``predictions`` maps the same keys to the parsed label or None.
     """
-    parsed_rows = parse_predictions(prediction_rows)
-    preds = _prediction_map(parsed_rows)
-
-    records = [
-        metrics.EvalRecord(clip, q, label, preds.get((clip, q)))
-        for (clip, q), label in truth.items()
-    ]
-    tables = metrics.build_confusions(records)
-
-    per_question = {}
-    accs, baccs, f1s = [], [], []
-    for q in QUESTION_ORDER:
-        if q not in tables:
-            continue
-        table = tables[q]
-        entry = {
-            "acc": metrics.accuracy(table),
-            "bacc": metrics.balanced_accuracy(table),
-            "f1": metrics.macro_f1(table),
-            "confusion": table.to_dict(),
-        }
-        per_question[q] = entry
-        accs.append(entry["acc"])
-        baccs.append(entry["bacc"])
-        f1s.append(entry["f1"])
-    if not baccs:
-        raise NoGroundTruth("no scorable questions in the truth set")
+    scores = metrics.score_questions(truth, predictions)
+    records = scores.records
+    per_question = {
+        q: {**question_scores, "confusion": scores.tables[q].to_dict()}
+        for q, question_scores in scores.per_question.items()
+    }
 
     try:
         temporal_acc = metrics.temporal_accuracy(records)
@@ -87,7 +63,7 @@ def build_evaluation_report(
     per_clip = []
     for clip_id in clip_ids:
         answers = {
-            q: preds.get((clip_id, q))
+            q: predictions.get((clip_id, q))
             for q in QUESTION_ORDER
             if (clip_id, q) in truth
         }
@@ -96,12 +72,10 @@ def build_evaluation_report(
     total = len(records)
     parsed_count = sum(1 for r in records if r.prediction is not None)
 
-    report = {
+    return {
         "per_question": per_question,
         "aggregate": {
-            "acc": float(np.mean(accs)),
-            "bacc": float(np.mean(baccs)),
-            "f1": float(np.mean(f1s)),
+            **scores.aggregate,
             "temporal_acc": temporal_acc,
             "temporal_f1": temporal_f1,
             "wpcr": consistency.wpcr(per_clip),
@@ -118,14 +92,13 @@ def build_evaluation_report(
             "unparsed_policy": "counted incorrect for every metric",
         },
     }
-    if sweep_results is not None:
-        report["sweep"] = [r.to_dict() for r in sweep_results]
-    return report
 
 
-def parse_rate_report(prediction_rows: Sequence[Mapping]) -> dict:
-    """Parsable-rate per model (rows without a model field pool together)."""
-    parsed_rows = parse_predictions(prediction_rows)
+def parse_rate_report(parsed_rows: Sequence[Mapping]) -> dict:
+    """Parsable-rate per model (rows without a model field pool together).
+
+    ``parsed_rows`` are the output of ``parse_predictions``.
+    """
     by_model: dict[str, list[Mapping]] = {}
     for row in parsed_rows:
         by_model.setdefault(str(row.get("model", "default")), []).append(row)

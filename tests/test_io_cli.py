@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from egodyn import io
+from egodyn import io, parsing
 from egodyn.cli import main
 from egodyn.kinematics import PoseSample
 from egodyn.questions import QUESTION_ORDER
@@ -283,6 +283,173 @@ class TestParseCommand:
         parsed = io.read_jsonl(out / "parsed_predictions.jsonl")
         assert parsed[2]["parsed"] == "left"
         assert parsed[2]["stage"] == "substring"
+
+
+# One row per parser stage, pre-parsed rows, and a row with both a
+# response and a pre-parsed label (parsed again from the response).
+MIXED_PREDICTIONS = [
+    {"clip_id": "c1", "question_id": "turn_direction", "response": " Left "},
+    {"clip_id": "c1", "question_id": "speed_peak_half", "response": "First Half"},
+    {"clip_id": "c1", "question_id": "braking_intensity",
+     "response": "Let me think.\nModerate"},
+    {"clip_id": "c1", "question_id": "speed_regime",
+     "response": "I think it is urban driving."},
+    {"clip_id": "c1", "question_id": "mean_speed_low", "response": "I cannot tell."},
+    {"clip_id": "c1", "question_id": "lateral_accel", "response": "no", "parsed": "yes"},
+    {"clip_id": "c1", "question_id": "heading_change", "parsed": "yes"},
+    {"clip_id": "c1", "question_id": "extreme_maneuver", "parsed": "unparsed"},
+]
+MIXED_TRUTH = {
+    "turn_direction": "left",
+    "speed_peak_half": "first_half",
+    "braking_intensity": "moderate",
+    "speed_regime": "urban",
+    "mean_speed_low": "no",
+    "lateral_accel": "no",
+    "heading_change": "yes",
+    "extreme_maneuver": "no",
+}
+MIXED_PARSED = [
+    ("left", "exact"),
+    ("first_half", "underscore"),
+    ("moderate", "last_line"),
+    ("urban", "substring"),
+    ("unparsed", "none"),
+    ("no", "exact"),
+    ("yes", "external"),
+    ("unparsed", "external"),
+]
+
+
+class TestMixedStagePredictions:
+    @pytest.fixture
+    def parse_calls(self, monkeypatch):
+        calls = []
+        original = parsing.parse
+
+        def counting(raw, answer_space):
+            calls.append(raw)
+            return original(raw, answer_space)
+
+        monkeypatch.setattr(parsing, "parse", counting)
+        return calls
+
+    @pytest.fixture
+    def paths(self, tmp_path):
+        pred_path = tmp_path / "preds.jsonl"
+        io.write_jsonl(pred_path, MIXED_PREDICTIONS)
+        truth_path = tmp_path / "truth.jsonl"
+        io.write_jsonl(
+            truth_path,
+            [{"clip_id": "c1", "question_id": q, "answer": a}
+             for q, a in MIXED_TRUTH.items()],
+        )
+        return pred_path, truth_path
+
+    def free_text(self):
+        return sorted(r["response"] for r in MIXED_PREDICTIONS if "response" in r)
+
+    def test_parse_runs_once_per_row(self, tmp_path, paths, parse_calls):
+        pred_path, _ = paths
+        out = tmp_path / "parse"
+        status = run_cli(
+            "parse", {"predictions": str(pred_path), "out": str(out)}, tmp_path
+        )
+        assert status == 0
+        assert sorted(parse_calls) == self.free_text()
+        parsed = io.read_jsonl(out / "parsed_predictions.jsonl")
+        assert [(r["parsed"], r["stage"]) for r in parsed] == MIXED_PARSED
+        doc = io.read_json(out / "parse_report.json")
+        assert doc == {
+            "default": {
+                "n": 8,
+                "parsed": 6,
+                "parse_rate_percent": 75.0,
+                "stages": {"exact": 2, "external": 2, "last_line": 1, "none": 1,
+                           "substring": 1, "underscore": 1},
+            }
+        }
+
+    def test_evaluate_runs_parse_once_per_row(self, tmp_path, paths, parse_calls):
+        pred_path, truth_path = paths
+        out = tmp_path / "eval"
+        status = run_cli(
+            "evaluate",
+            {"truth": str(truth_path), "predictions": str(pred_path), "out": str(out)},
+            tmp_path,
+        )
+        assert status == 0
+        assert sorted(parse_calls) == self.free_text()
+        parsed = io.read_jsonl(out / "parsed_predictions.jsonl")
+        assert [(r["parsed"], r["stage"]) for r in parsed] == MIXED_PARSED
+        doc = io.read_json(out / "report.json")
+        assert doc["aggregate"]["parsable_rate"] == 75.0
+        assert doc["metadata"]["n_predictions"] == 8
+
+
+class TestManifestInputs:
+    def echo_predictions(self, synth_out, path):
+        rows = io.read_jsonl(synth_out / "expected_labels.jsonl")
+        io.write_jsonl(
+            path,
+            [{"clip_id": r["clip_id"], "question_id": r["question_id"],
+              "response": r["answer"]} for r in rows],
+        )
+        return path
+
+    def assert_inputs(self, out, expected):
+        inputs = io.read_json(out / "manifest.json")["inputs"]
+        assert {name: entry["path"] for name, entry in inputs.items()} == expected
+        for entry in inputs.values():
+            assert entry["sha256"] == io.sha256_file(entry["path"])
+
+    def test_sweep_lists_trajectories_and_models(self, tmp_path):
+        synth_out = tmp_path / "synth"
+        run_cli("synth", {"count": 3, "seed": 2, "out": str(synth_out)}, tmp_path)
+        pred_path = self.echo_predictions(synth_out, tmp_path / "preds.jsonl")
+        trajectories = str(synth_out / "trajectories.jsonl")
+        out = tmp_path / "sweep"
+        status = run_cli(
+            "sweep",
+            {"trajectories": trajectories, "predictions": {"echo": str(pred_path)},
+             "alphas": [1.0], "out": str(out)},
+            tmp_path,
+            "sweep.json",
+        )
+        assert status == 0
+        self.assert_inputs(
+            out, {"trajectories": trajectories, "predictions.echo": str(pred_path)}
+        )
+
+    def test_evaluate_lists_truth_and_predictions(self, tmp_path):
+        synth_out = tmp_path / "synth"
+        run_cli("synth", {"count": 2, "seed": 2, "out": str(synth_out)}, tmp_path)
+        pred_path = self.echo_predictions(synth_out, tmp_path / "preds.jsonl")
+        truth = str(synth_out / "expected_labels.jsonl")
+        out = tmp_path / "eval"
+        status = run_cli(
+            "evaluate",
+            {"truth": truth, "predictions": str(pred_path), "out": str(out)},
+            tmp_path,
+            "eval.json",
+        )
+        assert status == 0
+        self.assert_inputs(out, {"truth": truth, "predictions": str(pred_path)})
+
+    def test_missing_model_predictions_path(self, tmp_path):
+        synth_out = tmp_path / "synth"
+        run_cli("synth", {"count": 2, "seed": 2, "out": str(synth_out)}, tmp_path)
+        out = tmp_path / "sweep"
+        status = run_cli(
+            "sweep",
+            {"trajectories": str(synth_out / "trajectories.jsonl"),
+             "predictions": {"absent": str(tmp_path / "absent.jsonl")},
+             "alphas": [1.0], "out": str(out)},
+            tmp_path,
+            "sweep.json",
+        )
+        assert status == 2
+        assert not (out / "manifest.json").exists()
 
 
 class TestBaselineCommand:
