@@ -5,17 +5,12 @@ Usage: ``egodyn <command> --config <path> [--alpha ...] [--encoding ...]
 command-line flags override the matching config fields. Every run writes
 a ``manifest.json`` with content hashes of the config, inputs, and
 outputs so results can be verified and reproduced byte for byte.
-
-``EGODYN_THREADS`` caps the worker threads used for clip-parallel
-labeling (default 1, fully serial); output order never depends on it.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -24,7 +19,7 @@ from .encodings import ENCODING_MODES, encode_trajectory
 from .errors import ConfigError, EgodynError
 from .kinematics import stratification_bin, stratification_tags, summarize
 from .oracle import label_all
-from .questions import QUESTION_ORDER
+from .questions import QUESTION_ORDER, answer_space
 from .synth import generate_suite
 from .thresholds import ThresholdConfig, calibrate_thresholds
 
@@ -85,21 +80,6 @@ class RunConfig:
             raise ConfigError(f"unknown encoding mode {self.encoding!r}")
 
 
-def _worker_count() -> int:
-    try:
-        return max(1, int(os.environ.get("EGODYN_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _map_clips(fn, items):
-    workers = _worker_count()
-    if workers == 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def _load_thresholds(cfg: RunConfig) -> ThresholdConfig:
     path = cfg.params.get("thresholds")
     return ThresholdConfig.from_json(path) if path else ThresholdConfig()
@@ -116,18 +96,16 @@ def _load_clips(cfg: RunConfig, key: str = "input"):
     ]
 
 
-def _write_prompts(cfg: RunConfig, sequences, out_dir: Path) -> Path:
+def _write_prompts(cfg: RunConfig, summarized, out_dir: Path) -> Path:
     n_steps = int(cfg.params.get("encoding_steps", 10))
-    rows = []
-    for clip_id, seq in sequences:
-        summary = summarize(seq)
-        rows.append(
-            {
-                "clip_id": clip_id,
-                "mode": cfg.encoding,
-                "text": encode_trajectory(seq, summary, cfg.encoding, n_steps),
-            }
-        )
+    rows = [
+        {
+            "clip_id": clip_id,
+            "mode": cfg.encoding,
+            "text": encode_trajectory(seq, summary, cfg.encoding, n_steps),
+        }
+        for clip_id, seq, summary in summarized
+    ]
     path = out_dir / "prompts.jsonl"
     io.write_jsonl(path, rows)
     return path
@@ -135,32 +113,30 @@ def _write_prompts(cfg: RunConfig, sequences, out_dir: Path) -> Path:
 
 def _cmd_label(cfg: RunConfig) -> dict[str, Path]:
     thresholds = _load_thresholds(cfg)
-    sequences = _load_clips(cfg)
+    summarized = [
+        (clip_id, seq, summarize(seq, heading_mode=thresholds.heading_total_mode))
+        for clip_id, seq in _load_clips(cfg)
+    ]
     out = cfg.out_dir
-
-    def label_one(item):
-        clip_id, seq = item
-        summary = summarize(seq, heading_mode=thresholds.heading_total_mode)
-        records = label_all(seq, summary, thresholds, clip_id)
+    label_rows, meta_rows = [], []
+    for clip_id, seq, summary in summarized:
+        label_rows.extend(r.to_dict() for r in label_all(seq, summary, thresholds, clip_id))
         tags = stratification_tags(seq, summary, thresholds)
-        meta = {
-            "clip_id": clip_id,
-            "summary": summary.as_dict(),
-            "tags": tags,
-            "stratification_bin": stratification_bin(tags),
-        }
-        return records, meta
-
-    results = _map_clips(label_one, sequences)
-    label_rows = [r.to_dict() for records, _ in results for r in records]
-    meta_rows = [meta for _, meta in results]
+        meta_rows.append(
+            {
+                "clip_id": clip_id,
+                "summary": summary.as_dict(),
+                "tags": tags,
+                "stratification_bin": stratification_bin(tags),
+            }
+        )
     outputs = {}
     io.write_jsonl(out / "labels.jsonl", label_rows)
     outputs["labels"] = out / "labels.jsonl"
     io.write_jsonl(out / "clip_summaries.jsonl", meta_rows)
     outputs["clip_summaries"] = out / "clip_summaries.jsonl"
     if cfg.encoding:
-        outputs["prompts"] = _write_prompts(cfg, sequences, out)
+        outputs["prompts"] = _write_prompts(cfg, summarized, out)
     return outputs
 
 
@@ -190,7 +166,7 @@ def _cmd_synth(cfg: RunConfig) -> dict[str, Path]:
     outputs["expected_labels"] = out / "expected_labels.jsonl"
     if cfg.encoding:
         outputs["prompts"] = _write_prompts(
-            cfg, [(c.clip_id, c.seq) for c in suite], out
+            cfg, [(c.clip_id, c.seq, summarize(c.seq)) for c in suite], out
         )
     return outputs
 
@@ -198,7 +174,13 @@ def _cmd_synth(cfg: RunConfig) -> dict[str, Path]:
 def _read_truth(path) -> dict[tuple[str, str], str]:
     truth = {}
     for row in io.read_jsonl(path):
-        truth[(row["clip_id"], row["question_id"])] = row["answer"]
+        clip_id, question, label = row["clip_id"], row["question_id"], row["answer"]
+        if label not in answer_space(question):
+            raise ConfigError(
+                f"clip {clip_id!r}, question {question!r}: "
+                f"truth answer {label!r} is not in the answer space"
+            )
+        truth[(clip_id, question)] = label
     return truth
 
 

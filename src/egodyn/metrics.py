@@ -9,7 +9,6 @@ scores) against the nominal (alpha = 1) ranking.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -17,6 +16,7 @@ import numpy as np
 from scipy import stats
 
 from .errors import EmptySet, MismatchedModelSets, NoGroundTruth
+from .kinematics import summarize
 from .oracle import label_all
 from .questions import (
     ANSWER_SPACES,
@@ -288,7 +288,8 @@ def sensitivity_sweep(
 
     ``clips`` pairs clip ids with their StateSequence. The alpha list must
     contain the nominal factor 1.0, which anchors the tau comparison.
-    Models are ranked by aggregate balanced accuracy.
+    Models are ranked by aggregate balanced accuracy. Clips are summarized
+    once (summaries do not depend on alpha); thresholds scale once per alpha.
     """
     alphas = list(alphas)
     if not alphas or any(a <= 0 for a in alphas):
@@ -298,11 +299,16 @@ def sensitivity_sweep(
     if not model_predictions:
         raise EmptySet("sensitivity sweep needs at least one model")
 
+    summarized = [
+        (clip_id, seq, summarize(seq, heading_mode=cfg.heading_total_mode))
+        for clip_id, seq in clips
+    ]
+
     def truth_at(alpha: float) -> dict[tuple[str, str], str]:
-        scaled = dataclasses.replace(cfg, alpha=cfg.alpha * alpha)
+        scaled = cfg.with_alpha(cfg.alpha * alpha).scaled()
         out: dict[tuple[str, str], str] = {}
-        for clip_id, seq in clips:
-            for rec in label_all(seq, cfg=scaled, clip_id=clip_id):
+        for clip_id, seq, summary in summarized:
+            for rec in label_all(seq, summary, scaled, clip_id):
                 out[(clip_id, rec.question_id)] = rec.answer
         return out
 

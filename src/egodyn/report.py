@@ -7,16 +7,26 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from . import consistency, metrics, parsing
-from .errors import NoGroundTruth
+from .errors import ConfigError, NoGroundTruth
 from .questions import QUESTION_ORDER, answer_space
 
 
 def parse_predictions(rows: Sequence[Mapping]) -> list[dict]:
-    """Attach parsed label and stage to raw prediction rows."""
+    """Attach parsed label and stage to raw prediction rows.
+
+    A pre-parsed label must be in its question's answer space or
+    ``unparsed``; anything else raises ``ConfigError``.
+    """
     out = []
     for row in rows:
         enriched = dict(row)
         if "parsed" in row and "response" not in row:
+            label = row["parsed"]
+            if label != parsing.UNPARSED and label not in answer_space(row["question_id"]):
+                raise ConfigError(
+                    f"clip {row['clip_id']!r}, question {row['question_id']!r}: "
+                    f"parsed label {label!r} is not in the answer space"
+                )
             enriched.setdefault("stage", "external")
         else:
             result = parsing.parse(str(row["response"]), answer_space(row["question_id"]))

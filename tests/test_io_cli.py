@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import GRID, make_seq
 from egodyn import io, parsing
 from egodyn.cli import main
 from egodyn.kinematics import PoseSample
@@ -124,28 +125,6 @@ class TestLabelCommand:
         summaries = io.read_jsonl(label_out / "clip_summaries.jsonl")
         assert {"clip_id", "summary", "tags", "stratification_bin"} <= set(summaries[0])
 
-    def test_thread_cap_does_not_change_output(self, tmp_path, monkeypatch):
-        synth_out = tmp_path / "synth"
-        run_cli("synth", {"count": 6, "seed": 8, "out": str(synth_out)}, tmp_path)
-        serial_out = tmp_path / "serial"
-        run_cli(
-            "label",
-            {"input": str(synth_out / "trajectories.jsonl"), "out": str(serial_out)},
-            tmp_path,
-            "serial.json",
-        )
-        monkeypatch.setenv("EGODYN_THREADS", "4")
-        threaded_out = tmp_path / "threaded"
-        run_cli(
-            "label",
-            {"input": str(synth_out / "trajectories.jsonl"), "out": str(threaded_out)},
-            tmp_path,
-            "threaded.json",
-        )
-        assert (serial_out / "labels.jsonl").read_bytes() == (
-            threaded_out / "labels.jsonl"
-        ).read_bytes()
-
     def test_label_with_encoding_writes_prompts(self, tmp_path):
         synth_out = tmp_path / "synth"
         run_cli("synth", {"count": 2, "seed": 1, "out": str(synth_out)}, tmp_path)
@@ -162,6 +141,32 @@ class TestLabelCommand:
         assert len(prompts) == 2
         assert prompts[0]["mode"] == "full"
         assert "Vehicle trajectory" in prompts[0]["text"]
+
+    def test_summary_prompt_uses_the_label_heading_mode(self, tmp_path):
+        # the heading swings out and back: net change ~0, summed change > 0
+        seq = make_seq(v=8.0, omega=0.4 * np.sin(2.0 * np.pi * GRID / 3.0))
+        traj_path = tmp_path / "swing.jsonl"
+        io.write_jsonl(traj_path, io.sequence_to_rows("swing", seq))
+        thresholds_path = tmp_path / "thresholds.json"
+        io.write_json(thresholds_path, {"heading_total_mode": "sum"})
+        label_out = tmp_path / "labels"
+        status = run_cli(
+            "label",
+            {"input": str(traj_path), "thresholds": str(thresholds_path),
+             "out": str(label_out)},
+            tmp_path,
+            "label.json",
+            extra=["--encoding", "summary"],
+        )
+        assert status == 0
+        label = next(
+            row for row in io.read_jsonl(label_out / "labels.jsonl")
+            if row["question_id"] == "heading_change"
+        )
+        total = label["evidence"]["total_heading_change"]
+        assert total > 0.5
+        (prompt,) = io.read_jsonl(label_out / "prompts.jsonl")
+        assert f"heading_change = {total:.3f} rad" in prompt["text"]
 
 
 class TestEvaluateCommand:
@@ -197,6 +202,28 @@ class TestEvaluateCommand:
         assert doc["aggregate"]["parsable_rate"] == pytest.approx(100.0)
         assert doc["aggregate"]["wpcr"] == pytest.approx(doc["aggregate"]["pcov"])
         assert set(doc["per_question"]) == set(QUESTION_ORDER)
+
+    @pytest.mark.parametrize(
+        ("answer", "prediction"),
+        [("left", {"parsed": "banana"}), ("sideways", {"response": "left"})],
+        ids=["parsed_label", "truth_answer"],
+    )
+    def test_out_of_space_label_exits_2(self, tmp_path, capsys, answer, prediction):
+        key = {"clip_id": "c1", "question_id": "turn_direction"}
+        truth_path = tmp_path / "truth.jsonl"
+        io.write_jsonl(truth_path, [{**key, "answer": answer}])
+        pred_path = tmp_path / "preds.jsonl"
+        io.write_jsonl(pred_path, [{**key, **prediction}])
+        status = run_cli(
+            "evaluate",
+            {"truth": str(truth_path), "predictions": str(pred_path),
+             "out": str(tmp_path / "eval")},
+            tmp_path,
+        )
+        assert status == 2
+        err = capsys.readouterr().err
+        bad = prediction.get("parsed", answer)
+        assert "'c1'" in err and "'turn_direction'" in err and f"'{bad}'" in err
 
 
 class TestSweepCommand:

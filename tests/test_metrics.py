@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import make_seq
+from conftest import GRID, make_seq, random_seq
 from egodyn.errors import MismatchedModelSets, NoGroundTruth
 from egodyn.metrics import (
     ConfusionTable,
@@ -181,11 +181,12 @@ class TestScoreModel:
 
 
 class TestSweep:
-    def build(self):
+    def build(self, extra=()):
         clips = [
             ("cruise", make_seq(v=10.0)),
             ("turn", make_seq(v=8.0, omega=0.3)),
             ("brake", make_seq(v=6.0, a=-1.0)),
+            *extra,
         ]
         cfg = ThresholdConfig()
         from egodyn.oracle import label_all
@@ -213,6 +214,30 @@ class TestSweep:
         clips, cfg, models = self.build()
         results = sensitivity_sweep(clips, models, cfg, [1.0])
         assert results[0].kendall_tau_vs_nominal == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("mode", ["net", "sum"])
+    def test_scores_match_a_relabel_at_each_alpha(self, mode):
+        from egodyn.oracle import label_all
+
+        rng = np.random.default_rng(11)
+        extra = [(f"random_{i}", random_seq(rng)) for i in range(8)]
+        # heading swings out and back: net and summed heading change differ
+        swing = 0.4 * np.sin(2.0 * np.pi * GRID / 3.0)
+        extra.append(("swing", make_seq(v=8.0, omega=swing)))
+        clips, _, models = self.build(extra)
+        cfg = ThresholdConfig(heading_total_mode=mode)
+        alphas = [0.5, 0.75, 1.0, 1.25, 1.5]
+        results = sensitivity_sweep(clips, models, cfg, alphas)
+        assert [r.alpha for r in results] == alphas
+        for result in results:
+            truth = {
+                (clip_id, rec.question_id): rec.answer
+                for clip_id, seq in clips
+                for rec in label_all(seq, cfg=cfg.with_alpha(result.alpha), clip_id=clip_id)
+            }
+            assert result.model_scores == {
+                model: score_model(truth, preds) for model, preds in models.items()
+            }
 
     def test_serialization_deterministic(self):
         clips, cfg, models = self.build()
