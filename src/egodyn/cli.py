@@ -17,7 +17,7 @@ from pathlib import Path
 from . import balancer, baselines, io, metrics, report
 from .encodings import ENCODING_MODES, encode_trajectory
 from .errors import ConfigError, EgodynError
-from .kinematics import stratification_bin, stratification_tags, summarize
+from .kinematics import stratification_bin, stratification_tags, summarize_batch
 from .oracle import label_all
 from .questions import QUESTION_ORDER, answer_space
 from .synth import generate_suite
@@ -89,11 +89,7 @@ def _load_clips(cfg: RunConfig, key: str = "input"):
     path = cfg.params[key]
     rate = float(cfg.params.get("rate_hz", 10.0))
     window = float(cfg.params.get("window_s", 3.0))
-    clips = io.read_trajectory_clips(path)
-    return [
-        (clip_id, io.rows_to_sequence(rows, rate, window))
-        for clip_id, rows in clips.items()
-    ]
+    return io.rows_to_sequences(io.read_trajectory_clips(path), rate, window)
 
 
 def _write_prompts(cfg: RunConfig, summarized, out_dir: Path) -> Path:
@@ -113,9 +109,12 @@ def _write_prompts(cfg: RunConfig, summarized, out_dir: Path) -> Path:
 
 def _cmd_label(cfg: RunConfig) -> dict[str, Path]:
     thresholds = _load_thresholds(cfg)
+    clips = _load_clips(cfg)
+    summaries = summarize_batch(
+        [seq for _, seq in clips], heading_mode=thresholds.heading_total_mode
+    )
     summarized = [
-        (clip_id, seq, summarize(seq, heading_mode=thresholds.heading_total_mode))
-        for clip_id, seq in _load_clips(cfg)
+        (clip_id, seq, summary) for (clip_id, seq), summary in zip(clips, summaries)
     ]
     out = cfg.out_dir
     label_rows, meta_rows = [], []
@@ -165,8 +164,9 @@ def _cmd_synth(cfg: RunConfig) -> dict[str, Path]:
     io.write_jsonl(out / "expected_labels.jsonl", label_rows)
     outputs["expected_labels"] = out / "expected_labels.jsonl"
     if cfg.encoding:
+        summaries = summarize_batch([c.seq for c in suite])
         outputs["prompts"] = _write_prompts(
-            cfg, [(c.clip_id, c.seq, summarize(c.seq)) for c in suite], out
+            cfg, [(c.clip_id, c.seq, s) for c, s in zip(suite, summaries)], out
         )
     return outputs
 
@@ -304,7 +304,7 @@ def _cmd_balance(cfg: RunConfig) -> dict[str, Path]:
 def _cmd_calibrate(cfg: RunConfig) -> dict[str, Path]:
     base = _load_thresholds(cfg)
     sequences = _load_clips(cfg)
-    summaries = [summarize(seq) for _, seq in sequences]
+    summaries = summarize_batch([seq for _, seq in sequences])
     calibrated = calibrate_thresholds(summaries, base)
     out = cfg.out_dir
     calibrated.to_json(out / "thresholds.json")

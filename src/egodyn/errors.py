@@ -13,6 +13,10 @@ class InsufficientSpan(EgodynError):
     """Log does not cover the requested resampling window."""
 
 
+class InvalidTrajectory(EgodynError, ValueError):
+    """Trajectory rows or state channels hold values the engine cannot use."""
+
+
 class WindowTooLarge(EgodynError):
     """Smoothing window exceeds the signal length."""
 

@@ -5,6 +5,10 @@ byte-identical; configuration documents are single JSON files. Trajectory
 rows may carry poses (t, x, y, heading), rates (t, v, omega), or the full
 state chain (t, v, a, j, omega, theta[, x, y]); a ``clip_id`` field
 groups rows into clips and defaults to a single clip when absent.
+
+Trajectory clips are checked and resampled one by one in input order, so
+an error names the first failing clip; then all pose clips and all rate
+clips are each derived in one batch (see ``kinematics``).
 """
 
 from __future__ import annotations
@@ -12,21 +16,21 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Iterable, Mapping
 
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError
+from .errors import ConfigError, EgodynError, InvalidTrajectory
 from .kinematics import (
-    PoseSample,
     SmoothingConfig,
     StateSequence,
-    derive_states,
-    derive_states_from_rates,
+    derive_pose_batch,
+    derive_rate_batch,
+    resample_pose_log,
     resample_rate_log,
-    resample_uniform,
 )
 
 DEFAULT_CLIP_ID = "clip_000"
@@ -94,15 +98,121 @@ def _read_rows(path: str | Path) -> list[dict]:
 
 
 def read_trajectory_clips(path: str | Path) -> dict[str, list[dict]]:
-    """Group trajectory rows by clip id, preserving first-seen order."""
+    """Group trajectory rows by clip id, in first-seen order.
+
+    Raises:
+        ConfigError: the rows of a clip are not contiguous.
+    """
     clips: dict[str, list[dict]] = {}
+    current = None
     for row in _read_rows(path):
         clip_id = str(row.get("clip_id", DEFAULT_CLIP_ID))
-        clips.setdefault(clip_id, []).append(row)
+        if clip_id != current:
+            if clip_id in clips:
+                raise ConfigError(
+                    f"clip {clip_id!r}: rows are not contiguous "
+                    f"(interrupted by clip {current!r})"
+                )
+            current = clip_id
+            clips[clip_id] = []
+        clips[clip_id].append(row)
     return clips
 
 
-_FULL_STATE_KEYS = {"t", "v", "a", "j", "omega", "theta"}
+_FULL_STATE_KEYS = ("t", "v", "a", "j", "omega", "theta")
+_POSE_KEYS = ("t", "x", "y", "heading")
+_RATE_KEYS = ("t", "v", "omega")
+_DERIVE_BATCH = {"pose": derive_pose_batch, "rate": derive_rate_batch}
+
+
+@contextmanager
+def _naming(clip_id: str):
+    """Re-raise an engine error with the id of the clip it concerns."""
+    try:
+        yield
+    except EgodynError as exc:
+        raise type(exc)(f"clip {clip_id!r}: {exc}") from exc
+
+
+def _channel(rows: list[dict], name: str) -> np.ndarray:
+    """One field of a clip's rows as a float array; every value finite."""
+    try:
+        values = np.array([row[name] for row in rows], dtype=float)
+    except KeyError:
+        raise ConfigError(f"a row lacks field {name!r}") from None
+    except (TypeError, ValueError):
+        values = None
+    if values is None or values.ndim != 1 or not np.all(np.isfinite(values)):
+        raise InvalidTrajectory(f"field {name!r} holds a non-finite or non-numeric value")
+    return values
+
+
+def _stage_clip(rows: list[dict], rate_hz: float, window_s: float):
+    """Check one clip and bring it onto the grid.
+
+    Returns ``("state", StateSequence)`` for full-state rows, else the
+    schema name and the channels on the uniform grid, ready to batch.
+    """
+    if not rows:
+        raise ConfigError("clip has no rows")
+    keys = set(rows[0])
+    if set(_FULL_STATE_KEYS) <= keys:
+        names = _FULL_STATE_KEYS + (("x", "y") if {"x", "y"} <= keys else ())
+        return "state", StateSequence(**{name: _channel(rows, name) for name in names})
+    if set(_POSE_KEYS) <= keys:
+        channels = [_channel(rows, name) for name in _POSE_KEYS]
+        return "pose", resample_pose_log(*channels, rate_hz, window_s)
+    if set(_RATE_KEYS) <= keys:
+        channels = [_channel(rows, name) for name in _RATE_KEYS]
+        return "rate", resample_rate_log(*channels, rate_hz, window_s)
+    raise ConfigError(
+        "trajectory rows must carry (t,x,y,heading), (t,v,omega), or the "
+        f"full state chain; got fields {sorted(keys)}"
+    )
+
+
+def rows_to_sequences(
+    clips: Mapping[str, list[dict]],
+    rate_hz: float = 10.0,
+    window_s: float = 3.0,
+    smoothing: SmoothingConfig | None = None,
+) -> list[tuple[str, StateSequence]]:
+    """Build every clip's StateSequence, whatever its schema, in input order.
+
+    Each clip is checked and resampled alone, so an error names the first
+    failing clip in input order. The pose clips, and the rate clips, are
+    then stacked and derived in one batch each.
+
+    Raises:
+        EgodynError: with the clip id in its message.
+    """
+    # per clip: its StateSequence, or (schema, row) of its derivation batch
+    slots: list[tuple[str, StateSequence | tuple[str, int]]] = []
+    staged: dict[str, tuple[str, list]] = {}  # schema -> (first clip id, grids)
+    for clip_id, rows in clips.items():
+        with _naming(clip_id):
+            schema, clip = _stage_clip(rows, rate_hz, window_s)
+        if schema == "state":
+            slots.append((clip_id, clip))
+        else:
+            grids = staged.setdefault(schema, (clip_id, []))[1]
+            slots.append((clip_id, (schema, len(grids))))
+            grids.append(clip)
+
+    batches = {}
+    for schema, (first_id, grids) in staged.items():
+        channels = (np.array(column) for column in zip(*grids))
+        with _naming(first_id):
+            batches[schema] = _DERIVE_BATCH[schema](*channels, smoothing)
+
+    sequences = []
+    for clip_id, slot in slots:
+        if isinstance(slot, tuple):
+            schema, row = slot
+            with _naming(clip_id):
+                slot = batches[schema].sequence(row)
+        sequences.append((clip_id, slot))
+    return sequences
 
 
 def rows_to_sequence(
@@ -111,35 +221,10 @@ def rows_to_sequence(
     window_s: float = 3.0,
     smoothing: SmoothingConfig | None = None,
 ) -> StateSequence:
-    """Build a StateSequence from one clip's rows, whatever their schema."""
-    if not rows:
-        raise ConfigError("clip has no rows")
-    keys = set(rows[0])
-    if _FULL_STATE_KEYS <= keys:
-        kwargs = {
-            name: np.array([row[name] for row in rows], dtype=float)
-            for name in _FULL_STATE_KEYS
-        }
-        if {"x", "y"} <= keys:
-            kwargs["x"] = np.array([row["x"] for row in rows], dtype=float)
-            kwargs["y"] = np.array([row["y"] for row in rows], dtype=float)
-        return StateSequence(**kwargs)
-    if {"t", "x", "y", "heading"} <= keys:
-        poses = [
-            PoseSample(row["t"], row["x"], row["y"], row["heading"]) for row in rows
-        ]
-        grid = resample_uniform(poses, rate_hz, window_s)
-        return derive_states(grid, smoothing)
-    if {"t", "v", "omega"} <= keys:
-        t = np.array([row["t"] for row in rows], dtype=float)
-        v = np.array([row["v"] for row in rows], dtype=float)
-        omega = np.array([row["omega"] for row in rows], dtype=float)
-        grid_t, grid_v, grid_w = resample_rate_log(t, v, omega, rate_hz, window_s)
-        return derive_states_from_rates(grid_t, grid_v, grid_w, smoothing)
-    raise ConfigError(
-        "trajectory rows must carry (t,x,y,heading), (t,v,omega), or the "
-        f"full state chain; got fields {sorted(keys)}"
-    )
+    """Build a StateSequence from one clip's rows, whatever their schema;
+    a batch of one of ``rows_to_sequences``."""
+    clip_id = str(rows[0].get("clip_id", DEFAULT_CLIP_ID)) if rows else DEFAULT_CLIP_ID
+    return rows_to_sequences({clip_id: rows}, rate_hz, window_s, smoothing)[0][1]
 
 
 def sequence_to_rows(clip_id: str, seq: StateSequence) -> list[dict]:

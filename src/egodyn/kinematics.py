@@ -11,12 +11,19 @@ before every differentiation stage. Edge samples are filled from the
 polynomial fitted to the terminal window, which keeps the filter exact on
 polynomials up to the fit order; differentiation uses second-order central
 differences with second-order one-sided stencils at the ends.
+
+Derivation and summaries run on batches: the channels of N clips that
+share a sample count are stacked into (N, n) arrays and every step runs
+once per batch along the last, contiguous axis. Reductions along that
+axis give each row the same floats as the clip computed alone, so the
+per-clip functions are batches of one.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 from scipy.signal import savgol_filter
@@ -24,6 +31,7 @@ from scipy.signal import savgol_filter
 from .errors import (
     EvenWindow,
     InsufficientSpan,
+    InvalidTrajectory,
     NonMonotonicTime,
     WindowTooLarge,
 )
@@ -48,7 +56,7 @@ class PoseSample:
     def __post_init__(self) -> None:
         for name in ("t", "x", "y", "heading"):
             if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"non-finite {name} in pose sample")
+                raise InvalidTrajectory(f"non-finite {name} in pose sample")
 
 
 @dataclass(frozen=True)
@@ -94,20 +102,16 @@ class StateSequence:
     def _validate(self) -> None:
         n = self.t.size
         if n < 2:
-            raise ValueError("state sequence needs at least 2 samples")
+            raise InvalidTrajectory("state sequence needs at least 2 samples")
         channels = [self.v, self.a, self.j, self.omega, self.theta]
         channels += [c for c in (self.x, self.y) if c is not None]
         if any(c.size != n for c in channels):
-            raise ValueError("all channels must have equal length")
+            raise InvalidTrajectory("all channels must have equal length")
         if any(not np.all(np.isfinite(c)) for c in [self.t] + channels):
-            raise ValueError("NaN/Inf in state sequence")
-        dts = np.diff(self.t)
-        if np.any(dts <= 0):
-            raise NonMonotonicTime("grid timestamps must strictly increase")
-        if np.max(np.abs(dts - dts[0])) > GRID_TOLERANCE_S:
-            raise ValueError("grid spacing must be constant within 1e-9 s")
+            raise InvalidTrajectory("NaN/Inf in state sequence")
+        _grid_spacing(self.t[None])
         if np.any(self.v < 0):
-            raise ValueError("speed channel must be non-negative")
+            raise InvalidTrajectory("speed channel must be non-negative")
 
     @property
     def n(self) -> int:
@@ -165,9 +169,92 @@ class KinematicSummary:
         return out
 
 
+@dataclass(frozen=True)
+class StateBatch:
+    """State channels of N clips that share a sample count, as (N, n) arrays."""
+
+    t: np.ndarray
+    v: np.ndarray
+    a: np.ndarray
+    j: np.ndarray
+    omega: np.ndarray
+    theta: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+
+    def sequence(self, i: int) -> StateSequence:
+        """Row ``i`` as a validated StateSequence (views into the batch)."""
+        return StateSequence(
+            self.t[i], self.v[i], self.a[i], self.j[i], self.omega[i],
+            self.theta[i], self.x[i], self.y[i],
+        )
+
+
 def _wrap_angle(values: np.ndarray) -> np.ndarray:
     """Wrap radians into (-pi, pi]."""
     return np.pi - np.mod(np.pi - values, 2.0 * np.pi)
+
+
+def _grid_spacing(t: np.ndarray) -> np.ndarray:
+    """Sample spacing of each row of (N, n) uniform grids, as an (N, 1) column.
+
+    Raises:
+        NonMonotonicTime: a grid's timestamps do not strictly increase.
+        InvalidTrajectory: a grid's spacing varies by more than 1e-9 s.
+    """
+    dts = np.diff(t, axis=-1)
+    if np.any(dts <= 0):
+        raise NonMonotonicTime("grid timestamps must strictly increase")
+    if np.any(np.abs(dts - dts[:, :1]) > GRID_TOLERANCE_S):
+        raise InvalidTrajectory("grid spacing must be constant within 1e-9 s")
+    return dts[:, :1]
+
+
+def _uniform_grid(t: np.ndarray, rate_hz: float, window_s: float) -> np.ndarray:
+    """The uniform grid of a raw log: ``window_s`` from its first timestamp."""
+    if rate_hz <= 0 or window_s <= 0:
+        raise ValueError("rate_hz and window_s must be positive")
+    if t.size < 2:
+        raise InsufficientSpan("need at least 2 samples to resample")
+    if np.any(np.diff(t) <= 0):
+        raise NonMonotonicTime("timestamps must strictly increase")
+    span = float(t[-1] - t[0])
+    if span < window_s - GRID_TOLERANCE_S:
+        raise InsufficientSpan(
+            f"log spans {span:.3f} s but window is {window_s:.3f} s"
+        )
+    n = int(round(window_s * rate_hz)) + 1
+    grid = t[0] + np.arange(n) / rate_hz
+    # Far from t = 0 (Unix-epoch timestamps, say) the rounded grid is not
+    # uniform within the tolerance; reject it here, for this clip alone,
+    # rather than later in a batch of clips.
+    _grid_spacing(grid[None])
+    return grid
+
+
+def resample_pose_log(
+    t: np.ndarray,
+    x: np.ndarray,
+    y: np.ndarray,
+    heading: np.ndarray,
+    rate_hz: float,
+    window_s: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Resample a (t, x, y, heading) log onto the uniform grid.
+
+    Positions interpolate linearly; heading interpolates along the shortest
+    arc so a 3.1 -> -3.1 rad pair passes through +/-pi, not through zero.
+    Returns the grid, x, y and the heading wrapped into (-pi, pi].
+    """
+    t = np.asarray(t, dtype=float)
+    grid = _uniform_grid(t, rate_hz, window_s)
+    heading_u = np.unwrap(heading)
+    return (
+        grid,
+        np.interp(grid, t, x),
+        np.interp(grid, t, y),
+        _wrap_angle(np.interp(grid, t, heading_u)),
+    )
 
 
 def resample_uniform(
@@ -176,36 +263,23 @@ def resample_uniform(
     """Resample a pose log onto a uniform grid covering exactly ``window_s``.
 
     The grid starts at the first timestamp and has round(window_s * rate_hz)
-    + 1 samples (inclusive endpoints). Positions interpolate linearly;
-    heading interpolates along the shortest arc so a 3.1 -> -3.1 rad pair
-    passes through +/-pi, not through zero.
+    + 1 samples (inclusive endpoints); see ``resample_pose_log``.
 
     Raises:
         NonMonotonicTime: timestamps are not strictly increasing.
         InsufficientSpan: the log covers less than ``window_s``.
     """
-    if rate_hz <= 0 or window_s <= 0:
-        raise ValueError("rate_hz and window_s must be positive")
-    if len(samples) < 2:
-        raise InsufficientSpan("need at least 2 samples to resample")
-    t = np.array([s.t for s in samples], dtype=float)
-    if np.any(np.diff(t) <= 0):
-        raise NonMonotonicTime("pose timestamps must strictly increase")
-    span = float(t[-1] - t[0])
-    if span < window_s - GRID_TOLERANCE_S:
-        raise InsufficientSpan(
-            f"log spans {span:.3f} s but window is {window_s:.3f} s"
-        )
-    n = int(round(window_s * rate_hz)) + 1
-    grid = t[0] + np.arange(n) / rate_hz
-
-    x = np.interp(grid, t, np.array([s.x for s in samples]))
-    y = np.interp(grid, t, np.array([s.y for s in samples]))
-    heading_u = np.unwrap(np.array([s.heading for s in samples]))
-    heading = _wrap_angle(np.interp(grid, t, heading_u))
+    grid, x, y, heading = resample_pose_log(
+        np.array([s.t for s in samples], dtype=float),
+        np.array([s.x for s in samples]),
+        np.array([s.y for s in samples]),
+        np.array([s.heading for s in samples]),
+        rate_hz,
+        window_s,
+    )
     return [
         PoseSample(float(grid[i]), float(x[i]), float(y[i]), float(heading[i]))
-        for i in range(n)
+        for i in range(grid.size)
     ]
 
 
@@ -218,82 +292,128 @@ def resample_rate_log(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Resample a (t, v, omega) log onto the uniform grid; linear interp."""
     t = np.asarray(t, dtype=float)
-    if t.size < 2:
-        raise InsufficientSpan("need at least 2 samples to resample")
-    if np.any(np.diff(t) <= 0):
-        raise NonMonotonicTime("timestamps must strictly increase")
-    span = float(t[-1] - t[0])
-    if span < window_s - GRID_TOLERANCE_S:
-        raise InsufficientSpan(
-            f"log spans {span:.3f} s but window is {window_s:.3f} s"
-        )
-    n = int(round(window_s * rate_hz)) + 1
-    grid = t[0] + np.arange(n) / rate_hz
+    grid = _uniform_grid(t, rate_hz, window_s)
     return grid, np.interp(grid, t, v), np.interp(grid, t, omega)
 
 
 def smooth_savgol(values, window: int, poly_order: int) -> np.ndarray:
-    """Least-squares polynomial smoothing; same length as the input.
+    """Least-squares polynomial smoothing along the last axis; same shape.
 
     Exact (to machine precision) on polynomials of degree <= poly_order,
     including the edge samples, which are filled from the polynomial
-    fitted to the first/last window.
+    fitted to the first/last window. A 2-D input smooths every row.
     """
     values = np.asarray(values, dtype=float)
     if window < 1 or window % 2 == 0:
         raise EvenWindow(f"window must be odd and positive, got {window}")
     if not 0 <= poly_order < window:
         raise ValueError("poly_order must satisfy 0 <= poly_order < window")
-    if window > values.size:
+    if window > values.shape[-1]:
         raise WindowTooLarge(
-            f"window {window} exceeds signal length {values.size}"
+            f"window {window} exceeds signal length {values.shape[-1]}"
         )
     if window == 1:
         return values.copy()
     return savgol_filter(values, window, poly_order, mode="interp")
 
 
-def _gradient(values: np.ndarray, dt: float) -> np.ndarray:
-    return np.gradient(values, dt, edge_order=2)
+def _gradient(values: np.ndarray, dt: np.ndarray) -> np.ndarray:
+    """``np.gradient(row, dt_row, edge_order=2)`` for every row at once.
+
+    ``dt`` is an (N, 1) column. The expressions are numpy's for uniform
+    spacing, so each row gets the same floats as its own call.
+    """
+    out = np.empty_like(values)
+    out[:, 1:-1] = (values[:, 2:] - values[:, :-2]) / (2.0 * dt)
+    a, b, c = -1.5 / dt, 2.0 / dt, -0.5 / dt
+    out[:, :1] = a * values[:, :1] + b * values[:, 1:2] + c * values[:, 2:3]
+    a, b, c = 0.5 / dt, -2.0 / dt, 1.5 / dt
+    out[:, -1:] = a * values[:, -3:-2] + b * values[:, -2:-1] + c * values[:, -1:]
+    return out
 
 
-def derive_states(
-    poses: list[PoseSample], smoothing: SmoothingConfig | None = None
-) -> StateSequence:
-    """Derive the full state chain from uniformly gridded poses.
+def _derivation_spacing(t: np.ndarray) -> np.ndarray:
+    """``_grid_spacing`` of grids long enough for second-order stencils."""
+    if t.shape[-1] < 3:
+        raise InvalidTrajectory("need at least 3 samples to differentiate")
+    return _grid_spacing(t)
+
+
+def _speed_chain(v_raw, dt, smoothing: SmoothingConfig):
+    """Smoothed non-negative speed, then acceleration and jerk from it."""
+    sv = smoothing.speed
+    v = np.maximum(smooth_savgol(v_raw, sv.window, sv.polyorder), 0.0)
+    a = _gradient(v, dt)
+    sa = smoothing.accel
+    a = smooth_savgol(a, sa.window, sa.polyorder)
+    return v, a, _gradient(a, dt)
+
+
+def derive_pose_batch(
+    t: np.ndarray,
+    x: np.ndarray,
+    y: np.ndarray,
+    heading: np.ndarray,
+    smoothing: SmoothingConfig | None = None,
+) -> StateBatch:
+    """Derive the state chain of N pose clips given as (N, n) grid arrays.
 
     Speed comes from central differences of the smoothed positions,
     acceleration from the smoothed speed, jerk from the smoothed
     acceleration, and yaw rate from the smoothed unwrapped heading.
     """
     smoothing = smoothing or SmoothingConfig()
-    t = np.array([p.t for p in poses], dtype=float)
-    if t.size < 3:
-        raise ValueError("need at least 3 samples to differentiate")
-    dts = np.diff(t)
-    if np.any(dts <= 0):
-        raise NonMonotonicTime("grid timestamps must strictly increase")
-    if np.max(np.abs(dts - dts[0])) > GRID_TOLERANCE_S:
-        raise ValueError("derive_states requires a uniform grid")
-    dt = float(dts[0])
-
+    dt = _derivation_spacing(t)
     sp = smoothing.position
-    x = smooth_savgol([p.x for p in poses], sp.window, sp.polyorder)
-    y = smooth_savgol([p.y for p in poses], sp.window, sp.polyorder)
+    x = smooth_savgol(x, sp.window, sp.polyorder)
+    y = smooth_savgol(y, sp.window, sp.polyorder)
     sh = smoothing.heading
-    theta = smooth_savgol(
-        np.unwrap([p.heading for p in poses]), sh.window, sh.polyorder
-    )
-
-    v_raw = np.hypot(_gradient(x, dt), _gradient(y, dt))
+    theta = smooth_savgol(np.unwrap(heading, axis=-1), sh.window, sh.polyorder)
     omega = _gradient(theta, dt)
-    sv = smoothing.speed
-    v = np.maximum(smooth_savgol(v_raw, sv.window, sv.polyorder), 0.0)
-    a = _gradient(v, dt)
-    sa = smoothing.accel
-    a = smooth_savgol(a, sa.window, sa.polyorder)
-    j = _gradient(a, dt)
-    return StateSequence(t=t, v=v, a=a, j=j, omega=omega, theta=theta, x=x, y=y)
+    v, a, j = _speed_chain(np.hypot(_gradient(x, dt), _gradient(y, dt)), dt, smoothing)
+    return StateBatch(t=t, v=v, a=a, j=j, omega=omega, theta=theta, x=x, y=y)
+
+
+def _trapezoid_integral(rate: np.ndarray, dt: np.ndarray) -> np.ndarray:
+    """Running trapezoid integral of each row, starting at 0."""
+    steps = np.cumsum((rate[:, 1:] + rate[:, :-1]) * 0.5 * dt, axis=-1)
+    return np.concatenate([np.zeros((rate.shape[0], 1)), steps], axis=-1)
+
+
+def derive_rate_batch(
+    t: np.ndarray,
+    v: np.ndarray,
+    omega: np.ndarray,
+    smoothing: SmoothingConfig | None = None,
+) -> StateBatch:
+    """Build the state chain of N clips from (N, n) t, v and omega arrays.
+
+    Acceleration and jerk are derived from the smoothed speed; heading is
+    the running integral of the yaw rate and positions are integrated
+    from speed and heading.
+    """
+    smoothing = smoothing or SmoothingConfig()
+    dt = _derivation_spacing(t)
+    v, a, j = _speed_chain(v, dt, smoothing)
+    theta = _trapezoid_integral(omega, dt)
+    x = _trapezoid_integral(v * np.cos(theta), dt)
+    y = _trapezoid_integral(v * np.sin(theta), dt)
+    return StateBatch(t=t, v=v, a=a, j=j, omega=omega, theta=theta, x=x, y=y)
+
+
+def derive_states(
+    poses: list[PoseSample], smoothing: SmoothingConfig | None = None
+) -> StateSequence:
+    """Derive the full state chain of one clip from uniformly gridded poses;
+    a batch of one of ``derive_pose_batch``."""
+
+    def channel(name: str) -> np.ndarray:
+        return np.array([[getattr(p, name) for p in poses]], dtype=float)
+
+    batch = derive_pose_batch(
+        channel("t"), channel("x"), channel("y"), channel("heading"), smoothing
+    )
+    return batch.sequence(0)
 
 
 def derive_states_from_rates(
@@ -302,81 +422,73 @@ def derive_states_from_rates(
     omega: np.ndarray,
     smoothing: SmoothingConfig | None = None,
 ) -> StateSequence:
-    """Build a StateSequence from direct (t, v, omega) channels.
-
-    Acceleration and jerk are derived from the smoothed speed; heading is
-    the running integral of the yaw rate and positions are integrated
-    from speed and heading.
-    """
-    smoothing = smoothing or SmoothingConfig()
-    t = np.asarray(t, dtype=float)
-    if t.size < 3:
-        raise ValueError("need at least 3 samples to differentiate")
-    dts = np.diff(t)
-    if np.any(dts <= 0):
-        raise NonMonotonicTime("grid timestamps must strictly increase")
-    if np.max(np.abs(dts - dts[0])) > GRID_TOLERANCE_S:
-        raise ValueError("derive_states_from_rates requires a uniform grid")
-    dt = float(dts[0])
-
-    omega = np.asarray(omega, dtype=float)
-    sv = smoothing.speed
-    v_s = np.maximum(smooth_savgol(v, sv.window, sv.polyorder), 0.0)
-    a = _gradient(v_s, dt)
-    sa = smoothing.accel
-    a = smooth_savgol(a, sa.window, sa.polyorder)
-    j = _gradient(a, dt)
-
-    theta = np.concatenate(
-        [[0.0], np.cumsum((omega[1:] + omega[:-1]) * 0.5 * dt)]
-    )
-    vx = v_s * np.cos(theta)
-    vy = v_s * np.sin(theta)
-    x = np.concatenate([[0.0], np.cumsum((vx[1:] + vx[:-1]) * 0.5 * dt)])
-    y = np.concatenate([[0.0], np.cumsum((vy[1:] + vy[:-1]) * 0.5 * dt)])
-    return StateSequence(t=t, v=v_s, a=a, j=j, omega=omega, theta=theta, x=x, y=y)
+    """Build one clip's StateSequence from direct (t, v, omega) channels;
+    a batch of one of ``derive_rate_batch``."""
+    t, v, omega = (np.asarray(c, dtype=float)[None] for c in (t, v, omega))
+    return derive_rate_batch(t, v, omega, smoothing).sequence(0)
 
 
-def summarize(seq: StateSequence, heading_mode: str = "net") -> KinematicSummary:
-    """Compute clip-level aggregates of a state sequence.
+_PERCENTILES = (25, 50, 75)
+_PERCENTILE_KEYS = ("p25", "p50", "p75")
 
-    heading_mode "net" measures |theta_end - theta_start| on the unwrapped
-    heading; "sum" accumulates |d theta| so oscillation also counts.
+
+def summarize_batch(
+    seqs: Sequence[StateSequence], heading_mode: str = "net"
+) -> list[KinematicSummary]:
+    """Clip-level aggregates of many state sequences, in input order.
+
+    Clips are stacked by sample count and each stack is reduced in one
+    pass along the sample axis. heading_mode "net" measures
+    |theta_end - theta_start| on the unwrapped heading; "sum" accumulates
+    |d theta| so oscillation also counts.
     """
     if heading_mode not in ("net", "sum"):
         raise ValueError("heading_mode must be 'net' or 'sum'")
-    theta_u = np.unwrap(seq.theta)
-    if heading_mode == "net":
-        heading_change = float(abs(theta_u[-1] - theta_u[0]))
-    else:
-        heading_change = float(np.sum(np.abs(np.diff(theta_u))))
-    abs_jerk = np.abs(seq.j)
-    lat = seq.v * np.abs(seq.omega)
-    pct = {
-        "accel": {
-            "p25": float(np.percentile(seq.a, 25)),
-            "p50": float(np.percentile(seq.a, 50)),
-            "p75": float(np.percentile(seq.a, 75)),
-        },
-        "abs_jerk": {
-            "p25": float(np.percentile(abs_jerk, 25)),
-            "p50": float(np.percentile(abs_jerk, 50)),
-            "p75": float(np.percentile(abs_jerk, 75)),
-        },
-    }
-    return KinematicSummary(
-        max_speed=float(np.max(seq.v)),
-        mean_speed=float(np.mean(seq.v)),
-        min_accel=float(np.min(seq.a)),
-        max_accel=float(np.max(seq.a)),
-        mean_accel=float(np.mean(seq.a)),
-        max_abs_jerk=float(np.max(abs_jerk)),
-        mean_abs_jerk=float(np.mean(abs_jerk)),
-        max_abs_yaw_rate=float(np.max(np.abs(seq.omega))),
-        max_lat_accel=float(np.max(lat)),
-        total_heading_change=heading_change,
-        percentiles=pct,
-    )
+    by_count: dict[int, list[int]] = {}
+    for i, seq in enumerate(seqs):
+        by_count.setdefault(seq.n, []).append(i)
+    out: list[KinematicSummary | None] = [None] * len(seqs)
+    for members in by_count.values():
+        v, a, j, omega, theta = (
+            np.array([getattr(seqs[i], name) for i in members])
+            for name in ("v", "a", "j", "omega", "theta")
+        )
+        theta_u = np.unwrap(theta, axis=-1)
+        if heading_mode == "net":
+            heading_change = np.abs(theta_u[:, -1] - theta_u[:, 0])
+        else:
+            heading_change = np.sum(np.abs(np.diff(theta_u, axis=-1)), axis=-1)
+        abs_jerk = np.abs(j)
+        stats = {
+            "max_speed": np.max(v, axis=-1),
+            "mean_speed": np.mean(v, axis=-1),
+            "min_accel": np.min(a, axis=-1),
+            "max_accel": np.max(a, axis=-1),
+            "mean_accel": np.mean(a, axis=-1),
+            "max_abs_jerk": np.max(abs_jerk, axis=-1),
+            "mean_abs_jerk": np.mean(abs_jerk, axis=-1),
+            "max_abs_yaw_rate": np.max(np.abs(omega), axis=-1),
+            "max_lat_accel": np.max(v * np.abs(omega), axis=-1),
+            "total_heading_change": heading_change,
+        }
+        rows = zip(*(column.tolist() for column in stats.values()))
+        accel_pct = np.percentile(a, _PERCENTILES, axis=-1).T.tolist()
+        jerk_pct = np.percentile(abs_jerk, _PERCENTILES, axis=-1).T.tolist()
+        for i, row, pa, pj in zip(members, rows, accel_pct, jerk_pct):
+            out[i] = KinematicSummary(
+                **dict(zip(stats, row)),
+                percentiles={
+                    "accel": dict(zip(_PERCENTILE_KEYS, pa)),
+                    "abs_jerk": dict(zip(_PERCENTILE_KEYS, pj)),
+                },
+            )
+    return out
+
+
+def summarize(seq: StateSequence, heading_mode: str = "net") -> KinematicSummary:
+    """Compute clip-level aggregates of one state sequence; a batch of one
+    of ``summarize_batch``."""
+    return summarize_batch([seq], heading_mode)[0]
 
 
 def stratification_tags(seq, summary, thresholds) -> dict[str, bool]:

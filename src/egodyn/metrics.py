@@ -16,7 +16,7 @@ import numpy as np
 from scipy import stats
 
 from .errors import EmptySet, MismatchedModelSets, NoGroundTruth
-from .kinematics import summarize
+from .kinematics import summarize_batch
 from .oracle import label_all
 from .questions import (
     ANSWER_SPACES,
@@ -299,9 +299,11 @@ def sensitivity_sweep(
     if not model_predictions:
         raise EmptySet("sensitivity sweep needs at least one model")
 
+    summaries = summarize_batch(
+        [seq for _, seq in clips], heading_mode=cfg.heading_total_mode
+    )
     summarized = [
-        (clip_id, seq, summarize(seq, heading_mode=cfg.heading_total_mode))
-        for clip_id, seq in clips
+        (clip_id, seq, summary) for (clip_id, seq), summary in zip(clips, summaries)
     ]
 
     def truth_at(alpha: float) -> dict[tuple[str, str], str]:

@@ -597,3 +597,81 @@ class TestValidation:
             tmp_path,
         )
         assert status == 2
+
+
+def _pose_rows(clip_id, count=31):
+    return [
+        {"clip_id": clip_id, "t": i / 10.0, "x": float(i), "y": 0.0, "heading": 0.0}
+        for i in range(count)
+    ]
+
+
+def _rate_rows(clip_id, count=31):
+    return [{"clip_id": clip_id, "t": i / 10.0, "v": 5.0, "omega": 0.1} for i in range(count)]
+
+
+def _state_rows(clip_id):
+    return io.sequence_to_rows(clip_id, make_seq(v=5.0, omega=0.1))
+
+
+_ROWS = {"pose": _pose_rows, "rate": _rate_rows, "state": _state_rows}
+
+
+class TestTrajectoryInputErrors:
+    """Malformed trajectory input exits 2 with a message naming the clip."""
+
+    def exit_2_message(self, tmp_path, capsys, rows, command="label"):
+        path = tmp_path / "trajectories.jsonl"
+        io.write_jsonl(path, rows)
+        status = run_cli(command, {"input": str(path), "out": str(tmp_path / "o")}, tmp_path)
+        err = capsys.readouterr().err
+        assert status == 2, err
+        return err
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "schema,field",
+        [("pose", "x"), ("pose", "heading"), ("rate", "v"), ("rate", "omega"),
+         ("state", "theta"), ("state", "t")],
+    )
+    def test_non_finite_value_names_clip_and_field(
+        self, tmp_path, capsys, schema, field, value
+    ):
+        rows = _ROWS[schema]("bad")
+        rows[4][field] = value
+        err = self.exit_2_message(tmp_path, capsys, _pose_rows("good") + rows)
+        assert "clip 'bad'" in err and repr(field) in err
+
+    def test_negative_full_state_speed(self, tmp_path, capsys):
+        rows = _state_rows("bad")
+        rows[4]["v"] = -1.0
+        err = self.exit_2_message(tmp_path, capsys, _rate_rows("good") + rows)
+        assert "clip 'bad'" in err and "non-negative" in err
+
+    def test_rows_of_a_clip_must_be_contiguous(self, tmp_path, capsys):
+        split = _pose_rows("a")
+        err = self.exit_2_message(
+            tmp_path, capsys, split[:10] + _rate_rows("b") + split[10:]
+        )
+        assert "clip 'a'" in err and "contiguous" in err
+
+    @pytest.mark.parametrize("command", ["label", "calibrate-thresholds"])
+    @pytest.mark.parametrize(
+        "fault,message",
+        [("span", "spans 1.900 s"), ("order", "increase"), ("schema", "must carry")],
+    )
+    def test_names_the_first_failing_clip_in_input_order(
+        self, tmp_path, capsys, command, fault, message
+    ):
+        if fault == "span":
+            first_bad = _rate_rows("b", count=20)
+        elif fault == "order":
+            first_bad = _pose_rows("b")
+            first_bad[3]["t"], first_bad[4]["t"] = first_bad[4]["t"], first_bad[3]["t"]
+        else:
+            first_bad = [{"clip_id": "b", "t": 0.0, "speed": 1.0}]
+        negative = _state_rows("d")
+        negative[0]["v"] = -1.0
+        rows = _pose_rows("a") + first_bad + _pose_rows("c", count=10) + negative
+        err = self.exit_2_message(tmp_path, capsys, rows, command)
+        assert "clip 'b'" in err and message in err
