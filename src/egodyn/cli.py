@@ -10,6 +10,7 @@ outputs so results can be verified and reproduced byte for byte.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -85,10 +86,21 @@ def _load_thresholds(cfg: RunConfig) -> ThresholdConfig:
     return ThresholdConfig.from_json(path) if path else ThresholdConfig()
 
 
+def _positive(cfg: RunConfig, key: str, default: float) -> float:
+    value = cfg.params.get(key, default)
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        number = math.nan
+    if not (math.isfinite(number) and number > 0):
+        raise ConfigError(f"{key} must be a finite positive number, got {value!r}")
+    return number
+
+
 def _load_clips(cfg: RunConfig, key: str = "input"):
     path = cfg.params[key]
-    rate = float(cfg.params.get("rate_hz", 10.0))
-    window = float(cfg.params.get("window_s", 3.0))
+    rate = _positive(cfg, "rate_hz", 10.0)
+    window = _positive(cfg, "window_s", 3.0)
     return io.rows_to_sequences(io.read_trajectory_clips(path), rate, window)
 
 
@@ -180,6 +192,8 @@ def _read_truth(path) -> dict[tuple[str, str], str]:
                 f"clip {clip_id!r}, question {question!r}: "
                 f"truth answer {label!r} is not in the answer space"
             )
+        if (clip_id, question) in truth:
+            raise ConfigError(f"clip {clip_id!r}, question {question!r}: two truth rows")
         truth[(clip_id, question)] = label
     return truth
 
@@ -271,10 +285,13 @@ def _cmd_baseline(cfg: RunConfig) -> dict[str, Path]:
 
 
 def _cmd_balance(cfg: RunConfig) -> dict[str, Path]:
-    label_rows = io.read_jsonl(cfg.params["labels"])
     answers: dict[str, dict[str, str]] = {}
-    for row in label_rows:
-        answers.setdefault(row["clip_id"], {})[row["question_id"]] = row["answer"]
+    for row in io.read_jsonl(cfg.params["labels"]):
+        clip_id, question = row["clip_id"], row["question_id"]
+        clip_answers = answers.setdefault(clip_id, {})
+        if question in clip_answers:
+            raise ConfigError(f"clip {clip_id!r}, question {question!r}: two labels rows")
+        clip_answers[question] = row["answer"]
     sources = (
         io.read_source_manifest(cfg.params["sources"])
         if cfg.params.get("sources")
@@ -284,10 +301,10 @@ def _cmd_balance(cfg: RunConfig) -> dict[str, Path]:
         balancer.PoolClip(clip_id, sources.get(clip_id, "real"), clip_answers)
         for clip_id, clip_answers in answers.items()
     ]
-    n = int(cfg.params["n"])
-    caps = cfg.params.get("caps")
-    caps = {k: int(v) for k, v in caps.items()} if caps else None
-    selected_ids = balancer.balance(pool, n, caps=caps)
+    caps = cfg.params.get("caps") or None
+    if caps is not None and not isinstance(caps, dict):
+        raise ConfigError("caps must map source names to integers")
+    selected_ids = balancer.balance(pool, cfg.params["n"], caps=caps)
     by_id = {clip.clip_id: clip for clip in pool}
     selected = [by_id[cid] for cid in selected_ids]
     out = cfg.out_dir

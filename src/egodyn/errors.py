@@ -45,6 +45,10 @@ class PoolExhausted(EgodynError):
     """The candidate pool ran out before the target size was reached."""
 
 
+class InvalidBalanceInput(EgodynError, ValueError):
+    """A balance pool, size or cap the selection cannot use."""
+
+
 class EmptySeries(EgodynError):
     """A proxy series with no frame pairs was provided."""
 

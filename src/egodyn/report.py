@@ -37,13 +37,16 @@ def parse_predictions(rows: Sequence[Mapping]) -> list[dict]:
 
 
 def prediction_map(parsed_rows: Sequence[Mapping]) -> metrics.PredictionMap:
-    """(clip_id, question_id) -> parsed label, or None when unparsed."""
+    """(clip_id, question_id) -> parsed label, or None when unparsed.
+
+    Raises ``ConfigError`` when two rows share a (clip_id, question_id).
+    """
     preds: dict[tuple[str, str], str | None] = {}
     for row in parsed_rows:
-        label = row["parsed"]
-        preds[(row["clip_id"], row["question_id"])] = (
-            None if label == parsing.UNPARSED else label
-        )
+        key, label = (row["clip_id"], row["question_id"]), row["parsed"]
+        if key in preds:
+            raise ConfigError(f"clip {key[0]!r}, question {key[1]!r}: two prediction rows")
+        preds[key] = None if label == parsing.UNPARSED else label
     return preds
 
 

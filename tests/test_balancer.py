@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from egodyn.balancer import (
     uniform_targets,
     worst_imbalance,
 )
-from egodyn.errors import InfeasibleCaps, PoolExhausted
+from egodyn.errors import InfeasibleCaps, InvalidBalanceInput, PoolExhausted
 
 BINARY = {"q": ("yes", "no")}
 
@@ -156,6 +157,36 @@ class TestBalance:
         with pytest.raises(ValueError):
             balance(pool, 1, targets=uniform_targets(BINARY))
 
+
+
+class TestRejectedInputs:
+    @pytest.mark.parametrize(
+        "answers,message",
+        [({}, "no answer for 'q'"), ({"q": "maybe"}, "'maybe' is not a class"),
+         ({"q": ["yes"]}, "['yes'] is not a class")],
+    )
+    def test_answer_set(self, answers, message):
+        with pytest.raises(InvalidBalanceInput, match=re.escape(message)):
+            balance([clip("c1", {"q": "no"}), clip("c2", answers)], 1,
+                    targets=uniform_targets(BINARY))
+
+    def test_repeated_clip_id(self):
+        pool = binary_pool() + [clip("c2", {"q": "no"})]
+        with pytest.raises(InvalidBalanceInput, match="'c2' is in the pool twice"):
+            balance(pool, 1, targets=uniform_targets(BINARY))
+
+    @pytest.mark.parametrize(
+        "n,caps,name",
+        [(-1, None, "n"), (1.0, None, "n"), (True, None, "n"),
+         (1, {"real": -1}, "cap of source 'real'"), (1, {"real": 0.5}, "cap of source 'real'")],
+    )
+    def test_size_and_caps(self, n, caps, name):
+        with pytest.raises(InvalidBalanceInput, match=f"^{name} must be a non-negative integer"):
+            balance(binary_pool(), n, caps=caps, targets=uniform_targets(BINARY))
+
+    def test_non_finite_target(self):
+        with pytest.raises(InvalidBalanceInput, match="finite"):
+            balance(binary_pool(), 1, targets={"q": {"yes": float("nan"), "no": 0.5}})
 
 class TestBookkeeping:
     def test_incremental_counts_match_recount(self):

@@ -11,7 +11,7 @@ from conftest import GRID, make_seq
 from egodyn import io, parsing
 from egodyn.cli import main
 from egodyn.kinematics import PoseSample
-from egodyn.questions import QUESTION_ORDER
+from egodyn.questions import ANSWER_SPACES, QUESTION_ORDER
 from egodyn.synth import ManeuverSpec, generate
 
 
@@ -675,3 +675,94 @@ class TestTrajectoryInputErrors:
         rows = _pose_rows("a") + first_bad + _pose_rows("c", count=10) + negative
         err = self.exit_2_message(tmp_path, capsys, rows, command)
         assert "clip 'b'" in err and message in err
+
+
+def _label_rows(clip_ids):
+    return [
+        {"clip_id": clip_id, "question_id": q, "answer": ANSWER_SPACES[q][0]}
+        for clip_id in clip_ids
+        for q in QUESTION_ORDER
+    ]
+
+
+class TestKeyedInputErrors:
+    """Malformed balance pools, repeated (clip, question) rows and bad grid
+    settings exit 2 with a message naming the cause."""
+
+    def exit_2_message(self, tmp_path, capsys, command, config):
+        status = run_cli(command, {**config, "out": str(tmp_path / "o")}, tmp_path)
+        err = capsys.readouterr().err
+        assert status == 2, err
+        return err
+
+    def balance_config(self, tmp_path, rows, n=2):
+        path = tmp_path / "labels.jsonl"
+        io.write_jsonl(path, rows)
+        return {"labels": str(path), "n": n}
+
+    def test_balance_clip_without_an_answer(self, tmp_path, capsys):
+        rows = [r for r in _label_rows(["c1", "c2", "c3"])
+                if (r["clip_id"], r["question_id"]) != ("c2", "speed_regime")]
+        err = self.exit_2_message(
+            tmp_path, capsys, "balance", self.balance_config(tmp_path, rows)
+        )
+        assert "clip 'c2'" in err and "'speed_regime'" in err
+
+    def test_balance_answer_outside_its_classes(self, tmp_path, capsys):
+        rows = _label_rows(["c1", "c2", "c3"])
+        rows[20]["answer"] = "banana"
+        err = self.exit_2_message(
+            tmp_path, capsys, "balance", self.balance_config(tmp_path, rows)
+        )
+        assert "clip 'c2'" in err and "'banana'" in err
+
+    @pytest.mark.parametrize("n", [-1, 2.5, "two"])
+    def test_balance_n_not_a_non_negative_integer(self, tmp_path, capsys, n):
+        config = self.balance_config(tmp_path, _label_rows(["c1", "c2", "c3"]), n)
+        err = self.exit_2_message(tmp_path, capsys, "balance", config)
+        assert "n must be a non-negative integer" in err
+
+    @pytest.mark.parametrize("caps", [[1], {"real": -1}, {"real": "1"}])
+    def test_balance_caps_not_source_integers(self, tmp_path, capsys, caps):
+        config = self.balance_config(tmp_path, _label_rows(["c1", "c2", "c3"]))
+        err = self.exit_2_message(tmp_path, capsys, "balance", {**config, "caps": caps})
+        assert "caps must map" in err or "cap of source 'real'" in err
+
+    def test_balance_two_labels_rows(self, tmp_path, capsys):
+        rows = _label_rows(["c1", "c2", "c3"])
+        rows.append({**rows[15], "answer": ANSWER_SPACES[rows[15]["question_id"]][1]})
+        err = self.exit_2_message(
+            tmp_path, capsys, "balance", self.balance_config(tmp_path, rows)
+        )
+        assert f"clip 'c2', question {rows[15]['question_id']!r}" in err
+
+    @pytest.mark.parametrize("duplicated", ["truth", "predictions"])
+    def test_evaluate_two_rows_for_one_key(self, tmp_path, capsys, duplicated):
+        truth = [{"clip_id": "c1", "question_id": "turn_direction", "answer": "left"}]
+        preds = [{"clip_id": "c1", "question_id": "turn_direction", "parsed": "left"}]
+        rows = {"truth": truth, "predictions": preds}
+        rows[duplicated] = rows[duplicated] + [
+            {**rows[duplicated][0], "answer": "right", "parsed": "right"}
+        ]
+        for name, file_rows in rows.items():
+            io.write_jsonl(tmp_path / f"{name}.jsonl", file_rows)
+        err = self.exit_2_message(
+            tmp_path, capsys, "evaluate",
+            {name: str(tmp_path / f"{name}.jsonl") for name in rows},
+        )
+        assert "clip 'c1', question 'turn_direction'" in err
+
+    @pytest.mark.parametrize("command", ["label", "sweep", "calibrate-thresholds"])
+    @pytest.mark.parametrize("key,value", [("rate_hz", 0), ("window_s", -1),
+                                           ("rate_hz", "ten")])
+    def test_grid_settings_must_be_positive(self, tmp_path, capsys, command, key, value):
+        path = tmp_path / "trajectories.jsonl"
+        io.write_jsonl(path, _pose_rows("a"))
+        preds = tmp_path / "preds.jsonl"
+        io.write_jsonl(preds, [])
+        config = {"input": str(path), key: value}
+        if command == "sweep":
+            config = {"trajectories": str(path), "predictions": {"m": str(preds)},
+                      "alphas": [1.0], key: value}
+        err = self.exit_2_message(tmp_path, capsys, command, config)
+        assert f"{key} must be a finite positive number" in err
