@@ -20,7 +20,6 @@ import numpy as np
 
 from .errors import EmptySeries
 from .oracle import QARecord, _ordered_pair_exists
-from .questions import GEOMETRIC_SUBSET
 
 
 @dataclass(frozen=True)
@@ -113,10 +112,6 @@ BASELINE_THRESHOLD_SETS = {
 }
 
 
-def _record(clip_id, question, answer, rule, params, evidence) -> QARecord:
-    return QARecord(clip_id, question, answer, rule, params, evidence)
-
-
 def flow_answers(
     series: FlowProxySeries, th: FlowThresholds = FLOW_DEFAULT, clip_id: str = ""
 ) -> list[QARecord]:
@@ -152,22 +147,22 @@ def flow_answers(
         "head": th.head, "stop": th.stop, "move": th.move,
     }
     return [
-        _record(clip_id, "turn_direction", turn, "flow_mean_turn_score",
-                params, {"mean_turn_score": mean_turn}),
-        _record(clip_id, "speed_trend", trend, "flow_mean_expansion",
-                params, {"mean_expansion": mean_exp}),
-        _record(clip_id, "lateral_accel", lateral, "flow_peak_turn_score",
-                params, {"max_abs_turn_score": max_abs_turn}),
-        _record(clip_id, "heading_change", heading, "flow_turn_score_sum",
-                params, {"sum_abs_turn_score": sum_abs_turn}),
-        _record(clip_id, "stop_and_go", "yes" if stop_go else "no",
-                "flow_magnitude_transition", params,
-                {"min_magnitude": float(np.min(series.m_mag)),
-                 "max_magnitude": float(np.max(series.m_mag))}),
-        _record(clip_id, "brake_then_turn", "yes" if brake_turn else "no",
-                "flow_contraction_then_turn", params,
-                {"min_expansion": float(np.min(series.s_exp)),
-                 "max_abs_turn_score": max_abs_turn}),
+        QARecord(clip_id, "turn_direction", turn, "flow_mean_turn_score",
+                 params, {"mean_turn_score": mean_turn}),
+        QARecord(clip_id, "speed_trend", trend, "flow_mean_expansion",
+                 params, {"mean_expansion": mean_exp}),
+        QARecord(clip_id, "lateral_accel", lateral, "flow_peak_turn_score",
+                 params, {"max_abs_turn_score": max_abs_turn}),
+        QARecord(clip_id, "heading_change", heading, "flow_turn_score_sum",
+                 params, {"sum_abs_turn_score": sum_abs_turn}),
+        QARecord(clip_id, "stop_and_go", "yes" if stop_go else "no",
+                 "flow_magnitude_transition", params,
+                 {"min_magnitude": float(np.min(series.m_mag)),
+                  "max_magnitude": float(np.max(series.m_mag))}),
+        QARecord(clip_id, "brake_then_turn", "yes" if brake_turn else "no",
+                 "flow_contraction_then_turn", params,
+                 {"min_expansion": float(np.min(series.s_exp)),
+                  "max_abs_turn_score": max_abs_turn}),
     ]
 
 
@@ -217,21 +212,21 @@ def vo_answers(
         "trend": th.trend, "head": th.head, "lat": th.lat, "brake": th.brake,
     }
     return [
-        _record(clip_id, "turn_direction", turn, "odom_mean_and_peak_yaw",
-                params, {"mean_yaw_deg": mean_yaw, "peak_abs_yaw_deg": peak_yaw}),
-        _record(clip_id, "speed_trend", trend, "odom_displacement_slope",
-                params, {"displacement_slope": slope}),
-        _record(clip_id, "lateral_accel", lateral, "odom_peak_yaw",
-                params, {"peak_abs_yaw_deg": peak_yaw}),
-        _record(clip_id, "heading_change", heading, "odom_yaw_sum",
-                params, {"sum_abs_yaw_deg": sum_abs_yaw}),
-        _record(clip_id, "stop_and_go", "yes" if stop_go else "no",
-                "odom_displacement_transition", params,
-                {"min_displacement": float(np.min(series.m_disp)),
-                 "max_displacement": float(np.max(series.m_disp))}),
-        _record(clip_id, "brake_then_turn", "yes" if brake_turn else "no",
-                "odom_drop_then_yaw", params,
-                {"mean_displacement": mean_disp, "drop_threshold": drop}),
+        QARecord(clip_id, "turn_direction", turn, "odom_mean_and_peak_yaw",
+                 params, {"mean_yaw_deg": mean_yaw, "peak_abs_yaw_deg": peak_yaw}),
+        QARecord(clip_id, "speed_trend", trend, "odom_displacement_slope",
+                 params, {"displacement_slope": slope}),
+        QARecord(clip_id, "lateral_accel", lateral, "odom_peak_yaw",
+                 params, {"peak_abs_yaw_deg": peak_yaw}),
+        QARecord(clip_id, "heading_change", heading, "odom_yaw_sum",
+                 params, {"sum_abs_yaw_deg": sum_abs_yaw}),
+        QARecord(clip_id, "stop_and_go", "yes" if stop_go else "no",
+                 "odom_displacement_transition", params,
+                 {"min_displacement": float(np.min(series.m_disp)),
+                  "max_displacement": float(np.max(series.m_disp))}),
+        QARecord(clip_id, "brake_then_turn", "yes" if brake_turn else "no",
+                 "odom_drop_then_yaw", params,
+                 {"mean_displacement": mean_disp, "drop_threshold": drop}),
     ]
 
 
@@ -311,7 +306,3 @@ def synth_proxies(
     flow = FlowProxySeries(t=pair_t, s_turn=s_turn, s_exp=s_exp, m_mag=m_mag)
     odom = OdomProxySeries(t=pair_t, m_disp=m_disp, theta_deg=theta_deg)
     return flow, odom
-
-
-def baseline_questions() -> tuple[str, ...]:
-    return GEOMETRIC_SUBSET

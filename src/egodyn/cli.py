@@ -20,7 +20,7 @@ from .encodings import ENCODING_MODES, encode_trajectory
 from .errors import ConfigError, EgodynError
 from .kinematics import stratification_bin, stratification_tags, summarize_batch
 from .oracle import label_all
-from .questions import QUESTION_ORDER, answer_space
+from .questions import QUESTION_ORDER, AnswerTable
 from .synth import generate_suite
 from .thresholds import ThresholdConfig, calibrate_thresholds
 
@@ -183,26 +183,19 @@ def _cmd_synth(cfg: RunConfig) -> dict[str, Path]:
     return outputs
 
 
-def _read_truth(path) -> dict[tuple[str, str], str]:
-    truth = {}
-    for row in io.read_jsonl(path):
-        clip_id, question, label = row["clip_id"], row["question_id"], row["answer"]
-        if label not in answer_space(question):
-            raise ConfigError(
-                f"clip {clip_id!r}, question {question!r}: "
-                f"truth answer {label!r} is not in the answer space"
-            )
-        if (clip_id, question) in truth:
-            raise ConfigError(f"clip {clip_id!r}, question {question!r}: two truth rows")
-        truth[(clip_id, question)] = label
-    return truth
+def _answer_table(rows, field: str, predicted: bool = False) -> AnswerTable:
+    return AnswerTable.from_rows(
+        ((row["clip_id"], row["question_id"], row[field]) for row in rows), predicted
+    )
 
 
 def _cmd_evaluate(cfg: RunConfig) -> dict[str, Path]:
-    truth = _read_truth(cfg.params["truth"])
+    truth = _answer_table(io.read_jsonl(cfg.params["truth"]), "answer")
     rows = io.read_predictions(cfg.params["predictions"])
     parsed = report.parse_predictions(rows)
-    doc = report.build_evaluation_report(truth, report.prediction_map(parsed))
+    doc = report.build_evaluation_report(
+        truth, _answer_table(parsed, "parsed", predicted=True)
+    )
     out = cfg.out_dir
     io.write_json(out / "report.json", doc)
     io.write_jsonl(out / "parsed_predictions.jsonl", parsed)
@@ -222,7 +215,7 @@ def _cmd_sweep(cfg: RunConfig) -> dict[str, Path]:
     model_predictions = {}
     for model, path in pred_spec.items():
         parsed = report.parse_predictions(io.read_predictions(path))
-        model_predictions[model] = report.prediction_map(parsed)
+        model_predictions[model] = _answer_table(parsed, "parsed", predicted=True)
     results = metrics.sensitivity_sweep(sequences, model_predictions, thresholds, alphas)
     out = cfg.out_dir
     io.write_json(out / "sweep.json", {"results": [r.to_dict() for r in results]})

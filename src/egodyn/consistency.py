@@ -11,6 +11,9 @@ by triggering nothing.
 Missing (unparsed) answers: an absent antecedent leaves the rule
 untriggered; an absent consequent under a holding antecedent counts as a
 violation, since the implication cannot be verified.
+
+Rules are evaluated for all clips at once, as column masks over an
+(N, 14) matrix of answer codes (see ``questions.AnswerTable``).
 """
 
 from __future__ import annotations
@@ -18,8 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .errors import EmptySet
-from .questions import UNPARSED
+from .questions import ANSWER_SPACES, NO_ANSWER, QUESTION_ORDER, AnswerTable
 
 
 @dataclass(frozen=True)
@@ -28,8 +33,13 @@ class Condition:
     op: str  # "eq" | "ne"
     label: str
 
-    def holds(self, value: str) -> bool:
-        return (value == self.label) if self.op == "eq" else (value != self.label)
+    def holds(self, answers: np.ndarray) -> np.ndarray:
+        """Per row of (N, 14) answer codes: the question has an answer,
+        and the answer meets the condition."""
+        column = answers[:, QUESTION_ORDER.index(self.question)]
+        code = ANSWER_SPACES[self.question].index(self.label)
+        met = (column == code) if self.op == "eq" else (column != code)
+        return met & (column != NO_ANSWER)
 
 
 @dataclass(frozen=True)
@@ -58,17 +68,6 @@ RULES_V1: tuple[Rule, ...] = (
 
 
 @dataclass(frozen=True)
-class RuleOutcome:
-    rule_id: str
-    triggered: bool
-    violated: bool
-
-    def __post_init__(self) -> None:
-        if self.violated and not self.triggered:
-            raise ValueError("a rule cannot be violated without triggering")
-
-
-@dataclass(frozen=True)
 class ClipConsistency:
     clip_id: str
     triggered: int
@@ -86,41 +85,31 @@ class ClipConsistency:
         }
 
 
-def _answer(answers: Mapping[str, str | None], question: str) -> str | None:
-    value = answers.get(question)
-    if value is None or value == UNPARSED:
-        return None
-    return value
+def consistency_of(clip_ids: Sequence[str], answers: np.ndarray) -> list[ClipConsistency]:
+    """Every clip's rule outcomes, from its row of (N, 14) answer codes."""
+    rule_ids = [rule.rule_id for rule in RULES_V1]
+    triggered = np.column_stack([rule.antecedent.holds(answers) for rule in RULES_V1])
+    violated = triggered & ~np.column_stack(
+        [rule.consequent.holds(answers) for rule in RULES_V1]
+    )
+    clips = []
+    for clip_id, trig_row, viol_row in zip(clip_ids, triggered.tolist(), violated.tolist()):
+        trig = tuple(rule_id for rule_id, hit in zip(rule_ids, trig_row) if hit)
+        viol = tuple(rule_id for rule_id, hit in zip(rule_ids, viol_row) if hit)
+        t, v = len(trig), len(viol)
+        contribution = t / len(RULES_V1) if (v == 0 and t > 0) else 0.0
+        clips.append(ClipConsistency(clip_id, t, v, contribution, trig, viol))
+    return clips
 
 
-def evaluate_rules(
-    answers: Mapping[str, str | None], rules: Sequence[Rule] = RULES_V1
-) -> list[RuleOutcome]:
-    """Evaluate every rule against one clip's answers."""
-    outcomes = []
-    for rule in rules:
-        a_val = _answer(answers, rule.antecedent.question)
-        if a_val is None or not rule.antecedent.holds(a_val):
-            outcomes.append(RuleOutcome(rule.rule_id, False, False))
-            continue
-        c_val = _answer(answers, rule.consequent.question)
-        violated = c_val is None or not rule.consequent.holds(c_val)
-        outcomes.append(RuleOutcome(rule.rule_id, True, violated))
-    return outcomes
-
-
-def clip_consistency(
-    clip_id: str,
-    answers: Mapping[str, str | None],
-    rules: Sequence[Rule] = RULES_V1,
-) -> ClipConsistency:
-    """Fold rule outcomes into the clip's triggered/violated counts."""
-    outcomes = evaluate_rules(answers, rules)
-    trig = tuple(o.rule_id for o in outcomes if o.triggered)
-    viol = tuple(o.rule_id for o in outcomes if o.violated)
-    t, v = len(trig), len(viol)
-    contribution = t / len(rules) if (v == 0 and t > 0) else 0.0
-    return ClipConsistency(clip_id, t, v, contribution, trig, viol)
+def clip_consistency(clip_id: str, answers: Mapping[str, str]) -> ClipConsistency:
+    """Rule outcomes of one clip's answers, keyed by question; a question
+    without a key, or answered ``unparsed``, has no answer."""
+    rows = [(clip_id, question, label) for question, label in answers.items()]
+    codes = AnswerTable.from_rows(rows, predicted=True).codes
+    if not rows:
+        codes = np.full((1, len(QUESTION_ORDER)), NO_ANSWER)
+    return consistency_of([clip_id], codes)[0]
 
 
 def wpcr(clips: Sequence[ClipConsistency]) -> float:

@@ -45,13 +45,28 @@ def write_jsonl(path: str | Path, records: Iterable[Mapping[str, Any]]) -> None:
             handle.write("\n")
 
 
+def _json_object(text: str, path: str | Path, line: int) -> dict:
+    """The JSON object ``text``, which starts on ``line`` of ``path``; else
+    ``ConfigError("<path>:<line>: ...")``."""
+    try:
+        value = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(
+            f"{path}:{line + exc.lineno - 1}: invalid JSON ({exc.msg}, column {exc.colno})"
+        ) from None
+    if not isinstance(value, dict):
+        raise ConfigError(f"{path}:{line}: expected a JSON object, got {type(value).__name__}")
+    return value
+
+
 def read_jsonl(path: str | Path) -> list[dict]:
+    """One JSON object per non-blank line."""
     records = []
     with Path(path).open("r", encoding="utf-8") as handle:
-        for line in handle:
+        for number, line in enumerate(handle, 1):
             line = line.strip()
             if line:
-                records.append(json.loads(line))
+                records.append(_json_object(line, path, number))
     return records
 
 
@@ -65,7 +80,10 @@ def write_json(path: str | Path, payload: Mapping[str, Any]) -> None:
 
 
 def read_json(path: str | Path) -> dict:
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+    """A single JSON object document."""
+    text = Path(path).read_text(encoding="utf-8")
+    body = text.lstrip()
+    return _json_object(body, path, text[: len(text) - len(body)].count("\n") + 1)
 
 
 def sha256_file(path: str | Path) -> str:
@@ -247,11 +265,21 @@ def sequence_to_rows(clip_id: str, seq: StateSequence) -> list[dict]:
 
 
 def read_source_manifest(path: str | Path) -> dict[str, str]:
-    """clip_id -> source mapping from a two-column CSV."""
+    """clip_id -> source mapping from a CSV with ``clip_id`` and ``source``
+    columns; a missing column or a second row for a clip is a ``ConfigError``."""
     sources = {}
     with Path(path).open("r", encoding="utf-8", newline="") as handle:
-        for row in csv.DictReader(handle):
-            sources[row["clip_id"]] = row["source"]
+        reader = csv.DictReader(handle)
+        for column in ("clip_id", "source"):
+            if column not in (reader.fieldnames or ()):
+                raise ConfigError(f"{path}: source manifest has no {column!r} column")
+        for row in reader:
+            clip_id = row["clip_id"]
+            if clip_id in sources:
+                raise ConfigError(
+                    f"{path}:{reader.line_num}: clip {clip_id!r} has a second source row"
+                )
+            sources[clip_id] = row["source"]
     return sources
 
 

@@ -10,7 +10,7 @@ scores) against the nominal (alpha = 1) ranking.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 from scipy import stats
@@ -20,9 +20,11 @@ from .kinematics import summarize_batch
 from .oracle import label_all
 from .questions import (
     ANSWER_SPACES,
+    NO_ANSWER,
     QUESTION_ORDER,
     TEMPORAL_QUESTIONS,
     UNPARSED,
+    AnswerTable,
     answer_space,
 )
 from .thresholds import ThresholdConfig
@@ -52,11 +54,6 @@ class ConfusionTable:
         else:
             col = self.labels.index(prediction)
         self.counts[row, col] += 1
-
-    def merge(self, other: "ConfusionTable") -> "ConfusionTable":
-        if other.question_id != self.question_id or other.labels != self.labels:
-            raise ValueError("cannot merge confusion tables of different shape")
-        return ConfusionTable(self.question_id, self.labels, self.counts + other.counts)
 
     @property
     def total(self) -> int:
@@ -113,71 +110,56 @@ def macro_f1(ct: ConfusionTable) -> float:
     return float(np.mean(scores))
 
 
-@dataclass(frozen=True)
-class EvalRecord:
-    """One scored prediction: question, truth label, parsed label or None."""
+def build_confusions(truth: AnswerTable, predictions: AnswerTable) -> dict[str, ConfusionTable]:
+    """One confusion table per question answered in ``truth``.
 
-    clip_id: str
-    question_id: str
-    truth: str
-    prediction: str | None
-
-
-def build_confusions(records: Iterable[EvalRecord]) -> dict[str, ConfusionTable]:
-    tables: dict[str, ConfusionTable] = {}
-    for rec in records:
-        table = tables.get(rec.question_id)
-        if table is None:
-            table = ConfusionTable.empty(rec.question_id)
-            tables[rec.question_id] = table
-        table.add(rec.truth, rec.prediction)
+    A prediction without an answer counts in the unparsed column.
+    """
+    predicted = predictions.answers_on(truth)
+    tables = {}
+    for j, question in enumerate(QUESTION_ORDER):
+        present = truth.codes[:, j] != NO_ANSWER
+        if not present.any():
+            continue
+        labels = ANSWER_SPACES[question]
+        k = len(labels)
+        pred = predicted[present, j]
+        pred = np.where(pred == NO_ANSWER, k, pred)
+        cells = truth.codes[present, j] * (k + 1) + pred
+        counts = np.bincount(cells, minlength=k * (k + 1)).reshape(k, k + 1)
+        tables[question] = ConfusionTable(question, labels, counts.astype(np.int64))
     return tables
 
 
-def _temporal_subset(records: Iterable[EvalRecord]) -> list[EvalRecord]:
-    return [r for r in records if r.question_id in TEMPORAL_QUESTIONS]
+def _temporal_tables(tables: Mapping[str, ConfusionTable]) -> list[ConfusionTable]:
+    temporal = [tables[q] for q in TEMPORAL_QUESTIONS if q in tables]
+    if not temporal:
+        raise NoGroundTruth("no temporal records")
+    return temporal
 
 
-def temporal_accuracy(records: Iterable[EvalRecord]) -> float:
+def temporal_accuracy(tables: Mapping[str, ConfusionTable]) -> float:
     """Accuracy over the event-ordering questions only."""
-    subset = _temporal_subset(records)
-    if not subset:
-        raise NoGroundTruth("no temporal records")
-    hits = sum(1 for r in subset if r.prediction == r.truth)
-    return hits / len(subset)
+    temporal = _temporal_tables(tables)
+    hits = sum(int(np.trace(t.counts[:, : len(t.labels)])) for t in temporal)
+    return hits / sum(t.total for t in temporal)
 
 
-def _pooled_temporal_labels() -> tuple[str, ...]:
-    labels: list[str] = []
-    for q in TEMPORAL_QUESTIONS:
-        for lbl in ANSWER_SPACES[q]:
-            if lbl not in labels:
-                labels.append(lbl)
-    return tuple(labels)
+# the labels of the temporal questions, each once, in first-seen order
+_POOLED_TEMPORAL_LABELS = tuple(
+    dict.fromkeys(label for q in TEMPORAL_QUESTIONS for label in ANSWER_SPACES[q])
+)
 
 
-def temporal_macro_f1(records: Iterable[EvalRecord]) -> float:
+def temporal_macro_f1(tables: Mapping[str, ConfusionTable]) -> float:
     """Macro-F1 over the pooled confusion table of the temporal questions."""
-    subset = _temporal_subset(records)
-    if not subset:
-        raise NoGroundTruth("no temporal records")
-    pooled = ConfusionTable.empty("temporal_pooled", _pooled_temporal_labels())
-    for rec in subset:
-        pooled.add(rec.truth, rec.prediction)
+    temporal = _temporal_tables(tables)
+    pooled = ConfusionTable.empty("temporal_pooled", _POOLED_TEMPORAL_LABELS)
+    unparsed = len(pooled.labels)
+    for table in temporal:
+        rows = [pooled.labels.index(label) for label in table.labels]
+        pooled.counts[np.ix_(rows, rows + [unparsed])] += table.counts
     return macro_f1(pooled)
-
-
-def kendall_tau(ranking_a: Sequence[str], ranking_b: Sequence[str]) -> float:
-    """Rank correlation between two orderings of the same model set."""
-    if set(ranking_a) != set(ranking_b) or len(ranking_a) != len(set(ranking_a)):
-        raise MismatchedModelSets("rankings must cover the same models exactly once")
-    n = len(ranking_a)
-    if n <= 1:
-        return 1.0
-    pos_b = {model: i for i, model in enumerate(ranking_b)}
-    x = np.arange(n)
-    y = np.array([pos_b[m] for m in ranking_a])
-    return float(stats.kendalltau(x, y).correlation)
 
 
 def kendall_tau_scores(
@@ -223,32 +205,22 @@ class SweepResult:
         }
 
 
-PredictionMap = Mapping[tuple[str, str], str | None]
-
-
 @dataclass(frozen=True)
 class ModelScores:
     """One model scored against the truth, question by question."""
 
-    records: list[EvalRecord]
     tables: dict[str, ConfusionTable]
     per_question: dict[str, dict[str, float]]
     aggregate: dict[str, float]
 
 
-def score_questions(
-    truth: Mapping[tuple[str, str], str], predictions: PredictionMap
-) -> ModelScores:
+def score_questions(truth: AnswerTable, predictions: AnswerTable) -> ModelScores:
     """Accuracy/balanced accuracy/macro-F1 per question and their means.
 
     Aggregates are unweighted means of the per-question metrics over the
     questions present in the ground truth, taken in ``QUESTION_ORDER``.
     """
-    records = [
-        EvalRecord(clip, q, label, predictions.get((clip, q)))
-        for (clip, q), label in truth.items()
-    ]
-    tables = build_confusions(records)
+    tables = build_confusions(truth, predictions)
     per_question = {
         q: {
             "acc": accuracy(tables[q]),
@@ -264,12 +236,10 @@ def score_questions(
         name: float(np.mean([scores[name] for scores in per_question.values()]))
         for name in ("acc", "bacc", "f1")
     }
-    return ModelScores(records, tables, per_question, aggregate)
+    return ModelScores(tables, per_question, aggregate)
 
 
-def score_model(
-    truth: Mapping[tuple[str, str], str], predictions: PredictionMap
-) -> dict[str, float]:
+def score_model(truth: AnswerTable, predictions: AnswerTable) -> dict[str, float]:
     """Aggregate accuracy/balanced accuracy/macro-F1 for one model."""
     return score_questions(truth, predictions).aggregate
 
@@ -280,7 +250,7 @@ def _rank_models(scores: Mapping[str, Mapping[str, float]]) -> tuple[str, ...]:
 
 def sensitivity_sweep(
     clips: Sequence[tuple[str, object]],
-    model_predictions: Mapping[str, PredictionMap],
+    model_predictions: Mapping[str, AnswerTable],
     cfg: ThresholdConfig,
     alphas: Sequence[float],
 ) -> list[SweepResult]:
@@ -302,42 +272,26 @@ def sensitivity_sweep(
     summaries = summarize_batch(
         [seq for _, seq in clips], heading_mode=cfg.heading_total_mode
     )
-    summarized = [
-        (clip_id, seq, summary) for (clip_id, seq), summary in zip(clips, summaries)
-    ]
 
-    def truth_at(alpha: float) -> dict[tuple[str, str], str]:
+    def scores_at(alpha: float) -> dict[str, dict[str, float]]:
         scaled = cfg.with_alpha(cfg.alpha * alpha).scaled()
-        out: dict[tuple[str, str], str] = {}
-        for clip_id, seq, summary in summarized:
-            for rec in label_all(seq, summary, scaled, clip_id):
-                out[(clip_id, rec.question_id)] = rec.answer
-        return out
-
-    nominal_truth = truth_at(1.0)
-    nominal_scores = {
-        model: score_model(nominal_truth, preds)
-        for model, preds in model_predictions.items()
-    }
-    nominal_bacc = {m: s["bacc"] for m, s in nominal_scores.items()}
-
-    results = []
-    for alpha in alphas:
-        if alpha == 1.0:
-            scores = nominal_scores
-        else:
-            truth = truth_at(alpha)
-            scores = {
-                model: score_model(truth, preds)
-                for model, preds in model_predictions.items()
-            }
-        bacc = {m: s["bacc"] for m, s in scores.items()}
-        results.append(
-            SweepResult(
-                alpha=alpha,
-                model_scores=scores,
-                ranking=_rank_models(scores),
-                kendall_tau_vs_nominal=kendall_tau_scores(nominal_bacc, bacc),
-            )
+        truth = AnswerTable.from_rows(
+            (clip_id, rec.question_id, rec.answer)
+            for (clip_id, seq), summary in zip(clips, summaries)
+            for rec in label_all(seq, summary, scaled, clip_id)
         )
-    return results
+        return {model: score_model(truth, preds) for model, preds in model_predictions.items()}
+
+    scores = {alpha: scores_at(alpha) for alpha in dict.fromkeys(alphas)}
+    nominal_bacc = {m: s["bacc"] for m, s in scores[1.0].items()}
+    return [
+        SweepResult(
+            alpha=alpha,
+            model_scores=scores[alpha],
+            ranking=_rank_models(scores[alpha]),
+            kendall_tau_vs_nominal=kendall_tau_scores(
+                nominal_bacc, {m: s["bacc"] for m, s in scores[alpha].items()}
+            ),
+        )
+        for alpha in alphas
+    ]

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kinematics import KinematicSummary, StateSequence, half_split_index, summarize
-from .questions import ANSWER_SPACES, QUESTION_ORDER
+from .questions import QUESTION_ORDER, answer_code
 from .thresholds import ThresholdConfig
 
 
@@ -31,13 +31,7 @@ class QARecord:
     evidence: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        space = ANSWER_SPACES.get(self.question_id)
-        if space is None:
-            raise ValueError(f"unknown question id {self.question_id!r}")
-        if self.answer not in space:
-            raise ValueError(
-                f"answer {self.answer!r} outside space of {self.question_id}"
-            )
+        answer_code(self.clip_id, self.question_id, self.answer)
         if not self.evidence:
             raise ValueError("evidence must not be empty")
 
@@ -50,17 +44,6 @@ class QARecord:
             "rule_params": dict(self.rule_params),
             "evidence": dict(self.evidence),
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "QARecord":
-        return cls(
-            clip_id=data["clip_id"],
-            question_id=data["question_id"],
-            answer=data["answer"],
-            rule_name=data.get("rule_name", "external"),
-            rule_params=data.get("rule_params", {}),
-            evidence=data.get("evidence", {"source": "external"}),
-        )
 
 
 def label_turn_direction(seq, summary, cfg, clip_id=""):

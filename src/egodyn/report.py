@@ -6,27 +6,24 @@ import csv
 from pathlib import Path
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from . import consistency, metrics, parsing
-from .errors import ConfigError, NoGroundTruth
-from .questions import QUESTION_ORDER, answer_space
+from .errors import NoGroundTruth
+from .questions import NO_ANSWER, AnswerTable, answer_code, answer_space
 
 
 def parse_predictions(rows: Sequence[Mapping]) -> list[dict]:
     """Attach parsed label and stage to raw prediction rows.
 
-    A pre-parsed label must be in its question's answer space or
-    ``unparsed``; anything else raises ``ConfigError``.
+    A pre-parsed label must pass ``questions.answer_code``, or
+    ``ConfigError`` is raised.
     """
     out = []
     for row in rows:
         enriched = dict(row)
         if "parsed" in row and "response" not in row:
-            label = row["parsed"]
-            if label != parsing.UNPARSED and label not in answer_space(row["question_id"]):
-                raise ConfigError(
-                    f"clip {row['clip_id']!r}, question {row['question_id']!r}: "
-                    f"parsed label {label!r} is not in the answer space"
-                )
+            answer_code(row["clip_id"], row["question_id"], row["parsed"], predicted=True)
             enriched.setdefault("stage", "external")
         else:
             result = parsing.parse(str(row["response"]), answer_space(row["question_id"]))
@@ -36,54 +33,29 @@ def parse_predictions(rows: Sequence[Mapping]) -> list[dict]:
     return out
 
 
-def prediction_map(parsed_rows: Sequence[Mapping]) -> metrics.PredictionMap:
-    """(clip_id, question_id) -> parsed label, or None when unparsed.
-
-    Raises ``ConfigError`` when two rows share a (clip_id, question_id).
-    """
-    preds: dict[tuple[str, str], str | None] = {}
-    for row in parsed_rows:
-        key, label = (row["clip_id"], row["question_id"]), row["parsed"]
-        if key in preds:
-            raise ConfigError(f"clip {key[0]!r}, question {key[1]!r}: two prediction rows")
-        preds[key] = None if label == parsing.UNPARSED else label
-    return preds
-
-
-def build_evaluation_report(
-    truth: Mapping[tuple[str, str], str], predictions: metrics.PredictionMap
-) -> dict:
-    """Full per-question and aggregate report for one model.
-
-    ``truth`` maps (clip_id, question_id) to the ground-truth label and
-    ``predictions`` maps the same keys to the parsed label or None.
-    """
+def build_evaluation_report(truth: AnswerTable, predictions: AnswerTable) -> dict:
+    """Full per-question and aggregate report for one model."""
     scores = metrics.score_questions(truth, predictions)
-    records = scores.records
     per_question = {
         q: {**question_scores, "confusion": scores.tables[q].to_dict()}
         for q, question_scores in scores.per_question.items()
     }
 
     try:
-        temporal_acc = metrics.temporal_accuracy(records)
-        temporal_f1 = metrics.temporal_macro_f1(records)
+        temporal_acc = metrics.temporal_accuracy(scores.tables)
+        temporal_f1 = metrics.temporal_macro_f1(scores.tables)
     except NoGroundTruth:
         temporal_acc = None
         temporal_f1 = None
 
-    clip_ids = sorted({clip for clip, _ in truth})
-    per_clip = []
-    for clip_id in clip_ids:
-        answers = {
-            q: predictions.get((clip_id, q))
-            for q in QUESTION_ORDER
-            if (clip_id, q) in truth
-        }
-        per_clip.append(consistency.clip_consistency(clip_id, answers))
+    answers = predictions.answers_on(truth)
+    by_clip = sorted(range(len(truth.clip_ids)), key=truth.clip_ids.__getitem__)
+    per_clip = consistency.consistency_of(
+        [truth.clip_ids[i] for i in by_clip], answers[by_clip]
+    )
 
-    total = len(records)
-    parsed_count = sum(1 for r in records if r.prediction is not None)
+    total = int(np.count_nonzero(truth.codes != NO_ANSWER))
+    parsed_count = int(np.count_nonzero(answers != NO_ANSWER))
 
     return {
         "per_question": per_question,
@@ -98,7 +70,7 @@ def build_evaluation_report(
         "per_clip_consistency": [c.to_dict() for c in per_clip],
         "metadata": {
             "n_predictions": total,
-            "n_clips": len(clip_ids),
+            "n_clips": len(truth.clip_ids),
             "aggregation": "unweighted mean over questions",
             "temporal_f1_method": "macro-F1 over the pooled temporal confusion",
             "zero_truth_classes": "excluded from balanced accuracy and macro-F1",

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from egodyn.kinematics import StateSequence
+from egodyn.questions import AnswerTable
 from egodyn.thresholds import ThresholdConfig
 
 GRID = np.arange(31) / 10.0
@@ -35,6 +36,14 @@ def random_seq(rng: np.random.Generator) -> StateSequence:
     omega = rng.normal(0, 0.15, GRID.size)
     theta = np.concatenate([[0.0], np.cumsum((omega[1:] + omega[:-1]) * 0.05)])
     return StateSequence(t=GRID, v=v, a=a, j=j, omega=omega, theta=theta)
+
+
+def answer_table(cells, predicted=False) -> AnswerTable:
+    """AnswerTable of a ``{(clip_id, question_id): label}`` mapping."""
+    return AnswerTable.from_rows(
+        ((clip_id, question, label) for (clip_id, question), label in cells.items()),
+        predicted,
+    )
 
 
 @pytest.fixture

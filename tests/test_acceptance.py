@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import GRID, make_seq
+from conftest import GRID, answer_table, make_seq
 from egodyn.balancer import PoolClip, balance, uniform_targets
 from egodyn.baselines import (
     FLOW_DEFAULT,
@@ -331,7 +331,9 @@ def test_criterion_08_sensitivity_sweep():
         "agent_noise30": noisy_agent(0.30),
     }
     alphas = [0.5, 0.75, 1.0, 1.25, 1.5]
-    results = sensitivity_sweep(clips, models, cfg, alphas)
+    results = sensitivity_sweep(
+        clips, {m: answer_table(p) for m, p in models.items()}, cfg, alphas
+    )
     elapsed = time.perf_counter() - start
     taus = {r.alpha: r.kendall_tau_vs_nominal for r in results}
     ok = all(t == pytest.approx(1.0) for t in taus.values()) and elapsed < 30.0

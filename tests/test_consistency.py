@@ -5,15 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from egodyn.consistency import (
-    RULES_V1,
-    ClipConsistency,
-    RuleOutcome,
-    clip_consistency,
-    evaluate_rules,
-    pcov,
-    wpcr,
-)
+from egodyn.consistency import RULES_V1, ClipConsistency, clip_consistency, pcov, wpcr
 from egodyn.errors import EmptySet
 from egodyn.questions import ANSWER_SPACES
 
@@ -30,8 +22,9 @@ BENIGN = {
 }
 
 
-def outcomes_by_id(answers):
-    return {o.rule_id: o for o in evaluate_rules(answers)}
+def triggered_and_violated(answers):
+    clip = clip_consistency("c", answers)
+    return clip.triggered_rules, clip.violated_rules
 
 
 class TestRuleTable:
@@ -56,42 +49,43 @@ class TestRuleTable:
             assert rule.consequent.question in named
 
 
-class TestEvaluateRules:
+class TestRuleOutcomes:
     def test_heading_with_turn_is_consistent(self):
         answers = dict(BENIGN, heading_change="yes", turn_direction="left")
-        r1 = outcomes_by_id(answers)["R1"]
-        assert r1.triggered and not r1.violated
+        triggered, violated = triggered_and_violated(answers)
+        assert "R1" in triggered and "R1" not in violated
 
     def test_heading_with_straight_violates_r1_and_r3(self):
         answers = dict(BENIGN, heading_change="yes", turn_direction="straight")
-        ids = outcomes_by_id(answers)
-        assert ids["R1"].violated
-        assert ids["R3"].violated
+        _, violated = triggered_and_violated(answers)
+        assert "R1" in violated
+        assert "R3" in violated
 
     def test_quiescent_straight_triggers_only_r3_r4(self):
         answers = dict(BENIGN, turn_direction="straight")
-        triggered = [o.rule_id for o in evaluate_rules(answers) if o.triggered]
-        assert triggered == ["R3", "R4"]
-        assert not any(o.violated for o in evaluate_rules(answers))
+        assert triggered_and_violated(answers) == (("R3", "R4"), ())
 
     def test_missing_antecedent_does_not_trigger(self):
         answers = dict(BENIGN)
-        answers["heading_change"] = None
-        assert not outcomes_by_id(answers)["R1"].triggered
+        del answers["heading_change"]
+        assert "R1" not in triggered_and_violated(answers)[0]
 
     def test_unparsed_marker_behaves_like_missing(self):
         answers = dict(BENIGN, heading_change="unparsed")
-        assert not outcomes_by_id(answers)["R1"].triggered
+        assert "R1" not in triggered_and_violated(answers)[0]
 
-    def test_missing_consequent_counts_as_violation(self):
+    @pytest.mark.parametrize("missing", ["absent", "unparsed"])
+    def test_missing_consequent_counts_as_violation(self, missing):
         answers = dict(BENIGN, heading_change="yes")
-        answers["turn_direction"] = None
-        r1 = outcomes_by_id(answers)["R1"]
-        assert r1.triggered and r1.violated
+        if missing == "absent":
+            del answers["turn_direction"]
+        else:
+            answers["turn_direction"] = "unparsed"
+        triggered, violated = triggered_and_violated(answers)
+        assert "R1" in triggered and "R1" in violated
 
-    def test_violated_requires_triggered(self):
-        with pytest.raises(ValueError):
-            RuleOutcome("R1", triggered=False, violated=True)
+    def test_no_answers_trigger_nothing(self):
+        assert triggered_and_violated({}) == ((), ())
 
 
 class TestClipConsistency:
@@ -209,11 +203,12 @@ class TestAggregates:
 @settings(max_examples=200, deadline=None)
 @given(
     st.fixed_dictionaries(
-        {q: st.sampled_from(ANSWER_SPACES[q] + (None,)) for q in BENIGN}
+        {q: st.sampled_from(ANSWER_SPACES[q] + (None, "unparsed")) for q in BENIGN}
     )
 )
 def test_contribution_definition_holds(answers):
-    clip = clip_consistency("c", answers)
+    # None: the question has no answer row
+    clip = clip_consistency("c", {q: a for q, a in answers.items() if a is not None})
     assert clip.violated <= clip.triggered
     if clip.violated == 0 and clip.triggered > 0:
         assert clip.contribution == pytest.approx(clip.triggered / 10.0)

@@ -205,8 +205,9 @@ class TestEvaluateCommand:
 
     @pytest.mark.parametrize(
         ("answer", "prediction"),
-        [("left", {"parsed": "banana"}), ("sideways", {"response": "left"})],
-        ids=["parsed_label", "truth_answer"],
+        [("left", {"parsed": "banana"}), ("sideways", {"response": "left"}),
+         ("unparsed", {"response": "left"})],
+        ids=["parsed_label", "truth_answer", "unparsed_truth_answer"],
     )
     def test_out_of_space_label_exits_2(self, tmp_path, capsys, answer, prediction):
         key = {"clip_id": "c1", "question_id": "turn_direction"}
@@ -224,6 +225,27 @@ class TestEvaluateCommand:
         err = capsys.readouterr().err
         bad = prediction.get("parsed", answer)
         assert "'c1'" in err and "'turn_direction'" in err and f"'{bad}'" in err
+
+
+    @pytest.mark.parametrize(
+        "truth_q,prediction",
+        [("bogus_q", {"parsed": "left"}), ("turn_direction", {"parsed": "unparsed"})],
+        ids=["truth_row", "prediction_row"],
+    )
+    def test_unknown_question_exits_2(self, tmp_path, capsys, truth_q, prediction):
+        truth_path = tmp_path / "truth.jsonl"
+        io.write_jsonl(truth_path, [{"clip_id": "c1", "question_id": truth_q, "answer": "left"}])
+        pred_path = tmp_path / "preds.jsonl"
+        pred_q = "bogus_q" if truth_q == "turn_direction" else "turn_direction"
+        io.write_jsonl(pred_path, [{"clip_id": "c1", "question_id": pred_q, **prediction}])
+        status = run_cli(
+            "evaluate",
+            {"truth": str(truth_path), "predictions": str(pred_path),
+             "out": str(tmp_path / "eval")},
+            tmp_path,
+        )
+        assert status == 2
+        assert "clip 'c1': unknown question id 'bogus_q'" in capsys.readouterr().err
 
 
 class TestSweepCommand:
@@ -752,6 +774,23 @@ class TestKeyedInputErrors:
         )
         assert "clip 'c1', question 'turn_direction'" in err
 
+    @pytest.mark.parametrize(
+        "manifest,named",
+        [("clip_id,source\nc1,sim\nc2,real\nc1,real\n", ":4: clip 'c1'"),
+         ("id,source\nc1,sim\n", ": source manifest has no 'clip_id' column"),
+         ("clip_id,origin\nc1,sim\n", ": source manifest has no 'source' column")],
+        ids=["repeated_clip", "no_clip_id", "no_source"],
+    )
+    def test_balance_source_manifest(self, tmp_path, capsys, manifest, named):
+        sources = tmp_path / "sources.csv"
+        sources.write_text(manifest)
+        config = self.balance_config(tmp_path, _label_rows(["c1", "c2", "c3"]))
+        err = self.exit_2_message(
+            tmp_path, capsys, "balance",
+            {**config, "sources": str(sources), "caps": {"sim": 0}},
+        )
+        assert f"{sources}{named}" in err
+
     @pytest.mark.parametrize("command", ["label", "sweep", "calibrate-thresholds"])
     @pytest.mark.parametrize("key,value", [("rate_hz", 0), ("window_s", -1),
                                            ("rate_hz", "ten")])
@@ -766,3 +805,63 @@ class TestKeyedInputErrors:
                       "alphas": [1.0], key: value}
         err = self.exit_2_message(tmp_path, capsys, command, config)
         assert f"{key} must be a finite positive number" in err
+
+
+BAD_JSON_LINES = {"truncated": '{"clip_id": "c1", "question_id": ', "array": "[1, 2]"}
+
+
+class TestMalformedJson:
+    """A JSON Lines row or a config that is not a JSON object exits 2 with
+    ``<path>:<line>:`` in the message."""
+
+    def write_with_bad_line(self, path, rows, bad, at=3):
+        lines = [json.dumps(row) for row in rows]
+        lines.insert(at, BAD_JSON_LINES[bad])
+        path.write_text("\n".join(lines) + "\n")
+        return f"{path}:{at + 1}:"
+
+    def exit_2_message(self, tmp_path, capsys, command, config):
+        status = run_cli(command, {**config, "out": str(tmp_path / "o")}, tmp_path)
+        err = capsys.readouterr().err
+        assert status == 2, err
+        return err
+
+    @pytest.mark.parametrize("bad", BAD_JSON_LINES)
+    def test_balance_labels(self, tmp_path, capsys, bad):
+        labels = tmp_path / "labels.jsonl"
+        where = self.write_with_bad_line(labels, _label_rows(["c1", "c2", "c3"]), bad)
+        err = self.exit_2_message(tmp_path, capsys, "balance", {"labels": str(labels), "n": 2})
+        assert where in err
+
+    @pytest.mark.parametrize("bad", BAD_JSON_LINES)
+    @pytest.mark.parametrize("broken", ["truth", "predictions"])
+    def test_evaluate_inputs(self, tmp_path, capsys, broken, bad):
+        truth = _label_rows(["c1"])
+        preds = [{"clip_id": r["clip_id"], "question_id": r["question_id"],
+                  "response": r["answer"]} for r in truth]
+        paths = {name: tmp_path / f"{name}.jsonl" for name in ("truth", "predictions")}
+        for name, rows in (("truth", truth), ("predictions", preds)):
+            if name == broken:
+                where = self.write_with_bad_line(paths[name], rows, bad)
+            else:
+                io.write_jsonl(paths[name], rows)
+        err = self.exit_2_message(
+            tmp_path, capsys, "evaluate", {name: str(p) for name, p in paths.items()}
+        )
+        assert where in err
+
+    @pytest.mark.parametrize("bad", BAD_JSON_LINES)
+    def test_label_input(self, tmp_path, capsys, bad):
+        path = tmp_path / "trajectories.jsonl"
+        where = self.write_with_bad_line(path, _pose_rows("a"), bad, at=10)
+        err = self.exit_2_message(tmp_path, capsys, "label", {"input": str(path)})
+        assert where in err
+
+    @pytest.mark.parametrize("text,line", [('{"labels": ', 1), ("[1]", 1), ("\n\n[1]\n", 3)])
+    def test_config(self, tmp_path, capsys, text, line):
+        config = tmp_path / "config.json"
+        config.write_text(text)
+        status = main(["balance", "--config", str(config)])
+        err = capsys.readouterr().err
+        assert status == 2, err
+        assert f"{config}:{line}:" in err

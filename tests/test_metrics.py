@@ -5,15 +5,13 @@ import json
 import numpy as np
 import pytest
 
-from conftest import GRID, make_seq, random_seq
-from egodyn.errors import MismatchedModelSets, NoGroundTruth
+from conftest import GRID, answer_table, make_seq, random_seq
+from egodyn.errors import NoGroundTruth
 from egodyn.metrics import (
     ConfusionTable,
-    EvalRecord,
     accuracy,
     balanced_accuracy,
     build_confusions,
-    kendall_tau,
     kendall_tau_scores,
     macro_f1,
     score_model,
@@ -103,57 +101,34 @@ class TestAccuracy:
 
 
 class TestTemporal:
-    def records(self, peak_right: bool, contrast_right: bool, n=5):
-        recs = []
+    def tables(self, peak_right: bool, contrast_right: bool, n=5):
+        truth, preds = {}, {}
         for i in range(n):
-            recs.append(
-                EvalRecord(
-                    f"c{i}", "speed_peak_half", "first_half",
-                    "first_half" if peak_right else "second_half",
-                )
-            )
-            recs.append(
-                EvalRecord(
-                    f"c{i}", "contrastive_halves", "similar",
-                    "similar" if contrast_right else "first_half",
-                )
-            )
-            recs.append(EvalRecord(f"c{i}", "turn_direction", "left", "right"))
-        return recs
+            truth[f"c{i}", "speed_peak_half"] = "first_half"
+            preds[f"c{i}", "speed_peak_half"] = "first_half" if peak_right else "second_half"
+            truth[f"c{i}", "contrastive_halves"] = "similar"
+            preds[f"c{i}", "contrastive_halves"] = "similar" if contrast_right else "first_half"
+            truth[f"c{i}", "turn_direction"] = "left"
+            preds[f"c{i}", "turn_direction"] = "right"
+        return build_confusions(answer_table(truth), answer_table(preds))
 
     def test_both_right(self):
-        assert temporal_accuracy(self.records(True, True)) == pytest.approx(1.0)
+        assert temporal_accuracy(self.tables(True, True)) == pytest.approx(1.0)
 
     def test_one_question_right_everywhere(self):
-        assert temporal_accuracy(self.records(True, False)) == pytest.approx(0.5)
+        assert temporal_accuracy(self.tables(True, False)) == pytest.approx(0.5)
 
     def test_non_temporal_records_ignored(self):
-        recs = self.records(True, True)
-        assert temporal_macro_f1(recs) > 0.0
+        assert temporal_macro_f1(self.tables(True, True)) > 0.0
 
     def test_empty_raises(self):
+        cell = {("c", "turn_direction"): "left"}
+        tables = build_confusions(answer_table(cell), answer_table(cell))
         with pytest.raises(NoGroundTruth):
-            temporal_accuracy([EvalRecord("c", "turn_direction", "left", "left")])
+            temporal_accuracy(tables)
 
 
 class TestKendallTau:
-    def test_identical(self):
-        models = ["m1", "m2", "m3", "m4", "m5"]
-        assert kendall_tau(models, models) == pytest.approx(1.0)
-
-    def test_reversed(self):
-        models = ["m1", "m2", "m3", "m4", "m5"]
-        assert kendall_tau(models, models[::-1]) == pytest.approx(-1.0)
-
-    def test_adjacent_swap_n4(self):
-        a = ["m1", "m2", "m3", "m4"]
-        b = ["m1", "m3", "m2", "m4"]
-        assert kendall_tau(a, b) == pytest.approx((5 - 1) / 6)
-
-    def test_mismatched_sets(self):
-        with pytest.raises(MismatchedModelSets):
-            kendall_tau(["m1", "m2"], ["m1", "m3"])
-
     def test_scores_identical_vectors(self):
         scores = {"m1": 0.5, "m2": 0.5, "m3": 0.5}
         assert kendall_tau_scores(scores, dict(scores)) == pytest.approx(1.0)
@@ -172,11 +147,15 @@ class TestScoreModel:
         preds = {("c1", "turn_direction"): "left", ("c2", "turn_direction"): "left",
                  ("c1", "mean_speed_low"): "no", ("c2", "mean_speed_low"): "no"}
         shuffled = dict(reversed(list(truth.items())))
-        assert score_model(truth, preds) == score_model(shuffled, preds)
+        assert score_model(answer_table(truth), answer_table(preds)) == score_model(
+            answer_table(shuffled), answer_table(preds)
+        )
 
     def test_echo_scores_perfectly(self):
-        truth = {("c1", "turn_direction"): "left", ("c2", "turn_direction"): "right"}
-        scores = score_model(truth, dict(truth))
+        truth = answer_table(
+            {("c1", "turn_direction"): "left", ("c2", "turn_direction"): "right"}
+        )
+        scores = score_model(truth, truth)
         assert scores == {"acc": 1.0, "bacc": 1.0, "f1": 1.0}
 
 
@@ -203,7 +182,7 @@ class TestSweep:
         for key in sorted(truth)[::3]:
             space = ANSWER_SPACES[key[1]]
             bad[key] = next(label for label in space if label != truth[key])
-        return clips, cfg, {"good": good, "bad": bad}
+        return clips, cfg, {"good": answer_table(good), "bad": answer_table(bad)}
 
     def test_alpha_one_required(self):
         clips, cfg, models = self.build()
@@ -230,11 +209,11 @@ class TestSweep:
         results = sensitivity_sweep(clips, models, cfg, alphas)
         assert [r.alpha for r in results] == alphas
         for result in results:
-            truth = {
+            truth = answer_table({
                 (clip_id, rec.question_id): rec.answer
                 for clip_id, seq in clips
                 for rec in label_all(seq, cfg=cfg.with_alpha(result.alpha), clip_id=clip_id)
-            }
+            })
             assert result.model_scores == {
                 model: score_model(truth, preds) for model, preds in models.items()
             }
@@ -250,18 +229,12 @@ class TestSweep:
 
 
 class TestConfusionTable:
-    def test_merge_matches_pooled_add(self):
-        left = table(pairs=[("a", "a"), ("b", None)])
-        right = table(pairs=[("c", "b")])
-        merged = left.merge(right)
-        pooled = table(pairs=[("a", "a"), ("b", None), ("c", "b")])
-        assert np.array_equal(merged.counts, pooled.counts)
-
     def test_build_confusions_groups_by_question(self):
-        records = [
-            EvalRecord("c1", "turn_direction", "left", "left"),
-            EvalRecord("c1", "mean_speed_low", "yes", None),
-        ]
-        tables = build_confusions(records)
+        truth = {("c1", "turn_direction"): "left", ("c1", "mean_speed_low"): "yes",
+                 ("c2", "mean_speed_low"): "no"}
+        # c1 has no mean_speed_low row, c2's is unparsed, c3 has no truth
+        preds = {("c1", "turn_direction"): "left", ("c2", "mean_speed_low"): "unparsed",
+                 ("c3", "mean_speed_low"): "no"}
+        tables = build_confusions(answer_table(truth), answer_table(preds, predicted=True))
         assert set(tables) == {"turn_direction", "mean_speed_low"}
-        assert tables["mean_speed_low"].counts[0, -1] == 1
+        assert tables["mean_speed_low"].counts.tolist() == [[0, 0, 1], [0, 0, 1]]

@@ -251,7 +251,7 @@ class TestLabelAll:
     def test_serialization_round_trip(self, cfg):
         records = oracle.label_all(make_seq(v=8.0), cfg=cfg, clip_id="c")
         for record in records:
-            clone = oracle.QARecord.from_dict(json.loads(json.dumps(record.to_dict())))
+            clone = oracle.QARecord(**json.loads(json.dumps(record.to_dict())))
             assert clone == record
 
 
