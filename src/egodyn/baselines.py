@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptySeries
-from .oracle import QARecord, _ordered_pair_exists
+from .oracle import QARecord, ordered_pair
 
 
 @dataclass(frozen=True)
@@ -137,8 +137,8 @@ def flow_answers(
 
     lateral = "yes" if max_abs_turn > th.lat else "no"
     heading = "yes" if sum_abs_turn > th.head else "no"
-    stop_go = _ordered_pair_exists(series.m_mag < th.stop, series.m_mag > th.move)
-    brake_turn = _ordered_pair_exists(
+    stop_go = ordered_pair(series.m_mag < th.stop, series.m_mag > th.move)
+    brake_turn = ordered_pair(
         series.s_exp < -th.exp, np.abs(series.s_turn) > th.turn
     )
 
@@ -195,7 +195,7 @@ def vo_answers(
 
     lateral = "yes" if peak_yaw > th.lat else "no"
     heading = "yes" if sum_abs_yaw > th.head else "no"
-    stop_go = _ordered_pair_exists(series.m_disp < th.stop, series.m_disp > th.move)
+    stop_go = ordered_pair(series.m_disp < th.stop, series.m_disp > th.move)
 
     # Braking shows as a step drop between consecutive displacement
     # samples exceeding the fraction-of-mean threshold; degenerate
@@ -203,7 +203,7 @@ def vo_answers(
     drop = th.brake * mean_disp
     drops = np.zeros(series.m_disp.size, dtype=bool)
     drops[1:] = series.m_disp[1:] < (series.m_disp[:-1] - drop)
-    brake_turn = mean_disp > 0.5 and _ordered_pair_exists(
+    brake_turn = mean_disp > 0.5 and ordered_pair(
         drops, np.abs(series.theta_deg) > th.yaw
     )
 

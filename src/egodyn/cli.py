@@ -18,8 +18,8 @@ from pathlib import Path
 from . import balancer, baselines, io, metrics, report
 from .encodings import ENCODING_MODES, encode_trajectory
 from .errors import ConfigError, EgodynError
-from .kinematics import stratification_bin, stratification_tags, summarize_batch
-from .oracle import label_all
+from .kinematics import stratification_bin, summarize_batch
+from .oracle import label_batch, records, tags_of
 from .questions import QUESTION_ORDER, AnswerTable
 from .synth import generate_suite
 from .thresholds import ThresholdConfig, calibrate_thresholds
@@ -73,10 +73,8 @@ class RunConfig:
         for name, path in _input_paths(self.params).items():
             if not Path(path).exists():
                 raise ConfigError(f"{name} path does not exist: {path}")
-        if self.command == "sweep":
-            alphas = self.alphas or self.params.get("alphas")
-            if not alphas or 1.0 not in [float(a) for a in alphas]:
-                raise ConfigError("sweep alpha list must include 1.0")
+        if self.command == "sweep" and 1.0 not in (self.alphas or ()):
+            raise ConfigError("sweep alpha list must include 1.0")
         if self.encoding is not None and self.encoding not in ENCODING_MODES:
             raise ConfigError(f"unknown encoding mode {self.encoding!r}")
 
@@ -86,10 +84,10 @@ def _load_thresholds(cfg: RunConfig) -> ThresholdConfig:
     return ThresholdConfig.from_json(path) if path else ThresholdConfig()
 
 
-def _positive(cfg: RunConfig, key: str, default: float) -> float:
-    value = cfg.params.get(key, default)
+def _positive(key: str, value) -> float:
+    """``value`` of ``key`` as a finite positive float; else ``ConfigError``."""
     try:
-        number = float(value)
+        number = math.nan if isinstance(value, bool) else float(value)
     except (TypeError, ValueError):
         number = math.nan
     if not (math.isfinite(number) and number > 0):
@@ -97,15 +95,23 @@ def _positive(cfg: RunConfig, key: str, default: float) -> float:
     return number
 
 
+def _integer(key: str, value, minimum: int) -> int:
+    """``value`` of ``key`` as a JSON integer of at least ``minimum``; else
+    ``ConfigError``."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ConfigError(f"{key} must be an integer >= {minimum}, got {value!r}")
+    return value
+
+
 def _load_clips(cfg: RunConfig, key: str = "input"):
     path = cfg.params[key]
-    rate = _positive(cfg, "rate_hz", 10.0)
-    window = _positive(cfg, "window_s", 3.0)
+    rate = _positive("rate_hz", cfg.params.get("rate_hz", 10.0))
+    window = _positive("window_s", cfg.params.get("window_s", 3.0))
     return io.rows_to_sequences(io.read_trajectory_clips(path), rate, window)
 
 
 def _write_prompts(cfg: RunConfig, summarized, out_dir: Path) -> Path:
-    n_steps = int(cfg.params.get("encoding_steps", 10))
+    n_steps = _integer("encoding_steps", cfg.params.get("encoding_steps", 10), 2)
     rows = [
         {
             "clip_id": clip_id,
@@ -122,38 +128,36 @@ def _write_prompts(cfg: RunConfig, summarized, out_dir: Path) -> Path:
 def _cmd_label(cfg: RunConfig) -> dict[str, Path]:
     thresholds = _load_thresholds(cfg)
     clips = _load_clips(cfg)
-    summaries = summarize_batch(
-        [seq for _, seq in clips], heading_mode=thresholds.heading_total_mode
-    )
-    summarized = [
-        (clip_id, seq, summary) for (clip_id, seq), summary in zip(clips, summaries)
+    clip_ids = [clip_id for clip_id, _ in clips]
+    seqs = [seq for _, seq in clips]
+    summaries = summarize_batch(seqs, heading_mode=thresholds.heading_total_mode)
+    codes, evidence = label_batch(seqs, summaries, thresholds)
+    meta_rows = [
+        {
+            "clip_id": clip_id,
+            "summary": summary.as_dict(),
+            "tags": tags,
+            "stratification_bin": stratification_bin(tags),
+        }
+        for clip_id, summary, tags in zip(clip_ids, summaries, tags_of(codes))
     ]
     out = cfg.out_dir
-    label_rows, meta_rows = [], []
-    for clip_id, seq, summary in summarized:
-        label_rows.extend(r.to_dict() for r in label_all(seq, summary, thresholds, clip_id))
-        tags = stratification_tags(seq, summary, thresholds)
-        meta_rows.append(
-            {
-                "clip_id": clip_id,
-                "summary": summary.as_dict(),
-                "tags": tags,
-                "stratification_bin": stratification_bin(tags),
-            }
-        )
     outputs = {}
-    io.write_jsonl(out / "labels.jsonl", label_rows)
+    io.write_jsonl(
+        out / "labels.jsonl",
+        (r.to_dict() for r in records(clip_ids, codes, evidence, thresholds)),
+    )
     outputs["labels"] = out / "labels.jsonl"
     io.write_jsonl(out / "clip_summaries.jsonl", meta_rows)
     outputs["clip_summaries"] = out / "clip_summaries.jsonl"
     if cfg.encoding:
-        outputs["prompts"] = _write_prompts(cfg, summarized, out)
+        outputs["prompts"] = _write_prompts(cfg, zip(clip_ids, seqs, summaries), out)
     return outputs
 
 
 def _cmd_synth(cfg: RunConfig) -> dict[str, Path]:
-    count = int(cfg.params.get("count", 100))
-    seed = cfg.seed if cfg.seed is not None else int(cfg.params.get("seed", 0))
+    count = _integer("count", cfg.params.get("count", 100), 0)
+    seed = _integer("seed", 0 if cfg.seed is None else cfg.seed, 0)
     mix = cfg.params.get("regime_mix")
     suite = generate_suite(count, seed=seed, regime_mix=mix)
     out = cfg.out_dir
@@ -208,7 +212,6 @@ def _cmd_evaluate(cfg: RunConfig) -> dict[str, Path]:
 def _cmd_sweep(cfg: RunConfig) -> dict[str, Path]:
     thresholds = _load_thresholds(cfg)
     sequences = _load_clips(cfg, key="trajectories")
-    alphas = [float(a) for a in (cfg.alphas or cfg.params.get("alphas"))]
     pred_spec = cfg.params["predictions"]
     if not isinstance(pred_spec, dict):
         raise ConfigError("sweep predictions must map model name -> file path")
@@ -216,7 +219,7 @@ def _cmd_sweep(cfg: RunConfig) -> dict[str, Path]:
     for model, path in pred_spec.items():
         parsed = report.parse_predictions(io.read_predictions(path))
         model_predictions[model] = _answer_table(parsed, "parsed", predicted=True)
-    results = metrics.sensitivity_sweep(sequences, model_predictions, thresholds, alphas)
+    results = metrics.sensitivity_sweep(sequences, model_predictions, thresholds, cfg.alphas)
     out = cfg.out_dir
     io.write_json(out / "sweep.json", {"results": [r.to_dict() for r in results]})
     report.write_sweep_csv(out / "sweep.csv", results)
@@ -376,9 +379,13 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     out_dir = Path(args.out or params.get("out", "egodyn_out"))
     alphas = None
     if args.alpha:
-        alphas = [float(a) for a in args.alpha.split(",") if a.strip()]
+        alphas = [a for a in args.alpha.split(",") if a.strip()]
     elif params.get("alphas"):
-        alphas = [float(a) for a in params["alphas"]]
+        alphas = params["alphas"]
+        if not isinstance(alphas, list):
+            raise ConfigError(f"alphas must be a list of numbers, got {alphas!r}")
+    if alphas is not None:
+        alphas = [_positive("alpha", a) for a in alphas]
     return RunConfig(
         command=args.command,
         params=params,

@@ -59,10 +59,30 @@ def _json_object(text: str, path: str | Path, line: int) -> dict:
     return value
 
 
+@contextmanager
+def _utf8(path: str | Path):
+    """Re-raise a decode error of ``path`` as ``ConfigError("<path>:<line>:
+    ...")``, naming the line of the first byte that is not UTF-8."""
+    try:
+        yield
+    except UnicodeDecodeError:
+        data = Path(path).read_bytes()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            head = data[: exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+            line = head.count(b"\n") + 1
+            raise ConfigError(
+                f"{path}:{line}: not UTF-8 text "
+                f"(byte 0x{data[exc.start]:02x} at offset {exc.start})"
+            ) from None
+        raise
+
+
 def read_jsonl(path: str | Path) -> list[dict]:
     """One JSON object per non-blank line."""
     records = []
-    with Path(path).open("r", encoding="utf-8") as handle:
+    with _utf8(path), Path(path).open("r", encoding="utf-8") as handle:
         for number, line in enumerate(handle, 1):
             line = line.strip()
             if line:
@@ -81,7 +101,8 @@ def write_json(path: str | Path, payload: Mapping[str, Any]) -> None:
 
 def read_json(path: str | Path) -> dict:
     """A single JSON object document."""
-    text = Path(path).read_text(encoding="utf-8")
+    with _utf8(path):
+        text = Path(path).read_text(encoding="utf-8")
     body = text.lstrip()
     return _json_object(body, path, text[: len(text) - len(body)].count("\n") + 1)
 
@@ -101,15 +122,24 @@ def sha256_text(text: str) -> str:
 def _read_rows(path: str | Path) -> list[dict]:
     path = Path(path)
     if path.suffix.lower() == ".csv":
-        with path.open("r", encoding="utf-8", newline="") as handle:
+        with _utf8(path), path.open("r", encoding="utf-8", newline="") as handle:
             rows = []
-            for row in csv.DictReader(handle):
+            reader = csv.DictReader(handle)
+            for row in reader:
                 parsed = {}
                 for key, value in row.items():
                     if key == "clip_id" or key == "source":
                         parsed[key] = value
+                    elif key is None:  # csv's key for the fields past the header
+                        raise ConfigError(f"{path}:{reader.line_num}: more fields than the header")
                     elif value not in (None, ""):
-                        parsed[key] = float(value)
+                        try:
+                            parsed[key] = float(value)
+                        except ValueError:
+                            raise ConfigError(
+                                f"{path}:{reader.line_num}: field {key!r} holds "
+                                f"a non-numeric value {value!r}"
+                            ) from None
                 rows.append(parsed)
             return rows
     return read_jsonl(path)
@@ -268,7 +298,7 @@ def read_source_manifest(path: str | Path) -> dict[str, str]:
     """clip_id -> source mapping from a CSV with ``clip_id`` and ``source``
     columns; a missing column or a second row for a clip is a ``ConfigError``."""
     sources = {}
-    with Path(path).open("r", encoding="utf-8", newline="") as handle:
+    with _utf8(path), Path(path).open("r", encoding="utf-8", newline="") as handle:
         reader = csv.DictReader(handle)
         for column in ("clip_id", "source"):
             if column not in (reader.fieldnames or ()):

@@ -22,8 +22,8 @@ per-clip functions are batches of one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass, field, fields
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.signal import savgol_filter
@@ -430,6 +430,32 @@ def derive_states_from_rates(
 
 _PERCENTILES = (25, 50, 75)
 _PERCENTILE_KEYS = ("p25", "p50", "p75")
+_SUMMARY_STATS = tuple(f.name for f in fields(KinematicSummary) if f.name != "percentiles")
+
+
+def reduce_by_sample_count(
+    seqs: Sequence[StateSequence],
+    channels: Sequence[str],
+    reduce: Callable[..., dict[str, np.ndarray]],
+) -> dict[str, np.ndarray]:
+    """Columns of ``reduce`` over many clips, in input order.
+
+    Clips are stacked by sample count; ``reduce`` gets each stack's
+    ``channels`` as (m, n) arrays and returns columns whose first axis
+    runs over the stack's m clips. Every column comes back with one row
+    per clip of ``seqs``; no clips give no columns.
+    """
+    by_count: dict[int, list[int]] = {}
+    for i, seq in enumerate(seqs):
+        by_count.setdefault(seq.n, []).append(i)
+    out: dict[str, np.ndarray] = {}
+    for members in by_count.values():
+        stacked = (np.array([getattr(seqs[i], name) for i in members]) for name in channels)
+        for key, column in reduce(*stacked).items():
+            if key not in out:
+                out[key] = np.empty((len(seqs),) + column.shape[1:], dtype=column.dtype)
+            out[key][members] = column
+    return out
 
 
 def summarize_batch(
@@ -444,22 +470,15 @@ def summarize_batch(
     """
     if heading_mode not in ("net", "sum"):
         raise ValueError("heading_mode must be 'net' or 'sum'")
-    by_count: dict[int, list[int]] = {}
-    for i, seq in enumerate(seqs):
-        by_count.setdefault(seq.n, []).append(i)
-    out: list[KinematicSummary | None] = [None] * len(seqs)
-    for members in by_count.values():
-        v, a, j, omega, theta = (
-            np.array([getattr(seqs[i], name) for i in members])
-            for name in ("v", "a", "j", "omega", "theta")
-        )
+
+    def reduce(v, a, j, omega, theta):
         theta_u = np.unwrap(theta, axis=-1)
         if heading_mode == "net":
             heading_change = np.abs(theta_u[:, -1] - theta_u[:, 0])
         else:
             heading_change = np.sum(np.abs(np.diff(theta_u, axis=-1)), axis=-1)
         abs_jerk = np.abs(j)
-        stats = {
+        return {
             "max_speed": np.max(v, axis=-1),
             "mean_speed": np.mean(v, axis=-1),
             "min_accel": np.min(a, axis=-1),
@@ -470,19 +489,22 @@ def summarize_batch(
             "max_abs_yaw_rate": np.max(np.abs(omega), axis=-1),
             "max_lat_accel": np.max(v * np.abs(omega), axis=-1),
             "total_heading_change": heading_change,
+            "accel": np.percentile(a, _PERCENTILES, axis=-1).T,
+            "abs_jerk": np.percentile(abs_jerk, _PERCENTILES, axis=-1).T,
         }
-        rows = zip(*(column.tolist() for column in stats.values()))
-        accel_pct = np.percentile(a, _PERCENTILES, axis=-1).T.tolist()
-        jerk_pct = np.percentile(abs_jerk, _PERCENTILES, axis=-1).T.tolist()
-        for i, row, pa, pj in zip(members, rows, accel_pct, jerk_pct):
-            out[i] = KinematicSummary(
-                **dict(zip(stats, row)),
-                percentiles={
-                    "accel": dict(zip(_PERCENTILE_KEYS, pa)),
-                    "abs_jerk": dict(zip(_PERCENTILE_KEYS, pj)),
-                },
-            )
-    return out
+
+    columns = reduce_by_sample_count(seqs, ("v", "a", "j", "omega", "theta"), reduce)
+    columns = {key: column.tolist() for key, column in columns.items()}
+    return [
+        KinematicSummary(
+            **{name: columns[name][i] for name in _SUMMARY_STATS},
+            percentiles={
+                kind: dict(zip(_PERCENTILE_KEYS, columns[kind][i]))
+                for kind in ("accel", "abs_jerk")
+            },
+        )
+        for i in range(len(seqs))
+    ]
 
 
 def summarize(seq: StateSequence, heading_mode: str = "net") -> KinematicSummary:
@@ -492,24 +514,12 @@ def summarize(seq: StateSequence, heading_mode: str = "net") -> KinematicSummary
 
 
 def stratification_tags(seq, summary, thresholds) -> dict[str, bool]:
-    """Binary curation tags: has_turn, has_braking, has_aggressive.
-
-    Defined through the labeling rules so the tags can never drift from
-    the labels: a clip has a turn iff its turn label is not straight, has
-    braking iff braking intensity is not none, and is aggressive iff the
-    smoothness label is aggressive or the extreme-maneuver answer is yes.
-    """
+    """Binary curation tags of one clip: has_turn, has_braking,
+    has_aggressive; a batch of one of ``oracle.tags_of``."""
     from . import oracle  # local import; oracle depends on this module
 
-    turn = oracle.label_turn_direction(seq, summary, thresholds).answer
-    braking = oracle.label_braking_intensity(seq, summary, thresholds).answer
-    smooth = oracle.label_driving_smoothness(seq, summary, thresholds).answer
-    extreme = oracle.label_extreme_maneuver(seq, summary, thresholds).answer
-    return {
-        "has_turn": turn != "straight",
-        "has_braking": braking != "none",
-        "has_aggressive": smooth == "aggressive" or extreme == "yes",
-    }
+    codes, _ = oracle.label_batch([seq], [summary], thresholds)
+    return oracle.tags_of(codes)[0]
 
 
 def stratification_bin(tags: dict[str, bool]) -> int:

@@ -17,7 +17,7 @@ from scipy import stats
 
 from .errors import EmptySet, MismatchedModelSets, NoGroundTruth
 from .kinematics import summarize_batch
-from .oracle import label_all
+from .oracle import label_batch
 from .questions import (
     ANSWER_SPACES,
     NO_ANSWER,
@@ -259,7 +259,8 @@ def sensitivity_sweep(
     ``clips`` pairs clip ids with their StateSequence. The alpha list must
     contain the nominal factor 1.0, which anchors the tau comparison.
     Models are ranked by aggregate balanced accuracy. Clips are summarized
-    once (summaries do not depend on alpha); thresholds scale once per alpha.
+    once (summaries do not depend on alpha); each alpha is one
+    ``label_batch`` call, whose codes are the truth table.
     """
     alphas = list(alphas)
     if not alphas or any(a <= 0 for a in alphas):
@@ -269,17 +270,13 @@ def sensitivity_sweep(
     if not model_predictions:
         raise EmptySet("sensitivity sweep needs at least one model")
 
-    summaries = summarize_batch(
-        [seq for _, seq in clips], heading_mode=cfg.heading_total_mode
-    )
+    clip_ids = tuple(clip_id for clip_id, _ in clips)
+    seqs = [seq for _, seq in clips]
+    summaries = summarize_batch(seqs, heading_mode=cfg.heading_total_mode)
 
     def scores_at(alpha: float) -> dict[str, dict[str, float]]:
-        scaled = cfg.with_alpha(cfg.alpha * alpha).scaled()
-        truth = AnswerTable.from_rows(
-            (clip_id, rec.question_id, rec.answer)
-            for (clip_id, seq), summary in zip(clips, summaries)
-            for rec in label_all(seq, summary, scaled, clip_id)
-        )
+        codes, _ = label_batch(seqs, summaries, cfg.with_alpha(cfg.alpha * alpha))
+        truth = AnswerTable(clip_ids, codes)
         return {model: score_model(truth, preds) for model, preds in model_predictions.items()}
 
     scores = {alpha: scores_at(alpha) for alpha in dict.fromkeys(alphas)}

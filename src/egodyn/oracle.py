@@ -1,9 +1,13 @@
 """Deterministic labeling rules mapping kinematics to semantic answers.
 
-Each rule takes (StateSequence, KinematicSummary, ThresholdConfig) and
-returns a QARecord carrying the answer, the rule that produced it, the
-exact (alpha-scaled) parameters applied, and the kinematic evidence used,
-so every label is auditable after the fact.
+``label_batch`` answers the 14 questions for many clips at once. It
+computes every rule input once per clip, as columns along the batch, and
+decides each question with array comparisons into an (N, 14) matrix of
+answer codes (the codes of ``questions.AnswerTable``). ``records`` turns
+codes back into QARecords, each carrying the answer, the rule that
+produced it, the exact (alpha-scaled) parameters applied, and the
+kinematic evidence used, so every label is auditable after the fact.
+Only callers that write labels build records.
 
 Sign convention: positive yaw rate is a left (counter-clockwise) turn.
 """
@@ -11,11 +15,13 @@ Sign convention: positive yaw rate is a left (counter-clockwise) turn.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
-from .kinematics import KinematicSummary, StateSequence, half_split_index, summarize
-from .questions import QUESTION_ORDER, answer_code
+from .kinematics import (KinematicSummary, StateSequence, half_split_index,
+                         reduce_by_sample_count, summarize)
+from .questions import ANSWER_SPACES, QUESTION_ORDER, answer_code
 from .thresholds import ThresholdConfig
 
 
@@ -46,349 +52,168 @@ class QARecord:
         }
 
 
-def label_turn_direction(seq, summary, cfg, clip_id=""):
-    """Signed yaw-rate peak against the +/- deadzone."""
-    eff = cfg.scaled()
-    idx = int(np.argmax(np.abs(seq.omega)))
-    peak = float(seq.omega[idx])
-    if peak > eff.turn_deadzone:
-        answer = "left"
-    elif peak < -eff.turn_deadzone:
-        answer = "right"
-    else:
-        answer = "straight"
-    return QARecord(
-        clip_id,
-        "turn_direction",
-        answer,
-        "peak_yaw_rate_deadzone",
-        {"turn_deadzone": eff.turn_deadzone, "alpha": cfg.alpha},
-        {"peak_yaw_rate": peak, "max_abs_yaw_rate": abs(peak)},
-    )
-
-
-def label_braking_intensity(seq, summary, cfg, clip_id=""):
-    """Minimum longitudinal acceleration bucketed into four classes."""
-    eff = cfg.scaled()
-    m = summary.min_accel
-    if m < eff.brake_emergency:
-        answer = "emergency"
-    elif m < eff.brake_moderate:
-        answer = "moderate"
-    elif m < eff.brake_low:
-        answer = "low"
-    else:
-        answer = "none"
-    return QARecord(
-        clip_id,
-        "braking_intensity",
-        answer,
-        "min_accel_buckets",
-        {
-            "brake_emergency": eff.brake_emergency,
-            "brake_moderate": eff.brake_moderate,
-            "brake_low": eff.brake_low,
-            "alpha": cfg.alpha,
-        },
-        {"min_accel": m},
-    )
-
-
-def label_speed_regime(seq, summary, cfg, clip_id=""):
-    """Maximum speed bucketed into stopped/slow/urban/highway."""
-    eff = cfg.scaled()
-    m = summary.max_speed
-    if m < eff.speed_stopped:
-        answer = "stopped"
-    elif m < eff.speed_slow:
-        answer = "slow"
-    elif m < eff.speed_urban:
-        answer = "urban"
-    else:
-        answer = "highway"
-    return QARecord(
-        clip_id,
-        "speed_regime",
-        answer,
-        "max_speed_buckets",
-        {
-            "speed_stopped": eff.speed_stopped,
-            "speed_slow": eff.speed_slow,
-            "speed_urban": eff.speed_urban,
-            "alpha": cfg.alpha,
-        },
-        {"max_speed": m},
-    )
-
-
-def label_driving_smoothness(seq, summary, cfg, clip_id=""):
-    """Mean absolute jerk bucketed into smooth/moderate/aggressive."""
-    eff = cfg.scaled()
-    m = summary.mean_abs_jerk
-    if m <= eff.jerk_smooth:
-        answer = "smooth"
-    elif m <= eff.jerk_moderate:
-        answer = "moderate"
-    else:
-        answer = "aggressive"
-    return QARecord(
-        clip_id,
-        "driving_smoothness",
-        answer,
-        "mean_abs_jerk_buckets",
-        {
-            "jerk_smooth": eff.jerk_smooth,
-            "jerk_moderate": eff.jerk_moderate,
-            "alpha": cfg.alpha,
-        },
-        {"mean_abs_jerk": m},
-    )
-
-
-def label_speed_trend(seq, summary, cfg, clip_id=""):
-    """Mean acceleration against the +/- steady-state deadzone."""
-    eff = cfg.scaled()
-    m = summary.mean_accel
-    if m > eff.trend_deadzone:
-        answer = "accelerating"
-    elif m < -eff.trend_deadzone:
-        answer = "decelerating"
-    else:
-        answer = "steady"
-    return QARecord(
-        clip_id,
-        "speed_trend",
-        answer,
-        "mean_accel_deadzone",
-        {"trend_deadzone": eff.trend_deadzone, "alpha": cfg.alpha},
-        {"mean_accel": m},
-    )
-
-
-def label_mean_speed_low(seq, summary, cfg, clip_id=""):
-    eff = cfg.scaled()
-    m = summary.mean_speed
-    answer = "yes" if m < eff.mean_speed_low else "no"
-    return QARecord(
-        clip_id,
-        "mean_speed_low",
-        answer,
-        "mean_speed_threshold",
-        {"mean_speed_low": eff.mean_speed_low, "alpha": cfg.alpha},
-        {"mean_speed": m},
-    )
-
-
-def label_heading_change(seq, summary, cfg, clip_id=""):
-    eff = cfg.scaled()
-    m = summary.total_heading_change
-    answer = "yes" if m > eff.heading_change_min else "no"
-    return QARecord(
-        clip_id,
-        "heading_change",
-        answer,
-        "total_heading_threshold",
-        {
-            "heading_change_min": eff.heading_change_min,
-            "heading_total_mode": cfg.heading_total_mode,
-            "alpha": cfg.alpha,
-        },
-        {"total_heading_change": m},
-    )
-
-
-def label_extreme_maneuver(seq, summary, cfg, clip_id=""):
-    """Disjunction: jerk spike above limit OR acceleration below limit."""
-    eff = cfg.scaled()
-    jerk_hit = summary.max_abs_jerk > eff.extreme_jerk
-    accel_hit = summary.min_accel < eff.extreme_accel
-    answer = "yes" if (jerk_hit or accel_hit) else "no"
-    return QARecord(
-        clip_id,
-        "extreme_maneuver",
-        answer,
-        "jerk_or_accel_extreme",
-        {
-            "extreme_jerk": eff.extreme_jerk,
-            "extreme_accel": eff.extreme_accel,
-            "alpha": cfg.alpha,
-        },
-        {"max_abs_jerk": summary.max_abs_jerk, "min_accel": summary.min_accel},
-    )
-
-
-def label_motion_axis(seq, summary, cfg, clip_id=""):
-    """Dominant activity axis from threshold-normalized intensities.
-
-    Longitudinal activity is |mean accel| over the trend deadzone, lateral
-    activity is the lateral-acceleration peak over its threshold; below 1
-    on both axes the clip has no dominant axis. Ties go longitudinal.
-    """
-    eff = cfg.scaled()
-    lon = abs(summary.mean_accel) / eff.trend_deadzone
-    lat = summary.max_lat_accel / eff.lat_accel_high
-    if lon < 1.0 and lat < 1.0:
-        answer = "none"
-    elif lon >= lat:
-        answer = "longitudinal"
-    else:
-        answer = "lateral"
-    return QARecord(
-        clip_id,
-        "motion_axis",
-        answer,
-        "activity_ratio_dominance",
-        {
-            "trend_deadzone": eff.trend_deadzone,
-            "lat_accel_high": eff.lat_accel_high,
-            "alpha": cfg.alpha,
-        },
-        {
-            "mean_accel": summary.mean_accel,
-            "max_lat_accel": summary.max_lat_accel,
-            "longitudinal_activity": lon,
-            "lateral_activity": lat,
-        },
-    )
-
-
-def label_lateral_accel(seq, summary, cfg, clip_id=""):
-    """Per-sample peak of v * |omega| against the comfort limit."""
-    eff = cfg.scaled()
-    m = summary.max_lat_accel
-    answer = "yes" if m > eff.lat_accel_high else "no"
-    return QARecord(
-        clip_id,
-        "lateral_accel",
-        answer,
-        "peak_lat_accel_threshold",
-        {"lat_accel_high": eff.lat_accel_high, "alpha": cfg.alpha},
-        {"max_lat_accel": m},
-    )
-
-
-def label_stop_and_go(seq, summary, cfg, clip_id=""):
-    """Ordered stopped-then-moving transition scan over the speed channel.
-
-    With ``stop_go_bidirectional`` set, a moving-then-stopped transition
-    also counts.
-    """
-    eff = cfg.scaled()
-    v = seq.v
-    stopped = v < eff.stopgo_stop
-    moving = v > eff.stopgo_move
-    hit = _ordered_pair_exists(stopped, moving)
-    if not hit and cfg.stop_go_bidirectional:
-        hit = _ordered_pair_exists(moving, stopped)
-    return QARecord(
-        clip_id,
-        "stop_and_go",
-        "yes" if hit else "no",
-        "ordered_stop_to_move",
-        {
-            "stopgo_stop": eff.stopgo_stop,
-            "stopgo_move": eff.stopgo_move,
-            "bidirectional": cfg.stop_go_bidirectional,
-            "alpha": cfg.alpha,
-        },
-        {"min_speed": float(np.min(v)), "max_speed": float(np.max(v))},
-    )
-
-
-def label_brake_then_turn(seq, summary, cfg, clip_id=""):
-    """Braking event strictly followed in time by a turning event."""
-    eff = cfg.scaled()
-    braking = seq.a < eff.btt_brake
-    turning = np.abs(seq.omega) > eff.btt_yaw
-    hit = _ordered_pair_exists(braking, turning)
-    return QARecord(
-        clip_id,
-        "brake_then_turn",
-        "yes" if hit else "no",
-        "ordered_brake_to_turn",
-        {
-            "btt_brake": eff.btt_brake,
-            "btt_yaw": eff.btt_yaw,
-            "alpha": cfg.alpha,
-        },
-        {
-            "min_accel": float(np.min(seq.a)),
-            "max_abs_yaw_rate": float(np.max(np.abs(seq.omega))),
-        },
-    )
-
-
-def label_speed_peak_half(seq, summary, cfg, clip_id=""):
-    """Half containing the earliest speed maximum; flat clips have no peak."""
-    eff = cfg.scaled()
-    v = seq.v
-    spread = float(np.max(v) - np.min(v))
-    mid = half_split_index(seq.n)
-    if spread < eff.peak_epsilon:
-        answer = "no_peak"
-        peak_idx = -1
-    else:
-        peak_idx = int(np.argmax(v))
-        answer = "first_half" if peak_idx <= mid else "second_half"
-    return QARecord(
-        clip_id,
-        "speed_peak_half",
-        answer,
-        "argmax_half_split",
-        {"peak_epsilon": eff.peak_epsilon, "alpha": cfg.alpha},
-        {"speed_spread": spread, "peak_index": peak_idx, "mid_index": mid},
-    )
-
-
-def label_contrastive_halves(seq, summary, cfg, clip_id=""):
-    """Which half is more dynamic, by mean absolute jerk per half."""
-    eff = cfg.scaled()
-    mid = half_split_index(seq.n)
-    d1 = float(np.mean(np.abs(seq.j[: mid + 1])))
-    d2 = float(np.mean(np.abs(seq.j[mid + 1 :])))
-    band = max(eff.contrastive_rel_band * max(d1, d2), eff.contrastive_abs_band)
-    if abs(d1 - d2) <= band:
-        answer = "similar"
-    else:
-        answer = "first_half" if d1 > d2 else "second_half"
-    return QARecord(
-        clip_id,
-        "contrastive_halves",
-        answer,
-        "half_jerk_contrast",
-        {
-            "contrastive_rel_band": eff.contrastive_rel_band,
-            "contrastive_abs_band": eff.contrastive_abs_band,
-            "alpha": cfg.alpha,
-        },
-        {"dynamism_first": d1, "dynamism_second": d2, "band": band},
-    )
-
-
-def _ordered_pair_exists(first_mask: np.ndarray, second_mask: np.ndarray) -> bool:
-    """True when some index in first_mask strictly precedes one in second."""
-    if not first_mask.any():
-        return False
-    start = int(np.argmax(first_mask))
-    return bool(second_mask[start + 1 :].any())
-
-
-_LABELERS = {
-    "turn_direction": label_turn_direction,
-    "braking_intensity": label_braking_intensity,
-    "speed_regime": label_speed_regime,
-    "driving_smoothness": label_driving_smoothness,
-    "speed_trend": label_speed_trend,
-    "mean_speed_low": label_mean_speed_low,
-    "heading_change": label_heading_change,
-    "extreme_maneuver": label_extreme_maneuver,
-    "motion_axis": label_motion_axis,
-    "lateral_accel": label_lateral_accel,
-    "stop_and_go": label_stop_and_go,
-    "brake_then_turn": label_brake_then_turn,
-    "speed_peak_half": label_speed_peak_half,
-    "contrastive_halves": label_contrastive_halves,
+# question -> (rule name, ThresholdConfig fields recorded as rule parameters,
+# evidence columns recorded); every record's parameters also hold "alpha".
+RULES: dict[str, tuple[str, tuple[str, ...], tuple[str, ...]]] = {
+    "turn_direction": ("peak_yaw_rate_deadzone", ("turn_deadzone",),
+                       ("peak_yaw_rate", "max_abs_yaw_rate")),
+    "braking_intensity": ("min_accel_buckets",
+                          ("brake_emergency", "brake_moderate", "brake_low"), ("min_accel",)),
+    "speed_regime": ("max_speed_buckets",
+                     ("speed_stopped", "speed_slow", "speed_urban"), ("max_speed",)),
+    "driving_smoothness": ("mean_abs_jerk_buckets",
+                           ("jerk_smooth", "jerk_moderate"), ("mean_abs_jerk",)),
+    "speed_trend": ("mean_accel_deadzone", ("trend_deadzone",), ("mean_accel",)),
+    "mean_speed_low": ("mean_speed_threshold", ("mean_speed_low",), ("mean_speed",)),
+    "heading_change": ("total_heading_threshold", ("heading_change_min", "heading_total_mode"),
+                       ("total_heading_change",)),
+    "extreme_maneuver": ("jerk_or_accel_extreme", ("extreme_jerk", "extreme_accel"),
+                         ("max_abs_jerk", "min_accel")),
+    "motion_axis": ("activity_ratio_dominance", ("trend_deadzone", "lat_accel_high"),
+                    ("mean_accel", "max_lat_accel", "longitudinal_activity", "lateral_activity")),
+    "lateral_accel": ("peak_lat_accel_threshold", ("lat_accel_high",), ("max_lat_accel",)),
+    "stop_and_go": ("ordered_stop_to_move", ("stopgo_stop", "stopgo_move", "bidirectional"),
+                    ("min_speed", "max_speed")),
+    "brake_then_turn": ("ordered_brake_to_turn", ("btt_brake", "btt_yaw"),
+                        ("min_accel", "max_abs_yaw_rate")),
+    "speed_peak_half": ("argmax_half_split", ("peak_epsilon",),
+                        ("speed_spread", "peak_index", "mid_index")),
+    "contrastive_halves": ("half_jerk_contrast", ("contrastive_rel_band", "contrastive_abs_band"),
+                           ("dynamism_first", "dynamism_second", "band")),
 }
+_PARAM_FIELDS = {"bidirectional": "stop_go_bidirectional"}  # parameter -> config field
+_EVIDENCE = {name for _, _, names in RULES.values() for name in names}
+_SUMMARY_EVIDENCE = sorted(_EVIDENCE & set(KinematicSummary.__annotations__))
+
+
+def ordered_pair(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """Whether some True of ``first`` strictly precedes a True of ``second``,
+    along the last axis: the first ``argmax`` of ``first``, then ``any`` of
+    ``second`` after it."""
+    start = np.argmax(first, axis=-1)
+    after = np.arange(first.shape[-1]) > np.expand_dims(start, -1)
+    return np.any(first, axis=-1) & np.any(second & after, axis=-1)
+
+
+def label_batch(
+    seqs: Sequence[StateSequence], summaries: Sequence[KinematicSummary], cfg: ThresholdConfig
+) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """Answer all 14 questions for many clips, given their summaries under
+    ``cfg.heading_total_mode``.
+
+    Returns the (N, 14) ``intp`` answer codes, columns in ``QUESTION_ORDER``,
+    and the rule inputs as columns, among them the evidence named in ``RULES``.
+    """
+    if not seqs:
+        return np.empty((0, len(QUESTION_ORDER)), dtype=np.intp), {}
+    eff = cfg.scaled()
+
+    def reduce(v, a, j, omega):
+        abs_omega, abs_jerk = np.abs(omega), np.abs(j)
+        mid = half_split_index(v.shape[-1])
+        stopped, moving = v < eff.stopgo_stop, v > eff.stopgo_move
+        min_speed = np.min(v, axis=-1)
+        return {
+            "peak_yaw_rate": np.take_along_axis(
+                omega, np.argmax(abs_omega, axis=-1)[:, None], axis=-1)[:, 0],
+            "min_speed": min_speed,
+            "speed_spread": np.max(v, axis=-1) - min_speed,
+            "speed_argmax": np.argmax(v, axis=-1),
+            "mid_index": np.full(len(v), mid),
+            "dynamism_first": np.mean(abs_jerk[:, : mid + 1], axis=-1),
+            "dynamism_second": np.mean(abs_jerk[:, mid + 1 :], axis=-1),
+            "stop_to_move": ordered_pair(stopped, moving),
+            "move_to_stop": ordered_pair(moving, stopped),
+            "brake_to_turn": ordered_pair(a < eff.btt_brake, abs_omega > eff.btt_yaw),
+        }
+
+    ev = reduce_by_sample_count(seqs, ("v", "a", "j", "omega"), reduce)
+    for name in _SUMMARY_EVIDENCE:
+        ev[name] = np.array([getattr(s, name) for s in summaries], dtype=float)
+    peak, d1, d2 = ev["peak_yaw_rate"], ev["dynamism_first"], ev["dynamism_second"]
+    lon = ev["longitudinal_activity"] = np.abs(ev["mean_accel"]) / eff.trend_deadzone
+    lat = ev["lateral_activity"] = ev["max_lat_accel"] / eff.lat_accel_high
+    band = ev["band"] = np.maximum(
+        eff.contrastive_rel_band * np.maximum(d1, d2), eff.contrastive_abs_band)
+    peaked = ev["speed_spread"] >= eff.peak_epsilon
+    ev["peak_index"] = np.where(peaked, ev["speed_argmax"], -1)
+    no_axis = (lon < 1.0) & (lat < 1.0)
+    differ = np.abs(d1 - d2) > band
+    min_accel, max_speed, jerk = ev["min_accel"], ev["max_speed"], ev["mean_abs_jerk"]
+    mean_accel = ev["mean_accel"]
+    stop_go = ev["stop_to_move"] | (eff.stop_go_bidirectional & ev["move_to_stop"])
+    # One condition per answer of the question's space, in its order, but
+    # the last: a clip gets the first answer whose condition holds, else
+    # the last answer.
+    conditions = {
+        "turn_direction": [peak > eff.turn_deadzone, peak < -eff.turn_deadzone],
+        "braking_intensity": [min_accel < eff.brake_emergency,
+                              min_accel < eff.brake_moderate, min_accel < eff.brake_low],
+        "speed_regime": [max_speed < eff.speed_stopped, max_speed < eff.speed_slow,
+                         max_speed < eff.speed_urban],
+        "driving_smoothness": [jerk <= eff.jerk_smooth, jerk <= eff.jerk_moderate],
+        "speed_trend": [mean_accel > eff.trend_deadzone, mean_accel < -eff.trend_deadzone],
+        "mean_speed_low": [ev["mean_speed"] < eff.mean_speed_low],
+        "heading_change": [ev["total_heading_change"] > eff.heading_change_min],
+        "extreme_maneuver": [(ev["max_abs_jerk"] > eff.extreme_jerk)
+                             | (min_accel < eff.extreme_accel)],
+        "motion_axis": [~no_axis & (lon >= lat), ~no_axis],
+        "lateral_accel": [ev["max_lat_accel"] > eff.lat_accel_high],
+        "stop_and_go": [stop_go],
+        "brake_then_turn": [ev["brake_to_turn"]],
+        "speed_peak_half": [peaked & (ev["peak_index"] <= ev["mid_index"]), peaked],
+        "contrastive_halves": [differ & (d1 > d2), differ],
+    }
+    codes = np.empty((len(seqs), len(QUESTION_ORDER)), dtype=np.intp)
+    for k, question in enumerate(QUESTION_ORDER):
+        held = conditions[question]
+        codes[:, k] = np.select(held, range(len(held)), len(held))
+    return codes, ev
+
+
+def records(
+    clip_ids: Sequence[str], codes: np.ndarray, evidence: dict[str, np.ndarray],
+    cfg: ThresholdConfig,
+) -> list[QARecord]:
+    """QARecords of ``label_batch`` output, clip by clip in ``QUESTION_ORDER``."""
+    eff = cfg.scaled()
+    params = {
+        question: {**{name: getattr(eff, _PARAM_FIELDS.get(name, name)) for name in fields},
+                   "alpha": cfg.alpha}
+        for question, (_, fields, _) in RULES.items()
+    }
+    columns = {name: column.tolist() for name, column in evidence.items()}
+    out = []
+    for i, (clip_id, row) in enumerate(zip(clip_ids, codes.tolist())):
+        for question, code in zip(QUESTION_ORDER, row):
+            rule, _, names = RULES[question]
+            out.append(QARecord(
+                clip_id, question, ANSWER_SPACES[question][code], rule,
+                dict(params[question]), {name: columns[name][i] for name in names},
+            ))
+    return out
+
+
+def tags_of(codes: np.ndarray) -> list[dict[str, bool]]:
+    """Binary curation tags per row of answer codes: has_turn, has_braking,
+    has_aggressive.
+
+    Defined through the labeling rules so the tags can never drift from
+    the labels: a clip has a turn iff its turn label is not straight, has
+    braking iff braking intensity is not none, and is aggressive iff the
+    smoothness label is aggressive or the extreme-maneuver answer is yes.
+    """
+
+    def is_(question: str, answer: str) -> np.ndarray:
+        code = ANSWER_SPACES[question].index(answer)
+        return codes[:, QUESTION_ORDER.index(question)] == code
+
+    tags = {
+        "has_turn": ~is_("turn_direction", "straight"),
+        "has_braking": ~is_("braking_intensity", "none"),
+        "has_aggressive": is_("driving_smoothness", "aggressive") | is_("extreme_maneuver", "yes"),
+    }
+    return [dict(zip(tags, row)) for row in zip(*(c.tolist() for c in tags.values()))]
 
 
 def label_all(
@@ -397,13 +222,15 @@ def label_all(
     cfg: ThresholdConfig | None = None,
     clip_id: str = "",
 ) -> list[QARecord]:
-    """Answer all 14 questions for one clip, in canonical order."""
+    """Answer all 14 questions for one clip, in canonical order; a batch
+    of one of ``label_batch``."""
     cfg = cfg or ThresholdConfig()
     if summary is None:
         summary = summarize(seq, heading_mode=cfg.heading_total_mode)
-    return [_LABELERS[q](seq, summary, cfg, clip_id) for q in QUESTION_ORDER]
+    codes, evidence = label_batch([seq], [summary], cfg)
+    return records([clip_id], codes, evidence, cfg)
 
 
-def answers_of(records: list[QARecord]) -> dict[str, str]:
+def answers_of(qa_records: list[QARecord]) -> dict[str, str]:
     """Collapse QARecords to a question -> answer mapping."""
-    return {r.question_id: r.answer for r in records}
+    return {r.question_id: r.answer for r in qa_records}

@@ -11,15 +11,25 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError
+from .io import read_json
 
-# Fields excluded from alpha scaling (modes/flags and alpha itself).
-_UNSCALED_FIELDS = {"alpha", "stop_go_bidirectional", "heading_total_mode"}
+# The fields that are not numbers; with alpha, excluded from alpha scaling.
+_FLAG_FIELDS = ("stop_go_bidirectional", "heading_total_mode")
+_UNSCALED_FIELDS = {"alpha", *_FLAG_FIELDS}
+
+
+def _finite_real(value) -> bool:
+    try:
+        return not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):  # not a number, or an integer too large for a float
+        return False
 
 
 @dataclass(frozen=True)
@@ -59,6 +69,17 @@ class ThresholdConfig:
     heading_total_mode: str = "net"      # "net" | "sum"
 
     def __post_init__(self) -> None:
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if f.name not in _FLAG_FIELDS and not _finite_real(value):
+                raise ConfigError(f"{f.name} must be a finite number, got {value!r}")
+        if not isinstance(self.stop_go_bidirectional, bool):
+            raise ConfigError(
+                f"stop_go_bidirectional must be true or false, got {self.stop_go_bidirectional!r}"
+            )
+        for name in ("trend_deadzone", "lat_accel_high"):  # motion_axis divides by them
+            if not getattr(self, name) > 0:
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)!r}")
         if not (self.brake_emergency < self.brake_moderate < self.brake_low < 0):
             raise ConfigError("brake thresholds must be ordered and negative")
         if not (self.speed_stopped < self.speed_slow < self.speed_urban):
@@ -67,7 +88,7 @@ class ThresholdConfig:
             raise ConfigError("jerk thresholds must be increasing")
         if not (self.stopgo_stop < self.stopgo_move):
             raise ConfigError("stop-and-go thresholds must be increasing")
-        if not (self.alpha > 0 and np.isfinite(self.alpha)):
+        if not self.alpha > 0:
             raise ConfigError("alpha must be a positive finite factor")
         if self.heading_total_mode not in ("net", "sum"):
             raise ConfigError("heading_total_mode must be 'net' or 'sum'")
@@ -106,7 +127,12 @@ class ThresholdConfig:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "ThresholdConfig":
-        return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        """The thresholds of a JSON file; a ``ConfigError`` names the file."""
+        data = read_json(path)
+        try:
+            return cls.from_dict(data)
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
 
 
 def calibrate_thresholds(

@@ -865,3 +865,125 @@ class TestMalformedJson:
         err = capsys.readouterr().err
         assert status == 2, err
         assert f"{config}:{line}:" in err
+
+
+class TestThresholdFileErrors:
+    """A thresholds file that is not valid JSON, or holds a field that is
+    not a finite number, a non-bool flag or a non-positive divisor, exits 2
+    naming the file."""
+
+    @pytest.mark.parametrize(
+        "text,named",
+        [('{"turn_deadzone": ', ":1: invalid JSON"),
+         ('{"turn_deadzone": "abc"}', "turn_deadzone"),
+         ('{"turn_deadzone": NaN}', "turn_deadzone"),
+         ('{"turn_deadzone": -Infinity}', "turn_deadzone"),
+         ('{"turn_deadzone": true}', "turn_deadzone"),
+         ('{"lat_accel_high": -1}', "lat_accel_high"),
+         ('{"trend_deadzone": 0}', "trend_deadzone"),
+         ('{"stop_go_bidirectional": 1}', "stop_go_bidirectional"),
+         ('{"stop_go_bidirectional": "yes"}', "stop_go_bidirectional")],
+    )
+    def test_label_exits_2(self, tmp_path, capsys, text, named):
+        traj = tmp_path / "trajectories.jsonl"
+        io.write_jsonl(traj, _pose_rows("a"))
+        thresholds = tmp_path / "thresholds.json"
+        thresholds.write_text(text)
+        status = run_cli("label", {"input": str(traj), "thresholds": str(thresholds),
+                                   "out": str(tmp_path / "o")}, tmp_path)
+        err = capsys.readouterr().err
+        assert status == 2, err
+        assert str(thresholds) in err and named in err
+
+
+class TestConfigNumbers:
+    """Alphas, counts, seeds and encoding steps that are not valid numbers
+    exit 2 naming the key."""
+
+    def exit_2_message(self, tmp_path, capsys, command, config, extra=()):
+        status = run_cli(command, {**config, "out": str(tmp_path / "o")}, tmp_path,
+                         extra=extra)
+        err = capsys.readouterr().err
+        assert status == 2, err
+        return err
+
+    @pytest.mark.parametrize(
+        "alphas,extra",
+        [(None, ["--alpha", "0,1.0"]), (None, ["--alpha=-1,1.0"]),
+         (None, ["--alpha", "0.5,abc,1.0"]), (0.5, []), ([0.5, "x", 1.0], []),
+         ([True, 1.0], [])],
+    )
+    def test_sweep_alphas(self, tmp_path, capsys, alphas, extra):
+        traj = tmp_path / "trajectories.jsonl"
+        io.write_jsonl(traj, _pose_rows("a"))
+        preds = tmp_path / "preds.jsonl"
+        io.write_jsonl(preds, [])
+        config = {"trajectories": str(traj), "predictions": {"m": str(preds)},
+                  "alphas": [1.0] if alphas is None else alphas}
+        err = self.exit_2_message(tmp_path, capsys, "sweep", config, extra)
+        assert "alpha" in err
+
+    @pytest.mark.parametrize(
+        "key,value", [("count", "abc"), ("count", 2.5), ("seed", "abc"), ("seed", -1)]
+    )
+    def test_synth_integers(self, tmp_path, capsys, key, value):
+        err = self.exit_2_message(tmp_path, capsys, "synth", {"count": 2, key: value})
+        assert f"{key} must be an integer" in err
+
+    @pytest.mark.parametrize("steps", [1, "ten"])
+    def test_label_encoding_steps(self, tmp_path, capsys, steps):
+        traj = tmp_path / "trajectories.jsonl"
+        io.write_jsonl(traj, _pose_rows("a"))
+        err = self.exit_2_message(
+            tmp_path, capsys, "label", {"input": str(traj), "encoding_steps": steps},
+            extra=["--encoding", "timeseries"],
+        )
+        assert "encoding_steps must be an integer >= 2" in err
+
+
+class TestTextInputErrors:
+    """A CSV trajectory field that is not a number, and an input that is not
+    UTF-8, exit 2 with ``<path>:<line>:`` in the message."""
+
+    def exit_2_message(self, tmp_path, capsys, command, config):
+        status = run_cli(command, {**config, "out": str(tmp_path / "o")}, tmp_path)
+        err = capsys.readouterr().err
+        assert status == 2, err
+        return err
+
+    @pytest.mark.parametrize(
+        "row,named", [("a,0.0,abc,0.1", "field 'v'"), ("a,0.0,1.0,0.1,9", "more fields")]
+    )
+    def test_csv_row_that_is_not_numbers(self, tmp_path, capsys, row, named):
+        path = tmp_path / "trajectories.csv"
+        path.write_text(f"clip_id,t,v,omega\na,0.1,1.0,0.1\n{row}\n")
+        err = self.exit_2_message(tmp_path, capsys, "label", {"input": str(path)})
+        assert f"{path}:3: {named}" in err
+
+    @pytest.mark.parametrize(
+        "reader", ["labels", "config", "thresholds", "csv_trajectories", "sources"]
+    )
+    def test_non_utf8_input(self, tmp_path, capsys, reader):
+        labels = tmp_path / "labels.jsonl"
+        io.write_jsonl(labels, _label_rows(["c1", "c2"]))
+        sources = tmp_path / "sources.csv"
+        sources.write_text("clip_id,source\nc1,real\n")
+        traj = tmp_path / "trajectories.csv"
+        traj.write_text("clip_id,t,v,omega\n" + "".join(
+            f"a,{i / 10.0},5.0,0.1\n" for i in range(31)))
+        thresholds = tmp_path / "thresholds.json"
+        thresholds.write_text("{}\n")
+        config = tmp_path / "config.json"
+        if reader in ("labels", "sources"):
+            command, params = "balance", {"labels": str(labels), "n": 1, "sources": str(sources)}
+        else:
+            command, params = "label", {"input": str(traj), "thresholds": str(thresholds)}
+        io.write_json(config, {**params, "out": str(tmp_path / "o")})
+        path = {"labels": labels, "config": config, "thresholds": thresholds,
+                "csv_trajectories": traj, "sources": sources}[reader]
+        first, rest = path.read_bytes().split(b"\n", 1)
+        path.write_bytes(first + b"\n\xff\xfe" + rest)  # line 2 is not UTF-8
+        status = main([command, "--config", str(config)])
+        err = capsys.readouterr().err
+        assert status == 2, err
+        assert f"{path}:2: not UTF-8" in err

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -14,24 +15,24 @@ from egodyn.questions import ANSWER_SPACES, QUESTION_ORDER
 from egodyn.thresholds import ThresholdConfig, calibrate_thresholds
 
 
-def label(fn, seq, cfg):
-    return fn(seq, summarize(seq), cfg).answer
+def label(question, seq, cfg):
+    return oracle.answers_of(oracle.label_all(seq, summarize(seq), cfg))[question]
 
 
 class TestTurnDirection:
     def test_left_just_past_deadzone(self, cfg):
-        assert label(oracle.label_turn_direction, make_seq(omega=0.05), cfg) == "left"
+        assert label("turn_direction", make_seq(omega=0.05), cfg) == "left"
 
     def test_zero_yaw_is_straight(self, cfg):
-        assert label(oracle.label_turn_direction, make_seq(), cfg) == "straight"
+        assert label("turn_direction", make_seq(), cfg) == "straight"
 
     def test_right(self, cfg):
-        assert label(oracle.label_turn_direction, make_seq(omega=-0.10), cfg) == "right"
+        assert label("turn_direction", make_seq(omega=-0.10), cfg) == "right"
 
     def test_sign_comes_from_peak_sample(self, cfg):
         omega = np.full(31, 0.03)
         omega[20] = -0.2  # largest magnitude is negative
-        assert label(oracle.label_turn_direction, make_seq(omega=omega), cfg) == "right"
+        assert label("turn_direction", make_seq(omega=omega), cfg) == "right"
 
 
 class TestBrakingIntensity:
@@ -43,7 +44,7 @@ class TestBrakingIntensity:
     def test_buckets(self, cfg, min_a, expected):
         a = np.zeros(31)
         a[15] = min_a
-        assert label(oracle.label_braking_intensity, make_seq(a=a), cfg) == expected
+        assert label("braking_intensity", make_seq(a=a), cfg) == expected
 
 
 class TestSpeedRegime:
@@ -53,7 +54,7 @@ class TestSpeedRegime:
          (13.0, "urban"), (13.9, "highway"), (0.5, "slow")],
     )
     def test_buckets(self, cfg, max_v, expected):
-        assert label(oracle.label_speed_regime, make_seq(v=max_v), cfg) == expected
+        assert label("speed_regime", make_seq(v=max_v), cfg) == expected
 
 
 class TestSmoothness:
@@ -63,7 +64,7 @@ class TestSmoothness:
          (2.15, "moderate"), (3.0, "aggressive")],
     )
     def test_buckets(self, cfg, jerk, expected):
-        assert label(oracle.label_driving_smoothness, make_seq(j=jerk), cfg) == expected
+        assert label("driving_smoothness", make_seq(j=jerk), cfg) == expected
 
 
 class TestSpeedTrend:
@@ -73,7 +74,7 @@ class TestSpeedTrend:
          (0.25, "steady"), (-0.25, "steady")],
     )
     def test_deadzone(self, cfg, mean_a, expected):
-        assert label(oracle.label_speed_trend, make_seq(a=mean_a), cfg) == expected
+        assert label("speed_trend", make_seq(a=mean_a), cfg) == expected
 
 
 class TestMeanSpeedLow:
@@ -81,7 +82,7 @@ class TestMeanSpeedLow:
         "mean_v,expected", [(4.9, "yes"), (5.0, "no"), (0.0, "yes")]
     )
     def test_strict_below(self, cfg, mean_v, expected):
-        assert label(oracle.label_mean_speed_low, make_seq(v=mean_v), cfg) == expected
+        assert label("mean_speed_low", make_seq(v=mean_v), cfg) == expected
 
 
 class TestHeadingChange:
@@ -90,48 +91,48 @@ class TestHeadingChange:
     )
     def test_strict_exceeds(self, cfg, delta, expected):
         theta = np.linspace(0.0, delta, 31)
-        assert label(oracle.label_heading_change, make_seq(theta=theta), cfg) == expected
+        assert label("heading_change", make_seq(theta=theta), cfg) == expected
 
 
 class TestExtremeManeuver:
     def test_jerk_branch(self, cfg):
         j = np.zeros(31)
         j[4] = 25.0
-        assert label(oracle.label_extreme_maneuver, make_seq(j=j), cfg) == "yes"
+        assert label("extreme_maneuver", make_seq(j=j), cfg) == "yes"
 
     def test_accel_branch(self, cfg):
         a = np.zeros(31)
         a[4] = -4.0
-        assert label(oracle.label_extreme_maneuver, make_seq(a=a), cfg) == "yes"
+        assert label("extreme_maneuver", make_seq(a=a), cfg) == "yes"
 
     def test_quiescent(self, cfg):
-        assert label(oracle.label_extreme_maneuver, make_seq(), cfg) == "no"
+        assert label("extreme_maneuver", make_seq(), cfg) == "no"
 
 
 class TestLateralAccel:
     def test_product_over_threshold(self, cfg):
-        assert label(oracle.label_lateral_accel, make_seq(v=10.0, omega=0.25), cfg) == "yes"
+        assert label("lateral_accel", make_seq(v=10.0, omega=0.25), cfg) == "yes"
 
     def test_no_yaw(self, cfg):
-        assert label(oracle.label_lateral_accel, make_seq(v=10.0), cfg) == "no"
+        assert label("lateral_accel", make_seq(v=10.0), cfg) == "no"
 
     def test_pointwise_product_not_extrema_product(self, cfg):
-        assert label(oracle.label_lateral_accel, make_seq(v=20.0, omega=0.09), cfg) == "no"
+        assert label("lateral_accel", make_seq(v=20.0, omega=0.09), cfg) == "no"
 
 
 class TestStopAndGo:
     def test_stop_then_move(self, cfg):
-        assert label(oracle.label_stop_and_go, make_seq(v=np.linspace(0.2, 3.0, 31)), cfg) == "yes"
+        assert label("stop_and_go", make_seq(v=np.linspace(0.2, 3.0, 31)), cfg) == "yes"
 
     def test_constant_speed(self, cfg):
-        assert label(oracle.label_stop_and_go, make_seq(v=10.0), cfg) == "no"
+        assert label("stop_and_go", make_seq(v=10.0), cfg) == "no"
 
     def test_move_then_stop_is_not_stop_and_go(self, cfg):
-        assert label(oracle.label_stop_and_go, make_seq(v=np.linspace(3.0, 0.2, 31)), cfg) == "no"
+        assert label("stop_and_go", make_seq(v=np.linspace(3.0, 0.2, 31)), cfg) == "no"
 
     def test_bidirectional_flag(self):
         cfg = ThresholdConfig(stop_go_bidirectional=True)
-        assert label(oracle.label_stop_and_go, make_seq(v=np.linspace(3.0, 0.2, 31)), cfg) == "yes"
+        assert label("stop_and_go", make_seq(v=np.linspace(3.0, 0.2, 31)), cfg) == "yes"
 
 
 class TestBrakeThenTurn:
@@ -140,67 +141,67 @@ class TestBrakeThenTurn:
         a[5] = -1.6  # t = 0.5 s
         omega = np.zeros(31)
         omega[20] = 0.12  # t = 2.0 s
-        assert label(oracle.label_brake_then_turn, make_seq(a=a, omega=omega), cfg) == "yes"
+        assert label("brake_then_turn", make_seq(a=a, omega=omega), cfg) == "yes"
 
     def test_turn_before_brake(self, cfg):
         a = np.zeros(31)
         a[20] = -1.6
         omega = np.zeros(31)
         omega[5] = 0.12
-        assert label(oracle.label_brake_then_turn, make_seq(a=a, omega=omega), cfg) == "no"
+        assert label("brake_then_turn", make_seq(a=a, omega=omega), cfg) == "no"
 
     def test_flat_clip(self, cfg):
-        assert label(oracle.label_brake_then_turn, make_seq(), cfg) == "no"
+        assert label("brake_then_turn", make_seq(), cfg) == "no"
 
     def test_same_sample_does_not_count(self, cfg):
         a = np.zeros(31)
         omega = np.zeros(31)
         a[15] = -1.6
         omega[15] = 0.12
-        assert label(oracle.label_brake_then_turn, make_seq(a=a, omega=omega), cfg) == "no"
+        assert label("brake_then_turn", make_seq(a=a, omega=omega), cfg) == "no"
 
 
 class TestMotionAxis:
     def test_quiescent_is_none(self, cfg):
-        assert label(oracle.label_motion_axis, make_seq(), cfg) == "none"
+        assert label("motion_axis", make_seq(), cfg) == "none"
 
     def test_longitudinal(self, cfg):
-        assert label(oracle.label_motion_axis, make_seq(a=0.5), cfg) == "longitudinal"
+        assert label("motion_axis", make_seq(a=0.5), cfg) == "longitudinal"
 
     def test_lateral(self, cfg):
-        assert label(oracle.label_motion_axis, make_seq(v=10.0, omega=0.3), cfg) == "lateral"
+        assert label("motion_axis", make_seq(v=10.0, omega=0.3), cfg) == "lateral"
 
 
 class TestSpeedPeakHalf:
     def test_ramp_peaks_in_second_half(self, cfg):
         v = np.linspace(2.0, 6.0, 31)
-        assert label(oracle.label_speed_peak_half, make_seq(v=v), cfg) == "second_half"
+        assert label("speed_peak_half", make_seq(v=v), cfg) == "second_half"
 
     def test_constant_has_no_peak(self, cfg):
-        assert label(oracle.label_speed_peak_half, make_seq(v=7.0), cfg) == "no_peak"
+        assert label("speed_peak_half", make_seq(v=7.0), cfg) == "no_peak"
 
     def test_early_peak(self, cfg):
         v = np.full(31, 5.0)
         v[3] = 6.0
-        assert label(oracle.label_speed_peak_half, make_seq(v=v), cfg) == "first_half"
+        assert label("speed_peak_half", make_seq(v=v), cfg) == "first_half"
 
     def test_midpoint_belongs_to_first_half(self, cfg):
         v = np.full(31, 5.0)
         v[15] = 6.0
-        assert label(oracle.label_speed_peak_half, make_seq(v=v), cfg) == "first_half"
+        assert label("speed_peak_half", make_seq(v=v), cfg) == "first_half"
 
 
 class TestContrastiveHalves:
     def test_jerk_in_second_half(self, cfg):
         j = np.concatenate([np.zeros(16), np.full(15, 3.0)])
-        assert label(oracle.label_contrastive_halves, make_seq(j=j), cfg) == "second_half"
+        assert label("contrastive_halves", make_seq(j=j), cfg) == "second_half"
 
     def test_zero_jerk_is_similar(self, cfg):
-        assert label(oracle.label_contrastive_halves, make_seq(), cfg) == "similar"
+        assert label("contrastive_halves", make_seq(), cfg) == "similar"
 
     def test_within_relative_band(self, cfg):
         j = np.concatenate([np.full(16, 2.0), np.full(15, 2.1)])
-        assert label(oracle.label_contrastive_halves, make_seq(j=j), cfg) == "similar"
+        assert label("contrastive_halves", make_seq(j=j), cfg) == "similar"
 
 
 QUIESCENT_EXPECTED = {
@@ -261,8 +262,8 @@ class TestThresholdProperties:
         rng = np.random.default_rng(11)
         for _ in range(100):
             seq = random_seq(rng)
-            loose = label(oracle.label_braking_intensity, seq, cfg)
-            strict = label(oracle.label_braking_intensity, seq, stricter)
+            loose = label("braking_intensity", seq, cfg)
+            strict = label("braking_intensity", seq, stricter)
             if strict == "emergency":
                 assert loose == "emergency"
 
@@ -278,15 +279,15 @@ class TestThresholdProperties:
         for _ in range(50):
             seq = random_seq(rng)
             scaled_seq = make_seq(v=seq.v * k, a=seq.a, j=seq.j, omega=seq.omega)
-            assert label(oracle.label_speed_regime, seq, cfg) == label(
-                oracle.label_speed_regime, scaled_seq, scaled_cfg
+            assert label("speed_regime", seq, cfg) == label(
+                "speed_regime", scaled_seq, scaled_cfg
             )
 
     def test_alpha_scales_decisions(self, cfg):
         seq = make_seq(omega=0.05)  # left at alpha=1, inside deadzone at alpha=1.5
-        assert label(oracle.label_turn_direction, seq, cfg) == "left"
+        assert label("turn_direction", seq, cfg) == "left"
         widened = cfg.with_alpha(1.5)
-        assert label(oracle.label_turn_direction, seq, widened) == "straight"
+        assert label("turn_direction", seq, widened) == "straight"
 
     def test_alpha_scales_negative_thresholds_in_magnitude(self, cfg):
         scaled = cfg.with_alpha(0.5).scaled()
@@ -311,6 +312,16 @@ class TestThresholdConfig:
     def test_unknown_field_rejected(self):
         with pytest.raises(ConfigError):
             ThresholdConfig.from_dict({"bogus": 1.0})
+
+    @pytest.mark.parametrize(
+        "fields",
+        [{"turn_deadzone": math.nan}, {"alpha": math.inf}, {"turn_deadzone": True},
+         {"btt_yaw": "0.1"}, {"stop_go_bidirectional": 1}, {"trend_deadzone": 0.0},
+         {"lat_accel_high": -2.0}],
+    )
+    def test_invalid_field_values_raise(self, fields):
+        with pytest.raises(ConfigError):
+            ThresholdConfig(**fields)
 
 
 class TestCalibration:
