@@ -11,8 +11,6 @@ from .errors import EgodynError
 from .kinematics import (
     KinematicSummary,
     PoseSample,
-    SmoothingConfig,
-    SmoothingParams,
     StateSequence,
     derive_states,
     derive_states_from_rates,
@@ -32,8 +30,6 @@ __all__ = [
     "PoseSample",
     "QARecord",
     "QUESTION_ORDER",
-    "SmoothingConfig",
-    "SmoothingParams",
     "StateSequence",
     "ThresholdConfig",
     "UNPARSED",

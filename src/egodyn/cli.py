@@ -1,8 +1,10 @@
 """Command-line front end.
 
-Usage: ``egodyn <command> --config <path> [--alpha ...] [--encoding ...]
-[--seed N] [--out DIR]``. Commands read a JSON config document; the
-command-line flags override the matching config fields. Every run writes
+Usage: ``egodyn <command> --config <path> [--out DIR]``, plus ``--alpha
+...`` on ``sweep``, ``--encoding ...`` on ``label`` and ``synth``, and
+``--seed N`` on ``synth``. Commands read a JSON config document whose keys
+``COMMAND_KEYS`` lists per command; the command-line flags override the
+matching config fields. Every run writes
 a ``manifest.json`` with content hashes of the config, inputs, and
 outputs so results can be verified and reproduced byte for byte.
 """
@@ -24,35 +26,46 @@ from .questions import QUESTION_ORDER, AnswerTable
 from .synth import generate_suite
 from .thresholds import ThresholdConfig, calibrate_thresholds
 
-COMMANDS = (
-    "label",
-    "balance",
-    "evaluate",
-    "sweep",
-    "parse",
-    "baseline",
-    "synth",
-    "calibrate-thresholds",
-)
+# command -> (required config keys, optional config keys); a command reads
+# these and no others. The "Command configs" table of docs/formats.md is
+# the same table.
+_TRAJECTORY_OPTIONS = ("thresholds", "rate_hz", "window_s", "out")
+COMMAND_KEYS = {
+    "label": (("input",), _TRAJECTORY_OPTIONS + ("encoding", "encoding_steps")),
+    "synth": ((), ("count", "seed", "regime_mix", "out", "encoding", "encoding_steps")),
+    "evaluate": (("truth", "predictions"), ("out",)),
+    "sweep": (("trajectories", "predictions", "alphas"), _TRAJECTORY_OPTIONS),
+    "parse": (("predictions",), ("out",)),
+    "baseline": (("proxies",), ("kind", "out")),
+    "balance": (("labels", "n"), ("sources", "caps", "out")),
+    "calibrate-thresholds": (("input",), _TRAJECTORY_OPTIONS),
+}
 
-# Config keys that name input files; a dict value maps names to paths.
+# Config keys that name input files: each a path, except that the
+# ``predictions`` of ``sweep`` maps model names to paths.
 _INPUT_KEYS = ("input", "truth", "predictions", "trajectories", "proxies", "labels",
                "sources", "thresholds")
 
 
-def _input_paths(params: dict) -> dict[str, str]:
-    """Input files of a config as ``key`` (or ``key.<name>``) -> path."""
+def _input_paths(command: str, params: dict) -> dict[str, str]:
+    """Input files of a config as ``key`` (or ``key.<name>``) -> path; a
+    value that is not a path string (or, for ``sweep``'s ``predictions``,
+    a map of them) is a ``ConfigError``."""
     paths = {}
     for key in _INPUT_KEYS:
-        value = params.get(key)
-        if isinstance(value, str):
+        if key not in params:
+            continue
+        value = params[key]
+        if command == "sweep" and key == "predictions":
+            if not isinstance(value, dict) or not all(
+                isinstance(path, str) for path in value.values()
+            ):
+                raise ConfigError("sweep predictions must map model name -> file path")
+            paths.update((f"{key}.{name}", path) for name, path in value.items())
+        elif isinstance(value, str):
             paths[key] = value
-        elif isinstance(value, dict):
-            paths.update(
-                (f"{key}.{name}", path)
-                for name, path in value.items()
-                if isinstance(path, str)
-            )
+        else:
+            raise ConfigError(f"{key} must be a file path string, got {value!r}")
     return paths
 
 
@@ -68,11 +81,22 @@ class RunConfig:
     encoding: str | None = None
 
     def validate(self) -> None:
-        if self.command not in COMMANDS:
+        if self.command not in COMMAND_KEYS:
             raise ConfigError(f"unknown command {self.command!r}")
-        for name, path in _input_paths(self.params).items():
-            if not Path(path).exists():
-                raise ConfigError(f"{name} path does not exist: {path}")
+        required, optional = COMMAND_KEYS[self.command]
+        unknown = sorted(set(self.params).difference(required, optional))
+        if unknown:
+            raise ConfigError(
+                f"{self.command} does not read config key(s) {unknown}; "
+                f"it reads {list(required + optional)}"
+            )
+        for key in required:
+            if key not in self.params and not (key == "alphas" and self.alphas):
+                hint = " (or --alpha)" if key == "alphas" else ""
+                raise ConfigError(f"{self.command} config lacks required key {key!r}{hint}")
+        for name, path in _input_paths(self.command, self.params).items():
+            if not Path(path).is_file():
+                raise ConfigError(f"{name} path is not an existing file: {path!r}")
         if self.command == "sweep" and 1.0 not in (self.alphas or ()):
             raise ConfigError("sweep alpha list must include 1.0")
         if self.encoding is not None and self.encoding not in ENCODING_MODES:
@@ -142,14 +166,11 @@ def _cmd_label(cfg: RunConfig) -> dict[str, Path]:
         for clip_id, summary, tags in zip(clip_ids, summaries, tags_of(codes))
     ]
     out = cfg.out_dir
-    outputs = {}
+    outputs = {"labels": out / "labels.jsonl", "clip_summaries": out / "clip_summaries.jsonl"}
     io.write_jsonl(
-        out / "labels.jsonl",
-        (r.to_dict() for r in records(clip_ids, codes, evidence, thresholds)),
+        outputs["labels"], (r.to_dict() for r in records(clip_ids, codes, evidence, thresholds))
     )
-    outputs["labels"] = out / "labels.jsonl"
-    io.write_jsonl(out / "clip_summaries.jsonl", meta_rows)
-    outputs["clip_summaries"] = out / "clip_summaries.jsonl"
+    io.write_jsonl(outputs["clip_summaries"], meta_rows)
     if cfg.encoding:
         outputs["prompts"] = _write_prompts(cfg, zip(clip_ids, seqs, summaries), out)
     return outputs
@@ -158,27 +179,21 @@ def _cmd_label(cfg: RunConfig) -> dict[str, Path]:
 def _cmd_synth(cfg: RunConfig) -> dict[str, Path]:
     count = _integer("count", cfg.params.get("count", 100), 0)
     seed = _integer("seed", 0 if cfg.seed is None else cfg.seed, 0)
-    mix = cfg.params.get("regime_mix")
-    suite = generate_suite(count, seed=seed, regime_mix=mix)
+    suite = generate_suite(count, seed=seed, regime_mix=cfg.params.get("regime_mix"))
     out = cfg.out_dir
-    traj_rows = []
-    label_rows = []
-    for clip in suite:
-        traj_rows.extend(io.sequence_to_rows(clip.clip_id, clip.seq))
-        for question in QUESTION_ORDER:
-            label_rows.append(
-                {
-                    "clip_id": clip.clip_id,
-                    "question_id": question,
-                    "answer": clip.expected[question],
-                    "template": clip.template,
-                }
-            )
-    outputs = {}
-    io.write_jsonl(out / "trajectories.jsonl", traj_rows)
-    outputs["trajectories"] = out / "trajectories.jsonl"
-    io.write_jsonl(out / "expected_labels.jsonl", label_rows)
-    outputs["expected_labels"] = out / "expected_labels.jsonl"
+    outputs = {
+        "trajectories": out / "trajectories.jsonl",
+        "expected_labels": out / "expected_labels.jsonl",
+    }
+    io.write_jsonl(outputs["trajectories"], [
+        row for clip in suite for row in io.sequence_to_rows(clip.clip_id, clip.seq)
+    ])
+    io.write_jsonl(outputs["expected_labels"], [
+        {"clip_id": clip.clip_id, "question_id": question,
+         "answer": clip.expected[question], "template": clip.template}
+        for clip in suite
+        for question in QUESTION_ORDER
+    ])
     if cfg.encoding:
         summaries = summarize_batch([c.seq for c in suite])
         outputs["prompts"] = _write_prompts(
@@ -212,11 +227,8 @@ def _cmd_evaluate(cfg: RunConfig) -> dict[str, Path]:
 def _cmd_sweep(cfg: RunConfig) -> dict[str, Path]:
     thresholds = _load_thresholds(cfg)
     sequences = _load_clips(cfg, key="trajectories")
-    pred_spec = cfg.params["predictions"]
-    if not isinstance(pred_spec, dict):
-        raise ConfigError("sweep predictions must map model name -> file path")
     model_predictions = {}
-    for model, path in pred_spec.items():
+    for model, path in cfg.params["predictions"].items():
         parsed = report.parse_predictions(io.read_predictions(path))
         model_predictions[model] = _answer_table(parsed, "parsed", predicted=True)
     results = metrics.sensitivity_sweep(sequences, model_predictions, thresholds, cfg.alphas)
@@ -241,7 +253,7 @@ def _cmd_parse(cfg: RunConfig) -> dict[str, Path]:
 
 def _cmd_baseline(cfg: RunConfig) -> dict[str, Path]:
     kind = cfg.params.get("kind", "flow")
-    if kind not in baselines.BASELINE_THRESHOLD_SETS:
+    if not isinstance(kind, str) or kind not in baselines.BASELINE_THRESHOLD_SETS:
         raise ConfigError("baseline kind must be one of flow|vo|vo_learned")
     thresholds = baselines.BASELINE_THRESHOLD_SETS[kind]
     clips = io.read_trajectory_clips(cfg.params["proxies"])
@@ -297,10 +309,10 @@ def _cmd_balance(cfg: RunConfig) -> dict[str, Path]:
         balancer.PoolClip(clip_id, sources.get(clip_id, "real"), clip_answers)
         for clip_id, clip_answers in answers.items()
     ]
-    caps = cfg.params.get("caps") or None
+    caps = cfg.params.get("caps")
     if caps is not None and not isinstance(caps, dict):
         raise ConfigError("caps must map source names to integers")
-    selected_ids = balancer.balance(pool, cfg.params["n"], caps=caps)
+    selected_ids = balancer.balance(pool, cfg.params["n"], caps=caps or None)
     by_id = {clip.clip_id: clip for clip in pool}
     selected = [by_id[cid] for cid in selected_ids]
     out = cfg.out_dir
@@ -350,7 +362,8 @@ def run(cfg: RunConfig) -> int:
         "encoding": cfg.encoding,
     }
     io.write_manifest(
-        cfg.out_dir, cfg.command, manifest_config, _input_paths(cfg.params), outputs
+        cfg.out_dir, cfg.command, manifest_config, _input_paths(cfg.command, cfg.params),
+        outputs,
     )
     return 0
 
@@ -361,22 +374,29 @@ def build_parser() -> argparse.ArgumentParser:
         description="Deterministic ego-motion semantics engine",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command in COMMANDS:
+    for command, (required, optional) in COMMAND_KEYS.items():
         cmd = sub.add_parser(command)
+        cmd.set_defaults(alpha=None, encoding=None, seed=None)
         cmd.add_argument("--config", help="JSON config document for the command")
-        cmd.add_argument(
-            "--alpha",
-            help="comma-separated perturbation factors, e.g. 0.5,0.75,1.0",
-        )
-        cmd.add_argument("--encoding", choices=ENCODING_MODES)
-        cmd.add_argument("--seed", type=int)
+        # a flag overrides a config key, so a command has it only if it reads the key
+        keys = required + optional
+        if "alphas" in keys:
+            cmd.add_argument(
+                "--alpha", help="comma-separated perturbation factors, e.g. 0.5,0.75,1.0"
+            )
+        if "encoding" in keys:
+            cmd.add_argument("--encoding", choices=ENCODING_MODES)
+        if "seed" in keys:
+            cmd.add_argument("--seed", type=int)
         cmd.add_argument("--out", help="output directory")
     return parser
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
     params = io.read_json(args.config) if args.config else {}
-    out_dir = Path(args.out or params.get("out", "egodyn_out"))
+    out_dir = args.out or params.get("out", "egodyn_out")
+    if not isinstance(out_dir, str):
+        raise ConfigError(f"out must be a directory path string, got {out_dir!r}")
     alphas = None
     if args.alpha:
         alphas = [a for a in args.alpha.split(",") if a.strip()]
@@ -389,7 +409,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     return RunConfig(
         command=args.command,
         params=params,
-        out_dir=out_dir,
+        out_dir=Path(out_dir),
         seed=args.seed if args.seed is not None else params.get("seed"),
         alphas=alphas,
         encoding=args.encoding or params.get("encoding"),

@@ -119,9 +119,9 @@ def wpcr(clips: Sequence[ClipConsistency]) -> float:
     return float(sum(c.contribution for c in clips) / len(clips))
 
 
-def pcov(clips: Sequence[ClipConsistency], n_rules: int | None = None) -> float:
+def pcov(clips: Sequence[ClipConsistency]) -> float:
     """Mean fraction of rules triggered per clip."""
     if not clips:
         raise EmptySet("pcov needs at least one clip")
-    n_rules = n_rules or len(RULES_V1)
+    n_rules = len(RULES_V1)
     return float(sum(c.triggered / n_rules for c in clips) / len(clips))

@@ -61,5 +61,5 @@ class ImplausibleSpec(EgodynError):
     """Maneuver parameters fall outside passenger-car plausibility bounds."""
 
 
-class ConfigError(EgodynError):
+class ConfigError(EgodynError, ValueError):
     """Invalid run or threshold configuration."""

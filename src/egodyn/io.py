@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError, EgodynError, InvalidTrajectory
 from .kinematics import (
-    SmoothingConfig,
+    StateBatch,
     StateSequence,
     derive_pose_batch,
     derive_rate_batch,
@@ -219,39 +219,49 @@ def _stage_clip(rows: list[dict], rate_hz: float, window_s: float):
     )
 
 
+def _derive(schema: str, clip_ids: list[str], grids: list) -> StateBatch:
+    """Derive the gridded clips of one schema in one batch; when the batch
+    fails, derive them one by one to name the first clip that fails."""
+    derive = _DERIVE_BATCH[schema]
+    try:
+        return derive(*(np.array(column) for column in zip(*grids)))
+    except EgodynError:
+        for clip_id, grid in zip(clip_ids, grids):
+            with _naming(clip_id):
+                derive(*(np.array([channel]) for channel in grid))
+        raise
+
+
 def rows_to_sequences(
     clips: Mapping[str, list[dict]],
     rate_hz: float = 10.0,
     window_s: float = 3.0,
-    smoothing: SmoothingConfig | None = None,
 ) -> list[tuple[str, StateSequence]]:
     """Build every clip's StateSequence, whatever its schema, in input order.
 
     Each clip is checked and resampled alone, so an error names the first
     failing clip in input order. The pose clips, and the rate clips, are
-    then stacked and derived in one batch each.
+    then stacked and derived in one batch each, and every derived clip
+    must be finite.
 
     Raises:
         EgodynError: with the clip id in its message.
     """
     # per clip: its StateSequence, or (schema, row) of its derivation batch
     slots: list[tuple[str, StateSequence | tuple[str, int]]] = []
-    staged: dict[str, tuple[str, list]] = {}  # schema -> (first clip id, grids)
+    staged: dict[str, tuple[list[str], list]] = {}  # schema -> (clip ids, grids)
     for clip_id, rows in clips.items():
         with _naming(clip_id):
             schema, clip = _stage_clip(rows, rate_hz, window_s)
         if schema == "state":
             slots.append((clip_id, clip))
         else:
-            grids = staged.setdefault(schema, (clip_id, []))[1]
+            clip_ids, grids = staged.setdefault(schema, ([], []))
             slots.append((clip_id, (schema, len(grids))))
+            clip_ids.append(clip_id)
             grids.append(clip)
 
-    batches = {}
-    for schema, (first_id, grids) in staged.items():
-        channels = (np.array(column) for column in zip(*grids))
-        with _naming(first_id):
-            batches[schema] = _DERIVE_BATCH[schema](*channels, smoothing)
+    batches = {schema: _derive(schema, *staged[schema]) for schema in staged}
 
     sequences = []
     for clip_id, slot in slots:
@@ -264,15 +274,12 @@ def rows_to_sequences(
 
 
 def rows_to_sequence(
-    rows: list[dict],
-    rate_hz: float = 10.0,
-    window_s: float = 3.0,
-    smoothing: SmoothingConfig | None = None,
+    rows: list[dict], rate_hz: float = 10.0, window_s: float = 3.0
 ) -> StateSequence:
     """Build a StateSequence from one clip's rows, whatever their schema;
     a batch of one of ``rows_to_sequences``."""
     clip_id = str(rows[0].get("clip_id", DEFAULT_CLIP_ID)) if rows else DEFAULT_CLIP_ID
-    return rows_to_sequences({clip_id: rows}, rate_hz, window_s, smoothing)[0][1]
+    return rows_to_sequences({clip_id: rows}, rate_hz, window_s)[0][1]
 
 
 def sequence_to_rows(clip_id: str, seq: StateSequence) -> list[dict]:

@@ -7,10 +7,12 @@ inclusive endpoints, i.e. 31 samples; sample 15 is the midpoint and
 belongs to the first half wherever a clip is split in two.
 
 Smoothing is least-squares polynomial (Savitzky-Golay) and is applied
-before every differentiation stage. Edge samples are filled from the
-polynomial fitted to the terminal window, which keeps the filter exact on
-polynomials up to the fit order; differentiation uses second-order central
-differences with second-order one-sided stencils at the ends.
+before every differentiation stage: positions and heading, then speed,
+then acceleration, each with window 7 and order 2 (``SAVGOL_WINDOW``,
+``SAVGOL_ORDER``). Edge samples are filled from the polynomial fitted to
+the terminal window, which keeps the filter exact on polynomials up to
+the fit order; differentiation uses second-order central differences
+with second-order one-sided stencils at the ends.
 
 Derivation and summaries run on batches: the channels of N clips that
 share a sample count are stacked into (N, n) arrays and every step runs
@@ -22,7 +24,7 @@ per-clip functions are batches of one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -37,6 +39,8 @@ from .errors import (
 )
 
 GRID_TOLERANCE_S = 1e-9
+# Savitzky-Golay window and polynomial order of every smoothing stage.
+SAVGOL_WINDOW, SAVGOL_ORDER = 7, 2
 
 # Midpoint sample of an odd-length grid belongs to the first half.
 def half_split_index(n: int) -> int:
@@ -57,25 +61,6 @@ class PoseSample:
         for name in ("t", "x", "y", "heading"):
             if not math.isfinite(getattr(self, name)):
                 raise InvalidTrajectory(f"non-finite {name} in pose sample")
-
-
-@dataclass(frozen=True)
-class SmoothingParams:
-    """Savitzky-Golay window/order for one derivative stage."""
-
-    window: int = 7
-    polyorder: int = 2
-
-
-@dataclass(frozen=True)
-class SmoothingConfig:
-    """Per-stage smoothing: positions/heading before the first derivative,
-    speed before acceleration, acceleration before jerk."""
-
-    position: SmoothingParams = field(default_factory=SmoothingParams)
-    heading: SmoothingParams = field(default_factory=SmoothingParams)
-    speed: SmoothingParams = field(default_factory=SmoothingParams)
-    accel: SmoothingParams = field(default_factory=SmoothingParams)
 
 
 class StateSequence:
@@ -153,20 +138,7 @@ class KinematicSummary:
     percentiles: dict[str, dict[str, float]]
 
     def as_dict(self) -> dict:
-        out = {
-            "max_speed": self.max_speed,
-            "mean_speed": self.mean_speed,
-            "min_accel": self.min_accel,
-            "max_accel": self.max_accel,
-            "mean_accel": self.mean_accel,
-            "max_abs_jerk": self.max_abs_jerk,
-            "mean_abs_jerk": self.mean_abs_jerk,
-            "max_abs_yaw_rate": self.max_abs_yaw_rate,
-            "max_lat_accel": self.max_lat_accel,
-            "total_heading_change": self.total_heading_change,
-            "percentiles": {k: dict(v) for k, v in self.percentiles.items()},
-        }
-        return out
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -339,22 +311,28 @@ def _derivation_spacing(t: np.ndarray) -> np.ndarray:
     return _grid_spacing(t)
 
 
-def _speed_chain(v_raw, dt, smoothing: SmoothingConfig):
+def _smooth(values: np.ndarray) -> np.ndarray:
+    """One smoothing stage of the derivation; values so large that it, or
+    an earlier stage, overflows are an ``InvalidTrajectory``."""
+    try:
+        smoothed = smooth_savgol(values, SAVGOL_WINDOW, SAVGOL_ORDER)
+    except ValueError:  # scipy's edge fit refuses inf and NaN
+        smoothed = None
+    if smoothed is None or not np.all(np.isfinite(smoothed)):
+        raise InvalidTrajectory("state derivation overflows: a derived value is not finite")
+    return smoothed
+
+
+def _speed_chain(v_raw, dt):
     """Smoothed non-negative speed, then acceleration and jerk from it."""
-    sv = smoothing.speed
-    v = np.maximum(smooth_savgol(v_raw, sv.window, sv.polyorder), 0.0)
-    a = _gradient(v, dt)
-    sa = smoothing.accel
-    a = smooth_savgol(a, sa.window, sa.polyorder)
+    v = np.maximum(_smooth(v_raw), 0.0)
+    a = _smooth(_gradient(v, dt))
     return v, a, _gradient(a, dt)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow is checked, not warned
 def derive_pose_batch(
-    t: np.ndarray,
-    x: np.ndarray,
-    y: np.ndarray,
-    heading: np.ndarray,
-    smoothing: SmoothingConfig | None = None,
+    t: np.ndarray, x: np.ndarray, y: np.ndarray, heading: np.ndarray
 ) -> StateBatch:
     """Derive the state chain of N pose clips given as (N, n) grid arrays.
 
@@ -362,15 +340,12 @@ def derive_pose_batch(
     acceleration from the smoothed speed, jerk from the smoothed
     acceleration, and yaw rate from the smoothed unwrapped heading.
     """
-    smoothing = smoothing or SmoothingConfig()
     dt = _derivation_spacing(t)
-    sp = smoothing.position
-    x = smooth_savgol(x, sp.window, sp.polyorder)
-    y = smooth_savgol(y, sp.window, sp.polyorder)
-    sh = smoothing.heading
-    theta = smooth_savgol(np.unwrap(heading, axis=-1), sh.window, sh.polyorder)
+    x = _smooth(x)
+    y = _smooth(y)
+    theta = _smooth(np.unwrap(heading, axis=-1))
     omega = _gradient(theta, dt)
-    v, a, j = _speed_chain(np.hypot(_gradient(x, dt), _gradient(y, dt)), dt, smoothing)
+    v, a, j = _speed_chain(np.hypot(_gradient(x, dt), _gradient(y, dt)), dt)
     return StateBatch(t=t, v=v, a=a, j=j, omega=omega, theta=theta, x=x, y=y)
 
 
@@ -380,52 +355,38 @@ def _trapezoid_integral(rate: np.ndarray, dt: np.ndarray) -> np.ndarray:
     return np.concatenate([np.zeros((rate.shape[0], 1)), steps], axis=-1)
 
 
-def derive_rate_batch(
-    t: np.ndarray,
-    v: np.ndarray,
-    omega: np.ndarray,
-    smoothing: SmoothingConfig | None = None,
-) -> StateBatch:
+@np.errstate(over="ignore", invalid="ignore")
+def derive_rate_batch(t: np.ndarray, v: np.ndarray, omega: np.ndarray) -> StateBatch:
     """Build the state chain of N clips from (N, n) t, v and omega arrays.
 
     Acceleration and jerk are derived from the smoothed speed; heading is
     the running integral of the yaw rate and positions are integrated
     from speed and heading.
     """
-    smoothing = smoothing or SmoothingConfig()
     dt = _derivation_spacing(t)
-    v, a, j = _speed_chain(v, dt, smoothing)
+    v, a, j = _speed_chain(v, dt)
     theta = _trapezoid_integral(omega, dt)
     x = _trapezoid_integral(v * np.cos(theta), dt)
     y = _trapezoid_integral(v * np.sin(theta), dt)
     return StateBatch(t=t, v=v, a=a, j=j, omega=omega, theta=theta, x=x, y=y)
 
 
-def derive_states(
-    poses: list[PoseSample], smoothing: SmoothingConfig | None = None
-) -> StateSequence:
+def derive_states(poses: list[PoseSample]) -> StateSequence:
     """Derive the full state chain of one clip from uniformly gridded poses;
     a batch of one of ``derive_pose_batch``."""
 
     def channel(name: str) -> np.ndarray:
         return np.array([[getattr(p, name) for p in poses]], dtype=float)
 
-    batch = derive_pose_batch(
-        channel("t"), channel("x"), channel("y"), channel("heading"), smoothing
-    )
+    batch = derive_pose_batch(channel("t"), channel("x"), channel("y"), channel("heading"))
     return batch.sequence(0)
 
 
-def derive_states_from_rates(
-    t: np.ndarray,
-    v: np.ndarray,
-    omega: np.ndarray,
-    smoothing: SmoothingConfig | None = None,
-) -> StateSequence:
+def derive_states_from_rates(t: np.ndarray, v: np.ndarray, omega: np.ndarray) -> StateSequence:
     """Build one clip's StateSequence from direct (t, v, omega) channels;
     a batch of one of ``derive_rate_batch``."""
     t, v, omega = (np.asarray(c, dtype=float)[None] for c in (t, v, omega))
-    return derive_rate_batch(t, v, omega, smoothing).sequence(0)
+    return derive_rate_batch(t, v, omega).sequence(0)
 
 
 _PERCENTILES = (25, 50, 75)

@@ -14,12 +14,13 @@ kind uses a sinusoidal yaw-rate pulse instead.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ImplausibleSpec
+from .errors import ConfigError, ImplausibleSpec
 from .kinematics import StateSequence
 from .questions import QUESTION_ORDER
 
@@ -483,6 +484,30 @@ def _sample_params(rng: np.random.Generator, ranges: dict) -> dict:
     return params
 
 
+def _mix_weights(regime_mix) -> tuple[list[str], np.ndarray]:
+    """Template names of a non-empty ``regime_mix`` in sorted order, and
+    their draw probabilities; an unusable mix is a ``ConfigError``."""
+    if not isinstance(regime_mix, Mapping):
+        raise ConfigError(
+            f"regime_mix must map template names to weights, got {type(regime_mix).__name__}"
+        )
+    unknown = set(regime_mix) - set(TEMPLATE_NAMES)
+    if unknown:
+        raise ConfigError(f"unknown templates in regime_mix: {sorted(unknown)}")
+    names = sorted(regime_mix)
+    for name in names:
+        weight = regime_mix[name]
+        real = isinstance(weight, numbers.Real) and not isinstance(weight, bool)
+        if not (real and 0 <= weight < math.inf):
+            raise ConfigError(
+                f"regime_mix weight of {name!r} must be a finite number >= 0, got {weight!r}"
+            )
+    weights = np.array([regime_mix[name] for name in names], dtype=float)
+    if weights.sum() <= 0:
+        raise ConfigError("regime_mix weights must not all be zero")
+    return names, weights / weights.sum()
+
+
 def generate_suite(
     count: int,
     seed: int = 0,
@@ -495,17 +520,11 @@ def generate_suite(
     each question is covered; with ``regime_mix`` given, clips beyond the
     first full cycle are drawn by the supplied per-template weights.
     """
-    if regime_mix:
-        unknown = set(regime_mix) - set(TEMPLATE_NAMES)
-        if unknown:
-            raise ValueError(f"unknown templates in regime_mix: {sorted(unknown)}")
+    no_mix = regime_mix is None or regime_mix == {}
+    mix_names, weights = (None, None) if no_mix else _mix_weights(regime_mix)
     rng = np.random.default_rng(seed)
     by_name = {name: (name, kind, ranges) for name, kind, ranges in _TEMPLATES}
     clips = []
-    mix_names = sorted(regime_mix) if regime_mix else None
-    if mix_names:
-        weights = np.array([regime_mix[n] for n in mix_names], dtype=float)
-        weights = weights / weights.sum()
     for i in range(count):
         if mix_names and i >= len(_TEMPLATES):
             name = mix_names[int(rng.choice(len(mix_names), p=weights))]

@@ -10,7 +10,6 @@ sitting exactly on a boundary falls to the less extreme class.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -18,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
-from .io import read_json
+from .io import read_json, write_json
 
 # The fields that are not numbers; with alpha, excluded from alpha scaling.
 _FLAG_FIELDS = ("stop_go_bidirectional", "heading_total_mode")
@@ -120,10 +119,7 @@ class ThresholdConfig:
         return cls(**data)
 
     def to_json(self, path: str | Path) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
+        write_json(path, self.to_dict())
 
     @classmethod
     def from_json(cls, path: str | Path) -> "ThresholdConfig":

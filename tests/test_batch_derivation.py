@@ -20,7 +20,6 @@ from egodyn.errors import WindowTooLarge
 from egodyn.kinematics import (
     KinematicSummary,
     PoseSample,
-    SmoothingConfig,
     StateSequence,
     derive_pose_batch,
     derive_rate_batch,
@@ -41,26 +40,26 @@ NOISE = {"v": 0.05, "a": 0.018, "j": 0.125, "omega": 0.004, "theta": 0.0026}
 # --- per-clip reference ---------------------------------------------------
 
 
-def _smooth(values, params):
-    return savgol_filter(values, params.window, params.polyorder, mode="interp")
+def _smooth(values):
+    return savgol_filter(values, 7, 2, mode="interp")
 
 
-def reference_pose_states(t, x, y, heading, smoothing=SmoothingConfig()):
+def reference_pose_states(t, x, y, heading):
     dt = float(t[1] - t[0])
     grad = lambda values: np.gradient(values, dt, edge_order=2)  # noqa: E731
-    x = _smooth(x, smoothing.position)
-    y = _smooth(y, smoothing.position)
-    theta = _smooth(np.unwrap(heading), smoothing.heading)
-    v = np.maximum(_smooth(np.hypot(grad(x), grad(y)), smoothing.speed), 0.0)
-    a = _smooth(grad(v), smoothing.accel)
+    x = _smooth(x)
+    y = _smooth(y)
+    theta = _smooth(np.unwrap(heading))
+    v = np.maximum(_smooth(np.hypot(grad(x), grad(y))), 0.0)
+    a = _smooth(grad(v))
     return StateSequence(t=t, v=v, a=a, j=grad(a), omega=grad(theta), theta=theta, x=x, y=y)
 
 
-def reference_rate_states(t, v, omega, smoothing=SmoothingConfig()):
+def reference_rate_states(t, v, omega):
     dt = float(t[1] - t[0])
     grad = lambda values: np.gradient(values, dt, edge_order=2)  # noqa: E731
-    v = np.maximum(_smooth(v, smoothing.speed), 0.0)
-    a = _smooth(grad(v), smoothing.accel)
+    v = np.maximum(_smooth(v), 0.0)
+    a = _smooth(grad(v))
     theta = np.concatenate([[0.0], np.cumsum((omega[1:] + omega[:-1]) * 0.5 * dt)])
     vx, vy = v * np.cos(theta), v * np.sin(theta)
     x = np.concatenate([[0.0], np.cumsum((vx[1:] + vx[:-1]) * 0.5 * dt)])

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -9,10 +10,10 @@ import pytest
 
 from conftest import GRID, make_seq
 from egodyn import io, parsing
-from egodyn.cli import main
+from egodyn.cli import COMMAND_KEYS, main
 from egodyn.kinematics import PoseSample
 from egodyn.questions import ANSWER_SPACES, QUESTION_ORDER
-from egodyn.synth import ManeuverSpec, generate
+from egodyn.synth import TEMPLATE_NAMES, ManeuverSpec, generate
 
 
 def run_cli(command, config, tmp_path, name="config.json", extra=()):
@@ -744,7 +745,7 @@ class TestKeyedInputErrors:
         err = self.exit_2_message(tmp_path, capsys, "balance", config)
         assert "n must be a non-negative integer" in err
 
-    @pytest.mark.parametrize("caps", [[1], {"real": -1}, {"real": "1"}])
+    @pytest.mark.parametrize("caps", [[1], {"real": -1}, {"real": "1"}, [], 0])
     def test_balance_caps_not_source_integers(self, tmp_path, capsys, caps):
         config = self.balance_config(tmp_path, _label_rows(["c1", "c2", "c3"]))
         err = self.exit_2_message(tmp_path, capsys, "balance", {**config, "caps": caps})
@@ -987,3 +988,146 @@ class TestTextInputErrors:
         err = capsys.readouterr().err
         assert status == 2, err
         assert f"{path}:2: not UTF-8" in err
+
+
+def _docs_command_keys():
+    """The "Command configs" table of docs/formats.md as ``COMMAND_KEYS``."""
+    text = (Path(__file__).resolve().parents[1] / "docs" / "formats.md").read_text("utf-8")
+    table = {}
+    for line in text.split("## Command configs", 1)[1].splitlines():
+        if line.startswith("| `"):
+            command, required, optional = (
+                re.findall(r"`([^`]+)`", cell) for cell in line.strip("|").split("|")
+            )
+            table[command[0]] = (tuple(required), tuple(optional))
+    return table
+
+
+# flag -> the config key it overrides; a command has the flag if it reads the key
+_FLAG_KEYS = {"--alpha": "alphas", "--encoding": "encoding", "--seed": "seed"}
+_FLAG_VALUES = {"--alpha": "1.5", "--encoding": "full", "--seed": "1"}
+
+
+class TestCommandKeys:
+    """Each command reads the config keys and flags of ``cli.COMMAND_KEYS``;
+    any other key or flag, a missing required key, and a value of the
+    wrong type exit 2 naming the key."""
+
+    def exit_2_message(self, tmp_path, capsys, command, config):
+        status = run_cli(command, {"out": str(tmp_path / "o"), **config}, tmp_path)
+        err = capsys.readouterr().err
+        assert status == 2, err
+        return err
+
+    def test_docs_table_equals_command_keys(self):
+        assert _docs_command_keys() == COMMAND_KEYS
+
+    @pytest.mark.parametrize(
+        "command,flag",
+        [(command, flag) for command, keys in COMMAND_KEYS.items()
+         for flag, key in _FLAG_KEYS.items() if key not in keys[0] + keys[1]],
+    )
+    def test_flag_the_command_does_not_read(self, tmp_path, capsys, command, flag):
+        config = tmp_path / "config.json"
+        io.write_json(config, {})
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(config), flag, _FLAG_VALUES[flag]])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    def test_synth_seed_flag_overrides_the_config(self, tmp_path):
+        out_flag, out_config = tmp_path / "flag", tmp_path / "config"
+        assert run_cli("synth", {"count": 2, "seed": 0, "out": str(out_flag)}, tmp_path,
+                       "a.json", extra=["--seed", "4"]) == 0
+        assert run_cli("synth", {"count": 2, "seed": 4, "out": str(out_config)}, tmp_path,
+                       "b.json") == 0
+        name = "trajectories.jsonl"
+        assert (out_flag / name).read_bytes() == (out_config / name).read_bytes()
+
+    def test_unknown_label_key(self, tmp_path, capsys):
+        traj = tmp_path / "trajectories.jsonl"
+        io.write_jsonl(traj, _pose_rows("a"))
+        err = self.exit_2_message(
+            tmp_path, capsys, "label", {"input": str(traj), "windows_s": 2.0}
+        )
+        assert "label does not read config key(s) ['windows_s']" in err
+
+    def test_balance_targets(self, tmp_path, capsys):
+        labels = tmp_path / "labels.jsonl"
+        io.write_jsonl(labels, _label_rows(["c1", "c2"]))
+        targets = {q: {a: 1.0 for a in ANSWER_SPACES[q]} for q in QUESTION_ORDER}
+        err = self.exit_2_message(
+            tmp_path, capsys, "balance", {"labels": str(labels), "n": 1, "targets": targets}
+        )
+        assert "balance does not read config key(s) ['targets']" in err
+
+    @pytest.mark.parametrize(
+        "command,named", [("balance", "'n'"), ("sweep", "'alphas' (or --alpha)")]
+    )
+    def test_missing_required_key(self, tmp_path, capsys, command, named):
+        labels = tmp_path / "labels.jsonl"
+        io.write_jsonl(labels, _label_rows(["c1", "c2"]))
+        traj = tmp_path / "trajectories.jsonl"
+        io.write_jsonl(traj, _pose_rows("a"))
+        config = {
+            "balance": {"labels": str(labels)},
+            "sweep": {"trajectories": str(traj), "predictions": {"m": str(labels)}},
+        }[command]
+        err = self.exit_2_message(tmp_path, capsys, command, config)
+        assert f"{command} config lacks required key {named}" in err
+
+    @pytest.mark.parametrize(
+        "command,key,value,named",
+        [("label", "input", 5, "input must be a file path string"),
+         ("label", "out", 5, "out must be a directory path string"),
+         ("label", "thresholds", "", "thresholds path is not an existing file: ''"),
+         ("evaluate", "predictions", {"m": "rows.jsonl"},
+          "predictions must be a file path string"),
+         ("sweep", "predictions", {"m": 5}, "sweep predictions must map"),
+         ("baseline", "kind", ["flow"], "baseline kind must be one of")],
+    )
+    def test_value_of_the_wrong_type(
+        self, tmp_path, capsys, monkeypatch, command, key, value, named
+    ):
+        monkeypatch.chdir(tmp_path)  # so that the relative rows.jsonl exists
+        traj = tmp_path / "trajectories.jsonl"
+        io.write_jsonl(traj, _pose_rows("a"))
+        rows = tmp_path / "rows.jsonl"
+        io.write_jsonl(rows, _label_rows(["c1"]))
+        config = {
+            "label": {"input": str(traj)},
+            "evaluate": {"truth": str(rows)},
+            "sweep": {"trajectories": str(traj), "alphas": [1.0]},
+            "baseline": {"proxies": str(traj)},
+        }[command]
+        err = self.exit_2_message(tmp_path, capsys, command, {**config, key: value})
+        assert named in err
+
+    @pytest.mark.parametrize(
+        "mix,named",
+        [({"nope": 1.0}, "unknown templates in regime_mix: ['nope']"),
+         ([1.0], "regime_mix must map template names to weights, got list"),
+         ({"cruise_urban": 0}, "regime_mix weights must not all be zero"),
+         ({"cruise_urban": -1.0}, "weight of 'cruise_urban'"),
+         ({"cruise_urban": math.nan}, "weight of 'cruise_urban'"),
+         ({"cruise_urban": "1"}, "weight of 'cruise_urban'")],
+    )
+    def test_synth_regime_mix(self, tmp_path, capsys, mix, named):
+        config = {"count": len(TEMPLATE_NAMES) + 1, "regime_mix": mix}
+        err = self.exit_2_message(tmp_path, capsys, "synth", config)
+        assert named in err
+
+    @pytest.mark.parametrize(
+        "schema,huge",
+        [("pose", lambda i: {"x": 1.5e308 if i % 2 else -1.5e308, "y": 0.0, "heading": 0.0}),
+         ("rate", lambda i: {"v": 1.7e308 if i % 2 else 0.0, "omega": 0.0})],
+    )
+    def test_derivation_overflow_names_the_clip(self, tmp_path, capsys, schema, huge):
+        rows = _ROWS[schema]("a") + [
+            {"clip_id": "b", "t": i / 10.0, **huge(i)} for i in range(31)
+        ]
+        traj = tmp_path / "trajectories.jsonl"
+        io.write_jsonl(traj, rows)
+        err = self.exit_2_message(tmp_path, capsys, "label", {"input": str(traj)})
+        assert "clip 'b': state derivation overflows" in err
+        assert "clip 'a'" not in err

@@ -14,7 +14,6 @@ from egodyn.errors import (
 )
 from egodyn.kinematics import (
     PoseSample,
-    SmoothingConfig,
     StateSequence,
     derive_states,
     derive_states_from_rates,
