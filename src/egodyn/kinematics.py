@@ -14,6 +14,15 @@ the terminal window, which keeps the filter exact on polynomials up to
 the fit order; differentiation uses second-order central differences
 with second-order one-sided stencils at the ends.
 
+The filter is computed here, step for step as scipy's ``savgol_filter``
+does it in ``interp`` mode: the interior is ``scipy.ndimage.convolve1d``
+with the least-squares coefficients, and each edge is a least-squares
+polynomial fit to its terminal window (Vandermonde matrix scaled by its
+column norms, ``np.linalg.lstsq``, Horner evaluation). The floats equal
+``savgol_filter``'s bit for bit (the tests compare them), yet the derived
+bytes no longer change with scipy's version of that function, and
+importing this module loads no ``scipy.signal``.
+
 Derivation and summaries run on batches: the channels of N clips that
 share a sample count are stacked into (N, n) arrays and every step runs
 once per batch along the last, contiguous axis. Reductions along that
@@ -25,10 +34,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, fields
+from functools import cache
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.signal import savgol_filter
+from scipy.ndimage import convolve1d
 
 from .errors import (
     EvenWindow,
@@ -268,6 +278,45 @@ def resample_rate_log(
     return grid, np.interp(grid, t, v), np.interp(grid, t, omega)
 
 
+@cache
+def _savgol_terms(window: int, poly_order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Interior coefficients, scaled edge design matrix and its column scale.
+
+    The solves are scipy's: ``savgol_coeffs`` (rcond = eps * max(shape))
+    for the convolution coefficients, and ``polyfit``'s Vandermonde
+    matrix on 0..window-1 divided by its column norms for the edges.
+    Solved once per (window, poly_order); the arrays are read-only.
+    """
+    eps = np.finfo(float).eps
+    half = window // 2
+    offsets = np.arange(-half, window - half, dtype=float)[::-1]
+    design = offsets ** np.arange(poly_order + 1, dtype=float).reshape(-1, 1)
+    unit = np.zeros(poly_order + 1)
+    unit[0] = 1.0
+    coeffs = np.linalg.lstsq(design, unit, rcond=eps * max(design.shape))[0]
+    powers = np.arange(poly_order, -1, -1, dtype=float)
+    edge = np.arange(window, dtype=float)[:, None] ** powers[None, :]
+    scale = np.sqrt(np.sum(edge * edge, axis=0))
+    edge /= scale
+    for array in (coeffs, edge, scale):
+        array.setflags(write=False)
+    return coeffs, edge, scale
+
+
+def _fit_edge(samples: np.ndarray, poly_order: int, points: np.ndarray) -> np.ndarray:
+    """Values at ``points`` (0 = first sample) of the polynomial fitted to
+    each row of ``samples``, an (N, window) block; (N, len(points))."""
+    window = samples.shape[-1]
+    _, edge, scale = _savgol_terms(window, poly_order)
+    fit = np.linalg.lstsq(edge, samples.T, rcond=window * np.finfo(float).eps)[0]
+    fit = (fit.T / scale).T
+    points = points.reshape(-1, 1)
+    values = np.zeros_like(points)
+    for c in fit:  # Horner's rule, highest power first
+        values = values * points + c
+    return values.T
+
+
 def smooth_savgol(values, window: int, poly_order: int) -> np.ndarray:
     """Least-squares polynomial smoothing along the last axis; same shape.
 
@@ -280,13 +329,19 @@ def smooth_savgol(values, window: int, poly_order: int) -> np.ndarray:
         raise EvenWindow(f"window must be odd and positive, got {window}")
     if not 0 <= poly_order < window:
         raise ValueError("poly_order must satisfy 0 <= poly_order < window")
-    if window > values.shape[-1]:
-        raise WindowTooLarge(
-            f"window {window} exceeds signal length {values.shape[-1]}"
-        )
+    n = values.shape[-1]
+    if window > n:
+        raise WindowTooLarge(f"window {window} exceeds signal length {n}")
     if window == 1:
         return values.copy()
-    return savgol_filter(values, window, poly_order, mode="interp")
+    coeffs = _savgol_terms(window, poly_order)[0]
+    out = convolve1d(values, coeffs, axis=-1, mode="constant")
+    rows, out_rows = values.reshape(-1, n), out.reshape(-1, n)
+    half = window // 2
+    head, tail = np.arange(half, dtype=float), np.arange(window - half, window, dtype=float)
+    out_rows[:, :half] = _fit_edge(rows[:, :window], poly_order, head)
+    out_rows[:, n - half:] = _fit_edge(rows[:, n - window:], poly_order, tail)
+    return out
 
 
 def _gradient(values: np.ndarray, dt: np.ndarray) -> np.ndarray:
@@ -314,13 +369,11 @@ def _derivation_spacing(t: np.ndarray) -> np.ndarray:
 def _smooth(values: np.ndarray) -> np.ndarray:
     """One smoothing stage of the derivation; values so large that it, or
     an earlier stage, overflows are an ``InvalidTrajectory``."""
-    try:
+    if np.all(np.isfinite(values)):
         smoothed = smooth_savgol(values, SAVGOL_WINDOW, SAVGOL_ORDER)
-    except ValueError:  # scipy's edge fit refuses inf and NaN
-        smoothed = None
-    if smoothed is None or not np.all(np.isfinite(smoothed)):
-        raise InvalidTrajectory("state derivation overflows: a derived value is not finite")
-    return smoothed
+        if np.all(np.isfinite(smoothed)):
+            return smoothed
+    raise InvalidTrajectory("state derivation overflows: a derived value is not finite")
 
 
 def _speed_chain(v_raw, dt):

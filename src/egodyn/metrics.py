@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy import stats
 
 from .errors import EmptySet, MismatchedModelSets, NoGroundTruth
 from .kinematics import summarize_batch
@@ -169,7 +168,8 @@ def kendall_tau_scores(
 
     Identical score vectors correlate perfectly by definition; a vector
     with zero variance against a differing one carries no ranking
-    information and scores 0.
+    information and scores 0. Otherwise tau-b is scipy's ``kendalltau``
+    expression on the integer pair counts, so the float is the same.
     """
     if set(scores_a) != set(scores_b):
         raise MismatchedModelSets("score maps must cover the same models")
@@ -182,7 +182,14 @@ def kendall_tau_scores(
         return 1.0
     if np.all(a == a[0]) or np.all(b == b[0]):
         return 0.0
-    return float(stats.kendalltau(a, b).correlation)
+    upper = np.triu_indices(len(models), k=1)
+    sign_a = np.sign(a[:, None] - a[None, :])[upper]
+    sign_b = np.sign(b[:, None] - b[None, :])[upper]
+    con_minus_dis = int(np.sum(sign_a * sign_b))
+    tot = len(models) * (len(models) - 1) // 2
+    a_ties, b_ties = int(np.sum(sign_a == 0)), int(np.sum(sign_b == 0))
+    tau = con_minus_dis / np.sqrt(tot - a_ties) / np.sqrt(tot - b_ties)
+    return float(min(1.0, max(-1.0, tau)))
 
 
 @dataclass(frozen=True)

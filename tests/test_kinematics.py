@@ -1,20 +1,28 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.signal import savgol_coeffs, savgol_filter
 
 from conftest import GRID, make_seq, random_seq
 from egodyn.errors import (
     EvenWindow,
     InsufficientSpan,
+    InvalidTrajectory,
     NonMonotonicTime,
     WindowTooLarge,
 )
 from egodyn.kinematics import (
+    SAVGOL_ORDER,
+    SAVGOL_WINDOW,
     PoseSample,
     StateSequence,
+    _savgol_terms,
+    derive_pose_batch,
+    derive_rate_batch,
     derive_states,
     derive_states_from_rates,
     resample_uniform,
@@ -113,6 +121,50 @@ class TestSavgol:
     def test_bad_poly_order(self):
         with pytest.raises(ValueError):
             smooth_savgol(np.zeros(31), 5, 5)
+
+    def test_derivation_coefficients_are_savgol_coeffs(self):
+        coeffs = _savgol_terms(SAVGOL_WINDOW, SAVGOL_ORDER)[0]
+        assert coeffs.tobytes() == savgol_coeffs(7, 2).tobytes()
+
+    @pytest.mark.parametrize(
+        "window,poly_order",
+        [(w, p) for w in range(3, 12, 2) for p in range(w)],
+    )
+    def test_bytes_equal_scipy_interp_mode(self, window, poly_order):
+        assert _savgol_terms(window, poly_order)[0].tobytes() == (
+            savgol_coeffs(window, poly_order).tobytes()
+        )
+        rng = np.random.default_rng(100 * window + poly_order)
+        # n == window: the two edge fits cover the whole row.
+        shapes = [(31,), (window,), (window + 1,), (40, 31), (9, window), (5, window + 2)]
+        for shape in shapes:
+            values = rng.normal(size=shape) * 10.0 ** rng.uniform(-3, 3)
+            expected = savgol_filter(values, window, poly_order, mode="interp")
+            assert smooth_savgol(values, window, poly_order).tobytes() == expected.tobytes()
+
+
+def _pose_batch(bad_row):
+    t = np.tile(GRID, (2, 1))
+    x = np.vstack([10.0 * GRID, bad_row])
+    zeros = np.zeros_like(t)
+    return derive_pose_batch(t, x, zeros, zeros)
+
+
+def _rate_batch(bad_row):
+    t = np.tile(GRID, (2, 1))
+    return derive_rate_batch(t, np.vstack([np.full(31, 5.0), bad_row]), np.zeros_like(t))
+
+
+class TestDerivationOverflow:
+    @pytest.mark.parametrize("derive", [_pose_batch, _rate_batch])
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_row_raises_without_warning(self, derive, bad):
+        row = np.full(31, 1.0)
+        row[12] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidTrajectory, match="overflows: a derived value is not finite"):
+                derive(row)
 
 
 class TestDeriveStates:

@@ -4,6 +4,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.stats import kendalltau
 
 from conftest import GRID, answer_table, make_seq, random_seq
 from egodyn.errors import NoGroundTruth
@@ -138,6 +141,32 @@ class TestKendallTau:
         b = {"m1": 4.0, "m2": 3.0, "m3": 2.0, "m4": 1.0}
         value = kendall_tau_scores(a, b)
         assert 0.0 < value < 1.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_equals_scipy_tau_b(self, data):
+        n = data.draw(st.integers(2, 12), label="models")
+
+        def scores(tied):
+            values = st.sampled_from([0.2, 0.5, 0.8]) if tied else st.floats(0.0, 1.0)
+            return data.draw(st.lists(values, min_size=n, max_size=n))
+
+        a = scores(data.draw(st.booleans(), label="a tied"))
+        kind = data.draw(st.sampled_from(["independent", "reversed", "reversed_coarse"]))
+        if kind == "independent":
+            b = scores(data.draw(st.booleans(), label="b tied"))
+        elif kind == "reversed":
+            b = [1.0 - value for value in a]
+        else:  # reversed, with ties the other vector does not have
+            b = [-round(value, 1) for value in a]
+        models = [f"m{i}" for i in range(n)]
+        value = kendall_tau_scores(dict(zip(models, a)), dict(zip(models, b)))
+        if a == b:
+            assert value == 1.0
+        elif len(set(a)) == 1 or len(set(b)) == 1:
+            assert value == 0.0
+        else:
+            assert value == kendalltau(a, b).correlation
 
 
 class TestScoreModel:
