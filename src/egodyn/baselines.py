@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptySeries
+from .errors import EmptySeries, InvalidTrajectory
 from .oracle import QARecord, ordered_pair
 
 
@@ -34,11 +34,11 @@ class FlowProxySeries:
     def __post_init__(self) -> None:
         sizes = {self.t.size, self.s_turn.size, self.s_exp.size, self.m_mag.size}
         if len(sizes) != 1:
-            raise ValueError("flow proxy channels must have equal length")
+            raise InvalidTrajectory("flow proxy channels must have equal length")
         if self.t.size == 0:
             raise EmptySeries("flow proxy series is empty")
         if np.any(self.m_mag < 0):
-            raise ValueError("motion magnitude must be non-negative")
+            raise InvalidTrajectory("motion magnitude 'm_mag' must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -52,11 +52,11 @@ class OdomProxySeries:
     def __post_init__(self) -> None:
         sizes = {self.t.size, self.m_disp.size, self.theta_deg.size}
         if len(sizes) != 1:
-            raise ValueError("odometry proxy channels must have equal length")
+            raise InvalidTrajectory("odometry proxy channels must have equal length")
         if self.t.size == 0:
             raise EmptySeries("odometry proxy series is empty")
         if np.any(self.m_disp < 0):
-            raise ValueError("displacement magnitude must be non-negative")
+            raise InvalidTrajectory("displacement magnitude 'm_disp' must be non-negative")
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from . import balancer, baselines, io, metrics, report
@@ -256,37 +256,26 @@ def _cmd_baseline(cfg: RunConfig) -> dict[str, Path]:
     if not isinstance(kind, str) or kind not in baselines.BASELINE_THRESHOLD_SETS:
         raise ConfigError("baseline kind must be one of flow|vo|vo_learned")
     thresholds = baselines.BASELINE_THRESHOLD_SETS[kind]
-    clips = io.read_trajectory_clips(cfg.params["proxies"])
-    import numpy as np
-
     rows = []
-    for clip_id, clip_rows in clips.items():
+    for clip_id, clip_rows in io.read_trajectory_clips(cfg.params["proxies"]).items():
         keys = set(clip_rows[0])
-        t = np.array([r["t"] for r in clip_rows], dtype=float)
-        if {"s_turn", "s_exp", "m_mag"} <= keys:
-            series = baselines.FlowProxySeries(
-                t=t,
-                s_turn=np.array([r["s_turn"] for r in clip_rows], dtype=float),
-                s_exp=np.array([r["s_exp"] for r in clip_rows], dtype=float),
-                m_mag=np.array([r["m_mag"] for r in clip_rows], dtype=float),
+        with io._naming(clip_id):
+            if {"s_turn", "s_exp", "m_mag"} <= keys:
+                if kind != "flow":
+                    raise ConfigError("flow proxy rows require kind=flow")
+                series_type, answers = baselines.FlowProxySeries, baselines.flow_answers
+            elif {"m_disp", "theta_deg"} <= keys:
+                if kind == "flow":
+                    raise ConfigError("odometry proxy rows require kind=vo|vo_learned")
+                series_type, answers = baselines.OdomProxySeries, baselines.vo_answers
+            else:
+                raise ConfigError(
+                    "proxy rows must carry (t,s_turn,s_exp,m_mag) or (t,m_disp,theta_deg)"
+                )
+            series = series_type(
+                *(io._channel(clip_rows, f.name) for f in fields(series_type))
             )
-            if kind != "flow":
-                raise ConfigError("flow proxy rows require kind=flow")
-            records = baselines.flow_answers(series, thresholds, clip_id)
-        elif {"m_disp", "theta_deg"} <= keys:
-            series = baselines.OdomProxySeries(
-                t=t,
-                m_disp=np.array([r["m_disp"] for r in clip_rows], dtype=float),
-                theta_deg=np.array([r["theta_deg"] for r in clip_rows], dtype=float),
-            )
-            if kind == "flow":
-                raise ConfigError("odometry proxy rows require kind=vo|vo_learned")
-            records = baselines.vo_answers(series, thresholds, clip_id)
-        else:
-            raise ConfigError(
-                "proxy rows must carry (t,s_turn,s_exp,m_mag) or (t,m_disp,theta_deg)"
-            )
-        rows.extend(r.to_dict() for r in records)
+            rows.extend(r.to_dict() for r in answers(series, thresholds, clip_id))
     out = cfg.out_dir
     io.write_jsonl(out / "baseline_labels.jsonl", rows)
     return {"baseline_labels": out / "baseline_labels.jsonl"}

@@ -14,14 +14,15 @@ the terminal window, which keeps the filter exact on polynomials up to
 the fit order; differentiation uses second-order central differences
 with second-order one-sided stencils at the ends.
 
-The filter is computed here, step for step as scipy's ``savgol_filter``
-does it in ``interp`` mode: the interior is ``scipy.ndimage.convolve1d``
-with the least-squares coefficients, and each edge is a least-squares
-polynomial fit to its terminal window (Vandermonde matrix scaled by its
-column norms, ``np.linalg.lstsq``, Horner evaluation). The floats equal
-``savgol_filter``'s bit for bit (the tests compare them), yet the derived
-bytes no longer change with scipy's version of that function, and
-importing this module loads no ``scipy.signal``.
+The filter is computed here with numpy alone, step for step as scipy's
+``savgol_filter`` does it in ``interp`` mode: each interior sample (one
+that a whole window covers) is its window weighted by the least-squares
+coefficients and summed in the order of scipy.ndimage's C ``correlate1d``,
+and each edge is a least-squares polynomial fit to its terminal window
+(Vandermonde matrix scaled by its column norms, ``np.linalg.lstsq``,
+Horner evaluation). The floats equal ``savgol_filter``'s bit for bit (the
+tests compare them), yet the derived bytes do not depend on scipy at all,
+and importing this module loads no scipy.
 
 Derivation and summaries run on batches: the channels of N clips that
 share a sample count are stacked into (N, n) arrays and every step runs
@@ -38,7 +39,6 @@ from functools import cache
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.ndimage import convolve1d
 
 from .errors import (
     EvenWindow,
@@ -317,6 +317,40 @@ def _fit_edge(samples: np.ndarray, poly_order: int, points: np.ndarray) -> np.nd
     return values.T
 
 
+def _convolve_interior(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """``convolve1d(values, weights, axis=-1)`` at every sample that a whole
+    window covers, summed in the order of scipy.ndimage's C ``correlate1d``.
+
+    The order depends on the taps (the weights reversed). When every pair
+    about the centre is equal within DBL_EPSILON, the two samples of a pair
+    are added, then multiplied by the left tap, outermost pair first; when
+    every pair is opposite within it, they are subtracted instead.
+    Otherwise the last tap's product comes first, then the others in order.
+    """
+    taps = weights[::-1]
+    size, half = taps.size, taps.size // 2
+    count = values.shape[-1] - size + 1
+
+    def at(j: int) -> np.ndarray:  # the samples under tap j, one per output
+        return values[..., j:j + count]
+
+    eps = np.finfo(float).eps
+    pairs = range(half, 0, -1)
+    if all(abs(taps[half + k] - taps[half - k]) <= eps for k in pairs):
+        combine = np.add
+    elif all(abs(taps[half + k] + taps[half - k]) <= eps for k in pairs):
+        combine = np.subtract
+    else:
+        out = at(size - 1) * taps[-1]
+        for j in range(size - 1):
+            out = out + at(j) * taps[j]
+        return out
+    out = at(half) * taps[half]
+    for k in pairs:
+        out = out + combine(at(half - k), at(half + k)) * taps[half - k]
+    return out
+
+
 def smooth_savgol(values, window: int, poly_order: int) -> np.ndarray:
     """Least-squares polynomial smoothing along the last axis; same shape.
 
@@ -335,9 +369,10 @@ def smooth_savgol(values, window: int, poly_order: int) -> np.ndarray:
     if window == 1:
         return values.copy()
     coeffs = _savgol_terms(window, poly_order)[0]
-    out = convolve1d(values, coeffs, axis=-1, mode="constant")
-    rows, out_rows = values.reshape(-1, n), out.reshape(-1, n)
     half = window // 2
+    out = np.empty(values.shape)
+    out[..., half:n - half] = _convolve_interior(values, coeffs)
+    rows, out_rows = values.reshape(-1, n), out.reshape(-1, n)
     head, tail = np.arange(half, dtype=float), np.arange(window - half, window, dtype=float)
     out_rows[:, :half] = _fit_edge(rows[:, :window], poly_order, head)
     out_rows[:, n - half:] = _fit_edge(rows[:, n - window:], poly_order, tail)

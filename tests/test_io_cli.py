@@ -533,6 +533,38 @@ class TestBaselineCommand:
         )
         assert status == 2
 
+    @pytest.mark.parametrize(
+        ("kind", "bad_row", "field"),
+        [
+            ("flow", {"s_turn": "left"}, "s_turn"),
+            ("vo", {"theta_deg": "north"}, "theta_deg"),
+            ("flow", {"s_turn": float("nan")}, "s_turn"),
+            ("flow", {"s_exp": None}, "s_exp"),
+            ("flow", {"m_mag": -1.0}, "m_mag"),
+        ],
+        ids=["non_numeric_s_turn", "non_numeric_theta_deg", "nan_s_turn", "missing_s_exp",
+             "negative_m_mag"],
+    )
+    def test_invalid_proxy_exits_2(self, tmp_path, capsys, kind, bad_row, field):
+        base = (
+            {"s_turn": 0.06, "s_exp": 0.0, "m_mag": 4.0}
+            if kind == "flow"
+            else {"m_disp": 1.0, "theta_deg": 0.0}
+        )
+        rows = [{"clip_id": "c", "t": float(i), **base} for i in range(9)]
+        # the bad value sits in a later row; a None value means the field is absent
+        rows[4] = {k: v for k, v in {**rows[4], **bad_row}.items() if v is not None}
+        path = tmp_path / "proxies.jsonl"
+        io.write_jsonl(path, rows)
+        out = tmp_path / "baseline"
+        status = run_cli(
+            "baseline", {"proxies": str(path), "kind": kind, "out": str(out)}, tmp_path
+        )
+        assert status == 2
+        err = capsys.readouterr().err
+        assert "clip 'c'" in err and f"'{field}'" in err
+        assert not (out / "manifest.json").exists()
+
 
 class TestBalanceCommand:
     def test_balance_outputs(self, tmp_path):

@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.ndimage import convolve1d
 from scipy.signal import savgol_coeffs, savgol_filter
 
 from conftest import GRID, make_seq, random_seq
@@ -20,6 +21,7 @@ from egodyn.kinematics import (
     SAVGOL_WINDOW,
     PoseSample,
     StateSequence,
+    _convolve_interior,
     _savgol_terms,
     derive_pose_batch,
     derive_rate_batch,
@@ -141,6 +143,53 @@ class TestSavgol:
             values = rng.normal(size=shape) * 10.0 ** rng.uniform(-3, 3)
             expected = savgol_filter(values, window, poly_order, mode="interp")
             assert smooth_savgol(values, window, poly_order).tobytes() == expected.tobytes()
+
+
+EPS = np.finfo(float).eps
+_BASE_TAPS = [0.1, -0.35, 0.75, 0.2, 0.75, -0.35, 0.1]
+
+
+def _taps(right_of_centre):
+    """``_BASE_TAPS`` with the three taps right of the centre replaced."""
+    return np.array(_BASE_TAPS[:4] + list(right_of_centre))
+
+
+class TestConvolveInterior:
+    """The interior sum against ``convolve1d``, whose C loop pairs taps about
+    the centre when they are equal (or opposite) within DBL_EPSILON. Each
+    boundary case gives other bytes in the other branch, or when the pair
+    is multiplied by its right-hand tap."""
+
+    @pytest.mark.parametrize(
+        "weights",
+        [
+            _taps([0.75, -0.35, 0.1]),
+            _taps([0.75 + EPS, -0.35, 0.1]),
+            _taps([0.75 + 1.5 * EPS, -0.35, 0.1]),
+            _taps([-0.75, 0.35, -0.1]),
+            _taps([-0.75 + EPS, 0.35, -0.1]),
+            savgol_coeffs(7, 2),
+            savgol_coeffs(5, 4),
+            savgol_coeffs(7, 4),
+        ],
+        ids=["symmetric", "pair_off_by_eps", "pair_off_by_1.5_eps", "antisymmetric",
+             "antisymmetric_within_eps", "savgol_7_2", "savgol_5_4", "savgol_7_4"],
+    )
+    def test_bytes_equal_convolve1d(self, weights):
+        rng = np.random.default_rng(3)
+        half = weights.size // 2
+        for shape in [(4, 31), (31,), (3, weights.size)]:
+            values = rng.normal(size=shape)
+            n = shape[-1]
+            expected = convolve1d(values, weights, axis=-1, mode="constant")
+            assert _convolve_interior(values, weights).tobytes() == (
+                expected[..., half:n - half].tobytes()
+            )
+
+    def test_boundary_pairs_differ_by_exactly_their_offset(self):
+        assert (0.75 + EPS) - 0.75 == EPS
+        assert (0.75 + 1.5 * EPS) - 0.75 == 1.5 * EPS
+        assert (-0.75 + EPS) + 0.75 == EPS
 
 
 def _pose_batch(bad_row):
