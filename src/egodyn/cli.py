@@ -202,18 +202,27 @@ def _cmd_synth(cfg: RunConfig) -> dict[str, Path]:
     return outputs
 
 
-def _answer_table(rows, field: str, predicted: bool = False) -> AnswerTable:
-    return AnswerTable.from_rows(
-        ((row["clip_id"], row["question_id"], row[field]) for row in rows), predicted
-    )
+def _answer_table(path: str, rows, field: str, predicted: bool = False) -> AnswerTable:
+    """The table of ``rows``, row ``i`` of which is row ``i`` of ``path``."""
+    with io.keyed_rows(path, rows, field):
+        return AnswerTable.from_rows(
+            ((row["clip_id"], row["question_id"], row[field]) for row in rows), predicted
+        )
+
+
+def _predictions(path: str) -> list[dict]:
+    """The prediction rows of ``path``, each with its parsed label and stage."""
+    rows = io.read_predictions(path)
+    with io.keyed_rows(path, rows):
+        return report.parse_predictions(rows)
 
 
 def _cmd_evaluate(cfg: RunConfig) -> dict[str, Path]:
-    truth = _answer_table(io.read_jsonl(cfg.params["truth"]), "answer")
-    rows = io.read_predictions(cfg.params["predictions"])
-    parsed = report.parse_predictions(rows)
+    truth_path, predictions_path = cfg.params["truth"], cfg.params["predictions"]
+    truth = _answer_table(truth_path, io.read_jsonl(truth_path), "answer")
+    parsed = _predictions(predictions_path)
     doc = report.build_evaluation_report(
-        truth, _answer_table(parsed, "parsed", predicted=True)
+        truth, _answer_table(predictions_path, parsed, "parsed", predicted=True)
     )
     out = cfg.out_dir
     io.write_json(out / "report.json", doc)
@@ -229,8 +238,9 @@ def _cmd_sweep(cfg: RunConfig) -> dict[str, Path]:
     sequences = _load_clips(cfg, key="trajectories")
     model_predictions = {}
     for model, path in cfg.params["predictions"].items():
-        parsed = report.parse_predictions(io.read_predictions(path))
-        model_predictions[model] = _answer_table(parsed, "parsed", predicted=True)
+        model_predictions[model] = _answer_table(
+            path, _predictions(path), "parsed", predicted=True
+        )
     results = metrics.sensitivity_sweep(sequences, model_predictions, thresholds, cfg.alphas)
     out = cfg.out_dir
     io.write_json(out / "sweep.json", {"results": [r.to_dict() for r in results]})
@@ -239,8 +249,7 @@ def _cmd_sweep(cfg: RunConfig) -> dict[str, Path]:
 
 
 def _cmd_parse(cfg: RunConfig) -> dict[str, Path]:
-    rows = io.read_predictions(cfg.params["predictions"])
-    parsed = report.parse_predictions(rows)
+    parsed = _predictions(cfg.params["predictions"])
     rates = report.parse_rate_report(parsed)
     out = cfg.out_dir
     io.write_jsonl(out / "parsed_predictions.jsonl", parsed)
@@ -283,12 +292,17 @@ def _cmd_baseline(cfg: RunConfig) -> dict[str, Path]:
 
 def _cmd_balance(cfg: RunConfig) -> dict[str, Path]:
     answers: dict[str, dict[str, str]] = {}
-    for row in io.read_jsonl(cfg.params["labels"]):
-        clip_id, question = row["clip_id"], row["question_id"]
-        clip_answers = answers.setdefault(clip_id, {})
-        if question in clip_answers:
-            raise ConfigError(f"clip {clip_id!r}, question {question!r}: two labels rows")
-        clip_answers[question] = row["answer"]
+    labels = cfg.params["labels"]
+    rows = io.read_jsonl(labels)
+    with io.keyed_rows(labels, rows, "answer"):
+        for row in rows:
+            clip_id, question = row["clip_id"], row["question_id"]
+            clip_answers = answers.get(clip_id)
+            if clip_answers is None:  # not setdefault: it would build a dict per row
+                clip_answers = answers[clip_id] = {}
+            if question in clip_answers:
+                raise ConfigError(f"clip {clip_id!r}, question {question!r}: two labels rows")
+            clip_answers[question] = row["answer"]
     sources = (
         io.read_source_manifest(cfg.params["sources"])
         if cfg.params.get("sources")

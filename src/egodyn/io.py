@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import json
 from contextlib import contextmanager
 from pathlib import Path
@@ -35,13 +36,19 @@ from .kinematics import (
 
 DEFAULT_CLIP_ID = "clip_000"
 
+# Bound once, so that a row costs one call into the C scanner or encoder:
+# ``json.loads`` adds two Python calls and two regex matches per row, and
+# ``json.dumps`` with arguments builds an encoder per row.
+_decode = json.JSONDecoder().raw_decode
+_encode = json.JSONEncoder(sort_keys=True, ensure_ascii=False).encode
+
 
 def write_jsonl(path: str | Path, records: Iterable[Mapping[str, Any]]) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", encoding="utf-8") as handle:
         for record in records:
-            handle.write(json.dumps(record, sort_keys=True, ensure_ascii=False))
+            handle.write(_encode(record))
             handle.write("\n")
 
 
@@ -80,14 +87,62 @@ def _utf8(path: str | Path):
 
 
 def read_jsonl(path: str | Path) -> list[dict]:
-    """One JSON object per non-blank line."""
+    """One JSON object per non-blank line.
+
+    A stripped line has no JSON whitespace at either end, so ``raw_decode``
+    consuming all of it accepts exactly what ``json.loads`` accepts.
+    """
     records = []
     with _utf8(path), Path(path).open("r", encoding="utf-8") as handle:
         for number, line in enumerate(handle, 1):
             line = line.strip()
             if line:
-                records.append(_json_object(line, path, number))
+                try:
+                    value, end = _decode(line)
+                except json.JSONDecodeError:
+                    value, end = None, 0
+                if end != len(line) or not isinstance(value, dict):
+                    value = _json_object(line, path, number)  # raises, naming the line
+                records.append(value)
     return records
+
+
+def _row_line(path: str | Path, index: int) -> int:
+    """The line of ``path`` that holds row ``index`` of ``read_jsonl(path)``."""
+    with Path(path).open("r", encoding="utf-8") as handle:
+        numbers = (number for number, line in enumerate(handle, 1) if line.strip())
+        return next(itertools.islice(numbers, index, None))
+
+
+def _row_fault(row: Mapping[str, Any], fields: Iterable[str]) -> str | None:
+    """What keeps ``row`` from being keyed: a field of ``fields`` it lacks,
+    or a ``clip_id`` or ``question_id`` that is an array or an object."""
+    for field in fields:
+        if field not in row:
+            return f"row lacks field {field!r}"
+    for field in ("clip_id", "question_id"):
+        if isinstance(row.get(field), (list, dict)):
+            kind = "an array" if isinstance(row[field], list) else "an object"
+            return f"field {field!r} holds {kind}, not a string or a number"
+    return None
+
+
+@contextmanager
+def keyed_rows(path: str | Path, rows: list[Mapping[str, Any]], *fields: str):
+    """Re-raise a ``KeyError`` or ``TypeError`` of the block, which reads
+    ``rows`` (row ``i`` of ``read_jsonl(path)`` at index ``i``), as
+    ``ConfigError("<path>:<line>: ...")`` for the first row that lacks
+    ``clip_id``, ``question_id`` or one of ``fields``, or whose
+    ``clip_id`` or ``question_id`` cannot be a key. The rows and the file
+    are searched only after a failure."""
+    try:
+        yield
+    except (KeyError, TypeError):
+        for index, row in enumerate(rows):
+            fault = _row_fault(row, ("clip_id", "question_id", *fields))
+            if fault:
+                raise ConfigError(f"{path}:{_row_line(path, index)}: {fault}") from None
+        raise
 
 
 def write_json(path: str | Path, payload: Mapping[str, Any]) -> None:
@@ -327,11 +382,13 @@ def read_predictions(path: str | Path) -> list[dict]:
     optional ``model`` field tags multi-model files.
     """
     rows = read_jsonl(path)
-    for row in rows:
-        if "clip_id" not in row or "question_id" not in row:
-            raise ConfigError("prediction rows need clip_id and question_id")
-        if "response" not in row and "parsed" not in row:
-            raise ConfigError("prediction rows need a response or parsed field")
+    for index, row in enumerate(rows):
+        if "clip_id" not in row or "question_id" not in row or (
+            "response" not in row and "parsed" not in row
+        ):
+            fault = _row_fault(row, ("clip_id", "question_id"))
+            fault = fault or "row lacks field 'response' or 'parsed'"
+            raise ConfigError(f"{path}:{_row_line(path, index)}: {fault}")
     return rows
 
 

@@ -21,6 +21,7 @@ The function is total: it never raises on response content.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from typing import Sequence
@@ -60,20 +61,30 @@ def _word_pattern(label: str) -> re.Pattern:
     return re.compile(rf"(?<![a-z0-9]){body}(?![a-z0-9])")
 
 
-def parse(raw: str, answer_space: Sequence[str]) -> ParseResult:
-    """Map raw response text to a label in ``answer_space`` or unparsed."""
+@functools.cache
+def _tables(answer_space: tuple[str, ...]):
+    """The answer space as a set, its ``_normalize``d labels mapped back to
+    the labels, and each label with its whole-word pattern in answer-space
+    order; built once per answer space, and never for an invalid one."""
     if not answer_space:
         raise ValueError("answer_space must be non-empty")
     for label in answer_space:
         if label != label.lower():
             raise ValueError(f"answer-space labels must be lowercase: {label!r}")
+    by_normalized = {_normalize(label): label for label in answer_space}
+    patterns = tuple((label, _word_pattern(label)) for label in answer_space)
+    return frozenset(answer_space), by_normalized, patterns
+
+
+def parse(raw: str, answer_space: Sequence[str]) -> ParseResult:
+    """Map raw response text to a label in ``answer_space`` or unparsed."""
+    labels, by_normalized, patterns = _tables(tuple(answer_space))
 
     text = raw.strip().lower()
-    if text in answer_space:
+    if text in labels:
         return ParseResult(text, STAGE_EXACT, raw)
 
     normalized = _normalize(text)
-    by_normalized = {_normalize(label): label for label in answer_space}
     if normalized in by_normalized:
         return ParseResult(by_normalized[normalized], STAGE_UNDERSCORE, raw)
 
@@ -82,12 +93,12 @@ def parse(raw: str, answer_space: Sequence[str]) -> ParseResult:
         return ParseResult(UNPARSED, STAGE_NONE, raw)
     last = lines[-1]
     if last != text:
-        if last in answer_space:
+        if last in labels:
             return ParseResult(last, STAGE_LAST_LINE, raw)
         if _normalize(last) in by_normalized:
             return ParseResult(by_normalized[_normalize(last)], STAGE_LAST_LINE, raw)
 
-    found = [label for label in answer_space if _word_pattern(label).search(last)]
+    found = [label for label, pattern in patterns if pattern.search(last)]
     if len(found) == 1:
         return ParseResult(found[0], STAGE_SUBSTRING, raw)
     return ParseResult(UNPARSED, STAGE_NONE, raw)

@@ -7,10 +7,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import GRID, make_seq
 from egodyn import io, parsing
 from egodyn.cli import COMMAND_KEYS, main
+from egodyn.errors import ConfigError
 from egodyn.kinematics import PoseSample
 from egodyn.questions import ANSWER_SPACES, QUESTION_ORDER
 from egodyn.synth import TEMPLATE_NAMES, ManeuverSpec, generate
@@ -33,6 +36,121 @@ class TestJsonl:
         path = tmp_path / "records.jsonl"
         io.write_jsonl(path, [{"b": 1, "a": 2}])
         assert path.read_text().strip() == '{"a": 2, "b": 1}'
+
+
+def reference_read_jsonl(path):
+    """``read_jsonl`` by ``json.loads``: ``_json_object`` on each stripped,
+    non-blank line."""
+    records = []
+    with io._utf8(path), Path(path).open("r", encoding="utf-8") as handle:
+        for number, line in enumerate(handle, 1):
+            line = line.strip()
+            if line:
+                records.append(io._json_object(line, path, number))
+    return records
+
+
+def read_outcome(reader, path):
+    """The rows ``reader`` returns (as ``repr``, so NaN equals NaN), or its
+    ``ConfigError`` message."""
+    try:
+        return "rows", repr(reader(path))
+    except ConfigError as exc:
+        return "error", str(exc)
+
+
+# Lines whose rows, or whose error, are named; joined with "\n" unless
+# the case gives its own line ends.
+NAMED_JSONL = {
+    # Joined into one array this decodes to two rows, one per line.
+    "split_objects": ('{"a": 1}, {"b": [{}\n{}]}', ":1: invalid JSON (Extra data, column 9)"),
+    "two_objects": ('{"a": 1}\n{"a": 1}, {"b": 2}', ":2: invalid JSON (Extra data, column 9)"),
+    "adjacent_objects": ("{}{}", ":1: invalid JSON (Extra data, column 3)"),
+    "scalar": ('{"a": 1}\n7', ":2: expected a JSON object, got int"),
+    "string": ('"text"', ":1: expected a JSON object, got str"),
+    "array": ("[{}]", ":1: expected a JSON object, got list"),
+    "bom": ('\ufeff{"a": 1}', ":1: invalid JSON (Unexpected UTF-8 BOM"),
+    "cr_ends": ('{"a": 1}\r{"a": 2}\r\r[3]\r', ":4: expected a JSON object"),
+    "crlf_ends": ('{"a": 1}\r\n\r\n{"a": 2}\r\n[3]', ":4: expected a JSON object"),
+    "blank_lines": ('\n  \n\t\xa0\u3000\n{"a": 1}\n\x1c\n{', ":6: invalid JSON"),
+    "separators_in_strings": ('{"s": "a\u2028b\x85c"}\n{"s": "\u2028"}', None),
+    "nan_and_infinity": ('{"a": NaN, "b": [Infinity, -Infinity]}', None),
+    "padded_object": (' \t{"a": {"b": []}}\xa0\u3000', None),
+}
+
+
+class TestJsonlIdentity:
+    """``read_jsonl`` returns what ``json.loads`` on each stripped line
+    returns, or raises the same message; ``write_jsonl`` writes the bytes
+    of a ``json.dumps`` loop."""
+
+    @pytest.mark.parametrize("case", NAMED_JSONL)
+    def test_named_cases(self, tmp_path, case):
+        text, error = NAMED_JSONL[case]
+        path = tmp_path / "rows.jsonl"
+        path.write_bytes(text.encode("utf-8"))
+        outcome = read_outcome(io.read_jsonl, path)
+        assert outcome == read_outcome(reference_read_jsonl, path)
+        if error is None:
+            assert outcome[0] == "rows"
+        else:
+            assert outcome[0] == "error" and outcome[1].startswith(f"{path}{error}")
+
+    def test_values_of_named_cases(self, tmp_path):
+        path = tmp_path / "rows.jsonl"
+        path.write_bytes(NAMED_JSONL["separators_in_strings"][0].encode("utf-8"))
+        assert io.read_jsonl(path) == [{"s": "a\u2028b\x85c"}, {"s": "\u2028"}]
+        path.write_bytes(NAMED_JSONL["nan_and_infinity"][0].encode("utf-8"))
+        (row,) = io.read_jsonl(path)
+        assert math.isnan(row["a"]) and row["b"] == [math.inf, -math.inf]
+
+    LINES = st.sampled_from([
+        '{"a": 1}', '{"clip_id": "c1", "question_id": "turn_direction", "answer": "left"}',
+        '{"s": "\u2028 \x85 \u00e9"}', '{"x": NaN}', '{"x": -Infinity}', '{"n": {"m": [1, {}]}}',
+        "{}", "7", '"s"', "null", "[1, 2]", "[]", "{}{}", '{"a": 1}, {"b": 2}', "{} {}",
+        '{"a": 1}, {"b": [{}', "{}]}", '{"a": ', '{"a": 1', "{'a': 1}", "NaN", "",
+        " ", "\t", "\xa0", "\u3000", "\x1c", "\x0c", "\u2028", "\x85",
+    ])
+    PADDING = st.sampled_from(["", " ", "\t", "\xa0", "\u2028", "\x85", "\ufeff"])
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        lines=st.lists(st.tuples(PADDING, LINES, PADDING, st.sampled_from(["\n", "\r\n", "\r"])),
+                       max_size=8),
+        bom=st.booleans(),
+    )
+    def test_reader_equals_reference(self, tmp_path_factory, lines, bom):
+        text = "\ufeff" * bom + "".join("".join(parts) for parts in lines)
+        path = tmp_path_factory.mktemp("jsonl") / "rows.jsonl"
+        path.write_bytes(text.encode("utf-8"))
+        assert read_outcome(io.read_jsonl, path) == read_outcome(reference_read_jsonl, path)
+
+    VALUES = st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+        lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+        max_leaves=8,
+    )
+
+    @settings(max_examples=300, deadline=None)
+    @given(records=st.lists(st.dictionaries(st.text(max_size=6), VALUES, max_size=4), max_size=5))
+    def test_writer_equals_dumps_loop(self, tmp_path_factory, records):
+        path = tmp_path_factory.mktemp("jsonl") / "rows.jsonl"
+        io.write_jsonl(path, records)
+        expected = "".join(
+            json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n" for record in records
+        )
+        assert path.read_bytes() == expected.encode("utf-8")
+
+    def test_writer_named_values(self, tmp_path):
+        records = [{"z": "\u00e9\u2028\U0001f697", "a": [math.nan, math.inf, -0.0]},
+                   {"b": {"y": 1, "x": {"d": None, "c": True}}}]
+        path = tmp_path / "rows.jsonl"
+        io.write_jsonl(path, records)
+        assert path.read_text("utf-8") == (
+            '{"a": [NaN, Infinity, -0.0], "z": "\u00e9\u2028\U0001f697"}\n'
+            '{"b": {"x": {"c": true, "d": null}, "y": 1}}\n'
+        )
 
 
 class TestTrajectoryIngestion:
@@ -840,7 +958,76 @@ class TestKeyedInputErrors:
         assert f"{key} must be a finite positive number" in err
 
 
-BAD_JSON_LINES = {"truncated": '{"clip_id": "c1", "question_id": ', "array": "[1, 2]"}
+DROP = object()  # a row edit that deletes the field
+
+
+class TestKeyedRowErrors:
+    """A labels, truth or prediction row that lacks a field the command
+    reads, or whose ``clip_id`` or ``question_id`` is an array or an
+    object, exits 2 as ``<path>:<line>:`` naming the field."""
+
+    @pytest.mark.parametrize(
+        "command,broken,edit,named",
+        [("balance", "labels", {"answer": DROP}, "row lacks field 'answer'"),
+         ("balance", "labels", {"clip_id": DROP}, "row lacks field 'clip_id'"),
+         ("balance", "labels", {"question_id": DROP}, "row lacks field 'question_id'"),
+         ("balance", "labels", {"clip_id": ["c2"]}, "field 'clip_id' holds an array"),
+         ("balance", "labels", {"question_id": ["q"]}, "field 'question_id' holds an array"),
+         ("evaluate", "truth", {"answer": DROP}, "row lacks field 'answer'"),
+         ("evaluate", "truth", {"question_id": DROP}, "row lacks field 'question_id'"),
+         ("evaluate", "truth", {"clip_id": ["c2"]}, "field 'clip_id' holds an array"),
+         ("evaluate", "truth", {"question_id": ["q"]}, "field 'question_id' holds an array"),
+         ("evaluate", "predictions", {"clip_id": ["c2"]}, "field 'clip_id' holds an array"),
+         ("evaluate", "predictions", {"clip_id": {"c": 2}}, "field 'clip_id' holds an object"),
+         ("evaluate", "predictions", {"clip_id": DROP}, "row lacks field 'clip_id'"),
+         ("evaluate", "predictions", {"question_id": DROP}, "row lacks field 'question_id'"),
+         ("evaluate", "predictions", {"response": DROP},
+          "row lacks field 'response' or 'parsed'"),
+         ("parse", "predictions", {"question_id": ["q"]}, "field 'question_id' holds an array"),
+         ("parse", "predictions", {"question_id": {"q": 1}, "parsed": "left"},
+          "field 'question_id' holds an object"),
+         ("sweep", "predictions", {"clip_id": ["c2"]}, "field 'clip_id' holds an array")],
+        ids=["balance-no-answer", "balance-no-clip", "balance-no-question",
+             "balance-array-clip", "balance-array-question", "truth-no-answer",
+             "truth-no-question", "truth-array-clip", "truth-array-question",
+             "predictions-array-clip", "predictions-object-clip", "predictions-no-clip",
+             "predictions-no-question", "predictions-no-response",
+             "parse-array-question", "parse-object-question", "sweep-array-clip"],
+    )
+    def test_exits_2_naming_the_line(self, tmp_path, capsys, command, broken, edit, named):
+        labels = _label_rows(["c1", "c2", "c3"])
+        files = {
+            "labels": labels,
+            "truth": [dict(row) for row in labels],
+            "predictions": [{"clip_id": r["clip_id"], "question_id": r["question_id"],
+                             "response": r["answer"]} for r in labels],
+        }
+        edited = {**files[broken][17], **edit}
+        files[broken][17] = {key: value for key, value in edited.items() if value is not DROP}
+        paths = {name: tmp_path / f"{name}.jsonl" for name in files}
+        for name, rows in files.items():  # a blank first line: row 17 is on line 19
+            paths[name].write_text("\n" + "".join(json.dumps(row) + "\n" for row in rows))
+        trajectories = tmp_path / "trajectories.jsonl"
+        io.write_jsonl(trajectories, _pose_rows("c1"))
+        config = {
+            "balance": {"labels": str(paths["labels"]), "n": 2},
+            "evaluate": {"truth": str(paths["truth"]), "predictions": str(paths["predictions"])},
+            "parse": {"predictions": str(paths["predictions"])},
+            "sweep": {"trajectories": str(trajectories), "alphas": [1.0],
+                      "predictions": {"m": str(paths["predictions"])}},
+        }[command]
+        status = run_cli(command, {**config, "out": str(tmp_path / "o")}, tmp_path)
+        err = capsys.readouterr().err
+        assert status == 2, err
+        assert f"egodyn {command}: {paths[broken]}:19: {named}" in err
+
+
+BAD_JSON_LINES = {
+    "truncated": '{"clip_id": "c1", "question_id": ', "array": "[1, 2]",
+    "two_objects": '{"clip_id": "c1"}, {"question_id": "q"}',
+    # joined with the next line this would decode as two objects
+    "split_objects": '{"a": 1}, {"b": [{}\n{}]}',
+}
 
 
 class TestMalformedJson:

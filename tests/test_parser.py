@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from egodyn.parsing import UNPARSED, ParseResult, parse, parse_rate
+from egodyn import parsing
+from egodyn.parsing import UNPARSED, ParseResult, _normalize, _word_pattern, parse, parse_rate
 from egodyn.questions import ANSWER_SPACES
 
 YES_NO = ("yes", "no")
@@ -103,12 +104,14 @@ class TestInvariants:
         assert parse(raw, HALVES) == parse(raw, HALVES)
 
     def test_empty_space_rejected(self):
-        with pytest.raises(ValueError):
-            parse("yes", [])
+        for _ in range(2):  # an invalid space is never cached as valid
+            with pytest.raises(ValueError):
+                parse("yes", [])
 
     def test_uppercase_labels_rejected(self):
-        with pytest.raises(ValueError):
-            parse("yes", ["Yes", "no"])
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                parse("yes", ["Yes", "no"])
 
 
 @settings(max_examples=300, deadline=None)
@@ -138,3 +141,62 @@ def test_parse_rate():
     results = [parse("yes", YES_NO)] * 3 + [parse("???", YES_NO)]
     assert parse_rate(results) == pytest.approx(75.0)
     assert parse_rate([]) == 0.0
+
+
+def reference_parse(raw, answer_space):
+    """``parse`` as it was before its tables were cached: every table is
+    built again on each call."""
+    if not answer_space:
+        raise ValueError("answer_space must be non-empty")
+    for label in answer_space:
+        if label != label.lower():
+            raise ValueError(f"answer-space labels must be lowercase: {label!r}")
+
+    text = raw.strip().lower()
+    if text in answer_space:
+        return ParseResult(text, parsing.STAGE_EXACT, raw)
+
+    normalized = _normalize(text)
+    by_normalized = {_normalize(label): label for label in answer_space}
+    if normalized in by_normalized:
+        return ParseResult(by_normalized[normalized], parsing.STAGE_UNDERSCORE, raw)
+
+    lines = [line.strip() for line in text.splitlines() if line.strip()]
+    if not lines:
+        return ParseResult(UNPARSED, parsing.STAGE_NONE, raw)
+    last = lines[-1]
+    if last != text:
+        if last in answer_space:
+            return ParseResult(last, parsing.STAGE_LAST_LINE, raw)
+        if _normalize(last) in by_normalized:
+            return ParseResult(by_normalized[_normalize(last)], parsing.STAGE_LAST_LINE, raw)
+
+    found = [label for label in answer_space if _word_pattern(label).search(last)]
+    if len(found) == 1:
+        return ParseResult(found[0], parsing.STAGE_SUBSTRING, raw)
+    return ParseResult(UNPARSED, parsing.STAGE_NONE, raw)
+
+
+SPACES = sorted(set(ANSWER_SPACES.values()))
+LABEL_WORDS = sorted({part for space in SPACES for label in space
+                      for part in (label, *label.split("_"))} | {"the", "answer", "is", "eyes"})
+SEPARATORS = (" ", "_", "-", ".", ", ", ": ", "!", "  ", "\t", "")
+NEWLINES = ("\n", "\r\n", "\n\n", "\r", "\x0b", "\x85", "\u2028", " \n ")
+RESPONSES = st.lists(
+    st.one_of(
+        st.sampled_from(LABEL_WORDS),
+        st.sampled_from(LABEL_WORDS).map(str.upper),
+        st.sampled_from(SEPARATORS),
+        st.sampled_from(NEWLINES),
+    ),
+    max_size=12,
+).map("".join)
+
+
+@settings(max_examples=400, deadline=None)
+@given(RESPONSES)
+def test_cached_tables_equal_reference(raw):
+    for space in SPACES:
+        expected = reference_parse(raw, space)
+        assert parse(raw, space) == expected
+        assert parse(raw, list(space)) == expected
