@@ -21,7 +21,7 @@ from . import balancer, baselines, io, metrics, report
 from .encodings import ENCODING_MODES, encode_trajectory
 from .errors import ConfigError, EgodynError
 from .kinematics import stratification_bin, summarize_batch
-from .oracle import label_batch, records, tags_of
+from .oracle import label_batch, label_rows, tags_of
 from .questions import QUESTION_ORDER, AnswerTable
 from .synth import generate_suite
 from .thresholds import ThresholdConfig, calibrate_thresholds
@@ -167,9 +167,7 @@ def _cmd_label(cfg: RunConfig) -> dict[str, Path]:
     ]
     out = cfg.out_dir
     outputs = {"labels": out / "labels.jsonl", "clip_summaries": out / "clip_summaries.jsonl"}
-    io.write_jsonl(
-        outputs["labels"], (r.to_dict() for r in records(clip_ids, codes, evidence, thresholds))
-    )
+    io.write_jsonl(outputs["labels"], label_rows(clip_ids, codes, evidence, thresholds))
     io.write_jsonl(outputs["clip_summaries"], meta_rows)
     if cfg.encoding:
         outputs["prompts"] = _write_prompts(cfg, zip(clip_ids, seqs, summaries), out)
@@ -211,10 +209,23 @@ def _answer_table(path: str, rows, field: str, predicted: bool = False) -> Answe
 
 
 def _predictions(path: str) -> list[dict]:
-    """The prediction rows of ``path``, each with its parsed label and stage."""
+    """The prediction rows of ``path``, each with its parsed label and stage.
+
+    A ``ConfigError`` of the parse (an unknown question id, a label outside
+    the answer space) is raised again with the ``<path>:<line>:`` of the
+    first row that fails alone; rows are searched only after a failure.
+    """
     rows = io.read_predictions(path)
     with io.keyed_rows(path, rows):
-        return report.parse_predictions(rows)
+        try:
+            return report.parse_predictions(rows)
+        except ConfigError:
+            for index, row in enumerate(rows):
+                try:
+                    report.parse_predictions([row])
+                except ConfigError as exc:
+                    raise ConfigError(f"{path}:{io._row_line(path, index)}: {exc}") from None
+            raise
 
 
 def _cmd_evaluate(cfg: RunConfig) -> dict[str, Path]:
@@ -222,7 +233,7 @@ def _cmd_evaluate(cfg: RunConfig) -> dict[str, Path]:
     truth = _answer_table(truth_path, io.read_jsonl(truth_path), "answer")
     parsed = _predictions(predictions_path)
     doc = report.build_evaluation_report(
-        truth, _answer_table(predictions_path, parsed, "parsed", predicted=True)
+        truth, _answer_table(predictions_path, parsed, "parsed", predicted=True), truth_path
     )
     out = cfg.out_dir
     io.write_json(out / "report.json", doc)

@@ -1,14 +1,17 @@
 """File formats: JSONL records, CSV trajectories, manifests, hashing.
 
 All record files are JSON Lines with sorted keys so reruns are
-byte-identical; configuration documents are single JSON files. Trajectory
-rows may carry poses (t, x, y, heading), rates (t, v, omega), or the full
-state chain (t, v, a, j, omega, theta[, x, y]); a ``clip_id`` field
-groups rows into clips and defaults to a single clip when absent.
+byte-identical; configuration documents are single JSON files. Rows are
+read with one bound ``raw_decode`` and written with one C encoder, bound
+at import, that writes the bytes of ``json.dumps(row, sort_keys=True,
+ensure_ascii=False)``. Trajectory rows may carry poses (t, x, y,
+heading), rates (t, v, omega), or the full state chain (t, v, a, j,
+omega, theta[, x, y]); a ``clip_id`` field groups rows into clips and
+defaults to a single clip when absent.
 
 Trajectory clips are checked and resampled one by one in input order, so
 an error names the first failing clip; then all pose clips and all rate
-clips are each derived in one batch (see ``kinematics``).
+clips are each derived and checked in one batch (see ``kinematics``).
 """
 
 from __future__ import annotations
@@ -38,9 +41,15 @@ DEFAULT_CLIP_ID = "clip_000"
 
 # Bound once, so that a row costs one call into the C scanner or encoder:
 # ``json.loads`` adds two Python calls and two regex matches per row, and
-# ``json.dumps`` with arguments builds an encoder per row.
+# ``JSONEncoder.encode`` builds a C encoder per call. The encoder writes
+# what ``json.dumps(row, sort_keys=True, ensure_ascii=False)`` writes; it
+# keeps no circular-reference markers (rows are trees), so a row that
+# fails to encode leaves no state behind for the next one.
 _decode = json.JSONDecoder().raw_decode
-_encode = json.JSONEncoder(sort_keys=True, ensure_ascii=False).encode
+_encode = json.encoder.c_make_encoder(
+    None, json.JSONEncoder().default, json.encoder.c_encode_basestring, None,
+    ": ", ", ", True, False, True,
+)  # markers, default, string encoder, indent, separators, sort_keys, skipkeys, allow_nan
 
 
 def write_jsonl(path: str | Path, records: Iterable[Mapping[str, Any]]) -> None:
@@ -48,7 +57,7 @@ def write_jsonl(path: str | Path, records: Iterable[Mapping[str, Any]]) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", encoding="utf-8") as handle:
         for record in records:
-            handle.write(_encode(record))
+            handle.write("".join(_encode(record, 0)))
             handle.write("\n")
 
 
@@ -296,8 +305,9 @@ def rows_to_sequences(
 
     Each clip is checked and resampled alone, so an error names the first
     failing clip in input order. The pose clips, and the rate clips, are
-    then stacked and derived in one batch each, and every derived clip
-    must be finite.
+    then stacked, derived and checked in one batch each; every derived
+    clip must be finite. When a batch fails its check, the derived clips
+    are checked one by one in input order to name the first that fails.
 
     Raises:
         EgodynError: with the clip id in its message.
@@ -317,15 +327,19 @@ def rows_to_sequences(
             grids.append(clip)
 
     batches = {schema: _derive(schema, *staged[schema]) for schema in staged}
-
-    sequences = []
-    for clip_id, slot in slots:
-        if isinstance(slot, tuple):
-            schema, row = slot
-            with _naming(clip_id):
-                slot = batches[schema].sequence(row)
-        sequences.append((clip_id, slot))
-    return sequences
+    try:
+        derived = {schema: batch.sequences() for schema, batch in batches.items()}
+    except EgodynError:
+        for clip_id, slot in slots:  # name the first clip, in input order, that fails
+            if isinstance(slot, tuple):
+                schema, row = slot
+                with _naming(clip_id):
+                    batches[schema].sequence(row)
+        raise
+    return [
+        (clip_id, derived[slot[0]][slot[1]] if isinstance(slot, tuple) else slot)
+        for clip_id, slot in slots
+    ]
 
 
 def rows_to_sequence(

@@ -34,7 +34,7 @@ per-clip functions are batches of one.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from functools import cache
 from typing import Callable, Sequence
 
@@ -94,19 +94,21 @@ class StateSequence:
         self.y = None if y is None else np.asarray(y, dtype=float)
         self._validate()
 
+    @classmethod
+    def _from_checked(cls, t, v, a, j, omega, theta, x, y) -> "StateSequence":
+        """A sequence of float channels that ``_check_states`` has passed."""
+        seq = cls.__new__(cls)
+        seq.t, seq.v, seq.a, seq.j, seq.omega, seq.theta, seq.x, seq.y = (
+            t, v, a, j, omega, theta, x, y)
+        return seq
+
     def _validate(self) -> None:
-        n = self.t.size
-        if n < 2:
-            raise InvalidTrajectory("state sequence needs at least 2 samples")
         channels = [self.v, self.a, self.j, self.omega, self.theta]
         channels += [c for c in (self.x, self.y) if c is not None]
-        if any(c.size != n for c in channels):
+        # under 2 samples, _check_states says so before any length is compared
+        if self.t.size >= 2 and any(c.size != self.t.size for c in channels):
             raise InvalidTrajectory("all channels must have equal length")
-        if any(not np.all(np.isfinite(c)) for c in [self.t] + channels):
-            raise InvalidTrajectory("NaN/Inf in state sequence")
-        _grid_spacing(self.t[None])
-        if np.any(self.v < 0):
-            raise InvalidTrajectory("speed channel must be non-negative")
+        _check_states(self.t, *channels)
 
     @property
     def n(self) -> int:
@@ -148,7 +150,10 @@ class KinematicSummary:
     percentiles: dict[str, dict[str, float]]
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        """``dataclasses.asdict(self)``, read straight from the fields."""
+        doc = {name: getattr(self, name) for name in _SUMMARY_STATS}
+        doc["percentiles"] = {kind: dict(p) for kind, p in self.percentiles.items()}
+        return doc
 
 
 @dataclass(frozen=True)
@@ -164,12 +169,36 @@ class StateBatch:
     x: np.ndarray
     y: np.ndarray
 
+    def _channels(self) -> tuple[np.ndarray, ...]:
+        return self.t, self.v, self.a, self.j, self.omega, self.theta, self.x, self.y
+
     def sequence(self, i: int) -> StateSequence:
         """Row ``i`` as a validated StateSequence (views into the batch)."""
-        return StateSequence(
-            self.t[i], self.v[i], self.a[i], self.j[i], self.omega[i],
-            self.theta[i], self.x[i], self.y[i],
-        )
+        return StateSequence(*(channel[i] for channel in self._channels()))
+
+    def sequences(self) -> list[StateSequence]:
+        """Every row as a StateSequence (views into the batch), all checked
+        in one pass as ``StateSequence`` checks one.
+
+        Raises:
+            InvalidTrajectory, NonMonotonicTime: some row fails the checks;
+                ``sequence`` of each row in turn names the first.
+        """
+        _check_states(*self._channels())
+        return [StateSequence._from_checked(*row) for row in zip(*self._channels())]
+
+
+def _check_states(t: np.ndarray, v: np.ndarray, *channels: np.ndarray) -> None:
+    """The checks of a StateSequence, on one clip's channels or on (N, n)
+    rows of them, all of ``t``'s shape: at least 2 samples, every channel
+    finite, a uniform grid, and ``v >= 0``."""
+    if t.ndim == 0 or t.shape[-1] < 2:
+        raise InvalidTrajectory("state sequence needs at least 2 samples")
+    if not all(np.isfinite(c).all() for c in (t, v, *channels)):
+        raise InvalidTrajectory("NaN/Inf in state sequence")
+    _grid_spacing(t.reshape(-1, t.shape[-1]))
+    if (v < 0).any():
+        raise InvalidTrajectory("speed channel must be non-negative")
 
 
 def _wrap_angle(values: np.ndarray) -> np.ndarray:

@@ -3,11 +3,11 @@
 ``label_batch`` answers the 14 questions for many clips at once. It
 computes every rule input once per clip, as columns along the batch, and
 decides each question with array comparisons into an (N, 14) matrix of
-answer codes (the codes of ``questions.AnswerTable``). ``records`` turns
-codes back into QARecords, each carrying the answer, the rule that
-produced it, the exact (alpha-scaled) parameters applied, and the
-kinematic evidence used, so every label is auditable after the fact.
-Only callers that write labels build records.
+answer codes (the codes of ``questions.AnswerTable``). ``label_rows``
+turns codes back into label rows (``records`` into QARecords), each
+carrying the answer, the rule that produced it, the exact (alpha-scaled)
+parameters applied, and the kinematic evidence used, so every label is
+auditable after the fact. Only callers that write labels build rows.
 
 Sign convention: positive yaw rate is a left (counter-clockwise) turn.
 """
@@ -171,27 +171,51 @@ def label_batch(
     return codes, ev
 
 
+def label_rows(
+    clip_ids: Sequence[str], codes: np.ndarray, evidence: dict[str, np.ndarray],
+    cfg: ThresholdConfig,
+) -> list[dict]:
+    """The ``QARecord.to_dict()`` of every ``label_batch`` answer, clip by
+    clip in ``QUESTION_ORDER``, built one question column at a time.
+
+    ``QARecord``'s checks run once for the batch: every code is in its
+    question's answer space and every question records some evidence.
+    """
+    if not len(codes):
+        return []
+    eff = cfg.scaled()
+    columns = {name: column.tolist() for name, column in evidence.items()}
+    by_question = []
+    for k, question in enumerate(QUESTION_ORDER):
+        rule, fields, names = RULES[question]
+        space = ANSWER_SPACES[question]
+        column = codes[:, k]
+        outside = (column < 0) | (column >= len(space))
+        if outside.any():
+            i = int(np.argmax(outside))
+            raise ValueError(
+                f"clip {clip_ids[i]!r}, question {question!r}: "
+                f"answer code {int(column[i])} is not in the answer space"
+            )
+        if not names:
+            raise ValueError("evidence must not be empty")
+        params = {name: getattr(eff, _PARAM_FIELDS.get(name, name)) for name in fields}
+        params["alpha"] = cfg.alpha
+        by_question.append([
+            {"clip_id": clip_id, "question_id": question, "answer": space[code],
+             "rule_name": rule, "rule_params": dict(params), "evidence": dict(zip(names, values))}
+            for clip_id, code, values in zip(
+                clip_ids, column.tolist(), zip(*(columns[name] for name in names)))
+        ])
+    return [row for clip_rows in zip(*by_question) for row in clip_rows]
+
+
 def records(
     clip_ids: Sequence[str], codes: np.ndarray, evidence: dict[str, np.ndarray],
     cfg: ThresholdConfig,
 ) -> list[QARecord]:
     """QARecords of ``label_batch`` output, clip by clip in ``QUESTION_ORDER``."""
-    eff = cfg.scaled()
-    params = {
-        question: {**{name: getattr(eff, _PARAM_FIELDS.get(name, name)) for name in fields},
-                   "alpha": cfg.alpha}
-        for question, (_, fields, _) in RULES.items()
-    }
-    columns = {name: column.tolist() for name, column in evidence.items()}
-    out = []
-    for i, (clip_id, row) in enumerate(zip(clip_ids, codes.tolist())):
-        for question, code in zip(QUESTION_ORDER, row):
-            rule, _, names = RULES[question]
-            out.append(QARecord(
-                clip_id, question, ANSWER_SPACES[question][code], rule,
-                dict(params[question]), {name: columns[name][i] for name in names},
-            ))
-    return out
+    return [QARecord(**row) for row in label_rows(clip_ids, codes, evidence, cfg)]
 
 
 def tags_of(codes: np.ndarray) -> list[dict[str, bool]]:

@@ -3,21 +3,23 @@
 from __future__ import annotations
 
 import csv
+import itertools
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import consistency, metrics, parsing
-from .errors import NoGroundTruth
-from .questions import NO_ANSWER, AnswerTable, answer_code, answer_space
+from .errors import ConfigError, NoGroundTruth
+from .questions import ANSWER_SPACES, NO_ANSWER, AnswerTable, answer_code
 
 
 def parse_predictions(rows: Sequence[Mapping]) -> list[dict]:
     """Attach parsed label and stage to raw prediction rows.
 
-    A pre-parsed label must pass ``questions.answer_code``, or
-    ``ConfigError`` is raised.
+    A pre-parsed label must pass ``questions.answer_code``, and every
+    ``question_id`` must be one of the 14, or ``ConfigError`` is raised
+    naming the clip.
     """
     out = []
     for row in rows:
@@ -26,15 +28,42 @@ def parse_predictions(rows: Sequence[Mapping]) -> list[dict]:
             answer_code(row["clip_id"], row["question_id"], row["parsed"], predicted=True)
             enriched.setdefault("stage", "external")
         else:
-            result = parsing.parse(str(row["response"]), answer_space(row["question_id"]))
+            space = ANSWER_SPACES.get(row["question_id"])
+            if space is None:
+                answer_code(row["clip_id"], row["question_id"], None)  # raises, naming the clip
+            result = parsing.parse(str(row["response"]), space)
             enriched["parsed"] = result.label
             enriched["stage"] = result.stage
         out.append(enriched)
     return out
 
 
-def build_evaluation_report(truth: AnswerTable, predictions: AnswerTable) -> dict:
-    """Full per-question and aggregate report for one model."""
+def _clip_order(clip_ids: tuple, truth_path: str) -> list[int]:
+    """Indices of ``clip_ids`` in sorted id order.
+
+    Raises:
+        ConfigError: naming ``truth_path`` and two ids that cannot be
+            ordered, as a JSON number and a string cannot.
+    """
+    try:
+        return sorted(range(len(clip_ids)), key=clip_ids.__getitem__)
+    except TypeError:
+        for first, second in itertools.combinations(clip_ids, 2):
+            try:
+                first < second  # only whether it raises matters
+            except TypeError:
+                raise ConfigError(
+                    f"{truth_path}: clip ids {first!r} and {second!r} cannot be ordered; "
+                    "the clip ids of a truth file must be all strings or all numbers"
+                ) from None
+        raise
+
+
+def build_evaluation_report(
+    truth: AnswerTable, predictions: AnswerTable, truth_path: str
+) -> dict:
+    """Full per-question and aggregate report for one model, whose truth
+    was read from ``truth_path``."""
     scores = metrics.score_questions(truth, predictions)
     per_question = {
         q: {**question_scores, "confusion": scores.tables[q].to_dict()}
@@ -49,7 +78,7 @@ def build_evaluation_report(truth: AnswerTable, predictions: AnswerTable) -> dic
         temporal_f1 = None
 
     answers = predictions.answers_on(truth)
-    by_clip = sorted(range(len(truth.clip_ids)), key=truth.clip_ids.__getitem__)
+    by_clip = _clip_order(truth.clip_ids, truth_path)
     per_clip = consistency.consistency_of(
         [truth.clip_ids[i] for i in by_clip], answers[by_clip]
     )

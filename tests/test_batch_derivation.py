@@ -16,10 +16,11 @@ from hypothesis import strategies as st
 from scipy.signal import savgol_filter
 
 from egodyn import io
-from egodyn.errors import WindowTooLarge
+from egodyn.errors import EgodynError, WindowTooLarge
 from egodyn.kinematics import (
     KinematicSummary,
     PoseSample,
+    StateBatch,
     StateSequence,
     derive_pose_batch,
     derive_rate_batch,
@@ -157,6 +158,8 @@ class TestDerivationBatch:
             expected = seq_bytes(reference_pose_states(*grid))
             assert seq_bytes(batch.sequence(i)) == seq_bytes(alone) == expected
             assert seq_bytes(derive_states(samples)) == expected
+        assert [seq_bytes(seq) for seq in batch.sequences()] == [
+            seq_bytes(batch.sequence(i)) for i in range(len(grids))]
 
     def test_rate_batch_equals_batches_of_one_and_reference(self, noise):
         _, rates = raw_logs(44, seed=22, noise=noise)
@@ -168,6 +171,8 @@ class TestDerivationBatch:
             expected = seq_bytes(reference_rate_states(*grid))
             assert seq_bytes(batch.sequence(i)) == seq_bytes(alone) == expected
             assert seq_bytes(derive_states_from_rates(*grid)) == expected
+        assert [seq_bytes(seq) for seq in batch.sequences()] == [
+            seq_bytes(batch.sequence(i)) for i in range(len(grids))]
 
     @pytest.mark.parametrize("mode", ["net", "sum"])
     def test_summary_batch_equals_batches_of_one_and_reference(self, noise, mode):
@@ -184,6 +189,30 @@ class TestDerivationBatch:
         for seq, summary in zip(seqs, batch):
             expected = summary_bytes(reference_summary(seq, mode))
             assert summary_bytes(summary) == summary_bytes(summarize(seq, mode)) == expected
+
+
+@pytest.mark.parametrize("fault", ["x_nan", "j_inf", "negative_v", "grid", "one_sample"])
+def test_sequences_check_the_batch_as_sequence_checks_a_row(fault):
+    """A batch whose row 1 fails a StateSequence check: ``sequences``
+    raises what ``sequence(1)`` raises."""
+    t = np.tile(np.arange(31) / 10.0, (3, 1))
+    channels = {name: np.zeros((3, 31)) for name in ("v", "a", "j", "omega", "theta", "x", "y")}
+    if fault == "x_nan":
+        channels["x"][1, 4] = np.nan
+    elif fault == "j_inf":
+        channels["j"][1, 30] = np.inf
+    elif fault == "negative_v":
+        channels["v"][1, 0] = -1e-300
+    elif fault == "grid":
+        t[1, 7] += 1e-6
+    else:
+        t, channels = t[:, :1], {name: c[:, :1] for name, c in channels.items()}
+    batch = StateBatch(t=t, **channels)
+    with pytest.raises(EgodynError) as alone:
+        batch.sequence(1)
+    with pytest.raises(type(alone.value)) as together:
+        batch.sequences()
+    assert str(together.value) == str(alone.value)
 
 
 def _mixed_clips(poses, rates, suite):

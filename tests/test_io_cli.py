@@ -11,12 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import GRID, make_seq
-from egodyn import io, parsing
+from egodyn import io, oracle, parsing
 from egodyn.cli import COMMAND_KEYS, main
-from egodyn.errors import ConfigError
-from egodyn.kinematics import PoseSample
+from egodyn.errors import ConfigError, InvalidTrajectory
+from egodyn.kinematics import PoseSample, stratification_bin, summarize_batch
 from egodyn.questions import ANSWER_SPACES, QUESTION_ORDER
-from egodyn.synth import TEMPLATE_NAMES, ManeuverSpec, generate
+from egodyn.synth import TEMPLATE_NAMES, ManeuverSpec, generate, generate_suite
+from egodyn.thresholds import ThresholdConfig
 
 
 def run_cli(command, config, tmp_path, name="config.json", extra=()):
@@ -126,7 +127,8 @@ class TestJsonlIdentity:
         assert read_outcome(io.read_jsonl, path) == read_outcome(reference_read_jsonl, path)
 
     VALUES = st.recursive(
-        st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+        st.none() | st.booleans() | st.integers() | st.floats() | st.floats().map(np.float64)
+        | st.text(max_size=6),
         lambda inner: st.lists(inner, max_size=3)
         | st.dictionaries(st.text(max_size=4), inner, max_size=3),
         max_leaves=8,
@@ -141,6 +143,52 @@ class TestJsonlIdentity:
             json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n" for record in records
         )
         assert path.read_bytes() == expected.encode("utf-8")
+
+    @staticmethod
+    def dumps_loop(records) -> bytes:
+        return "".join(
+            json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n" for record in records
+        ).encode("utf-8")
+
+    def test_writer_on_label_and_summary_rows(self, tmp_path):
+        """The rows ``label`` writes, with edge values put into their
+        evidence, summaries and tags."""
+        seqs = [clip.seq for clip in generate_suite(3, seed=5)]
+        summaries = summarize_batch(seqs)
+        cfg = ThresholdConfig(alpha=0.93)
+        codes, evidence = oracle.label_batch(seqs, summaries, cfg)
+        clip_ids = ["c0", "k\u00f6rung \U0001f697", "\u2028"]
+        labels = oracle.label_rows(clip_ids, codes, evidence, cfg)
+        summary_rows = [
+            {"clip_id": clip_id, "summary": s.as_dict(), "tags": tags,
+             "stratification_bin": stratification_bin(tags)}
+            for clip_id, s, tags in zip(clip_ids, summaries, oracle.tags_of(codes))
+        ]
+        edges = [np.float64(0.1), -0.0, 1e308, math.nan, math.inf, -math.inf, True, None,
+                 "\u00e9", 5]
+        for row, edge in zip(labels, edges):
+            row["evidence"]["edge"] = edge
+        summary_rows[0]["summary"]["max_speed"] = np.float64(-0.0)
+        summary_rows[1]["summary"]["percentiles"]["accel"]["p50"] = math.nan
+        summary_rows[2]["tags"]["has_turn"] = None
+        path = tmp_path / "rows.jsonl"
+        for rows in (labels, summary_rows):
+            io.write_jsonl(path, rows)
+            assert path.read_bytes() == self.dumps_loop(rows)
+
+    def test_failed_write_leaves_no_state(self, tmp_path):
+        """A row that fails to encode, then the same containers again: the
+        second write is the ``json.dumps`` bytes, with no circular
+        reference reported."""
+        inner = {"b": [1.5, object()]}
+        row = {"a": inner, "c": "\u00e9"}
+        path = tmp_path / "rows.jsonl"
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            io.write_jsonl(path, [{"ok": 1}, row])
+        inner["b"][1] = None
+        rows = [row, {"a": inner}, {"d": [inner["b"], inner["b"]]}]
+        io.write_jsonl(path, rows)
+        assert path.read_bytes() == self.dumps_loop(rows)
 
     def test_writer_named_values(self, tmp_path):
         records = [{"z": "\u00e9\u2028\U0001f697", "a": [math.nan, math.inf, -0.0]},
@@ -365,6 +413,41 @@ class TestEvaluateCommand:
         )
         assert status == 2
         assert "clip 'c1': unknown question id 'bogus_q'" in capsys.readouterr().err
+
+
+    @staticmethod
+    def evaluate_ids(tmp_path, clip_ids):
+        """``evaluate`` on a truth file of clips ``clip_ids``, one question
+        each, predicted right."""
+        rows = [{"clip_id": c, "question_id": "turn_direction", "answer": "left"}
+                for c in clip_ids]
+        io.write_jsonl(tmp_path / "truth.jsonl", rows)
+        io.write_jsonl(tmp_path / "preds.jsonl", [{**row, "response": "left"} for row in rows])
+        config = {"truth": str(tmp_path / "truth.jsonl"),
+                  "predictions": str(tmp_path / "preds.jsonl"), "out": str(tmp_path / "eval")}
+        return run_cli("evaluate", config, tmp_path)
+
+    @pytest.mark.parametrize(
+        "clip_ids,named",
+        [([5, "c1"], "5 and 'c1'"), (["c1", 5], "'c1' and 5"),
+         (["b", "a", 2.5], "'b' and 2.5"), ([1, None], "1 and None")],
+    )
+    def test_clip_ids_that_cannot_be_ordered_exit_2(self, tmp_path, capsys, clip_ids, named):
+        assert self.evaluate_ids(tmp_path, clip_ids) == 2
+        assert capsys.readouterr().err == (
+            f"egodyn evaluate: {tmp_path / 'truth.jsonl'}: clip ids {named} cannot be "
+            "ordered; the clip ids of a truth file must be all strings or all numbers\n"
+        )
+        assert not (tmp_path / "eval" / "report.json").exists()
+
+    @pytest.mark.parametrize(
+        "clip_ids,order",
+        [([10, 2, True, 2.5], [True, 2, 2.5, 10]), (["c10", "c2", "b"], ["b", "c10", "c2"])],
+    )
+    def test_clip_ids_of_one_kind_are_sorted(self, tmp_path, clip_ids, order):
+        assert self.evaluate_ids(tmp_path, clip_ids) == 0
+        doc = io.read_json(tmp_path / "eval" / "report.json")
+        assert [c["clip_id"] for c in doc["per_clip_consistency"]] == order
 
 
 class TestSweepCommand:
@@ -849,6 +932,31 @@ class TestTrajectoryInputErrors:
         err = self.exit_2_message(tmp_path, capsys, rows, command)
         assert "clip 'b'" in err and message in err
 
+    def test_batch_check_names_the_first_failing_clip_in_input_order(self, tmp_path, capsys):
+        """Every clip derives, but two fail the check of their derived
+        states: rate clip 'b', whose integrated x overflows, and the later
+        pose clip 'c', whose jerk overflows. The pose batch is checked
+        first, yet 'b' comes first in input order and is named."""
+        t = np.arange(51) / 10.0
+        v = 7e307 * (1.0 - ((t - 2.5) / 2.5) ** 2) ** 2
+        spike = 10 ** 307.1  # the x of one sample, halfway
+        rows = (
+            _pose_rows("a", count=51)
+            + [{"clip_id": "b", "t": ti, "v": vi, "omega": 0.0} for ti, vi in zip(t, v)]
+            + [{"clip_id": "c", "t": ti, "x": spike if k == 25 else 0.0, "y": 0.0,
+                "heading": 0.0} for k, ti in enumerate(t)]
+        )
+        path = tmp_path / "trajectories.jsonl"
+        io.write_jsonl(path, rows)
+        config = {"input": str(path), "window_s": 5.0, "out": str(tmp_path / "o")}
+        assert run_cli("label", config, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert err == "egodyn label: clip 'b': NaN/Inf in state sequence\n"
+        clips = io.read_trajectory_clips(path)
+        for clip_id in ("b", "c"):  # each fails alone too, after its derivation
+            with pytest.raises(InvalidTrajectory, match=f"^clip '{clip_id}': NaN/Inf"):
+                io.rows_to_sequences({clip_id: clips[clip_id]}, window_s=5.0)
+
 
 def _label_rows(clip_ids):
     return [
@@ -964,7 +1072,9 @@ DROP = object()  # a row edit that deletes the field
 class TestKeyedRowErrors:
     """A labels, truth or prediction row that lacks a field the command
     reads, or whose ``clip_id`` or ``question_id`` is an array or an
-    object, exits 2 as ``<path>:<line>:`` naming the field."""
+    object, exits 2 as ``<path>:<line>:`` naming the field; so does a
+    prediction row with an unknown ``question_id`` or an out-of-space
+    ``parsed`` label, naming the clip."""
 
     @pytest.mark.parametrize(
         "command,broken,edit,named",
@@ -986,13 +1096,27 @@ class TestKeyedRowErrors:
          ("parse", "predictions", {"question_id": ["q"]}, "field 'question_id' holds an array"),
          ("parse", "predictions", {"question_id": {"q": 1}, "parsed": "left"},
           "field 'question_id' holds an object"),
-         ("sweep", "predictions", {"clip_id": ["c2"]}, "field 'clip_id' holds an array")],
+         ("sweep", "predictions", {"clip_id": ["c2"]}, "field 'clip_id' holds an array"),
+         ("parse", "predictions", {"question_id": "bogus"},
+          "clip 'c2': unknown question id 'bogus'"),
+         ("parse", "predictions", {"question_id": "bogus", "response": DROP, "parsed": "left"},
+          "clip 'c2': unknown question id 'bogus'"),
+         ("evaluate", "predictions", {"question_id": "bogus"},
+          "clip 'c2': unknown question id 'bogus'"),
+         ("sweep", "predictions", {"question_id": "bogus"},
+          "clip 'c2': unknown question id 'bogus'"),
+         ("evaluate", "predictions", {"response": DROP, "parsed": "sideways"},
+          "clip 'c2', question 'driving_smoothness': parsed label 'sideways' is not in "
+          "the answer space")],
         ids=["balance-no-answer", "balance-no-clip", "balance-no-question",
              "balance-array-clip", "balance-array-question", "truth-no-answer",
              "truth-no-question", "truth-array-clip", "truth-array-question",
              "predictions-array-clip", "predictions-object-clip", "predictions-no-clip",
              "predictions-no-question", "predictions-no-response",
-             "parse-array-question", "parse-object-question", "sweep-array-clip"],
+             "parse-array-question", "parse-object-question", "sweep-array-clip",
+             "parse-unknown-question", "parse-unknown-question-parsed",
+             "evaluate-unknown-question", "sweep-unknown-question",
+             "evaluate-parsed-out-of-space"],
     )
     def test_exits_2_naming_the_line(self, tmp_path, capsys, command, broken, edit, named):
         labels = _label_rows(["c1", "c2", "c3"])

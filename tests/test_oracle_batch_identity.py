@@ -12,6 +12,7 @@ exactly on feature values, where strict and non-strict comparisons part.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 
@@ -24,7 +25,7 @@ from conftest import GRID
 from egodyn import cli, io, metrics, oracle
 from egodyn.kinematics import StateSequence, half_split_index, summarize, summarize_batch
 from egodyn.oracle import QARecord
-from egodyn.questions import QUESTION_ORDER, AnswerTable
+from egodyn.questions import ANSWER_SPACES, QUESTION_ORDER, AnswerTable
 from egodyn.synth import generate_suite
 from egodyn.thresholds import ThresholdConfig
 
@@ -463,6 +464,68 @@ def test_hypothesis_clips_of_two_sample_counts(seed, sizes, count, alpha, mode, 
     assert_same_records(clips, config(alpha, mode, bidirectional))
 
 
+def ref_records(clip_ids, codes, evidence, cfg) -> list[QARecord]:
+    """``oracle.records`` before ``label_rows``: one QARecord per answer,
+    each checked by ``QARecord.__post_init__``."""
+    eff = cfg.scaled()
+    params = {
+        question: {**{name: getattr(eff, oracle._PARAM_FIELDS.get(name, name))
+                      for name in fields},
+                   "alpha": cfg.alpha}
+        for question, (_, fields, _) in oracle.RULES.items()
+    }
+    columns = {name: column.tolist() for name, column in evidence.items()}
+    out = []
+    for i, (clip_id, row) in enumerate(zip(clip_ids, codes.tolist())):
+        for question, code in zip(QUESTION_ORDER, row):
+            rule, _, names = oracle.RULES[question]
+            out.append(QARecord(
+                clip_id, question, ANSWER_SPACES[question][code], rule,
+                dict(params[question]), {name: columns[name][i] for name in names},
+            ))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    sizes=st.tuples(st.integers(3, 40), st.integers(2, 40)),
+    count=st.integers(0, 12),
+    alpha=st.floats(0.25, 4.0),
+    mode=st.sampled_from(["net", "sum"]),
+    bidirectional=st.booleans(),
+)
+def test_label_rows_equal_record_dicts(seed, sizes, count, alpha, mode, bidirectional):
+    """``label_rows`` gives each answer's ``QARecord(...).to_dict()``, with
+    ``==``, in the same key order and as the same JSON bytes."""
+    rng = np.random.default_rng(seed)
+    clips = [(f"c{k}", random_clip(rng, sizes[k % 2])) for k in range(count)]
+    cfg = config(alpha, mode, bidirectional)
+    seqs = [seq for _, seq in clips]
+    codes, evidence = oracle.label_batch(
+        seqs, summarize_batch(seqs, heading_mode=mode), cfg)
+    clip_ids = [clip_id for clip_id, _ in clips]
+    got = oracle.label_rows(clip_ids, codes, evidence, cfg)
+    want = [r.to_dict() for r in ref_records(clip_ids, codes, evidence, cfg)]
+    assert got == want
+    assert [list(row) for row in got] == [list(row) for row in want]
+    assert jsonl(got) == jsonl(want)
+    assert [r.to_dict() for r in oracle.records(clip_ids, codes, evidence, cfg)] == want
+
+
+@pytest.mark.parametrize("code", [-1, 3])
+def test_label_rows_reject_a_code_outside_the_answer_space(code):
+    """The check ``QARecord`` makes per record, made once for the batch."""
+    seqs = [random_clip(np.random.default_rng(k), 31) for k in range(3)]
+    cfg = config()
+    codes, evidence = oracle.label_batch(seqs, summarize_batch(seqs), cfg)
+    codes[1, QUESTION_ORDER.index("turn_direction")] = code
+    with pytest.raises(ValueError, match=(
+        f"^clip 'b', question 'turn_direction': answer code {code} is not in the answer space"
+    )):
+        oracle.label_rows(["a", "b", "c"], codes, evidence, cfg)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_ordered_pair_on_every_mask_pair(n):
     """Every pair of n-sample masks, all-false and last-index ones included,
@@ -572,8 +635,9 @@ def _reference_tags(seq, summary, cfg) -> dict[str, bool]:
 
 @pytest.mark.parametrize("mode", ["net", "sum"])
 def test_label_command_writes_the_reference_bytes(tmp_path, monkeypatch, mode):
-    """``label`` calls ``label_batch`` once and writes the reference
-    records and tags, byte for byte."""
+    """``label`` calls ``label_batch`` once, builds no QARecord and calls
+    no ``dataclasses.asdict``, and writes the reference records, tags and
+    summaries, byte for byte."""
     clips = [(c.clip_id, c.seq) for c in generate_suite(40, seed=8, noise_std=NOISE)]
     io.write_jsonl(tmp_path / "traj.jsonl",
                    [row for clip_id, seq in clips for row in io.sequence_to_rows(clip_id, seq)])
@@ -585,7 +649,14 @@ def test_label_command_writes_the_reference_bytes(tmp_path, monkeypatch, mode):
     calls = []
     monkeypatch.setattr(cli, "label_batch",
                         lambda *args: calls.append(1) or oracle.label_batch(*args))
+
+    def no_records(*args, **kwargs):
+        raise AssertionError("label built a QARecord or called dataclasses.asdict")
+
+    monkeypatch.setattr(oracle, "QARecord", no_records)
+    monkeypatch.setattr(dataclasses, "asdict", no_records)
     assert cli.main(["label", "--config", str(tmp_path / "config.json")]) == 0
+    monkeypatch.undo()
     assert len(calls) == 1
 
     rows = io.read_trajectory_clips(tmp_path / "traj.jsonl")
@@ -594,8 +665,11 @@ def test_label_command_writes_the_reference_bytes(tmp_path, monkeypatch, mode):
     want = [r.to_dict() for (clip_id, _), seq, summary in zip(clips, seqs, summaries)
             for r in ref_label_all(seq, summary, cfg, clip_id)]
     assert (tmp_path / "out" / "labels.jsonl").read_text() == jsonl(want)
-    tags = [row["tags"] for row in io.read_jsonl(tmp_path / "out" / "clip_summaries.jsonl")]
-    assert tags == [_reference_tags(seq, s, cfg) for seq, s in zip(seqs, summaries)]
+    meta = io.read_jsonl(tmp_path / "out" / "clip_summaries.jsonl")
+    assert [row["tags"] for row in meta] == [
+        _reference_tags(seq, s, cfg) for seq, s in zip(seqs, summaries)]
+    assert jsonl(row["summary"] for row in meta) == jsonl(
+        dataclasses.asdict(s) for s in summaries)
 
 
 def test_sweep_builds_no_records_and_labels_once_per_alpha(monkeypatch):
