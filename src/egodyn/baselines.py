@@ -182,10 +182,11 @@ def vo_answers(
     else:
         turn = "straight"
 
-    if series.t.size >= 2:
-        slope = float(np.polyfit(series.t, series.m_disp, 1)[0])
-    else:
-        slope = 0.0
+    # Least-squares slope of displacement over time, in closed form; 0
+    # without two distinct timestamps.
+    t = series.t - np.mean(series.t)
+    spread = float(np.sum(t * t))
+    slope = float(np.sum(t * (series.m_disp - mean_disp))) / spread if spread > 0 else 0.0
     if slope > th.trend:
         trend = "accelerating"
     elif slope < -th.trend:

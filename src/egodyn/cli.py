@@ -200,32 +200,40 @@ def _cmd_synth(cfg: RunConfig) -> dict[str, Path]:
     return outputs
 
 
+def _checked_rows(path: str, rows: list[dict], check, *fields: str):
+    """``check(rows)``, where row ``i`` of ``rows`` is row ``i`` of ``path``.
+
+    A ``ConfigError`` of ``check`` (an unknown question id, a label outside
+    the answer space) is raised again with the ``<path>:<line>:`` of the
+    first row that fails alone; rows are searched only after a failure.
+    Rows that cannot be keyed fail as ``io.keyed_rows`` says.
+    """
+    with io.keyed_rows(path, rows, *fields):
+        try:
+            return check(rows)
+        except ConfigError:
+            for index, row in enumerate(rows):
+                try:
+                    check([row])
+                except ConfigError as exc:
+                    raise ConfigError(f"{path}:{io._row_line(path, index)}: {exc}") from None
+            raise
+
+
 def _answer_table(path: str, rows, field: str, predicted: bool = False) -> AnswerTable:
     """The table of ``rows``, row ``i`` of which is row ``i`` of ``path``."""
-    with io.keyed_rows(path, rows, field):
+
+    def table(rows):
         return AnswerTable.from_rows(
             ((row["clip_id"], row["question_id"], row[field]) for row in rows), predicted
         )
 
+    return _checked_rows(path, rows, table, field)
+
 
 def _predictions(path: str) -> list[dict]:
-    """The prediction rows of ``path``, each with its parsed label and stage.
-
-    A ``ConfigError`` of the parse (an unknown question id, a label outside
-    the answer space) is raised again with the ``<path>:<line>:`` of the
-    first row that fails alone; rows are searched only after a failure.
-    """
-    rows = io.read_predictions(path)
-    with io.keyed_rows(path, rows):
-        try:
-            return report.parse_predictions(rows)
-        except ConfigError:
-            for index, row in enumerate(rows):
-                try:
-                    report.parse_predictions([row])
-                except ConfigError as exc:
-                    raise ConfigError(f"{path}:{io._row_line(path, index)}: {exc}") from None
-            raise
+    """The prediction rows of ``path``, each with its parsed label and stage."""
+    return _checked_rows(path, io.read_predictions(path), report.parse_predictions)
 
 
 def _cmd_evaluate(cfg: RunConfig) -> dict[str, Path]:

@@ -120,6 +120,27 @@ class TestVoAnswers:
         records = vo_answers(odom_series([0.0] * 6))
         assert tuple(r.question_id for r in records) == GEOMETRIC_SUBSET
 
+    def test_displacement_slope_is_the_least_squares_slope(self):
+        """The closed form agrees with ``np.polyfit`` to within rounding,
+        on proxy times of any start, epoch seconds included."""
+        rng = np.random.default_rng(12)
+        for t0 in (0.0, 0.05, 13.7, 1.7e9):
+            for n in (2, 3, 30):
+                t = t0 + np.sort(rng.uniform(0.0, 3.0, n))
+                m = rng.uniform(0.0, 20.0, n)
+                record = vo_answers(OdomProxySeries(t=t, m_disp=m, theta_deg=np.zeros(n)))[1]
+                slope = record.evidence["displacement_slope"]
+                reference = np.polyfit(t - t0, m, 1)[0]
+                assert slope == pytest.approx(reference, rel=1e-9, abs=1e-12)
+
+    @pytest.mark.parametrize("t", [[0.5], [1.0, 1.0, 1.0]], ids=["one_sample", "equal_times"])
+    def test_displacement_slope_without_time_spread_is_zero(self, t):
+        n = len(t)
+        series = OdomProxySeries(t=np.array(t), m_disp=np.arange(1.0, n + 1), theta_deg=np.zeros(n))
+        record = vo_answers(series)[1]
+        assert record.evidence == {"displacement_slope": 0.0}
+        assert record.answer == "steady"
+
     def test_learned_threshold_set_differs(self):
         series = odom_series([0.3] * 8)
         assert answers(vo_answers(series, VO_DEFAULT))["turn_direction"] == "left"

@@ -3,8 +3,9 @@
 Equality is exact (``tobytes``), never ``approx``: the batch path stacks
 clips into (N, n) arrays and runs each step along the last axis, which
 must reproduce the per-clip floats bit for bit. The reference functions
-below are the per-clip computation written out with ``savgol_filter``,
-``np.gradient`` and ``np.percentile`` called on one row at a time.
+below are the per-clip computation written out with the scalar
+Savitzky-Golay reference (``savgol_reference``), ``np.gradient`` and
+``np.percentile`` called on one row at a time.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.signal import savgol_filter
 
 from egodyn import io
 from egodyn.errors import EgodynError, WindowTooLarge
@@ -33,6 +33,7 @@ from egodyn.kinematics import (
     summarize_batch,
 )
 from egodyn.synth import generate_suite
+from savgol_reference import savgol_reference
 
 CHANNELS = ("t", "v", "a", "j", "omega", "theta", "x", "y")
 NOISE = {"v": 0.05, "a": 0.018, "j": 0.125, "omega": 0.004, "theta": 0.0026}
@@ -42,7 +43,7 @@ NOISE = {"v": 0.05, "a": 0.018, "j": 0.125, "omega": 0.004, "theta": 0.0026}
 
 
 def _smooth(values):
-    return savgol_filter(values, 7, 2, mode="interp")
+    return savgol_reference(values, 7, 2)
 
 
 def reference_pose_states(t, x, y, heading):
@@ -191,7 +192,8 @@ class TestDerivationBatch:
             assert summary_bytes(summary) == summary_bytes(summarize(seq, mode)) == expected
 
 
-@pytest.mark.parametrize("fault", ["x_nan", "j_inf", "negative_v", "grid", "one_sample"])
+@pytest.mark.parametrize(
+    "fault", ["x_nan", "j_inf", "negative_v", "grid", "grid_beside_an_epoch_row", "one_sample"])
 def test_sequences_check_the_batch_as_sequence_checks_a_row(fault):
     """A batch whose row 1 fails a StateSequence check: ``sequences``
     raises what ``sequence(1)`` raises."""
@@ -205,6 +207,9 @@ def test_sequences_check_the_batch_as_sequence_checks_a_row(fault):
         channels["v"][1, 0] = -1e-300
     elif fault == "grid":
         t[1, 7] += 1e-6
+    elif fault == "grid_beside_an_epoch_row":  # row 0 may deviate by 9.5e-7 s, row 1 may not
+        t[0] += 1.7e9
+        t[1, 7] += 5e-7
     else:
         t, channels = t[:, :1], {name: c[:, :1] for name, c in channels.items()}
     batch = StateBatch(t=t, **channels)

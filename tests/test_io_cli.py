@@ -292,6 +292,30 @@ class TestLabelCommand:
         summaries = io.read_jsonl(label_out / "clip_summaries.jsonl")
         assert {"clip_id", "summary", "tags", "stratification_bin"} <= set(summaries[0])
 
+    def test_epoch_timestamps_give_the_same_answers(self, tmp_path):
+        """Pose, rate and full-state clips whose timestamps are Unix-epoch
+        seconds are labeled as the same clips starting at 0 s."""
+        answers = {}
+        for shift in (0.0, 1.7e9):
+            rows = []
+            for k, clip in enumerate(generate_suite(30, seed=9)):
+                seq, t = clip.seq, (clip.seq.t + shift).tolist()
+                if k % 3 == 0:
+                    channels = {"x": seq.x, "y": seq.y, "heading": seq.theta}
+                elif k % 3 == 1:
+                    channels = {"v": seq.v, "omega": seq.omega}
+                else:
+                    channels = {name: getattr(seq, name) for name in ("v", "a", "j", "omega", "theta")}
+                columns = zip(*(c.tolist() for c in channels.values()))
+                rows += [{"clip_id": clip.clip_id, "t": t[i], **dict(zip(channels, values))}
+                         for i, values in enumerate(columns)]
+            path, out = tmp_path / f"{shift}.jsonl", tmp_path / f"out_{shift}"
+            io.write_jsonl(path, rows)
+            assert run_cli("label", {"input": str(path), "out": str(out)}, tmp_path) == 0
+            answers[shift] = [(r["clip_id"], r["question_id"], r["answer"])
+                              for r in io.read_jsonl(out / "labels.jsonl")]
+        assert answers[1.7e9] == answers[0.0]
+
     def test_label_with_encoding_writes_prompts(self, tmp_path):
         synth_out = tmp_path / "synth"
         run_cli("synth", {"count": 2, "seed": 1, "out": str(synth_out)}, tmp_path)
@@ -392,6 +416,7 @@ class TestEvaluateCommand:
         err = capsys.readouterr().err
         bad = prediction.get("parsed", answer)
         assert "'c1'" in err and "'turn_direction'" in err and f"'{bad}'" in err
+        assert f"{pred_path if 'parsed' in prediction else truth_path}:1: clip 'c1'" in err
 
 
     @pytest.mark.parametrize(
@@ -400,8 +425,12 @@ class TestEvaluateCommand:
         ids=["truth_row", "prediction_row"],
     )
     def test_unknown_question_exits_2(self, tmp_path, capsys, truth_q, prediction):
+        """The message names the file and line of the row at fault."""
         truth_path = tmp_path / "truth.jsonl"
-        io.write_jsonl(truth_path, [{"clip_id": "c1", "question_id": truth_q, "answer": "left"}])
+        io.write_jsonl(truth_path, [
+            {"clip_id": "c0", "question_id": "turn_direction", "answer": "left"},
+            {"clip_id": "c1", "question_id": truth_q, "answer": "left"},
+        ])
         pred_path = tmp_path / "preds.jsonl"
         pred_q = "bogus_q" if truth_q == "turn_direction" else "turn_direction"
         io.write_jsonl(pred_path, [{"clip_id": "c1", "question_id": pred_q, **prediction}])
@@ -412,7 +441,8 @@ class TestEvaluateCommand:
             tmp_path,
         )
         assert status == 2
-        assert "clip 'c1': unknown question id 'bogus_q'" in capsys.readouterr().err
+        where = f"{truth_path}:2" if truth_q == "bogus_q" else f"{pred_path}:1"
+        assert f"{where}: clip 'c1': unknown question id 'bogus_q'" in capsys.readouterr().err
 
 
     @staticmethod

@@ -2,11 +2,11 @@ from __future__ import annotations
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.ndimage import convolve1d
-from scipy.signal import savgol_coeffs, savgol_filter
+from scipy.signal import savgol_filter
 
 from conftest import GRID, make_seq, random_seq
 from egodyn.errors import (
@@ -21,8 +21,7 @@ from egodyn.kinematics import (
     SAVGOL_WINDOW,
     PoseSample,
     StateSequence,
-    _convolve_interior,
-    _savgol_terms,
+    _savgol_table,
     derive_pose_batch,
     derive_rate_batch,
     derive_states,
@@ -34,6 +33,7 @@ from egodyn.kinematics import (
     summarize,
 )
 from egodyn.thresholds import ThresholdConfig
+from savgol_reference import gram_hat_matrix, savgol_exact, savgol_reference
 
 
 def poses_from(fn_x, fn_y, fn_heading, times):
@@ -74,6 +74,17 @@ class TestResample:
         with pytest.raises(NonMonotonicTime):
             resample_uniform(samples, 10.0, 3.0)
 
+    def test_epoch_log_short_by_its_rounding_covers_the_window(self):
+        """At Unix-epoch seconds a timestamp is rounded to 2.4e-7 s: a log
+        one ulp short of 3 s covers the window, one 2e-6 s short does not."""
+        t = 1.7e9 + np.arange(31) / 10.0
+        t[-1] = np.nextafter(t[-1], 0.0)
+        samples = [PoseSample(float(ti), 0.0, 0.0, 0.0) for ti in t]
+        assert len(resample_uniform(samples, 10.0, 3.0)) == 31
+        t[-1] -= 2e-6
+        with pytest.raises(InsufficientSpan):
+            resample_uniform([PoseSample(float(ti), 0.0, 0.0, 0.0) for ti in t], 10.0, 3.0)
+
     def test_idempotent_on_uniform_grid(self):
         times = np.arange(31) / 10.0
         samples = poses_from(
@@ -95,7 +106,7 @@ class TestSavgol:
         t = np.linspace(0, 3, 31)
         values = np.polyval(coeffs, t)
         out = smooth_savgol(values, 7, 2)
-        np.testing.assert_allclose(out, values, atol=1e-9)
+        np.testing.assert_allclose(out, values, rtol=0, atol=1e-13)
 
     def test_polynomial_reproduction_matches_order(self):
         t = np.linspace(0, 3, 31)
@@ -112,6 +123,12 @@ class TestSavgol:
         out = smooth_savgol(values, 7, 2)
         assert np.var(out) < np.var(values)
 
+    def test_window_of_one_copies_the_input(self):
+        values = np.array([[1.5, -0.0, np.inf], [np.nan, 2.0, -3.0]])
+        out = smooth_savgol(values, 1, 0)
+        assert out.tobytes() == values.tobytes()
+        assert not np.shares_memory(out, values)
+
     def test_window_too_large(self):
         with pytest.raises(WindowTooLarge):
             smooth_savgol([1.0, 2.0, 3.0, 4.0, 5.0], 9, 2)
@@ -125,71 +142,43 @@ class TestSavgol:
             smooth_savgol(np.zeros(31), 5, 5)
 
     def test_derivation_coefficients_are_savgol_coeffs(self):
-        coeffs = _savgol_terms(SAVGOL_WINDOW, SAVGOL_ORDER)[0]
-        assert coeffs.tobytes() == savgol_coeffs(7, 2).tobytes()
+        """The interior weights of (7, 2) are (-2, 3, 6, 7, 6, 3, -2) / 21,
+        each rounded once."""
+        weights = _savgol_table(SAVGOL_WINDOW, SAVGOL_ORDER)[SAVGOL_WINDOW // 2]
+        assert weights.tobytes() == (np.array([-2, 3, 6, 7, 6, 3, -2]) / 21).tobytes()
 
     @pytest.mark.parametrize(
         "window,poly_order",
         [(w, p) for w in range(3, 12, 2) for p in range(w)],
     )
     def test_bytes_equal_scipy_interp_mode(self, window, poly_order):
-        assert _savgol_terms(window, poly_order)[0].tobytes() == (
-            savgol_coeffs(window, poly_order).tobytes()
-        )
+        """scipy's ``interp`` mode (edges from the polynomial fitted to the
+        terminal window), with exact weights: the bytes are those of the
+        scalar reference, and the error against the exact rational output
+        is within 1e-15 of the row's largest input."""
+        hat = gram_hat_matrix(window, poly_order)
+        assert _savgol_table(window, poly_order).tolist() == [
+            [float(h) for h in row] for row in hat]
         rng = np.random.default_rng(100 * window + poly_order)
         # n == window: the two edge fits cover the whole row.
         shapes = [(31,), (window,), (window + 1,), (40, 31), (9, window), (5, window + 2)]
         for shape in shapes:
             values = rng.normal(size=shape) * 10.0 ** rng.uniform(-3, 3)
-            expected = savgol_filter(values, window, poly_order, mode="interp")
-            assert smooth_savgol(values, window, poly_order).tobytes() == expected.tobytes()
+            out = smooth_savgol(values, window, poly_order)
+            assert out.tobytes() == savgol_reference(values, window, poly_order).tobytes()
+            rows = values.reshape(-1, shape[-1])
+            exact = savgol_exact(rows, window, poly_order)
+            for got, want, row in zip(out.reshape(rows.shape).tolist(), exact, rows):
+                bound = Fraction(1e-15) * Fraction(float(np.max(np.abs(row))))
+                assert all(abs(Fraction(g) - w) <= bound for g, w in zip(got, want))
 
-
-EPS = np.finfo(float).eps
-_BASE_TAPS = [0.1, -0.35, 0.75, 0.2, 0.75, -0.35, 0.1]
-
-
-def _taps(right_of_centre):
-    """``_BASE_TAPS`` with the three taps right of the centre replaced."""
-    return np.array(_BASE_TAPS[:4] + list(right_of_centre))
-
-
-class TestConvolveInterior:
-    """The interior sum against ``convolve1d``, whose C loop pairs taps about
-    the centre when they are equal (or opposite) within DBL_EPSILON. Each
-    boundary case gives other bytes in the other branch, or when the pair
-    is multiplied by its right-hand tap."""
-
-    @pytest.mark.parametrize(
-        "weights",
-        [
-            _taps([0.75, -0.35, 0.1]),
-            _taps([0.75 + EPS, -0.35, 0.1]),
-            _taps([0.75 + 1.5 * EPS, -0.35, 0.1]),
-            _taps([-0.75, 0.35, -0.1]),
-            _taps([-0.75 + EPS, 0.35, -0.1]),
-            savgol_coeffs(7, 2),
-            savgol_coeffs(5, 4),
-            savgol_coeffs(7, 4),
-        ],
-        ids=["symmetric", "pair_off_by_eps", "pair_off_by_1.5_eps", "antisymmetric",
-             "antisymmetric_within_eps", "savgol_7_2", "savgol_5_4", "savgol_7_4"],
-    )
-    def test_bytes_equal_convolve1d(self, weights):
-        rng = np.random.default_rng(3)
-        half = weights.size // 2
-        for shape in [(4, 31), (31,), (3, weights.size)]:
-            values = rng.normal(size=shape)
-            n = shape[-1]
-            expected = convolve1d(values, weights, axis=-1, mode="constant")
-            assert _convolve_interior(values, weights).tobytes() == (
-                expected[..., half:n - half].tobytes()
-            )
-
-    def test_boundary_pairs_differ_by_exactly_their_offset(self):
-        assert (0.75 + EPS) - 0.75 == EPS
-        assert (0.75 + 1.5 * EPS) - 0.75 == 1.5 * EPS
-        assert (-0.75 + EPS) + 0.75 == EPS
+    def test_close_to_scipy_savgol_filter(self):
+        """Within 1e-14 of ``savgol_filter`` at (7, 2), relative to each
+        row's largest input; scipy's own ``lstsq`` weights are not exact."""
+        rng = np.random.default_rng(72)
+        values = rng.normal(size=(200, 31)) * 10.0 ** rng.uniform(-3, 3, (200, 1))
+        error = np.abs(smooth_savgol(values, 7, 2) - savgol_filter(values, 7, 2, mode="interp"))
+        assert np.all(error <= 1e-14 * np.max(np.abs(values), axis=-1, keepdims=True))
 
 
 def _pose_batch(bad_row):
@@ -384,6 +373,17 @@ class TestStateSequenceInvariants:
                 omega=np.zeros(31),
                 theta=np.zeros(31),
             )
+
+    def test_epoch_grid_is_uniform_within_its_rounding(self):
+        """Epoch seconds round to 2.4e-7 s, which the grid check forgives;
+        an irregularity of 1e-5 s it does not."""
+        zeros = np.zeros(31)
+        t = 1.7e9 + GRID
+        assert np.ptp(np.diff(t)) > 1e-9
+        StateSequence(t=t, v=zeros, a=zeros, j=zeros, omega=zeros, theta=zeros)
+        t[10] += 1e-5
+        with pytest.raises(InvalidTrajectory, match="grid spacing must be constant"):
+            StateSequence(t=t, v=zeros, a=zeros, j=zeros, omega=zeros, theta=zeros)
 
     def test_rejects_unequal_lengths(self):
         with pytest.raises(ValueError):
