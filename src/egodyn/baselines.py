@@ -7,6 +7,13 @@ restricted to the six questions answerable from qualitative motion alone:
 turn direction, speed trend, lateral acceleration, heading change,
 stop-and-go, and brake-then-turn.
 
+``label_proxies`` labels many clips of one family the way the oracle
+does: the series are stacked by sample count, each family's reducer gives
+evidence columns and one condition list per question, ``oracle.decide``
+turns those into answer codes, and ``oracle.label_rows`` builds the rows
+from the family's rule table. ``flow_answers`` and ``vo_answers`` are
+batches of one.
+
 Pixel-level extraction is out of scope; series arrive from files or from
 ``synth_proxies``, which maps ground-truth kinematics onto the proxy
 scales so the decision thresholds line up with the oracle's.
@@ -15,11 +22,13 @@ scales so the decision thresholds line up with the oracle's.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .errors import EmptySeries, InvalidTrajectory
-from .oracle import QARecord, ordered_pair
+from .kinematics import reduce_by_sample_count
+from .oracle import QARecord, decide, label_rows, ordered_pair
 
 
 @dataclass(frozen=True)
@@ -112,123 +121,127 @@ BASELINE_THRESHOLD_SETS = {
 }
 
 
+# question -> (rule name, evidence columns recorded), in GEOMETRIC_SUBSET
+# order; every row's parameters are the family's whole threshold set.
+FLOW_RULES: dict[str, tuple[str, tuple[str, ...]]] = {
+    "turn_direction": ("flow_mean_turn_score", ("mean_turn_score",)),
+    "speed_trend": ("flow_mean_expansion", ("mean_expansion",)),
+    "lateral_accel": ("flow_peak_turn_score", ("max_abs_turn_score",)),
+    "heading_change": ("flow_turn_score_sum", ("sum_abs_turn_score",)),
+    "stop_and_go": ("flow_magnitude_transition", ("min_magnitude", "max_magnitude")),
+    "brake_then_turn": ("flow_contraction_then_turn", ("min_expansion", "max_abs_turn_score")),
+}
+ODOM_RULES: dict[str, tuple[str, tuple[str, ...]]] = {
+    "turn_direction": ("odom_mean_and_peak_yaw", ("mean_yaw_deg", "peak_abs_yaw_deg")),
+    "speed_trend": ("odom_displacement_slope", ("displacement_slope",)),
+    "lateral_accel": ("odom_peak_yaw", ("peak_abs_yaw_deg",)),
+    "heading_change": ("odom_yaw_sum", ("sum_abs_yaw_deg",)),
+    "stop_and_go": ("odom_displacement_transition", ("min_displacement", "max_displacement")),
+    "brake_then_turn": ("odom_drop_then_yaw", ("mean_displacement", "drop_threshold")),
+}
+
+
+def _flow_reduce(th: FlowThresholds, s_turn, s_exp, m_mag):
+    """Evidence columns and per-question conditions of (m, n) flow proxies."""
+    abs_turn = np.abs(s_turn)
+    turn, exp = np.mean(s_turn, axis=-1), np.mean(s_exp, axis=-1)
+    peak, total = np.max(abs_turn, axis=-1), np.sum(abs_turn, axis=-1)
+    evidence = {
+        "mean_turn_score": turn, "mean_expansion": exp, "min_expansion": np.min(s_exp, axis=-1),
+        "max_abs_turn_score": peak, "sum_abs_turn_score": total,
+        "min_magnitude": np.min(m_mag, axis=-1), "max_magnitude": np.max(m_mag, axis=-1),
+    }
+    return evidence, [
+        [turn > th.turn, turn < -th.turn],
+        [exp > th.exp, exp < -th.exp],
+        [peak > th.lat],
+        [total > th.head],
+        [ordered_pair(m_mag < th.stop, m_mag > th.move)],
+        [ordered_pair(s_exp < -th.exp, abs_turn > th.turn)],
+    ]
+
+
+def _odom_reduce(th: OdomThresholds, t, m_disp, theta_deg):
+    """Evidence columns and per-question conditions of (m, n) odometry proxies."""
+    abs_yaw = np.abs(theta_deg)
+    yaw, peak = np.mean(theta_deg, axis=-1), np.max(abs_yaw, axis=-1)
+    total, mean_disp = np.sum(abs_yaw, axis=-1), np.mean(m_disp, axis=-1)
+    # Least-squares slope of displacement over time, in closed form; 0
+    # without two distinct timestamps.
+    t = t - np.mean(t, axis=-1, keepdims=True)
+    spread = np.sum(t * t, axis=-1)
+    slope = np.divide(np.sum(t * (m_disp - mean_disp[:, None]), axis=-1), spread,
+                      out=np.zeros_like(spread), where=spread > 0)
+    # Braking shows as a step drop between consecutive displacement
+    # samples exceeding the fraction-of-mean threshold; degenerate
+    # near-zero displacement clips are excluded by the absolute guard.
+    drop = th.brake * mean_disp
+    drops = np.zeros(m_disp.shape, dtype=bool)
+    drops[:, 1:] = m_disp[:, 1:] < (m_disp[:, :-1] - drop[:, None])
+    evidence = {
+        "mean_yaw_deg": yaw, "peak_abs_yaw_deg": peak, "sum_abs_yaw_deg": total,
+        "displacement_slope": slope, "mean_displacement": mean_disp, "drop_threshold": drop,
+        "min_displacement": np.min(m_disp, axis=-1), "max_displacement": np.max(m_disp, axis=-1),
+    }
+    return evidence, [
+        [(yaw > th.yaw) & (peak > th.peak), (yaw < -th.yaw) & (peak > th.peak)],
+        [slope > th.trend, slope < -th.trend],
+        [peak > th.lat],
+        [total > th.head],
+        [ordered_pair(m_disp < th.stop, m_disp > th.move)],
+        [(mean_disp > 0.5) & ordered_pair(drops, abs_yaw > th.yaw)],
+    ]
+
+
+_FAMILIES = {  # threshold type -> (rule table, proxy channels, stack reducer)
+    FlowThresholds: (FLOW_RULES, ("s_turn", "s_exp", "m_mag"), _flow_reduce),
+    OdomThresholds: (ODOM_RULES, ("t", "m_disp", "theta_deg"), _odom_reduce),
+}
+
+
+@np.errstate(over="ignore", invalid="ignore")  # overflow is checked, not warned
+def label_proxies(
+    clip_ids: Sequence[str], series: Sequence, th: FlowThresholds | OdomThresholds
+) -> list[dict]:
+    """Label rows of the six geometric questions for many clips of the
+    proxy family of ``th``, clip by clip in ``GEOMETRIC_SUBSET`` order.
+
+    Raises:
+        InvalidTrajectory: some evidence is not finite (a statistic of
+            finite proxies overflows); names the first such clip.
+    """
+    if not series:
+        return []
+    rules, channels, reduce = _FAMILIES[type(th)]
+
+    def decide_stack(*stack):
+        evidence, conditions = reduce(th, *stack)
+        return {**evidence, "codes": decide(conditions)}
+
+    evidence = reduce_by_sample_count(series, channels, decide_stack)
+    codes = evidence.pop("codes")
+    finite = np.logical_and.reduce([np.isfinite(column) for column in evidence.values()])
+    if not finite.all():
+        raise InvalidTrajectory(
+            f"clip {clip_ids[int(np.argmin(finite))]!r}: proxy statistics overflow: "
+            "an evidence value is not finite"
+        )
+    table = {question: (rule, vars(th), names) for question, (rule, names) in rules.items()}
+    return label_rows(clip_ids, codes, evidence, table)
+
+
 def flow_answers(
     series: FlowProxySeries, th: FlowThresholds = FLOW_DEFAULT, clip_id: str = ""
 ) -> list[QARecord]:
-    """Answer the six geometric questions from flow-style proxies."""
-    mean_turn = float(np.mean(series.s_turn))
-    mean_exp = float(np.mean(series.s_exp))
-    max_abs_turn = float(np.max(np.abs(series.s_turn)))
-    sum_abs_turn = float(np.sum(np.abs(series.s_turn)))
-
-    if mean_turn > th.turn:
-        turn = "left"
-    elif mean_turn < -th.turn:
-        turn = "right"
-    else:
-        turn = "straight"
-
-    if mean_exp > th.exp:
-        trend = "accelerating"
-    elif mean_exp < -th.exp:
-        trend = "decelerating"
-    else:
-        trend = "steady"
-
-    lateral = "yes" if max_abs_turn > th.lat else "no"
-    heading = "yes" if sum_abs_turn > th.head else "no"
-    stop_go = ordered_pair(series.m_mag < th.stop, series.m_mag > th.move)
-    brake_turn = ordered_pair(
-        series.s_exp < -th.exp, np.abs(series.s_turn) > th.turn
-    )
-
-    params = {
-        "turn": th.turn, "exp": th.exp, "lat": th.lat,
-        "head": th.head, "stop": th.stop, "move": th.move,
-    }
-    return [
-        QARecord(clip_id, "turn_direction", turn, "flow_mean_turn_score",
-                 params, {"mean_turn_score": mean_turn}),
-        QARecord(clip_id, "speed_trend", trend, "flow_mean_expansion",
-                 params, {"mean_expansion": mean_exp}),
-        QARecord(clip_id, "lateral_accel", lateral, "flow_peak_turn_score",
-                 params, {"max_abs_turn_score": max_abs_turn}),
-        QARecord(clip_id, "heading_change", heading, "flow_turn_score_sum",
-                 params, {"sum_abs_turn_score": sum_abs_turn}),
-        QARecord(clip_id, "stop_and_go", "yes" if stop_go else "no",
-                 "flow_magnitude_transition", params,
-                 {"min_magnitude": float(np.min(series.m_mag)),
-                  "max_magnitude": float(np.max(series.m_mag))}),
-        QARecord(clip_id, "brake_then_turn", "yes" if brake_turn else "no",
-                 "flow_contraction_then_turn", params,
-                 {"min_expansion": float(np.min(series.s_exp)),
-                  "max_abs_turn_score": max_abs_turn}),
-    ]
+    """Answer the six geometric questions from flow proxies; one clip of ``label_proxies``."""
+    return [QARecord(**row) for row in label_proxies([clip_id], [series], th)]
 
 
 def vo_answers(
     series: OdomProxySeries, th: OdomThresholds = VO_DEFAULT, clip_id: str = ""
 ) -> list[QARecord]:
-    """Answer the six geometric questions from odometry-style proxies."""
-    mean_yaw = float(np.mean(series.theta_deg))
-    peak_yaw = float(np.max(np.abs(series.theta_deg)))
-    sum_abs_yaw = float(np.sum(np.abs(series.theta_deg)))
-    mean_disp = float(np.mean(series.m_disp))
-
-    if mean_yaw > th.yaw and peak_yaw > th.peak:
-        turn = "left"
-    elif mean_yaw < -th.yaw and peak_yaw > th.peak:
-        turn = "right"
-    else:
-        turn = "straight"
-
-    # Least-squares slope of displacement over time, in closed form; 0
-    # without two distinct timestamps.
-    t = series.t - np.mean(series.t)
-    spread = float(np.sum(t * t))
-    slope = float(np.sum(t * (series.m_disp - mean_disp))) / spread if spread > 0 else 0.0
-    if slope > th.trend:
-        trend = "accelerating"
-    elif slope < -th.trend:
-        trend = "decelerating"
-    else:
-        trend = "steady"
-
-    lateral = "yes" if peak_yaw > th.lat else "no"
-    heading = "yes" if sum_abs_yaw > th.head else "no"
-    stop_go = ordered_pair(series.m_disp < th.stop, series.m_disp > th.move)
-
-    # Braking shows as a step drop between consecutive displacement
-    # samples exceeding the fraction-of-mean threshold; degenerate
-    # near-zero displacement clips are excluded by the absolute guard.
-    drop = th.brake * mean_disp
-    drops = np.zeros(series.m_disp.size, dtype=bool)
-    drops[1:] = series.m_disp[1:] < (series.m_disp[:-1] - drop)
-    brake_turn = mean_disp > 0.5 and ordered_pair(
-        drops, np.abs(series.theta_deg) > th.yaw
-    )
-
-    params = {
-        "yaw": th.yaw, "peak": th.peak, "stop": th.stop, "move": th.move,
-        "trend": th.trend, "head": th.head, "lat": th.lat, "brake": th.brake,
-    }
-    return [
-        QARecord(clip_id, "turn_direction", turn, "odom_mean_and_peak_yaw",
-                 params, {"mean_yaw_deg": mean_yaw, "peak_abs_yaw_deg": peak_yaw}),
-        QARecord(clip_id, "speed_trend", trend, "odom_displacement_slope",
-                 params, {"displacement_slope": slope}),
-        QARecord(clip_id, "lateral_accel", lateral, "odom_peak_yaw",
-                 params, {"peak_abs_yaw_deg": peak_yaw}),
-        QARecord(clip_id, "heading_change", heading, "odom_yaw_sum",
-                 params, {"sum_abs_yaw_deg": sum_abs_yaw}),
-        QARecord(clip_id, "stop_and_go", "yes" if stop_go else "no",
-                 "odom_displacement_transition", params,
-                 {"min_displacement": float(np.min(series.m_disp)),
-                  "max_displacement": float(np.max(series.m_disp))}),
-        QARecord(clip_id, "brake_then_turn", "yes" if brake_turn else "no",
-                 "odom_drop_then_yaw", params,
-                 {"mean_displacement": mean_disp, "drop_threshold": drop}),
-    ]
+    """Answer the six geometric questions from odometry proxies; one clip of ``label_proxies``."""
+    return [QARecord(**row) for row in label_proxies([clip_id], [series], th)]
 
 
 # Calibration constants tying proxy scales to the kinematic thresholds:

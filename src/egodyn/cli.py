@@ -21,7 +21,7 @@ from . import balancer, baselines, io, metrics, report
 from .encodings import ENCODING_MODES, encode_trajectory
 from .errors import ConfigError, EgodynError
 from .kinematics import stratification_bin, summarize_batch
-from .oracle import label_batch, label_rows, tags_of
+from .oracle import label_batch, label_rows, rule_table, tags_of
 from .questions import QUESTION_ORDER, AnswerTable
 from .synth import generate_suite
 from .thresholds import ThresholdConfig, calibrate_thresholds
@@ -155,7 +155,7 @@ def _cmd_label(cfg: RunConfig) -> dict[str, Path]:
     clip_ids = [clip_id for clip_id, _ in clips]
     seqs = [seq for _, seq in clips]
     summaries = summarize_batch(seqs, heading_mode=thresholds.heading_total_mode)
-    codes, evidence = label_batch(seqs, summaries, thresholds)
+    codes, ev = label_batch(seqs, summaries, thresholds)
     meta_rows = [
         {
             "clip_id": clip_id,
@@ -167,7 +167,7 @@ def _cmd_label(cfg: RunConfig) -> dict[str, Path]:
     ]
     out = cfg.out_dir
     outputs = {"labels": out / "labels.jsonl", "clip_summaries": out / "clip_summaries.jsonl"}
-    io.write_jsonl(outputs["labels"], label_rows(clip_ids, codes, evidence, thresholds))
+    io.write_jsonl(outputs["labels"], label_rows(clip_ids, codes, ev, rule_table(thresholds)))
     io.write_jsonl(outputs["clip_summaries"], meta_rows)
     if cfg.encoding:
         outputs["prompts"] = _write_prompts(cfg, zip(clip_ids, seqs, summaries), out)
@@ -284,27 +284,27 @@ def _cmd_baseline(cfg: RunConfig) -> dict[str, Path]:
     if not isinstance(kind, str) or kind not in baselines.BASELINE_THRESHOLD_SETS:
         raise ConfigError("baseline kind must be one of flow|vo|vo_learned")
     thresholds = baselines.BASELINE_THRESHOLD_SETS[kind]
-    rows = []
+    series = {}
     for clip_id, clip_rows in io.read_trajectory_clips(cfg.params["proxies"]).items():
         keys = set(clip_rows[0])
         with io._naming(clip_id):
             if {"s_turn", "s_exp", "m_mag"} <= keys:
                 if kind != "flow":
                     raise ConfigError("flow proxy rows require kind=flow")
-                series_type, answers = baselines.FlowProxySeries, baselines.flow_answers
+                series_type = baselines.FlowProxySeries
             elif {"m_disp", "theta_deg"} <= keys:
                 if kind == "flow":
                     raise ConfigError("odometry proxy rows require kind=vo|vo_learned")
-                series_type, answers = baselines.OdomProxySeries, baselines.vo_answers
+                series_type = baselines.OdomProxySeries
             else:
                 raise ConfigError(
                     "proxy rows must carry (t,s_turn,s_exp,m_mag) or (t,m_disp,theta_deg)"
                 )
-            series = series_type(
+            series[clip_id] = series_type(
                 *(io._channel(clip_rows, f.name) for f in fields(series_type))
             )
-            rows.extend(r.to_dict() for r in answers(series, thresholds, clip_id))
     out = cfg.out_dir
+    rows = baselines.label_proxies(list(series), list(series.values()), thresholds)
     io.write_jsonl(out / "baseline_labels.jsonl", rows)
     return {"baseline_labels": out / "baseline_labels.jsonl"}
 

@@ -213,12 +213,17 @@ def read_trajectory_clips(path: str | Path) -> dict[str, list[dict]]:
     """Group trajectory rows by clip id, in first-seen order.
 
     Raises:
-        ConfigError: the rows of a clip are not contiguous.
+        ConfigError: the rows of a clip are not contiguous, or a
+            ``clip_id`` is an array or an object (naming its line).
     """
     clips: dict[str, list[dict]] = {}
     current = None
-    for row in _read_rows(path):
-        clip_id = str(row.get("clip_id", DEFAULT_CLIP_ID))
+    for index, row in enumerate(_read_rows(path)):
+        clip_id = row.get("clip_id", DEFAULT_CLIP_ID)
+        if type(clip_id) is not str:  # one type test for a row whose id is a string
+            if isinstance(clip_id, (list, dict)):
+                raise ConfigError(f"{path}:{_row_line(path, index)}: {_row_fault(row, ())}")
+            clip_id = str(clip_id)
         if clip_id != current:
             if clip_id in clips:
                 raise ConfigError(
@@ -252,7 +257,7 @@ def _channel(rows: list[dict], name: str) -> np.ndarray:
         values = np.array([row[name] for row in rows], dtype=float)
     except KeyError:
         raise ConfigError(f"a row lacks field {name!r}") from None
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # OverflowError: an int beyond float
         values = None
     if values is None or values.ndim != 1 or not np.all(np.isfinite(values)):
         raise InvalidTrajectory(f"field {name!r} holds a non-finite or non-numeric value")

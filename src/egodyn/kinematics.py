@@ -244,7 +244,8 @@ def _uniform_grid(t: np.ndarray, rate_hz: float, window_s: float) -> np.ndarray:
     span = float(t[-1] - t[0])
     if span < window_s - GRID_TOLERANCE_S - GRID_ULPS * math.ulp(max(abs(t[0]), abs(t[-1]))):
         raise InsufficientSpan(
-            f"log spans {span:.3f} s but window is {window_s:.3f} s"
+            f"log spans {span:.3f} s but window is {window_s:.3f} s "
+            f"(short by {window_s - span:.3g} s)"
         )
     n = int(round(window_s * rate_hz)) + 1
     grid = t[0] + np.arange(n) / rate_hz
@@ -498,20 +499,20 @@ _SUMMARY_STATS = tuple(f.name for f in fields(KinematicSummary) if f.name != "pe
 
 
 def reduce_by_sample_count(
-    seqs: Sequence[StateSequence],
+    seqs: Sequence[object],
     channels: Sequence[str],
     reduce: Callable[..., dict[str, np.ndarray]],
 ) -> dict[str, np.ndarray]:
     """Columns of ``reduce`` over many clips, in input order.
 
-    Clips are stacked by sample count; ``reduce`` gets each stack's
-    ``channels`` as (m, n) arrays and returns columns whose first axis
-    runs over the stack's m clips. Every column comes back with one row
-    per clip of ``seqs``; no clips give no columns.
+    Clips are stacked by the length of their first channel; ``reduce``
+    gets each stack's ``channels`` as (m, n) arrays and returns columns
+    whose first axis runs over the stack's m clips. Every column comes
+    back with one row per clip of ``seqs``; no clips give no columns.
     """
     by_count: dict[int, list[int]] = {}
     for i, seq in enumerate(seqs):
-        by_count.setdefault(seq.n, []).append(i)
+        by_count.setdefault(len(getattr(seq, channels[0])), []).append(i)
     out: dict[str, np.ndarray] = {}
     for members in by_count.values():
         stacked = (np.array([getattr(seqs[i], name) for i in members]) for name in channels)

@@ -2,12 +2,12 @@
 
 ``label_batch`` answers the 14 questions for many clips at once. It
 computes every rule input once per clip, as columns along the batch, and
-decides each question with array comparisons into an (N, 14) matrix of
-answer codes (the codes of ``questions.AnswerTable``). ``label_rows``
-turns codes back into label rows (``records`` into QARecords), each
-carrying the answer, the rule that produced it, the exact (alpha-scaled)
-parameters applied, and the kinematic evidence used, so every label is
-auditable after the fact. Only callers that write labels build rows.
+decides each question with array comparisons (``decide``) into an (N, 14)
+matrix of answer codes (the codes of ``questions.AnswerTable``).
+``label_rows`` turns codes and a rule table into label rows, each with the
+answer, its rule, the exact (alpha-scaled) parameters and the evidence
+used, so every label is auditable after the fact. The geometric baselines
+decide and build their rows through the same two functions.
 
 Sign convention: positive yaw rate is a left (counter-clockwise) turn.
 """
@@ -95,6 +95,12 @@ def ordered_pair(first: np.ndarray, second: np.ndarray) -> np.ndarray:
     return np.any(first, axis=-1) & np.any(second & after, axis=-1)
 
 
+def decide(conditions: Sequence[Sequence[np.ndarray]]) -> np.ndarray:
+    """(N, Q) answer codes, per question from one condition per answer but the
+    last: a clip gets the first answer whose condition holds, else the last."""
+    return np.stack([np.select(held, range(len(held)), len(held)) for held in conditions], 1)
+
+
 def label_batch(
     seqs: Sequence[StateSequence], summaries: Sequence[KinematicSummary], cfg: ThresholdConfig
 ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
@@ -142,9 +148,6 @@ def label_batch(
     min_accel, max_speed, jerk = ev["min_accel"], ev["max_speed"], ev["mean_abs_jerk"]
     mean_accel = ev["mean_accel"]
     stop_go = ev["stop_to_move"] | (eff.stop_go_bidirectional & ev["move_to_stop"])
-    # One condition per answer of the question's space, in its order, but
-    # the last: a clip gets the first answer whose condition holds, else
-    # the last answer.
     conditions = {
         "turn_direction": [peak > eff.turn_deadzone, peak < -eff.turn_deadzone],
         "braking_intensity": [min_accel < eff.brake_emergency,
@@ -164,30 +167,34 @@ def label_batch(
         "speed_peak_half": [peaked & (ev["peak_index"] <= ev["mid_index"]), peaked],
         "contrastive_halves": [differ & (d1 > d2), differ],
     }
-    codes = np.empty((len(seqs), len(QUESTION_ORDER)), dtype=np.intp)
-    for k, question in enumerate(QUESTION_ORDER):
-        held = conditions[question]
-        codes[:, k] = np.select(held, range(len(held)), len(held))
-    return codes, ev
+    return decide([conditions[question] for question in QUESTION_ORDER]), ev
+
+
+def rule_table(cfg: ThresholdConfig) -> dict[str, tuple[str, dict, tuple[str, ...]]]:
+    """question -> (rule name, its parameters under ``cfg``, evidence names)."""
+    eff = cfg.scaled()
+    table = {}
+    for question, (rule, fields, names) in RULES.items():  # in QUESTION_ORDER
+        params = {name: getattr(eff, _PARAM_FIELDS.get(name, name)) for name in fields}
+        table[question] = (rule, {**params, "alpha": cfg.alpha}, names)
+    return table
 
 
 def label_rows(
     clip_ids: Sequence[str], codes: np.ndarray, evidence: dict[str, np.ndarray],
-    cfg: ThresholdConfig,
+    table: dict[str, tuple[str, dict, tuple[str, ...]]],
 ) -> list[dict]:
-    """The ``QARecord.to_dict()`` of every ``label_batch`` answer, clip by
-    clip in ``QUESTION_ORDER``, built one question column at a time.
+    """The ``QARecord.to_dict()`` of every answer, clip by clip in the order
+    of ``table`` (as ``rule_table``), whose k-th question is column k of ``codes``.
 
     ``QARecord``'s checks run once for the batch: every code is in its
     question's answer space and every question records some evidence.
     """
     if not len(codes):
         return []
-    eff = cfg.scaled()
     columns = {name: column.tolist() for name, column in evidence.items()}
     by_question = []
-    for k, question in enumerate(QUESTION_ORDER):
-        rule, fields, names = RULES[question]
+    for k, (question, (rule, params, names)) in enumerate(table.items()):
         space = ANSWER_SPACES[question]
         column = codes[:, k]
         outside = (column < 0) | (column >= len(space))
@@ -199,8 +206,6 @@ def label_rows(
             )
         if not names:
             raise ValueError("evidence must not be empty")
-        params = {name: getattr(eff, _PARAM_FIELDS.get(name, name)) for name in fields}
-        params["alpha"] = cfg.alpha
         by_question.append([
             {"clip_id": clip_id, "question_id": question, "answer": space[code],
              "rule_name": rule, "rule_params": dict(params), "evidence": dict(zip(names, values))}
@@ -215,7 +220,7 @@ def records(
     cfg: ThresholdConfig,
 ) -> list[QARecord]:
     """QARecords of ``label_batch`` output, clip by clip in ``QUESTION_ORDER``."""
-    return [QARecord(**row) for row in label_rows(clip_ids, codes, evidence, cfg)]
+    return [QARecord(**row) for row in label_rows(clip_ids, codes, evidence, rule_table(cfg))]
 
 
 def tags_of(codes: np.ndarray) -> list[dict[str, bool]]:

@@ -158,7 +158,7 @@ class TestJsonlIdentity:
         cfg = ThresholdConfig(alpha=0.93)
         codes, evidence = oracle.label_batch(seqs, summaries, cfg)
         clip_ids = ["c0", "k\u00f6rung \U0001f697", "\u2028"]
-        labels = oracle.label_rows(clip_ids, codes, evidence, cfg)
+        labels = oracle.label_rows(clip_ids, codes, evidence, oracle.rule_table(cfg))
         summary_rows = [
             {"clip_id": clip_id, "summary": s.as_dict(), "tags": tags,
              "stratification_bin": stratification_bin(tags)}
@@ -772,9 +772,10 @@ class TestBaselineCommand:
             ("flow", {"s_turn": float("nan")}, "s_turn"),
             ("flow", {"s_exp": None}, "s_exp"),
             ("flow", {"m_mag": -1.0}, "m_mag"),
+            ("vo", {"m_disp": 10**400}, "m_disp"),
         ],
         ids=["non_numeric_s_turn", "non_numeric_theta_deg", "nan_s_turn", "missing_s_exp",
-             "negative_m_mag"],
+             "negative_m_mag", "huge_int_m_disp"],
     )
     def test_invalid_proxy_exits_2(self, tmp_path, capsys, kind, bad_row, field):
         base = (
@@ -795,6 +796,47 @@ class TestBaselineCommand:
         err = capsys.readouterr().err
         assert "clip 'c'" in err and f"'{field}'" in err
         assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize(
+        ("kind", "row", "big"),
+        [("flow", {"s_exp": 0.0, "m_mag": 4.0}, "s_turn"), ("vo", {"m_disp": 1.0}, "theta_deg")],
+        ids=["flow", "vo"],
+    )
+    def test_overflowing_evidence_exits_2(self, tmp_path, capsys, kind, row, big):
+        """Finite proxies of 1e308 give an infinite mean or sum. Clips 'b'
+        and 'c' overflow; 'c' shares the sample count of the good clip 'a',
+        so its stack is reduced first, yet 'b' comes first in input order."""
+        rows = [
+            {"clip_id": clip_id, "t": float(i), **row, big: value}
+            for clip_id, count, value in (("a", 9, 0.06), ("b", 5, 1e308), ("c", 9, -1e308))
+            for i in range(count)
+        ]
+        path = tmp_path / "proxies.jsonl"
+        io.write_jsonl(path, rows)
+        out = tmp_path / "baseline"
+        config = {"proxies": str(path), "kind": kind, "out": str(out)}
+        assert run_cli("baseline", config, tmp_path) == 2
+        assert capsys.readouterr().err == (
+            "egodyn baseline: clip 'b': proxy statistics overflow: "
+            "an evidence value is not finite\n"
+        )
+        assert not (out / "manifest.json").exists()
+
+    def test_array_clip_id_names_the_line(self, tmp_path, capsys):
+        rows = [{"clip_id": 7 if i < 3 else ["a"], "t": float(i), "m_disp": 1.0,
+                 "theta_deg": 0.0} for i in range(6)]
+        path = tmp_path / "proxies.jsonl"
+        io.write_jsonl(path, rows)
+        config = {"proxies": str(path), "kind": "vo", "out": str(tmp_path / "o")}
+        assert run_cli("baseline", config, tmp_path) == 2
+        assert capsys.readouterr().err == (
+            f"egodyn baseline: {path}:4: field 'clip_id' holds an array, not a string or a number\n"
+        )
+        del rows[3:]  # a number id is still read, as its string
+        io.write_jsonl(path, rows)
+        assert run_cli("baseline", config, tmp_path) == 0
+        labels = io.read_jsonl(tmp_path / "o" / "baseline_labels.jsonl")
+        assert {row["clip_id"] for row in labels} == {"7"}
 
 
 class TestBalanceCommand:
@@ -914,7 +956,7 @@ class TestTrajectoryInputErrors:
         assert status == 2, err
         return err
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, pytest.param(10**400, id="int_1e400")])
     @pytest.mark.parametrize(
         "schema,field",
         [("pose", "x"), ("pose", "heading"), ("rate", "v"), ("rate", "omega"),
@@ -961,6 +1003,31 @@ class TestTrajectoryInputErrors:
         rows = _pose_rows("a") + first_bad + _pose_rows("c", count=10) + negative
         err = self.exit_2_message(tmp_path, capsys, rows, command)
         assert "clip 'b'" in err and message in err
+
+    def test_span_message_shows_the_shortfall(self, tmp_path, capsys):
+        """Timestamps accumulated with ``t += 0.1`` from 1.7e9 s span
+        2.999997139 s, which prints as 3.000 s."""
+        t, rows = 1.7e9, []
+        for _ in range(31):
+            rows.append({"clip_id": "c", "t": t, "v": 5.0, "omega": 0.1})
+            t += 0.1
+        err = self.exit_2_message(tmp_path, capsys, rows)
+        assert err == (
+            "egodyn label: clip 'c': log spans 3.000 s but window is 3.000 s "
+            "(short by 2.86e-06 s)\n"
+        )
+
+    @pytest.mark.parametrize(
+        ("clip_id", "kind"), [(["a"], "an array"), ({"a": 1}, "an object")], ids=["array", "object"]
+    )
+    def test_array_or_object_clip_id_names_the_line(self, tmp_path, capsys, clip_id, kind):
+        rows = _pose_rows("a") + _pose_rows("b")
+        rows[40]["clip_id"] = clip_id
+        err = self.exit_2_message(tmp_path, capsys, rows)
+        path = tmp_path / "trajectories.jsonl"
+        assert err == (
+            f"egodyn label: {path}:41: field 'clip_id' holds {kind}, not a string or a number\n"
+        )
 
     def test_batch_check_names_the_first_failing_clip_in_input_order(self, tmp_path, capsys):
         """Every clip derives, but two fail the check of their derived

@@ -505,7 +505,7 @@ def test_label_rows_equal_record_dicts(seed, sizes, count, alpha, mode, bidirect
     codes, evidence = oracle.label_batch(
         seqs, summarize_batch(seqs, heading_mode=mode), cfg)
     clip_ids = [clip_id for clip_id, _ in clips]
-    got = oracle.label_rows(clip_ids, codes, evidence, cfg)
+    got = oracle.label_rows(clip_ids, codes, evidence, oracle.rule_table(cfg))
     want = [r.to_dict() for r in ref_records(clip_ids, codes, evidence, cfg)]
     assert got == want
     assert [list(row) for row in got] == [list(row) for row in want]
@@ -523,7 +523,7 @@ def test_label_rows_reject_a_code_outside_the_answer_space(code):
     with pytest.raises(ValueError, match=(
         f"^clip 'b', question 'turn_direction': answer code {code} is not in the answer space"
     )):
-        oracle.label_rows(["a", "b", "c"], codes, evidence, cfg)
+        oracle.label_rows(["a", "b", "c"], codes, evidence, oracle.rule_table(cfg))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
