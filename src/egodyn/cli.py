@@ -112,7 +112,7 @@ def _positive(key: str, value) -> float:
     """``value`` of ``key`` as a finite positive float; else ``ConfigError``."""
     try:
         number = math.nan if isinstance(value, bool) else float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # OverflowError: an int beyond float
         number = math.nan
     if not (math.isfinite(number) and number > 0):
         raise ConfigError(f"{key} must be a finite positive number, got {value!r}")

@@ -9,9 +9,12 @@ heading), rates (t, v, omega), or the full state chain (t, v, a, j,
 omega, theta[, x, y]); a ``clip_id`` field groups rows into clips and
 defaults to a single clip when absent.
 
-Trajectory clips are checked and resampled one by one in input order, so
-an error names the first failing clip; then all pose clips and all rate
-clips are each derived and checked in one batch (see ``kinematics``).
+Trajectory clips are staged in groups that share a schema and a row
+count: each channel of a group is one float array over the group's rows,
+checked once, and each pose or rate group is resampled in one call (see
+``kinematics``). Clips are staged one by one, in input order, only when
+a group fails, to name the first failing clip. Then all pose clips and
+all rate clips are each derived and checked in one batch.
 """
 
 from __future__ import annotations
@@ -21,6 +24,8 @@ import hashlib
 import itertools
 import json
 from contextlib import contextmanager
+from numbers import Real
+from operator import itemgetter
 from pathlib import Path
 from typing import Any, Iterable, Mapping
 
@@ -31,6 +36,7 @@ from .errors import ConfigError, EgodynError, InvalidTrajectory
 from .kinematics import (
     StateBatch,
     StateSequence,
+    _check_states,
     derive_pose_batch,
     derive_rate_batch,
     resample_pose_log,
@@ -252,52 +258,70 @@ def _naming(clip_id: str):
 
 
 def _channel(rows: list[dict], name: str) -> np.ndarray:
-    """One field of a clip's rows as a float array; every value finite."""
+    """One field of rows as a float array; every value a finite number,
+    which a JSON string or boolean is not."""
     try:
-        values = np.array([row[name] for row in rows], dtype=float)
+        values = list(map(itemgetter(name), rows))
     except KeyError:
         raise ConfigError(f"a row lacks field {name!r}") from None
-    except (TypeError, ValueError, OverflowError):  # OverflowError: an int beyond float
-        values = None
-    if values is None or values.ndim != 1 or not np.all(np.isfinite(values)):
+    array = None
+    if all(kind is not bool and issubclass(kind, Real) for kind in set(map(type, values))):
+        try:
+            array = np.array(values, dtype=float)
+        except OverflowError:  # an int beyond float
+            pass
+    if array is None or not np.all(np.isfinite(array)):
         raise InvalidTrajectory(f"field {name!r} holds a non-finite or non-numeric value")
-    return values
+    return array
 
 
-def _stage_clip(rows: list[dict], rate_hz: float, window_s: float):
-    """Check one clip and bring it onto the grid.
-
-    Returns ``("state", StateSequence)`` for full-state rows, else the
-    schema name and the channels on the uniform grid, ready to batch.
-    """
+def _schema(rows: list[dict]) -> tuple[str, tuple[str, ...]]:
+    """The schema of a clip, read from its first row, and the fields staged."""
     if not rows:
         raise ConfigError("clip has no rows")
     keys = set(rows[0])
     if set(_FULL_STATE_KEYS) <= keys:
-        names = _FULL_STATE_KEYS + (("x", "y") if {"x", "y"} <= keys else ())
-        return "state", StateSequence(**{name: _channel(rows, name) for name in names})
+        return "state", _FULL_STATE_KEYS + (("x", "y") if {"x", "y"} <= keys else ())
     if set(_POSE_KEYS) <= keys:
-        channels = [_channel(rows, name) for name in _POSE_KEYS]
-        return "pose", resample_pose_log(*channels, rate_hz, window_s)
+        return "pose", _POSE_KEYS
     if set(_RATE_KEYS) <= keys:
-        channels = [_channel(rows, name) for name in _RATE_KEYS]
-        return "rate", resample_rate_log(*channels, rate_hz, window_s)
+        return "rate", _RATE_KEYS
     raise ConfigError(
         "trajectory rows must carry (t,x,y,heading), (t,v,omega), or the "
         f"full state chain; got fields {sorted(keys)}"
     )
 
 
-def _derive(schema: str, clip_ids: list[str], grids: list) -> StateBatch:
-    """Derive the gridded clips of one schema in one batch; when the batch
-    fails, derive them one by one to name the first clip that fails."""
+def _stage(
+    schema: str, names: tuple[str, ...], count: int, rows: list[dict],
+    rate_hz: float, window_s: float,
+) -> list[np.ndarray]:
+    """Check G clips of one schema with ``count`` rows each, given as their
+    rows one clip after another, and bring them onto the grid.
+
+    Returns the (G, count) channels ``names`` of full-state clips, else the
+    (G, m) grid channels ready to derive. Each check runs once for the G
+    clips and fails when any clip fails it.
+    """
+    channels = [_channel(rows, name).reshape(-1, count) for name in names]
+    if schema == "state":
+        _check_states(*channels)
+        return channels
+    resample = resample_pose_log if schema == "pose" else resample_rate_log
+    return list(resample(*channels, rate_hz, window_s))
+
+
+def _derive(schema: str, clip_ids: list[str], grids: list[np.ndarray]) -> StateBatch:
+    """Derive the (N, m) grid channels of one schema in one batch; when the
+    batch fails, derive its rows one by one to name the first clip that
+    fails."""
     derive = _DERIVE_BATCH[schema]
     try:
-        return derive(*(np.array(column) for column in zip(*grids)))
+        return derive(*grids)
     except EgodynError:
-        for clip_id, grid in zip(clip_ids, grids):
+        for i, clip_id in enumerate(clip_ids):
             with _naming(clip_id):
-                derive(*(np.array([channel]) for channel in grid))
+                derive(*(channel[i:i + 1] for channel in grids))
         raise
 
 
@@ -308,43 +332,63 @@ def rows_to_sequences(
 ) -> list[tuple[str, StateSequence]]:
     """Build every clip's StateSequence, whatever its schema, in input order.
 
-    Each clip is checked and resampled alone, so an error names the first
-    failing clip in input order. The pose clips, and the rate clips, are
-    then stacked, derived and checked in one batch each; every derived
-    clip must be finite. When a batch fails its check, the derived clips
-    are checked one by one in input order to name the first that fails.
+    Clips that share a schema and a row count are staged as one group:
+    each channel is one array over the group's rows, checked once, and
+    pose and rate groups are resampled in one call. When a group fails,
+    the clips are staged one by one in input order to name the first
+    that fails. The pose clips, and the rate clips, are then derived and
+    checked in one batch each, in input order; every derived clip must
+    be finite. When a batch fails its check, the derived clips are
+    checked one by one in input order to name the first that fails.
 
     Raises:
         EgodynError: with the clip id in its message.
     """
-    # per clip: its StateSequence, or (schema, row) of its derivation batch
-    slots: list[tuple[str, StateSequence | tuple[str, int]]] = []
-    staged: dict[str, tuple[list[str], list]] = {}  # schema -> (clip ids, grids)
-    for clip_id, rows in clips.items():
-        with _naming(clip_id):
-            schema, clip = _stage_clip(rows, rate_hz, window_s)
-        if schema == "state":
-            slots.append((clip_id, clip))
-        else:
-            clip_ids, grids = staged.setdefault(schema, ([], []))
-            slots.append((clip_id, (schema, len(grids))))
-            clip_ids.append(clip_id)
-            grids.append(clip)
-
-    batches = {schema: _derive(schema, *staged[schema]) for schema in staged}
+    clip_ids = list(clips)
+    groups: dict[tuple, tuple[list[int], list[dict]]] = {}  # -> (positions, rows)
     try:
-        derived = {schema: batch.sequences() for schema, batch in batches.items()}
+        for position, rows in enumerate(clips.values()):
+            positions, group_rows = groups.setdefault((*_schema(rows), len(rows)), ([], []))
+            positions.append(position)
+            group_rows.extend(rows)
+        staged = [(key[0], positions, _stage(*key, rows, rate_hz, window_s))
+                  for key, (positions, rows) in groups.items()]
     except EgodynError:
-        for clip_id, slot in slots:  # name the first clip, in input order, that fails
-            if isinstance(slot, tuple):
-                schema, row = slot
-                with _naming(clip_id):
-                    batches[schema].sequence(row)
+        for clip_id, rows in clips.items():
+            with _naming(clip_id):
+                _stage(*_schema(rows), len(rows), rows, rate_hz, window_s)
         raise
-    return [
-        (clip_id, derived[slot[0]][slot[1]] if isinstance(slot, tuple) else slot)
-        for clip_id, slot in slots
-    ]
+
+    sequences: list[StateSequence | None] = [None] * len(clip_ids)
+    gridded: dict[str, tuple[list[int], list[list[np.ndarray]]]] = {}
+    for schema, positions, channels in staged:
+        if schema == "state":
+            x_y = () if len(channels) == 8 else (None, None)
+            for position, row in zip(positions, zip(*channels)):
+                sequences[position] = StateSequence._from_checked(*row, *x_y)
+        else:
+            schema_positions, parts = gridded.setdefault(schema, ([], []))
+            schema_positions += positions
+            parts.append(channels)
+
+    batches = []  # (positions in input order, derived StateBatch)
+    for schema, (positions, parts) in gridded.items():
+        order = np.argsort(positions)
+        positions = [positions[i] for i in order]
+        grids = [np.concatenate(channel)[order] for channel in zip(*parts)]
+        batches.append((positions, _derive(schema, [clip_ids[p] for p in positions], grids)))
+    try:
+        for positions, batch in batches:
+            for position, seq in zip(positions, batch.sequences()):
+                sequences[position] = seq
+    except EgodynError:
+        rows_of = {p: (batch, i) for positions, batch in batches for i, p in enumerate(positions)}
+        for position in sorted(rows_of):  # name the first clip, in input order, that fails
+            batch, i = rows_of[position]
+            with _naming(clip_ids[position]):
+                batch.sequence(i)
+        raise
+    return list(zip(clip_ids, sequences))
 
 
 def rows_to_sequence(

@@ -27,11 +27,14 @@ kernel. scipy's ``savgol_filter`` computes the same filter with
 (7, 2) the two agree within 1e-14 of a row's largest sample. Importing
 this module loads no scipy.
 
-Derivation and summaries run on batches: the channels of N clips that
-share a sample count are stacked into (N, n) arrays and every step runs
-once per batch along the last, contiguous axis. Reductions along that
-axis give each row the same floats as the clip computed alone, so the
-per-clip functions are batches of one.
+Resampling, derivation and summaries run on batches: the channels of N
+clips that share a sample count are stacked into (N, n) arrays and every
+step runs once per batch along the last, contiguous axis. Reductions
+along that axis give each row the same floats as the clip computed
+alone, so the per-clip functions are batches of one. A batch's checks
+fail when any row fails them; callers that must name the failing clip
+check the clips one by one after a failure. Resampling interpolates each
+row as ``np.interp`` does, with the same bytes (``_interp_rows``).
 """
 
 from __future__ import annotations
@@ -234,26 +237,71 @@ def _grid_spacing(t: np.ndarray) -> np.ndarray:
 
 
 def _uniform_grid(t: np.ndarray, rate_hz: float, window_s: float) -> np.ndarray:
-    """The uniform grid of a raw log: ``window_s`` from its first timestamp."""
+    """The uniform grids of (G, n) raw-log timestamps, as a (G, m) array:
+    ``window_s`` from each row's first timestamp.
+
+    Every check runs once over all rows and fails when any row fails it.
+    """
     if rate_hz <= 0 or window_s <= 0:
         raise ValueError("rate_hz and window_s must be positive")
-    if t.size < 2:
+    if t.shape[-1] < 2:
         raise InsufficientSpan("need at least 2 samples to resample")
-    if np.any(np.diff(t) <= 0):
+    if np.any(np.diff(t, axis=-1) <= 0):
         raise NonMonotonicTime("timestamps must strictly increase")
-    span = float(t[-1] - t[0])
-    if span < window_s - GRID_TOLERANCE_S - GRID_ULPS * math.ulp(max(abs(t[0]), abs(t[-1]))):
+    first, last = t[:, 0], t[:, -1]
+    span = last - first
+    short = span < (
+        window_s - GRID_TOLERANCE_S - GRID_ULPS * np.spacing(np.maximum(abs(first), abs(last))))
+    if short.any():
+        span = float(span[short.argmax()])
         raise InsufficientSpan(
             f"log spans {span:.3f} s but window is {window_s:.3f} s "
             f"(short by {window_s - span:.3g} s)"
         )
-    n = int(round(window_s * rate_hz)) + 1
-    grid = t[0] + np.arange(n) / rate_hz
+    m = int(round(window_s * rate_hz)) + 1
+    grid = t[:, :1] + np.arange(m) / rate_hz
     # Timestamps whose ulp is near the spacing (1e15 s at 10 Hz, say) give
-    # no uniform grid; reject it here, for this clip alone, rather than
-    # later in a batch of clips.
-    _grid_spacing(grid[None])
+    # no uniform grid; reject it here rather than later at derivation.
+    _grid_spacing(grid)
     return grid
+
+
+@np.errstate(over="ignore", invalid="ignore")  # as np.interp, which warns of neither
+def _interp_rows(x: np.ndarray, t: np.ndarray, *values: np.ndarray) -> list[np.ndarray]:
+    """``np.interp(x[i], t[i], v[i])`` for every row i of each (G, n) ``v``
+    in ``values``, with np.interp's bytes on finite values.
+
+    Rows of ``t`` strictly increase, rows of the (G, m) ``x`` do not
+    decrease, and ``x[:, 0] >= t[:, 0]``. As in np.interp, ``j`` is the last
+    index with ``t[j] <= x``; ``x`` at or past ``t[-1]`` takes ``v[-1]``,
+    ``x == t[j]`` takes ``v[j]``, and any other ``x`` takes ``slope * (x -
+    t[j]) + v[j]`` with ``slope = (v[j+1] - v[j]) / (t[j+1] - t[j])``.
+    """
+    n = t.shape[-1]
+    # j + 1 counts the t[i] <= x: one stable sort per row of t and x
+    # together, where t comes first and so first among equal values
+    order = np.argsort(np.concatenate([t, x], axis=-1), axis=-1, kind="stable")
+    from_t = order < n
+    j = np.cumsum(from_t, axis=-1)[~from_t].reshape(x.shape) - 1
+    past_end = x >= t[:, -1:]
+    j = np.minimum(j, n - 2)
+    t_j = np.take_along_axis(t, j, -1)
+    step = np.take_along_axis(t, j + 1, -1) - t_j
+    on_sample = x == t_j
+    out = []
+    for v in values:
+        v_j = np.take_along_axis(v, j, -1)
+        slope = (np.take_along_axis(v, j + 1, -1) - v_j) / step
+        line = np.where(on_sample, v_j, slope * (x - t_j) + v_j)
+        out.append(np.where(past_end, v[:, -1:], line))
+    return out
+
+
+def _as_rows(*channels) -> tuple[bool, list[np.ndarray]]:
+    """Float channels as (G, n) rows, and whether they came as one 1-D log."""
+    channels = [np.asarray(c, dtype=float) for c in channels]
+    single = channels[0].ndim == 1
+    return single, [c[None] if single else c for c in channels]
 
 
 def resample_pose_log(
@@ -264,21 +312,20 @@ def resample_pose_log(
     rate_hz: float,
     window_s: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Resample a (t, x, y, heading) log onto the uniform grid.
+    """Resample (t, x, y, heading) logs onto the uniform grid.
 
+    Takes one log as 1-D arrays, or G logs of n samples as (G, n) arrays
+    (one grid check for all of them); returns arrays of the same rank.
     Positions interpolate linearly; heading interpolates along the shortest
     arc so a 3.1 -> -3.1 rad pair passes through +/-pi, not through zero.
-    Returns the grid, x, y and the heading wrapped into (-pi, pi].
+    Returns the grid, x, y and the heading wrapped into (-pi, pi]; each row
+    has the bytes of ``np.interp`` on that log alone.
     """
-    t = np.asarray(t, dtype=float)
+    single, (t, x, y, heading) = _as_rows(t, x, y, heading)
     grid = _uniform_grid(t, rate_hz, window_s)
-    heading_u = np.unwrap(heading)
-    return (
-        grid,
-        np.interp(grid, t, x),
-        np.interp(grid, t, y),
-        _wrap_angle(np.interp(grid, t, heading_u)),
-    )
+    x, y, heading = _interp_rows(grid, t, x, y, np.unwrap(heading, axis=-1))
+    out = grid, x, y, _wrap_angle(heading)
+    return tuple(c[0] for c in out) if single else out
 
 
 def resample_uniform(
@@ -314,10 +361,15 @@ def resample_rate_log(
     rate_hz: float,
     window_s: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Resample a (t, v, omega) log onto the uniform grid; linear interp."""
-    t = np.asarray(t, dtype=float)
+    """Resample (t, v, omega) logs onto the uniform grid; linear interp.
+
+    Takes one log as 1-D arrays or G logs as (G, n) arrays, as
+    ``resample_pose_log`` does.
+    """
+    single, (t, v, omega) = _as_rows(t, v, omega)
     grid = _uniform_grid(t, rate_hz, window_s)
-    return grid, np.interp(grid, t, v), np.interp(grid, t, omega)
+    out = grid, *_interp_rows(grid, t, v, omega)
+    return tuple(c[0] for c in out) if single else out
 
 
 @cache

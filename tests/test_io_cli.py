@@ -956,7 +956,11 @@ class TestTrajectoryInputErrors:
         assert status == 2, err
         return err
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf, pytest.param(10**400, id="int_1e400")])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, pytest.param(10**400, id="int_1e400"),
+                                       pytest.param("5.5", id="string"),
+                                       pytest.param(" 7 ", id="padded_string"),
+                                       pytest.param("1_0", id="underscore_string"),
+                                       pytest.param(True, id="boolean")])
     @pytest.mark.parametrize(
         "schema,field",
         [("pose", "x"), ("pose", "heading"), ("rate", "v"), ("rate", "omega"),
@@ -1149,7 +1153,7 @@ class TestKeyedInputErrors:
 
     @pytest.mark.parametrize("command", ["label", "sweep", "calibrate-thresholds"])
     @pytest.mark.parametrize("key,value", [("rate_hz", 0), ("window_s", -1),
-                                           ("rate_hz", "ten")])
+                                           ("rate_hz", "ten"), ("rate_hz", 10**400)])
     def test_grid_settings_must_be_positive(self, tmp_path, capsys, command, key, value):
         path = tmp_path / "trajectories.jsonl"
         io.write_jsonl(path, _pose_rows("a"))
@@ -1352,7 +1356,7 @@ class TestConfigNumbers:
         "alphas,extra",
         [(None, ["--alpha", "0,1.0"]), (None, ["--alpha=-1,1.0"]),
          (None, ["--alpha", "0.5,abc,1.0"]), (0.5, []), ([0.5, "x", 1.0], []),
-         ([True, 1.0], [])],
+         ([True, 1.0], []), ([1.0, 10**400], [])],
     )
     def test_sweep_alphas(self, tmp_path, capsys, alphas, extra):
         traj = tmp_path / "trajectories.jsonl"
@@ -1363,6 +1367,8 @@ class TestConfigNumbers:
                   "alphas": [1.0] if alphas is None else alphas}
         err = self.exit_2_message(tmp_path, capsys, "sweep", config, extra)
         assert "alpha" in err
+        if alphas == [1.0, 10**400]:
+            assert "alpha must be a finite positive number, got 1000" in err
 
     @pytest.mark.parametrize(
         "key,value", [("count", "abc"), ("count", 2.5), ("seed", "abc"), ("seed", -1)]

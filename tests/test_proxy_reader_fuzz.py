@@ -1,9 +1,9 @@
 """Fuzz the proxies reader through the ``baseline`` command.
 
-Files mix valid flow and odometry rows with missing fields, strings,
-integers too large for a float, values of +/-1e308 (alone, or in every
-row of a clip so that a mean or a sum overflows), negative magnitudes,
-array ids and schemas of the wrong kind. ``baseline`` must either exit 0
+Files mix valid flow and odometry rows with missing fields, strings
+(numeric ones too), booleans, integers too large for a float, values of
++/-1e308 (alone, or in every row of a clip so that a mean or a sum
+overflows), negative magnitudes, array ids and schemas of the wrong kind. ``baseline`` must either exit 0
 with every evidence value finite or exit 2 with an ``egodyn baseline:``
 message; it must never raise.
 """
@@ -26,7 +26,7 @@ FIELDS = {
     "rate": ("v", "omega"),  # neither proxy schema
 }
 MAGNITUDES = ("m_mag", "m_disp")
-BAD = [None, "left", 10**400, -(10**400), 1e308, -1e308, -1.0, [1.0]]  # None: field absent
+BAD = [None, "left", "5.5", True, 10**400, -(10**400), 1e308, -1e308, -1.0, [1.0]]  # None: field absent
 
 
 @st.composite
