@@ -9,12 +9,12 @@ heading), rates (t, v, omega), or the full state chain (t, v, a, j,
 omega, theta[, x, y]); a ``clip_id`` field groups rows into clips and
 defaults to a single clip when absent.
 
-Trajectory clips are staged in groups that share a schema and a row
-count: each channel of a group is one float array over the group's rows,
-checked once, and each pose or rate group is resampled in one call (see
-``kinematics``). Clips are staged one by one, in input order, only when
-a group fails, to name the first failing clip. Then all pose clips and
-all rate clips are each derived and checked in one batch.
+Trajectory clips are staged by schema, whatever their row counts: each
+channel of a schema is one float array over its clips' rows, checked
+once, and all pose clips, and all rate clips, are resampled in one call
+(see ``kinematics``). Clips are staged one by one, in input order, only
+when a schema fails, to name the first failing clip. Then all pose clips
+and all rate clips are each derived and checked in one batch.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from .errors import ConfigError, EgodynError, InvalidTrajectory
 from .kinematics import (
     StateBatch,
     StateSequence,
+    _by_length,
     _check_states,
     derive_pose_batch,
     derive_rate_batch,
@@ -293,22 +294,23 @@ def _schema(rows: list[dict]) -> tuple[str, tuple[str, ...]]:
 
 
 def _stage(
-    schema: str, names: tuple[str, ...], count: int, rows: list[dict],
+    schema: str, names: tuple[str, ...], lengths: list[int], rows: list[dict],
     rate_hz: float, window_s: float,
 ) -> list[np.ndarray]:
-    """Check G clips of one schema with ``count`` rows each, given as their
-    rows one clip after another, and bring them onto the grid.
+    """Check the clips of one schema, given as their rows one clip after
+    another, clip i with ``lengths[i]`` rows, and bring them onto the grid.
 
-    Returns the (G, count) channels ``names`` of full-state clips, else the
-    (G, m) grid channels ready to derive. Each check runs once for the G
-    clips and fails when any clip fails it.
+    Returns the channels ``names`` of full-state clips, end to end as in
+    ``rows``, else the (G, m) grid channels ready to derive. Each check
+    runs once for all the clips and fails when any clip fails it.
     """
-    channels = [_channel(rows, name).reshape(-1, count) for name in names]
+    channels = [_channel(rows, name) for name in names]
     if schema == "state":
-        _check_states(*channels)
+        for samples in _by_length(lengths):
+            _check_states(*(channel[samples] for channel in channels))
         return channels
     resample = resample_pose_log if schema == "pose" else resample_rate_log
-    return list(resample(*channels, rate_hz, window_s))
+    return list(resample(*channels, rate_hz, window_s, lengths))
 
 
 def _derive(schema: str, clip_ids: list[str], grids: list[np.ndarray]) -> StateBatch:
@@ -332,51 +334,48 @@ def rows_to_sequences(
 ) -> list[tuple[str, StateSequence]]:
     """Build every clip's StateSequence, whatever its schema, in input order.
 
-    Clips that share a schema and a row count are staged as one group:
-    each channel is one array over the group's rows, checked once, and
-    pose and rate groups are resampled in one call. When a group fails,
-    the clips are staged one by one in input order to name the first
-    that fails. The pose clips, and the rate clips, are then derived and
-    checked in one batch each, in input order; every derived clip must
-    be finite. When a batch fails its check, the derived clips are
+    The clips of one schema are staged together, whatever their row
+    counts: each channel is one array over their rows, checked once, and
+    the pose clips, and the rate clips, are resampled in one call. When a
+    schema fails, the clips are staged one by one in input order to name
+    the first that fails. The pose clips, and the rate clips, are then
+    derived and checked in one batch each, in input order; every derived
+    clip must be finite. When a batch fails its check, the derived clips are
     checked one by one in input order to name the first that fails.
 
     Raises:
         EgodynError: with the clip id in its message.
     """
     clip_ids = list(clips)
-    groups: dict[tuple, tuple[list[int], list[dict]]] = {}  # -> (positions, rows)
+    # (schema, names) -> (positions, row counts, rows) of its clips
+    schemas: dict[tuple, tuple[list[int], list[int], list[dict]]] = {}
     try:
         for position, rows in enumerate(clips.values()):
-            positions, group_rows = groups.setdefault((*_schema(rows), len(rows)), ([], []))
+            positions, lengths, schema_rows = schemas.setdefault(_schema(rows), ([], [], []))
             positions.append(position)
-            group_rows.extend(rows)
-        staged = [(key[0], positions, _stage(*key, rows, rate_hz, window_s))
-                  for key, (positions, rows) in groups.items()]
+            lengths.append(len(rows))
+            schema_rows.extend(rows)
+        staged = [
+            (schema, positions, lengths, _stage(schema, names, lengths, rows, rate_hz, window_s))
+            for (schema, names), (positions, lengths, rows) in schemas.items()
+        ]
     except EgodynError:
         for clip_id, rows in clips.items():
             with _naming(clip_id):
-                _stage(*_schema(rows), len(rows), rows, rate_hz, window_s)
+                _stage(*_schema(rows), [len(rows)], rows, rate_hz, window_s)
         raise
 
     sequences: list[StateSequence | None] = [None] * len(clip_ids)
-    gridded: dict[str, tuple[list[int], list[list[np.ndarray]]]] = {}
-    for schema, positions, channels in staged:
+    batches = []  # (positions in input order, derived StateBatch)
+    for schema, positions, lengths, channels in staged:
         if schema == "state":
             x_y = () if len(channels) == 8 else (None, None)
-            for position, row in zip(positions, zip(*channels)):
-                sequences[position] = StateSequence._from_checked(*row, *x_y)
+            ends = list(itertools.accumulate(lengths))
+            for position, start, end in zip(positions, [0, *ends], ends):
+                sequences[position] = StateSequence._from_checked(
+                    *(channel[start:end] for channel in channels), *x_y)
         else:
-            schema_positions, parts = gridded.setdefault(schema, ([], []))
-            schema_positions += positions
-            parts.append(channels)
-
-    batches = []  # (positions in input order, derived StateBatch)
-    for schema, (positions, parts) in gridded.items():
-        order = np.argsort(positions)
-        positions = [positions[i] for i in order]
-        grids = [np.concatenate(channel)[order] for channel in zip(*parts)]
-        batches.append((positions, _derive(schema, [clip_ids[p] for p in positions], grids)))
+            batches.append((positions, _derive(schema, [clip_ids[p] for p in positions], channels)))
     try:
         for positions, batch in batches:
             for position, seq in zip(positions, batch.sequences()):

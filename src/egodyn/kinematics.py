@@ -27,14 +27,16 @@ kernel. scipy's ``savgol_filter`` computes the same filter with
 (7, 2) the two agree within 1e-14 of a row's largest sample. Importing
 this module loads no scipy.
 
-Resampling, derivation and summaries run on batches: the channels of N
-clips that share a sample count are stacked into (N, n) arrays and every
-step runs once per batch along the last, contiguous axis. Reductions
-along that axis give each row the same floats as the clip computed
-alone, so the per-clip functions are batches of one. A batch's checks
-fail when any row fails them; callers that must name the failing clip
-check the clips one by one after a failure. Resampling interpolates each
-row as ``np.interp`` does, with the same bytes (``_interp_rows``).
+Derivation and summaries run on batches: the channels of N clips that
+share a sample count are stacked into (N, n) arrays and every step runs
+once per batch along the last, contiguous axis. Reductions along that
+axis give each row the same floats as the clip computed alone, so the
+per-clip functions are batches of one. Resampling takes G raw logs of
+any lengths laid end to end in 1-D arrays: their grids are built and
+checked at once, heading is unwrapped once per sample count, and each
+log is interpolated with ``np.interp``, so every log gets the bytes it
+gets alone. A batch's checks fail when any log fails them; callers that
+must name the failing clip check the clips one by one after a failure.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from functools import cache
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -236,19 +238,42 @@ def _grid_spacing(t: np.ndarray) -> np.ndarray:
     return dts[:, :1]
 
 
-def _uniform_grid(t: np.ndarray, rate_hz: float, window_s: float) -> np.ndarray:
-    """The uniform grids of (G, n) raw-log timestamps, as a (G, m) array:
-    ``window_s`` from each row's first timestamp.
+def _log_bounds(lengths: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The first and one-past-last sample of each of G logs laid end to end,
+    log i holding ``lengths[i]`` samples."""
+    lengths = np.asarray(lengths, dtype=np.intp)
+    ends = np.cumsum(lengths)
+    return ends - lengths, ends
 
-    Every check runs once over all rows and fails when any row fails it.
+
+def _by_length(lengths: Sequence[int]) -> Iterator[np.ndarray]:
+    """The sample indices of the logs laid end to end that share a sample
+    count n, as one (k, n) array per count."""
+    starts, ends = _log_bounds(lengths)
+    lengths = ends - starts
+    order = np.argsort(lengths, kind="stable")
+    for logs in np.split(order, np.flatnonzero(np.diff(lengths[order])) + 1):
+        yield starts[logs, None] + np.arange(lengths[logs[0]])
+
+
+def _uniform_grid(
+    t: np.ndarray, starts: np.ndarray, ends: np.ndarray, rate_hz: float, window_s: float
+) -> np.ndarray:
+    """The uniform grids of G raw logs laid end to end in ``t``, log i in
+    ``t[starts[i]:ends[i]]``, as a (G, m) array: ``window_s`` from each
+    log's first timestamp.
+
+    Every check runs once over all logs and fails when any log fails it.
     """
     if rate_hz <= 0 or window_s <= 0:
         raise ValueError("rate_hz and window_s must be positive")
-    if t.shape[-1] < 2:
+    if np.any(ends - starts < 2):
         raise InsufficientSpan("need at least 2 samples to resample")
-    if np.any(np.diff(t, axis=-1) <= 0):
+    steps = np.diff(t)
+    steps[ends[:-1] - 1] = np.inf  # from one log's last sample to the next log's first
+    if np.any(steps <= 0):
         raise NonMonotonicTime("timestamps must strictly increase")
-    first, last = t[:, 0], t[:, -1]
+    first, last = t[starts], t[ends - 1]
     span = last - first
     short = span < (
         window_s - GRID_TOLERANCE_S - GRID_ULPS * np.spacing(np.maximum(abs(first), abs(last))))
@@ -259,49 +284,42 @@ def _uniform_grid(t: np.ndarray, rate_hz: float, window_s: float) -> np.ndarray:
             f"(short by {window_s - span:.3g} s)"
         )
     m = int(round(window_s * rate_hz)) + 1
-    grid = t[:, :1] + np.arange(m) / rate_hz
+    grid = first[:, None] + np.arange(m) / rate_hz
     # Timestamps whose ulp is near the spacing (1e15 s at 10 Hz, say) give
     # no uniform grid; reject it here rather than later at derivation.
     _grid_spacing(grid)
     return grid
 
 
-@np.errstate(over="ignore", invalid="ignore")  # as np.interp, which warns of neither
-def _interp_rows(x: np.ndarray, t: np.ndarray, *values: np.ndarray) -> list[np.ndarray]:
-    """``np.interp(x[i], t[i], v[i])`` for every row i of each (G, n) ``v``
-    in ``values``, with np.interp's bytes on finite values.
-
-    Rows of ``t`` strictly increase, rows of the (G, m) ``x`` do not
-    decrease, and ``x[:, 0] >= t[:, 0]``. As in np.interp, ``j`` is the last
-    index with ``t[j] <= x``; ``x`` at or past ``t[-1]`` takes ``v[-1]``,
-    ``x == t[j]`` takes ``v[j]``, and any other ``x`` takes ``slope * (x -
-    t[j]) + v[j]`` with ``slope = (v[j+1] - v[j]) / (t[j+1] - t[j])``.
-    """
-    n = t.shape[-1]
-    # j + 1 counts the t[i] <= x: one stable sort per row of t and x
-    # together, where t comes first and so first among equal values
-    order = np.argsort(np.concatenate([t, x], axis=-1), axis=-1, kind="stable")
-    from_t = order < n
-    j = np.cumsum(from_t, axis=-1)[~from_t].reshape(x.shape) - 1
-    past_end = x >= t[:, -1:]
-    j = np.minimum(j, n - 2)
-    t_j = np.take_along_axis(t, j, -1)
-    step = np.take_along_axis(t, j + 1, -1) - t_j
-    on_sample = x == t_j
-    out = []
-    for v in values:
-        v_j = np.take_along_axis(v, j, -1)
-        slope = (np.take_along_axis(v, j + 1, -1) - v_j) / step
-        line = np.where(on_sample, v_j, slope * (x - t_j) + v_j)
-        out.append(np.where(past_end, v[:, -1:], line))
-    return out
-
-
-def _as_rows(*channels) -> tuple[bool, list[np.ndarray]]:
-    """Float channels as (G, n) rows, and whether they came as one 1-D log."""
+def _resample(
+    t: np.ndarray,
+    channels: Sequence[np.ndarray],
+    lengths: Sequence[int] | None,
+    rate_hz: float,
+    window_s: float,
+    unwrap: Sequence[int] = (),
+) -> list[np.ndarray]:
+    """The grids, then each of ``channels`` interpolated onto them with
+    ``np.interp``, for one log (``lengths`` None; 1-D results) or G logs
+    laid end to end ((G, m) results). The channels at the indices
+    ``unwrap`` are first unwrapped per log, as ``np.unwrap`` does."""
+    t = np.asarray(t, dtype=float)
     channels = [np.asarray(c, dtype=float) for c in channels]
-    single = channels[0].ndim == 1
-    return single, [c[None] if single else c for c in channels]
+    counts = [t.size] if lengths is None else lengths
+    starts, ends = _log_bounds(counts)
+    if ends.size == 0 or ends[-1] != t.size:
+        raise ValueError("lengths must be one or more sample counts adding up to t.size")
+    grid = _uniform_grid(t, starts, ends, rate_hz, window_s)
+    for k in unwrap:
+        unwrapped = np.empty_like(channels[k])
+        for samples in _by_length(counts):
+            unwrapped[samples] = np.unwrap(channels[k][samples], axis=-1)
+        channels[k] = unwrapped
+    logs = list(map(slice, starts.tolist(), ends.tolist()))
+    out = [grid] + [
+        np.array([np.interp(g, t[log], c[log]) for g, log in zip(grid, logs)]) for c in channels
+    ]
+    return [c[0] for c in out] if lengths is None else out
 
 
 def resample_pose_log(
@@ -311,21 +329,20 @@ def resample_pose_log(
     heading: np.ndarray,
     rate_hz: float,
     window_s: float,
+    lengths: Sequence[int] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Resample (t, x, y, heading) logs onto the uniform grid.
 
-    Takes one log as 1-D arrays, or G logs of n samples as (G, n) arrays
-    (one grid check for all of them); returns arrays of the same rank.
+    Takes one log as 1-D arrays. With ``lengths``, the 1-D arrays hold G
+    logs end to end, log i with ``lengths[i]`` samples; the grids of all of
+    them are checked at once and the results are (G, m) arrays, one row per
+    log, each with the bytes of that log resampled alone.
     Positions interpolate linearly; heading interpolates along the shortest
     arc so a 3.1 -> -3.1 rad pair passes through +/-pi, not through zero.
-    Returns the grid, x, y and the heading wrapped into (-pi, pi]; each row
-    has the bytes of ``np.interp`` on that log alone.
+    Returns the grid, x, y and the heading wrapped into (-pi, pi].
     """
-    single, (t, x, y, heading) = _as_rows(t, x, y, heading)
-    grid = _uniform_grid(t, rate_hz, window_s)
-    x, y, heading = _interp_rows(grid, t, x, y, np.unwrap(heading, axis=-1))
-    out = grid, x, y, _wrap_angle(heading)
-    return tuple(c[0] for c in out) if single else out
+    grid, x, y, heading = _resample(t, (x, y, heading), lengths, rate_hz, window_s, unwrap=(2,))
+    return grid, x, y, _wrap_angle(heading)
 
 
 def resample_uniform(
@@ -360,16 +377,14 @@ def resample_rate_log(
     omega: np.ndarray,
     rate_hz: float,
     window_s: float,
+    lengths: Sequence[int] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Resample (t, v, omega) logs onto the uniform grid; linear interp.
 
-    Takes one log as 1-D arrays or G logs as (G, n) arrays, as
+    Takes one log, or G logs end to end with ``lengths``, as
     ``resample_pose_log`` does.
     """
-    single, (t, v, omega) = _as_rows(t, v, omega)
-    grid = _uniform_grid(t, rate_hz, window_s)
-    out = grid, *_interp_rows(grid, t, v, omega)
-    return tuple(c[0] for c in out) if single else out
+    return tuple(_resample(t, (v, omega), lengths, rate_hz, window_s))
 
 
 @cache

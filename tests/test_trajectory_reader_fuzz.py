@@ -5,7 +5,7 @@ spoiled fields: absent, strings (numeric ones too), booleans, integers too
 large for a float, NaN and +/-1e308 (in one row or in every row of a clip,
 so that a derivation overflows), and with timestamps out of order, spans
 shorter than the window, array or integer ids and rows that are not
-contiguous. ``label`` stages clips in groups; it must exit 0 when every
+contiguous. ``label`` stages clips by schema; it must exit 0 when every
 clip passes, and otherwise exit 2 with the message of the reference below,
 which stages and derives the clips one by one. It must never raise.
 """
