@@ -10,9 +10,9 @@ stop-and-go, and brake-then-turn.
 ``label_proxies`` labels many clips of one family the way the oracle
 does: the series are stacked by sample count, each family's reducer gives
 evidence columns and one condition list per question, ``oracle.decide``
-turns those into answer codes, and ``oracle.label_rows`` builds the rows
-from the family's rule table. ``flow_answers`` and ``vo_answers`` are
-batches of one.
+turns those into answer codes, and ``oracle.label_lines`` builds the rows,
+as JSON Lines text, from the family's rule table. ``flow_answers`` and
+``vo_answers`` are batches of one, read back as QARecords.
 
 Pixel-level extraction is out of scope; series arrive from files or from
 ``synth_proxies``, which maps ground-truth kinematics onto the proxy
@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import EmptySeries, InvalidTrajectory
 from .kinematics import reduce_by_sample_count
-from .oracle import QARecord, decide, label_rows, ordered_pair
+from .oracle import QARecord, decide, label_lines, ordered_pair, read_records
 
 
 @dataclass(frozen=True)
@@ -202,16 +202,17 @@ _FAMILIES = {  # threshold type -> (rule table, proxy channels, stack reducer)
 @np.errstate(over="ignore", invalid="ignore")  # overflow is checked, not warned
 def label_proxies(
     clip_ids: Sequence[str], series: Sequence, th: FlowThresholds | OdomThresholds
-) -> list[dict]:
-    """Label rows of the six geometric questions for many clips of the
-    proxy family of ``th``, clip by clip in ``GEOMETRIC_SUBSET`` order.
+) -> str:
+    """The JSON Lines text of the label rows of the six geometric questions
+    for many clips of the proxy family of ``th``, clip by clip in
+    ``GEOMETRIC_SUBSET`` order (see ``oracle.label_lines``).
 
     Raises:
         InvalidTrajectory: some evidence is not finite (a statistic of
             finite proxies overflows); names the first such clip.
     """
     if not series:
-        return []
+        return ""
     rules, channels, reduce = _FAMILIES[type(th)]
 
     def decide_stack(*stack):
@@ -227,21 +228,21 @@ def label_proxies(
             "an evidence value is not finite"
         )
     table = {question: (rule, vars(th), names) for question, (rule, names) in rules.items()}
-    return label_rows(clip_ids, codes, evidence, table)
+    return label_lines(clip_ids, codes, evidence, table)
 
 
 def flow_answers(
     series: FlowProxySeries, th: FlowThresholds = FLOW_DEFAULT, clip_id: str = ""
 ) -> list[QARecord]:
     """Answer the six geometric questions from flow proxies; one clip of ``label_proxies``."""
-    return [QARecord(**row) for row in label_proxies([clip_id], [series], th)]
+    return read_records(label_proxies([clip_id], [series], th))
 
 
 def vo_answers(
     series: OdomProxySeries, th: OdomThresholds = VO_DEFAULT, clip_id: str = ""
 ) -> list[QARecord]:
     """Answer the six geometric questions from odometry proxies; one clip of ``label_proxies``."""
-    return [QARecord(**row) for row in label_proxies([clip_id], [series], th)]
+    return read_records(label_proxies([clip_id], [series], th))
 
 
 # Calibration constants tying proxy scales to the kinematic thresholds:

@@ -21,7 +21,7 @@ from . import balancer, baselines, io, metrics, report
 from .encodings import ENCODING_MODES, encode_trajectory
 from .errors import ConfigError, EgodynError
 from .kinematics import stratification_bin, summarize_batch
-from .oracle import label_batch, label_rows, rule_table, tags_of
+from .oracle import label_batch, label_lines, rule_table, tags_of
 from .questions import QUESTION_ORDER, AnswerTable
 from .synth import generate_suite
 from .thresholds import ThresholdConfig, calibrate_thresholds
@@ -154,7 +154,7 @@ def _cmd_label(cfg: RunConfig) -> dict[str, Path]:
     clips = _load_clips(cfg)
     clip_ids = [clip_id for clip_id, _ in clips]
     seqs = [seq for _, seq in clips]
-    summaries = summarize_batch(seqs, heading_mode=thresholds.heading_total_mode)
+    summaries = summarize_batch(seqs, thresholds.heading_total_mode, clip_ids)
     codes, ev = label_batch(seqs, summaries, thresholds)
     meta_rows = [
         {
@@ -167,7 +167,8 @@ def _cmd_label(cfg: RunConfig) -> dict[str, Path]:
     ]
     out = cfg.out_dir
     outputs = {"labels": out / "labels.jsonl", "clip_summaries": out / "clip_summaries.jsonl"}
-    io.write_jsonl(outputs["labels"], label_rows(clip_ids, codes, ev, rule_table(thresholds)))
+    outputs["labels"].write_text(
+        label_lines(clip_ids, codes, ev, rule_table(thresholds)), encoding="utf-8")
     io.write_jsonl(outputs["clip_summaries"], meta_rows)
     if cfg.encoding:
         outputs["prompts"] = _write_prompts(cfg, zip(clip_ids, seqs, summaries), out)
@@ -304,8 +305,8 @@ def _cmd_baseline(cfg: RunConfig) -> dict[str, Path]:
                 *(io._channel(clip_rows, f.name) for f in fields(series_type))
             )
     out = cfg.out_dir
-    rows = baselines.label_proxies(list(series), list(series.values()), thresholds)
-    io.write_jsonl(out / "baseline_labels.jsonl", rows)
+    text = baselines.label_proxies(list(series), list(series.values()), thresholds)
+    (out / "baseline_labels.jsonl").write_text(text, encoding="utf-8")
     return {"baseline_labels": out / "baseline_labels.jsonl"}
 
 
@@ -351,7 +352,8 @@ def _cmd_balance(cfg: RunConfig) -> dict[str, Path]:
 def _cmd_calibrate(cfg: RunConfig) -> dict[str, Path]:
     base = _load_thresholds(cfg)
     sequences = _load_clips(cfg)
-    summaries = summarize_batch([seq for _, seq in sequences])
+    summaries = summarize_batch(
+        [seq for _, seq in sequences], clip_ids=[clip_id for clip_id, _ in sequences])
     calibrated = calibrate_thresholds(summaries, base)
     out = cfg.out_dir
     calibrated.to_json(out / "thresholds.json")

@@ -4,7 +4,8 @@ All record files are JSON Lines with sorted keys so reruns are
 byte-identical; configuration documents are single JSON files. Rows are
 read with one bound ``raw_decode`` and written with one C encoder, bound
 at import, that writes the bytes of ``json.dumps(row, sort_keys=True,
-ensure_ascii=False)``. Trajectory rows may carry poses (t, x, y,
+ensure_ascii=False)``; label rows are built as that text straight from
+their columns (``oracle.label_lines``). Trajectory rows may carry poses (t, x, y,
 heading), rates (t, v, omega), or the full state chain (t, v, a, j,
 omega, theta[, x, y]); a ``clip_id`` field groups rows into clips and
 defaults to a single clip when absent.

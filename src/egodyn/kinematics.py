@@ -590,8 +590,10 @@ def reduce_by_sample_count(
     return out
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow is checked, not warned
 def summarize_batch(
-    seqs: Sequence[StateSequence], heading_mode: str = "net"
+    seqs: Sequence[StateSequence], heading_mode: str = "net",
+    clip_ids: Sequence[str] | None = None,
 ) -> list[KinematicSummary]:
     """Clip-level aggregates of many state sequences, in input order.
 
@@ -599,6 +601,11 @@ def summarize_batch(
     pass along the sample axis. heading_mode "net" measures
     |theta_end - theta_start| on the unwrapped heading; "sum" accumulates
     |d theta| so oscillation also counts.
+
+    Raises:
+        InvalidTrajectory: some summary value is not finite (a statistic
+            of finite channels overflows); names the first such clip, by
+            its id in ``clip_ids`` or else by its position.
     """
     if heading_mode not in ("net", "sum"):
         raise ValueError("heading_mode must be 'net' or 'sum'")
@@ -626,6 +633,13 @@ def summarize_batch(
         }
 
     columns = reduce_by_sample_count(seqs, ("v", "a", "j", "omega", "theta"), reduce)
+    finite = np.logical_and.reduce(
+        [np.isfinite(column).reshape(len(seqs), -1).all(axis=1) for column in columns.values()])
+    if not np.all(finite):
+        i = int(np.argmin(finite))
+        clip = repr(clip_ids[i]) if clip_ids is not None else f"at position {i}"
+        raise InvalidTrajectory(
+            f"clip {clip}: summary statistics overflow: a summary value is not finite")
     columns = {key: column.tolist() for key, column in columns.items()}
     return [
         KinematicSummary(

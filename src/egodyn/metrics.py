@@ -279,7 +279,7 @@ def sensitivity_sweep(
 
     clip_ids = tuple(clip_id for clip_id, _ in clips)
     seqs = [seq for _, seq in clips]
-    summaries = summarize_batch(seqs, heading_mode=cfg.heading_total_mode)
+    summaries = summarize_batch(seqs, cfg.heading_total_mode, clip_ids)
 
     def scores_at(alpha: float) -> dict[str, dict[str, float]]:
         codes, _ = label_batch(seqs, summaries, cfg.with_alpha(cfg.alpha * alpha))

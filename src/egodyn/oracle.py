@@ -4,21 +4,25 @@
 computes every rule input once per clip, as columns along the batch, and
 decides each question with array comparisons (``decide``) into an (N, 14)
 matrix of answer codes (the codes of ``questions.AnswerTable``).
-``label_rows`` turns codes and a rule table into label rows, each with the
-answer, its rule, the exact (alpha-scaled) parameters and the evidence
-used, so every label is auditable after the fact. The geometric baselines
-decide and build their rows through the same two functions.
+``label_lines`` turns codes and a rule table into the JSON Lines text of
+the label rows, each with the answer, its rule, the exact (alpha-scaled)
+parameters and the evidence used, so every label is auditable after the
+fact; the per-clip ``QARecord`` APIs read that text back. The geometric
+baselines decide and build their rows through the same two functions.
 
 Sign convention: positive yaw rate is a left (counter-clockwise) turn.
 """
 
 from __future__ import annotations
 
+import itertools
+import json
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
+from . import io
 from .kinematics import (KinematicSummary, StateSequence, half_split_index,
                          reduce_by_sample_count, summarize)
 from .questions import ANSWER_SPACES, QUESTION_ORDER, answer_code
@@ -180,19 +184,43 @@ def rule_table(cfg: ThresholdConfig) -> dict[str, tuple[str, dict, tuple[str, ..
     return table
 
 
-def label_rows(
+def _json(value) -> str:
+    """``json.dumps(value, sort_keys=True, ensure_ascii=False)``."""
+    return "".join(io._encode(value, 0))
+
+
+def _column_texts(column: np.ndarray) -> list[str]:
+    """The JSON text of each value of an evidence column: ``float.__repr__``
+    for a finite float column, which is what the encoder writes for a finite
+    float; the encoder itself for any other column (``NaN``, ``Infinity``,
+    ints, bools)."""
+    values = column.tolist()
+    if column.dtype.kind == "f" and np.isfinite(column).all():
+        return list(map(float.__repr__, values))
+    return [_json(value) for value in values]
+
+
+def label_lines(
     clip_ids: Sequence[str], codes: np.ndarray, evidence: dict[str, np.ndarray],
     table: dict[str, tuple[str, dict, tuple[str, ...]]],
-) -> list[dict]:
-    """The ``QARecord.to_dict()`` of every answer, clip by clip in the order
-    of ``table`` (as ``rule_table``), whose k-th question is column k of ``codes``.
+) -> str:
+    """The JSON Lines text of every answer's ``QARecord.to_dict()``, as
+    ``json.dumps(row, sort_keys=True, ensure_ascii=False)`` writes it, clip
+    by clip in the order of ``table`` (as ``rule_table``), whose k-th
+    question is column k of ``codes``.
+
+    Each question is one ``%`` template: its evidence keys, sorted, and its
+    constant tail (question, rule and parameters) are encoded once. Each
+    answer string and clip id is encoded once, and each evidence column
+    once (see ``_column_texts``).
 
     ``QARecord``'s checks run once for the batch: every code is in its
     question's answer space and every question records some evidence.
     """
     if not len(codes):
-        return []
-    columns = {name: column.tolist() for name, column in evidence.items()}
+        return ""
+    ids = [_json(clip_id) for clip_id in clip_ids]
+    texts: dict[str, list[str]] = {}
     by_question = []
     for k, (question, (rule, params, names)) in enumerate(table.items()):
         space = ANSWER_SPACES[question]
@@ -206,13 +234,27 @@ def label_rows(
             )
         if not names:
             raise ValueError("evidence must not be empty")
+        keys = sorted(names)
+        tail = _json({"question_id": question, "rule_name": rule, "rule_params": params})
+        fields = ", ".join(_json(name).replace("%", "%%") + ": %s" for name in keys)
+        template = (
+            '{"answer": %s, "clip_id": %s, "evidence": {' + fields + "}, "
+            + tail[1:].replace("%", "%%") + "\n"
+        )
+        for name in keys:
+            if name not in texts:
+                texts[name] = _column_texts(evidence[name])
+        answers = [_json(answer) for answer in space]
         by_question.append([
-            {"clip_id": clip_id, "question_id": question, "answer": space[code],
-             "rule_name": rule, "rule_params": dict(params), "evidence": dict(zip(names, values))}
-            for clip_id, code, values in zip(
-                clip_ids, column.tolist(), zip(*(columns[name] for name in names)))
+            template % values for values in zip(
+                map(answers.__getitem__, column.tolist()), ids, *(texts[name] for name in keys))
         ])
-    return [row for clip_rows in zip(*by_question) for row in clip_rows]
+    return "".join(itertools.chain.from_iterable(zip(*by_question)))
+
+
+def read_records(text: str) -> list[QARecord]:
+    """The QARecords of ``label_lines`` text, line by line."""
+    return [QARecord(**json.loads(line)) for line in text.split("\n")[:-1]]
 
 
 def records(
@@ -220,7 +262,7 @@ def records(
     cfg: ThresholdConfig,
 ) -> list[QARecord]:
     """QARecords of ``label_batch`` output, clip by clip in ``QUESTION_ORDER``."""
-    return [QARecord(**row) for row in label_rows(clip_ids, codes, evidence, rule_table(cfg))]
+    return read_records(label_lines(clip_ids, codes, evidence, rule_table(cfg)))
 
 
 def tags_of(codes: np.ndarray) -> list[dict[str, bool]]:

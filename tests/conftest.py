@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
 from egodyn.kinematics import StateSequence
-from egodyn.questions import AnswerTable
+from egodyn.questions import ANSWER_SPACES, AnswerTable
 from egodyn.thresholds import ThresholdConfig
 
 GRID = np.arange(31) / 10.0
@@ -49,3 +51,39 @@ def answer_table(cells, predicted=False) -> AnswerTable:
 @pytest.fixture
 def cfg() -> ThresholdConfig:
     return ThresholdConfig()
+
+
+def ref_label_rows(clip_ids, codes, evidence, table) -> list[dict]:
+    """The dict row builder that ``oracle.label_lines`` replaced: each
+    answer's ``QARecord.to_dict()``, clip by clip in the order of ``table``,
+    with its checks (an answer code outside the answer space, a question
+    without evidence). ``json.dumps`` of these rows is the reference for
+    the text ``label_lines`` builds."""
+    if not len(codes):
+        return []
+    columns = {name: column.tolist() for name, column in evidence.items()}
+    by_question = []
+    for k, (question, (rule, params, names)) in enumerate(table.items()):
+        space = ANSWER_SPACES[question]
+        column = codes[:, k]
+        outside = (column < 0) | (column >= len(space))
+        if outside.any():
+            i = int(np.argmax(outside))
+            raise ValueError(
+                f"clip {clip_ids[i]!r}, question {question!r}: "
+                f"answer code {int(column[i])} is not in the answer space"
+            )
+        if not names:
+            raise ValueError("evidence must not be empty")
+        by_question.append([
+            {"clip_id": clip_id, "question_id": question, "answer": space[code],
+             "rule_name": rule, "rule_params": dict(params), "evidence": dict(zip(names, values))}
+            for clip_id, code, values in zip(
+                clip_ids, column.tolist(), zip(*(columns[name] for name in names)))
+        ])
+    return [row for clip_rows in zip(*by_question) for row in clip_rows]
+
+
+def jsonl(rows) -> str:
+    """``json.dumps(row, sort_keys=True, ensure_ascii=False)`` of each row, one per line."""
+    return "".join(json.dumps(row, sort_keys=True, ensure_ascii=False) + "\n" for row in rows)

@@ -101,7 +101,7 @@ def patch_clip_by_clip(monkeypatch) -> dict[str, int]:
             out.append((clip_id, io.rows_to_sequence(rows, rate, window)))
         return out
 
-    def summarize_each(seqs, heading_mode="net"):
+    def summarize_each(seqs, heading_mode="net", clip_ids=None):  # ids name an overflow
         calls["summarize"] += len(seqs)
         return [summarize(seq, heading_mode) for seq in seqs]
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import GRID, make_seq
+from conftest import GRID, make_seq, ref_label_rows
 from egodyn import io, oracle, parsing
 from egodyn.cli import COMMAND_KEYS, main
 from egodyn.errors import ConfigError, InvalidTrajectory
@@ -152,29 +153,32 @@ class TestJsonlIdentity:
 
     def test_writer_on_label_and_summary_rows(self, tmp_path):
         """The rows ``label`` writes, with edge values put into their
-        evidence, summaries and tags."""
-        seqs = [clip.seq for clip in generate_suite(3, seed=5)]
+        evidence, summaries and tags: summary rows through the writer, label
+        rows through ``oracle.label_lines``, as the reference rows dumped."""
+        edges = [np.float64(0.1), -0.0, 1e308, math.nan, math.inf, -math.inf, True, None,
+                 "\u00e9", 5]
+        seqs = [clip.seq for clip in generate_suite(len(edges), seed=5)]
         summaries = summarize_batch(seqs)
         cfg = ThresholdConfig(alpha=0.93)
         codes, evidence = oracle.label_batch(seqs, summaries, cfg)
-        clip_ids = ["c0", "k\u00f6rung \U0001f697", "\u2028"]
-        labels = oracle.label_rows(clip_ids, codes, evidence, oracle.rule_table(cfg))
+        clip_ids = ["c0", "k\u00f6rung \U0001f697", "\u2028", "100%", *"abcdef"]
         summary_rows = [
             {"clip_id": clip_id, "summary": s.as_dict(), "tags": tags,
              "stratification_bin": stratification_bin(tags)}
             for clip_id, s, tags in zip(clip_ids, summaries, oracle.tags_of(codes))
         ]
-        edges = [np.float64(0.1), -0.0, 1e308, math.nan, math.inf, -math.inf, True, None,
-                 "\u00e9", 5]
-        for row, edge in zip(labels, edges):
-            row["evidence"]["edge"] = edge
+        evidence["edge"] = np.array(edges, dtype=object)
+        table = {question: (rule, params, names + ("edge",))
+                 for question, (rule, params, names) in oracle.rule_table(cfg).items()}
+        labels = oracle.label_lines(clip_ids, codes, evidence, table)
+        assert labels.encode("utf-8") == self.dumps_loop(
+            ref_label_rows(clip_ids, codes, evidence, table))
         summary_rows[0]["summary"]["max_speed"] = np.float64(-0.0)
         summary_rows[1]["summary"]["percentiles"]["accel"]["p50"] = math.nan
         summary_rows[2]["tags"]["has_turn"] = None
         path = tmp_path / "rows.jsonl"
-        for rows in (labels, summary_rows):
-            io.write_jsonl(path, rows)
-            assert path.read_bytes() == self.dumps_loop(rows)
+        io.write_jsonl(path, summary_rows)
+        assert path.read_bytes() == self.dumps_loop(summary_rows)
 
     def test_failed_write_leaves_no_state(self, tmp_path):
         """A row that fails to encode, then the same containers again: the
@@ -1057,6 +1061,32 @@ class TestTrajectoryInputErrors:
         for clip_id in ("b", "c"):  # each fails alone too, after its derivation
             with pytest.raises(InvalidTrajectory, match=f"^clip '{clip_id}': NaN/Inf"):
                 io.rows_to_sequences({clip_id: clips[clip_id]}, window_s=5.0)
+
+
+    @pytest.mark.parametrize("command", ["label", "calibrate-thresholds"])
+    def test_summary_overflow_names_the_first_clip(self, tmp_path, capsys, command):
+        """Full-state clips whose finite speeds of 1e308 overflow the mean
+        speed: 'b' (36 rows) and 'c' (31 rows, the sample count of the good
+        clip 'a', so its stack is summarized first). 'b' comes first in
+        input order and is named; numpy warns of nothing."""
+        rows = [
+            {"clip_id": clip_id, "t": i / 10.0, "v": v, "a": 0.0, "j": 0.0, "omega": 0.0,
+             "theta": 0.0}
+            for clip_id, count, v in (("a", 31, 5.0), ("b", 36, 1e308), ("c", 31, 1e308))
+            for i in range(count)
+        ]
+        path = tmp_path / "trajectories.jsonl"
+        io.write_jsonl(path, rows)
+        out = tmp_path / "o"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli(command, {"input": str(path), "out": str(out)}, tmp_path) == 2
+        assert [w.message for w in caught] == []
+        assert capsys.readouterr().err == (
+            f"egodyn {command}: clip 'b': summary statistics overflow: "
+            "a summary value is not finite\n"
+        )
+        assert not (out / "manifest.json").exists()
 
 
 def _label_rows(clip_ids):

@@ -3,11 +3,12 @@
 JSONL and CSV files mix valid pose, rate and full-state clips with
 spoiled fields: absent, strings (numeric ones too), booleans, integers too
 large for a float, NaN and +/-1e308 (in one row or in every row of a clip,
-so that a derivation overflows), and with timestamps out of order, spans
-shorter than the window, array or integer ids and rows that are not
-contiguous. ``label`` stages clips by schema; it must exit 0 when every
-clip passes, and otherwise exit 2 with the message of the reference below,
-which stages and derives the clips one by one. It must never raise.
+so that a derivation or a summary overflows), and with timestamps out of
+order, spans shorter than the window, array or integer ids and rows that
+are not contiguous. ``label`` stages clips by schema; it must exit 0 when
+every clip passes, and otherwise exit 2 with the message of the reference
+below, which stages, derives and summarizes the clips one by one. It must
+never raise.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from egodyn.kinematics import (
     derive_rate_batch,
     resample_pose_log,
     resample_rate_log,
+    summarize_batch,
 )
 
 FIELDS = {
@@ -68,25 +70,30 @@ def one_by_one(path):
     Every clip is staged alone in input order, so a staging error names
     the first failing clip. Then the gridded clips of each schema, the
     schemas in order of first appearance, are derived alone in input
-    order, and the derived clips are checked alone in input order.
+    order, and the derived clips are checked alone in input order. Last,
+    every clip is summarized alone in input order.
     """
     try:
         gridded: dict[str, list] = {}
+        states = {}
         for clip_id, rows in io.read_trajectory_clips(path).items():
             with io._naming(clip_id):
                 schema, staged = stage_alone(rows)
             if schema != "state":
                 gridded.setdefault(schema, []).append((clip_id, staged))
+            states[clip_id] = staged
         derived = {}
         for schema, grids in gridded.items():
             derive = {"pose": derive_pose_batch, "rate": derive_rate_batch}[schema]
             for clip_id, grid in grids:
                 with io._naming(clip_id):
                     derived[clip_id] = derive(*(channel[None] for channel in grid))
-        for clip_id in io.read_trajectory_clips(path):
+        for clip_id in states:
             if clip_id in derived:
                 with io._naming(clip_id):
-                    derived[clip_id].sequence(0)
+                    states[clip_id] = derived[clip_id].sequence(0)
+        for clip_id, seq in states.items():
+            summarize_batch([seq], clip_ids=[clip_id])
     except EgodynError as exc:
         return f"egodyn label: {exc}\n"
     return None
