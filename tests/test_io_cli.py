@@ -1062,7 +1062,6 @@ class TestTrajectoryInputErrors:
             with pytest.raises(InvalidTrajectory, match=f"^clip '{clip_id}': NaN/Inf"):
                 io.rows_to_sequences({clip_id: clips[clip_id]}, window_s=5.0)
 
-
     @pytest.mark.parametrize("command", ["label", "calibrate-thresholds"])
     def test_summary_overflow_names_the_first_clip(self, tmp_path, capsys, command):
         """Full-state clips whose finite speeds of 1e308 overflow the mean
