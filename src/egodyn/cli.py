@@ -155,7 +155,7 @@ def _cmd_label(cfg: RunConfig) -> dict[str, Path]:
     clip_ids = [clip_id for clip_id, _ in clips]
     seqs = [seq for _, seq in clips]
     summaries = summarize_batch(seqs, thresholds.heading_total_mode, clip_ids)
-    codes, ev = label_batch(seqs, summaries, thresholds)
+    codes, ev = label_batch(seqs, summaries, thresholds, clip_ids)
     meta_rows = [
         {
             "clip_id": clip_id,

@@ -10,12 +10,12 @@ heading), rates (t, v, omega), or the full state chain (t, v, a, j,
 omega, theta[, x, y]); a ``clip_id`` field groups rows into clips and
 defaults to a single clip when absent.
 
-Trajectory clips are staged by schema, whatever their row counts: each
+Trajectory clips are built by schema, whatever their row counts: each
 channel of a schema is one float array over its clips' rows, checked
 once, and all pose clips, and all rate clips, are resampled in one call
-(see ``kinematics``). Clips are staged one by one, in input order, only
-when a schema fails, to name the first failing clip. Then all pose clips
-and all rate clips are each derived and checked in one batch.
+and derived and checked in one batch (see ``kinematics``). When any of
+this fails, every clip is built alone, in input order, to name the first
+failing clip.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import csv
 import hashlib
 import itertools
 import json
+import re
 from contextlib import contextmanager
 from numbers import Real
 from operator import itemgetter
@@ -35,7 +36,6 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError, EgodynError, InvalidTrajectory
 from .kinematics import (
-    StateBatch,
     StateSequence,
     _by_length,
     _check_states,
@@ -83,6 +83,28 @@ def _json_object(text: str, path: str | Path, line: int) -> dict:
     return value
 
 
+# One string of a JSON text, matched from the start of the text: outside its
+# strings a valid JSON text holds no quote and no backslash.
+_STRING = re.compile(r'"(?:[^"\\]|\\.)*"')
+
+
+def _check_surrogates(text: str, path: str | Path, line: int) -> None:
+    """Raise ``ConfigError("<path>:<line>: ...")`` when a string of the valid
+    JSON text ``text``, which starts on ``line`` of ``path``, holds a lone
+    UTF-16 surrogate, which no UTF-8 file can hold; only a ``\\u`` escape
+    gives one."""
+    for match in _STRING.finditer(text):
+        if "\\u" in match.group():
+            try:
+                json.loads(match.group()).encode("utf-8")
+            except UnicodeEncodeError as exc:
+                number = line + text.count("\n", 0, match.start())
+                raise ConfigError(
+                    f"{path}:{number}: string holds \\u{ord(exc.object[exc.start]):04x}, "
+                    "a lone UTF-16 surrogate, which is not Unicode text"
+                ) from None
+
+
 @contextmanager
 def _utf8(path: str | Path):
     """Re-raise a decode error of ``path`` as ``ConfigError("<path>:<line>:
@@ -104,10 +126,11 @@ def _utf8(path: str | Path):
 
 
 def read_jsonl(path: str | Path) -> list[dict]:
-    """One JSON object per non-blank line.
+    """One JSON object per non-blank line, whose strings are Unicode text.
 
     A stripped line has no JSON whitespace at either end, so ``raw_decode``
-    consuming all of it accepts exactly what ``json.loads`` accepts.
+    consuming all of it accepts exactly what ``json.loads`` accepts. Only
+    the lines that hold a ``\\u`` escape are searched for lone surrogates.
     """
     records = []
     with _utf8(path), Path(path).open("r", encoding="utf-8") as handle:
@@ -120,6 +143,8 @@ def read_jsonl(path: str | Path) -> list[dict]:
                     value, end = None, 0
                 if end != len(line) or not isinstance(value, dict):
                     value = _json_object(line, path, number)  # raises, naming the line
+                if "\\u" in line:
+                    _check_surrogates(line, path, number)
                 records.append(value)
     return records
 
@@ -172,11 +197,15 @@ def write_json(path: str | Path, payload: Mapping[str, Any]) -> None:
 
 
 def read_json(path: str | Path) -> dict:
-    """A single JSON object document."""
+    """A single JSON object document, whose strings are Unicode text."""
     with _utf8(path):
         text = Path(path).read_text(encoding="utf-8")
     body = text.lstrip()
-    return _json_object(body, path, text[: len(text) - len(body)].count("\n") + 1)
+    line = text[: len(text) - len(body)].count("\n") + 1
+    value = _json_object(body, path, line)
+    if "\\u" in body:
+        _check_surrogates(body, path, line)
+    return value
 
 
 def sha256_file(path: str | Path) -> str:
@@ -247,7 +276,6 @@ def read_trajectory_clips(path: str | Path) -> dict[str, list[dict]]:
 _FULL_STATE_KEYS = ("t", "v", "a", "j", "omega", "theta")
 _POSE_KEYS = ("t", "x", "y", "heading")
 _RATE_KEYS = ("t", "v", "omega")
-_DERIVE_BATCH = {"pose": derive_pose_batch, "rate": derive_rate_batch}
 
 
 @contextmanager
@@ -278,7 +306,7 @@ def _channel(rows: list[dict], name: str) -> np.ndarray:
 
 
 def _schema(rows: list[dict]) -> tuple[str, tuple[str, ...]]:
-    """The schema of a clip, read from its first row, and the fields staged."""
+    """The schema of a clip, read from its first row, and the fields it reads."""
     if not rows:
         raise ConfigError("clip has no rows")
     keys = set(rows[0])
@@ -294,38 +322,31 @@ def _schema(rows: list[dict]) -> tuple[str, tuple[str, ...]]:
     )
 
 
-def _stage(
+def _build(
     schema: str, names: tuple[str, ...], lengths: list[int], rows: list[dict],
     rate_hz: float, window_s: float,
-) -> list[np.ndarray]:
-    """Check the clips of one schema, given as their rows one clip after
-    another, clip i with ``lengths[i]`` rows, and bring them onto the grid.
+) -> list[StateSequence]:
+    """The checked StateSequences of the clips of one schema, given as their
+    rows one clip after another, clip i with ``lengths[i]`` rows.
 
-    Returns the channels ``names`` of full-state clips, end to end as in
-    ``rows``, else the (G, m) grid channels ready to derive. Each check
-    runs once for all the clips and fails when any clip fails it.
+    Each channel ``names`` is one array over all the rows. Full-state clips
+    are checked once per row count and cut into slices; pose and rate clips
+    are resampled in one call and derived in one batch. Every check runs
+    once for all the clips and fails when any clip fails it.
     """
     channels = [_channel(rows, name) for name in names]
-    if schema == "state":
-        for samples in _by_length(lengths):
-            _check_states(*(channel[samples] for channel in channels))
-        return channels
-    resample = resample_pose_log if schema == "pose" else resample_rate_log
-    return list(resample(*channels, rate_hz, window_s, lengths))
-
-
-def _derive(schema: str, clip_ids: list[str], grids: list[np.ndarray]) -> StateBatch:
-    """Derive the (N, m) grid channels of one schema in one batch; when the
-    batch fails, derive its rows one by one to name the first clip that
-    fails."""
-    derive = _DERIVE_BATCH[schema]
-    try:
-        return derive(*grids)
-    except EgodynError:
-        for i, clip_id in enumerate(clip_ids):
-            with _naming(clip_id):
-                derive(*(channel[i:i + 1] for channel in grids))
-        raise
+    if schema == "pose":
+        return derive_pose_batch(*resample_pose_log(*channels, rate_hz, window_s, lengths))
+    if schema == "rate":
+        return derive_rate_batch(*resample_rate_log(*channels, rate_hz, window_s, lengths))
+    for samples in _by_length(lengths):
+        _check_states(*(channel[samples] for channel in channels))
+    x_y = () if len(channels) == 8 else (None, None)
+    ends = list(itertools.accumulate(lengths))
+    return [
+        StateSequence._from_checked(*(channel[start:end] for channel in channels), *x_y)
+        for start, end in zip([0, *ends], ends)
+    ]
 
 
 def rows_to_sequences(
@@ -335,60 +356,32 @@ def rows_to_sequences(
 ) -> list[tuple[str, StateSequence]]:
     """Build every clip's StateSequence, whatever its schema, in input order.
 
-    The clips of one schema are staged together, whatever their row
-    counts: each channel is one array over their rows, checked once, and
-    the pose clips, and the rate clips, are resampled in one call. When a
-    schema fails, the clips are staged one by one in input order to name
-    the first that fails. The pose clips, and the rate clips, are then
-    derived and checked in one batch each, in input order; every derived
-    clip must be finite. When a batch fails its check, the derived clips are
-    checked one by one in input order to name the first that fails.
+    The clips of each schema are built together, whatever their row counts
+    (``_build``). When any of this fails, every clip is built alone, in
+    input order, to name the first that fails.
 
     Raises:
         EgodynError: with the clip id in its message.
     """
-    clip_ids = list(clips)
     # (schema, names) -> (positions, row counts, rows) of its clips
     schemas: dict[tuple, tuple[list[int], list[int], list[dict]]] = {}
+    sequences: list[StateSequence | None] = [None] * len(clips)
     try:
         for position, rows in enumerate(clips.values()):
             positions, lengths, schema_rows = schemas.setdefault(_schema(rows), ([], [], []))
             positions.append(position)
             lengths.append(len(rows))
             schema_rows.extend(rows)
-        staged = [
-            (schema, positions, lengths, _stage(schema, names, lengths, rows, rate_hz, window_s))
-            for (schema, names), (positions, lengths, rows) in schemas.items()
-        ]
+        for (schema, names), (positions, lengths, rows) in schemas.items():
+            built = _build(schema, names, lengths, rows, rate_hz, window_s)
+            for position, seq in zip(positions, built):
+                sequences[position] = seq
     except EgodynError:
         for clip_id, rows in clips.items():
             with _naming(clip_id):
-                _stage(*_schema(rows), [len(rows)], rows, rate_hz, window_s)
+                _build(*_schema(rows), [len(rows)], rows, rate_hz, window_s)
         raise
-
-    sequences: list[StateSequence | None] = [None] * len(clip_ids)
-    batches = []  # (positions in input order, derived StateBatch)
-    for schema, positions, lengths, channels in staged:
-        if schema == "state":
-            x_y = () if len(channels) == 8 else (None, None)
-            ends = list(itertools.accumulate(lengths))
-            for position, start, end in zip(positions, [0, *ends], ends):
-                sequences[position] = StateSequence._from_checked(
-                    *(channel[start:end] for channel in channels), *x_y)
-        else:
-            batches.append((positions, _derive(schema, [clip_ids[p] for p in positions], channels)))
-    try:
-        for positions, batch in batches:
-            for position, seq in zip(positions, batch.sequences()):
-                sequences[position] = seq
-    except EgodynError:
-        rows_of = {p: (batch, i) for positions, batch in batches for i, p in enumerate(positions)}
-        for position in sorted(rows_of):  # name the first clip, in input order, that fails
-            batch, i = rows_of[position]
-            with _naming(clip_ids[position]):
-                batch.sequence(i)
-        raise
-    return list(zip(clip_ids, sequences))
+    return list(zip(clips, sequences))
 
 
 def rows_to_sequence(

@@ -35,8 +35,10 @@ per-clip functions are batches of one. Resampling takes G raw logs of
 any lengths laid end to end in 1-D arrays: their grids are built and
 checked at once, heading is unwrapped once per sample count, and each
 log is interpolated with ``np.interp``, so every log gets the bytes it
-gets alone. A batch's checks fail when any log fails them; callers that
-must name the failing clip check the clips one by one after a failure.
+gets alone. A derived batch comes back as checked StateSequences, views
+into its (N, n) arrays, checked in one pass. A batch's checks fail when
+any clip fails them; callers that must name the failing clip run each
+clip alone, in input order, after a failure.
 """
 
 from __future__ import annotations
@@ -169,38 +171,6 @@ class KinematicSummary:
         return doc
 
 
-@dataclass(frozen=True)
-class StateBatch:
-    """State channels of N clips that share a sample count, as (N, n) arrays."""
-
-    t: np.ndarray
-    v: np.ndarray
-    a: np.ndarray
-    j: np.ndarray
-    omega: np.ndarray
-    theta: np.ndarray
-    x: np.ndarray
-    y: np.ndarray
-
-    def _channels(self) -> tuple[np.ndarray, ...]:
-        return self.t, self.v, self.a, self.j, self.omega, self.theta, self.x, self.y
-
-    def sequence(self, i: int) -> StateSequence:
-        """Row ``i`` as a validated StateSequence (views into the batch)."""
-        return StateSequence(*(channel[i] for channel in self._channels()))
-
-    def sequences(self) -> list[StateSequence]:
-        """Every row as a StateSequence (views into the batch), all checked
-        in one pass as ``StateSequence`` checks one.
-
-        Raises:
-            InvalidTrajectory, NonMonotonicTime: some row fails the checks;
-                ``sequence`` of each row in turn names the first.
-        """
-        _check_states(*self._channels())
-        return [StateSequence._from_checked(*row) for row in zip(*self._channels())]
-
-
 def _check_states(t: np.ndarray, v: np.ndarray, *channels: np.ndarray) -> None:
     """The checks of a StateSequence, on one clip's channels or on (N, n)
     rows of them, all of ``t``'s shape: at least 2 samples, every channel
@@ -212,6 +182,14 @@ def _check_states(t: np.ndarray, v: np.ndarray, *channels: np.ndarray) -> None:
     _grid_spacing(t.reshape(-1, t.shape[-1]))
     if (v < 0).any():
         raise InvalidTrajectory("speed channel must be non-negative")
+
+
+def _sequences(*channels: np.ndarray) -> list[StateSequence]:
+    """The rows of (N, n) channels t, v, a, j, omega, theta, x, y as
+    StateSequences (views), checked in one pass as ``StateSequence`` checks
+    one; this fails when any row fails, and each row alone names which."""
+    _check_states(*channels)
+    return [StateSequence._from_checked(*row) for row in zip(*channels)]
 
 
 def _wrap_angle(values: np.ndarray) -> np.ndarray:
@@ -504,8 +482,9 @@ def _speed_chain(v_raw, dt):
 @np.errstate(over="ignore", invalid="ignore")  # overflow is checked, not warned
 def derive_pose_batch(
     t: np.ndarray, x: np.ndarray, y: np.ndarray, heading: np.ndarray
-) -> StateBatch:
-    """Derive the state chain of N pose clips given as (N, n) grid arrays.
+) -> list[StateSequence]:
+    """Derive the state chain of N pose clips given as (N, n) grid arrays,
+    as N checked StateSequences (see ``_sequences``).
 
     Speed comes from central differences of the smoothed positions,
     acceleration from the smoothed speed, jerk from the smoothed
@@ -517,7 +496,7 @@ def derive_pose_batch(
     theta = _smooth(np.unwrap(heading, axis=-1))
     omega = _gradient(theta, dt)
     v, a, j = _speed_chain(np.hypot(_gradient(x, dt), _gradient(y, dt)), dt)
-    return StateBatch(t=t, v=v, a=a, j=j, omega=omega, theta=theta, x=x, y=y)
+    return _sequences(t, v, a, j, omega, theta, x, y)
 
 
 def _trapezoid_integral(rate: np.ndarray, dt: np.ndarray) -> np.ndarray:
@@ -527,8 +506,9 @@ def _trapezoid_integral(rate: np.ndarray, dt: np.ndarray) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def derive_rate_batch(t: np.ndarray, v: np.ndarray, omega: np.ndarray) -> StateBatch:
-    """Build the state chain of N clips from (N, n) t, v and omega arrays.
+def derive_rate_batch(t: np.ndarray, v: np.ndarray, omega: np.ndarray) -> list[StateSequence]:
+    """Build the state chain of N clips from (N, n) t, v and omega arrays,
+    as N checked StateSequences (see ``_sequences``).
 
     Acceleration and jerk are derived from the smoothed speed; heading is
     the running integral of the yaw rate and positions are integrated
@@ -539,7 +519,7 @@ def derive_rate_batch(t: np.ndarray, v: np.ndarray, omega: np.ndarray) -> StateB
     theta = _trapezoid_integral(omega, dt)
     x = _trapezoid_integral(v * np.cos(theta), dt)
     y = _trapezoid_integral(v * np.sin(theta), dt)
-    return StateBatch(t=t, v=v, a=a, j=j, omega=omega, theta=theta, x=x, y=y)
+    return _sequences(t, v, a, j, omega, theta, x, y)
 
 
 def derive_states(poses: list[PoseSample]) -> StateSequence:
@@ -549,15 +529,14 @@ def derive_states(poses: list[PoseSample]) -> StateSequence:
     def channel(name: str) -> np.ndarray:
         return np.array([[getattr(p, name) for p in poses]], dtype=float)
 
-    batch = derive_pose_batch(channel("t"), channel("x"), channel("y"), channel("heading"))
-    return batch.sequence(0)
+    return derive_pose_batch(channel("t"), channel("x"), channel("y"), channel("heading"))[0]
 
 
 def derive_states_from_rates(t: np.ndarray, v: np.ndarray, omega: np.ndarray) -> StateSequence:
     """Build one clip's StateSequence from direct (t, v, omega) channels;
     a batch of one of ``derive_rate_batch``."""
     t, v, omega = (np.asarray(c, dtype=float)[None] for c in (t, v, omega))
-    return derive_rate_batch(t, v, omega).sequence(0)
+    return derive_rate_batch(t, v, omega)[0]
 
 
 _PERCENTILES = (25, 50, 75)

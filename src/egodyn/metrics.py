@@ -282,7 +282,7 @@ def sensitivity_sweep(
     summaries = summarize_batch(seqs, cfg.heading_total_mode, clip_ids)
 
     def scores_at(alpha: float) -> dict[str, dict[str, float]]:
-        codes, _ = label_batch(seqs, summaries, cfg.with_alpha(cfg.alpha * alpha))
+        codes, _ = label_batch(seqs, summaries, cfg.with_alpha(cfg.alpha * alpha), clip_ids)
         truth = AnswerTable(clip_ids, codes)
         return {model: score_model(truth, preds) for model, preds in model_predictions.items()}
 

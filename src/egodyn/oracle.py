@@ -23,6 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from . import io
+from .errors import InvalidTrajectory
 from .kinematics import (KinematicSummary, StateSequence, half_split_index,
                          reduce_by_sample_count, summarize)
 from .questions import ANSWER_SPACES, QUESTION_ORDER, answer_code
@@ -86,8 +87,8 @@ RULES: dict[str, tuple[str, tuple[str, ...], tuple[str, ...]]] = {
                            ("dynamism_first", "dynamism_second", "band")),
 }
 _PARAM_FIELDS = {"bidirectional": "stop_go_bidirectional"}  # parameter -> config field
-_EVIDENCE = {name for _, _, names in RULES.values() for name in names}
-_SUMMARY_EVIDENCE = sorted(_EVIDENCE & set(KinematicSummary.__annotations__))
+_EVIDENCE = tuple(dict.fromkeys(name for _, _, names in RULES.values() for name in names))
+_SUMMARY_EVIDENCE = sorted(set(_EVIDENCE) & set(KinematicSummary.__annotations__))
 
 
 def ordered_pair(first: np.ndarray, second: np.ndarray) -> np.ndarray:
@@ -105,14 +106,22 @@ def decide(conditions: Sequence[Sequence[np.ndarray]]) -> np.ndarray:
     return np.stack([np.select(held, range(len(held)), len(held)) for held in conditions], 1)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow is checked, not warned
 def label_batch(
-    seqs: Sequence[StateSequence], summaries: Sequence[KinematicSummary], cfg: ThresholdConfig
+    seqs: Sequence[StateSequence], summaries: Sequence[KinematicSummary], cfg: ThresholdConfig,
+    clip_ids: Sequence[str] | None = None,
 ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """Answer all 14 questions for many clips, given their summaries under
     ``cfg.heading_total_mode``.
 
     Returns the (N, 14) ``intp`` answer codes, columns in ``QUESTION_ORDER``,
     and the rule inputs as columns, among them the evidence named in ``RULES``.
+
+    Raises:
+        InvalidTrajectory: some evidence value named in ``RULES`` is not
+            finite (a ratio or band of finite summaries overflows under
+            ``cfg``); names the first such clip, by its id in ``clip_ids``
+            or else by its position.
     """
     if not seqs:
         return np.empty((0, len(QUESTION_ORDER)), dtype=np.intp), {}
@@ -147,6 +156,13 @@ def label_batch(
         eff.contrastive_rel_band * np.maximum(d1, d2), eff.contrastive_abs_band)
     peaked = ev["speed_spread"] >= eff.peak_epsilon
     ev["peak_index"] = np.where(peaked, ev["speed_argmax"], -1)
+    finite = np.logical_and.reduce([np.isfinite(ev[name]) for name in _EVIDENCE])
+    if not np.all(finite):
+        i = int(np.argmin(finite))
+        name = next(name for name in _EVIDENCE if not np.isfinite(ev[name][i]))
+        clip = repr(clip_ids[i]) if clip_ids is not None else f"at position {i}"
+        raise InvalidTrajectory(
+            f"clip {clip}: rule evidence overflows at alpha {cfg.alpha}: {name!r} is not finite")
     no_axis = (lon < 1.0) & (lat < 1.0)
     differ = np.abs(d1 - d2) > band
     min_accel, max_speed, jerk = ev["min_accel"], ev["max_speed"], ev["mean_abs_jerk"]
@@ -298,7 +314,7 @@ def label_all(
     cfg = cfg or ThresholdConfig()
     if summary is None:
         summary = summarize(seq, heading_mode=cfg.heading_total_mode)
-    codes, evidence = label_batch([seq], [summary], cfg)
+    codes, evidence = label_batch([seq], [summary], cfg, [clip_id])
     return records([clip_id], codes, evidence, cfg)
 
 

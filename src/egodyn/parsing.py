@@ -43,10 +43,6 @@ class ParseResult:
     stage: str
     raw: str
 
-    @property
-    def parsed(self) -> bool:
-        return self.label != UNPARSED
-
 
 def _normalize(text: str) -> str:
     """Lowercase and collapse non-alphanumeric runs to single underscores."""
@@ -103,9 +99,3 @@ def parse(raw: str, answer_space: Sequence[str]) -> ParseResult:
         return ParseResult(found[0], STAGE_SUBSTRING, raw)
     return ParseResult(UNPARSED, STAGE_NONE, raw)
 
-
-def parse_rate(results: Sequence[ParseResult]) -> float:
-    """Fraction of results that mapped to a label, in percent."""
-    if not results:
-        return 0.0
-    return 100.0 * sum(1 for r in results if r.parsed) / len(results)

@@ -29,8 +29,9 @@ from egodyn.consistency import ClipConsistency, clip_consistency, pcov, wpcr
 from egodyn.kinematics import PoseSample, derive_states, smooth_savgol
 from egodyn.metrics import ConfusionTable, balanced_accuracy, sensitivity_sweep
 from egodyn.oracle import answers_of, label_all
-from egodyn.parsing import UNPARSED, parse, parse_rate
+from egodyn.parsing import UNPARSED, parse
 from egodyn.questions import ANSWER_SPACES, GEOMETRIC_SUBSET, QUESTION_ORDER
+from egodyn.report import parse_rate_report
 from egodyn.synth import ManeuverSpec, generate, generate_suite
 from egodyn.thresholds import ThresholdConfig
 
@@ -245,7 +246,8 @@ def test_criterion_06_parser_corpus():
     results = [parse("yes", ("yes", "no"))] * 943 + [
         parse("indeterminate", ("yes", "no"))
     ] * 57
-    rate = round(parse_rate(results), 1)
+    rate = parse_rate_report(
+        [{"parsed": r.label, "stage": r.stage} for r in results])["default"]["parse_rate_percent"]
     rate_ok = rate == 94.3
     ok = not failures and quoted_ok and rate_ok
     report(6, "parser corpus and parsable-rate reproduction", ok,

@@ -20,8 +20,8 @@ from egodyn.errors import EgodynError, WindowTooLarge
 from egodyn.kinematics import (
     KinematicSummary,
     PoseSample,
-    StateBatch,
     StateSequence,
+    _sequences,
     derive_pose_batch,
     derive_rate_batch,
     derive_states,
@@ -154,13 +154,11 @@ class TestDerivationBatch:
         assert len(distinct_spacings(grids)) > 1
         batch = derive_pose_batch(*stack(grids))
         for i, grid in enumerate(grids):
-            alone = derive_pose_batch(*(c[None] for c in grid)).sequence(0)
+            alone = derive_pose_batch(*(c[None] for c in grid))[0]
             samples = [PoseSample(*row) for row in zip(*(c.tolist() for c in grid))]
             expected = seq_bytes(reference_pose_states(*grid))
-            assert seq_bytes(batch.sequence(i)) == seq_bytes(alone) == expected
+            assert seq_bytes(batch[i]) == seq_bytes(alone) == expected
             assert seq_bytes(derive_states(samples)) == expected
-        assert [seq_bytes(seq) for seq in batch.sequences()] == [
-            seq_bytes(batch.sequence(i)) for i in range(len(grids))]
 
     def test_rate_batch_equals_batches_of_one_and_reference(self, noise):
         _, rates = raw_logs(44, seed=22, noise=noise)
@@ -168,12 +166,10 @@ class TestDerivationBatch:
         assert len(distinct_spacings(grids)) > 1
         batch = derive_rate_batch(*stack(grids))
         for i, grid in enumerate(grids):
-            alone = derive_rate_batch(*(c[None] for c in grid)).sequence(0)
+            alone = derive_rate_batch(*(c[None] for c in grid))[0]
             expected = seq_bytes(reference_rate_states(*grid))
-            assert seq_bytes(batch.sequence(i)) == seq_bytes(alone) == expected
+            assert seq_bytes(batch[i]) == seq_bytes(alone) == expected
             assert seq_bytes(derive_states_from_rates(*grid)) == expected
-        assert [seq_bytes(seq) for seq in batch.sequences()] == [
-            seq_bytes(batch.sequence(i)) for i in range(len(grids))]
 
     @pytest.mark.parametrize("mode", ["net", "sum"])
     def test_summary_batch_equals_batches_of_one_and_reference(self, noise, mode):
@@ -181,7 +177,7 @@ class TestDerivationBatch:
         seqs = [c.seq for c in generate_suite(30, seed=24, noise_std=NOISE if noise else None)]
         pose_batch = derive_pose_batch(*stack(pose_grids(poses)))
         rate_batch = derive_rate_batch(*stack(rate_grids(rates)))
-        seqs += [batch.sequence(i) for batch in (pose_batch, rate_batch) for i in range(30)]
+        seqs += pose_batch + rate_batch
         # two more sample counts, interleaved with the 31-sample clips
         seqs.insert(5, derive_states_from_rates(*resample_rate_log(*rates[0], 10.0, 2.5)))
         seqs.insert(50, derive_states_from_rates(*resample_rate_log(*rates[1], 5.0, 3.0)))
@@ -195,8 +191,8 @@ class TestDerivationBatch:
 @pytest.mark.parametrize(
     "fault", ["x_nan", "j_inf", "negative_v", "grid", "grid_beside_an_epoch_row", "one_sample"])
 def test_sequences_check_the_batch_as_sequence_checks_a_row(fault):
-    """A batch whose row 1 fails a StateSequence check: ``sequences``
-    raises what ``sequence(1)`` raises."""
+    """Channels whose row 1 fails a StateSequence check: ``_sequences``
+    of the batch raises what ``StateSequence`` of row 1 raises."""
     t = np.tile(np.arange(31) / 10.0, (3, 1))
     channels = {name: np.zeros((3, 31)) for name in ("v", "a", "j", "omega", "theta", "x", "y")}
     if fault == "x_nan":
@@ -212,11 +208,11 @@ def test_sequences_check_the_batch_as_sequence_checks_a_row(fault):
         t[1, 7] += 5e-7
     else:
         t, channels = t[:, :1], {name: c[:, :1] for name, c in channels.items()}
-    batch = StateBatch(t=t, **channels)
+    batch = [t] + [channels[name] for name in CHANNELS[1:]]
     with pytest.raises(EgodynError) as alone:
-        batch.sequence(1)
+        StateSequence(*(channel[1] for channel in batch))
     with pytest.raises(type(alone.value)) as together:
-        batch.sequences()
+        _sequences(*batch)
     assert str(together.value) == str(alone.value)
 
 
@@ -307,7 +303,7 @@ def test_one_ulp_spacing_difference_keeps_each_clip_exact():
     assert len(distinct_spacings(grids)) > 1
     batch = derive_rate_batch(*stack(grids))
     for i, grid in enumerate(grids):
-        assert seq_bytes(batch.sequence(i)) == seq_bytes(reference_rate_states(*grid))
+        assert seq_bytes(batch[i]) == seq_bytes(reference_rate_states(*grid))
 
 
 def test_smooth_savgol_window_checks_the_sample_axis():

@@ -949,6 +949,15 @@ def _state_rows(clip_id):
 _ROWS = {"pose": _pose_rows, "rate": _rate_rows, "state": _state_rows}
 
 
+def _overflowing_rows(clip_id, schema):
+    """31 finite rows whose state derivation overflows."""
+    huge = {
+        "pose": lambda i: {"x": 1.5e308 if i % 2 else -1.5e308, "y": 0.0, "heading": 0.0},
+        "rate": lambda i: {"v": 1.7e308 if i % 2 else 0.0, "omega": 0.0},
+    }[schema]
+    return [{"clip_id": clip_id, "t": i / 10.0, **huge(i)} for i in range(31)]
+
+
 class TestTrajectoryInputErrors:
     """Malformed trajectory input exits 2 with a message naming the clip."""
 
@@ -1061,6 +1070,60 @@ class TestTrajectoryInputErrors:
         for clip_id in ("b", "c"):  # each fails alone too, after its derivation
             with pytest.raises(InvalidTrajectory, match=f"^clip '{clip_id}': NaN/Inf"):
                 io.rows_to_sequences({clip_id: clips[clip_id]}, window_s=5.0)
+
+    @pytest.mark.parametrize(
+        "rows,named",
+        [(lambda: _pose_rows("a") + _overflowing_rows("b", "rate") + _overflowing_rows("c", "pose"),
+          "clip 'b': state derivation overflows: a derived value is not finite"),
+         (lambda: _overflowing_rows("a", "pose") + _rate_rows("b", count=20),
+          "clip 'a': state derivation overflows: a derived value is not finite")],
+        ids=["two_derivations", "derivation_then_span"],
+    )
+    def test_any_failure_names_the_first_failing_clip_in_input_order(
+        self, tmp_path, capsys, rows, named
+    ):
+        """Whichever schema fails first, and at whichever step, every clip
+        is built again alone in input order: the pose schema ('a', 'c')
+        fails before the rate schema ('b'), and a derivation before a
+        span check, yet the earlier clip is named."""
+        assert self.exit_2_message(tmp_path, capsys, rows()) == f"egodyn label: {named}\n"
+
+    @pytest.mark.parametrize("command", ["label", "sweep"])
+    def test_evidence_overflow_names_the_first_clip(self, tmp_path, capsys, command):
+        """Full-state clips whose summaries are finite but whose
+        longitudinal activity, |mean_accel| / trend_deadzone, overflows
+        under a trend_deadzone of 0.001: 'c' (a = 5e306) at alpha 1, and
+        'b' (a = 1e305) only at alpha 0.5. label names 'c'; sweep over
+        alphas 0.5 and 1 names 'b' at alpha 0.5. numpy warns of nothing."""
+        rows = [
+            {"clip_id": clip_id, "t": i / 10.0, "v": 5.0, "a": a, "j": 0.0, "omega": 0.0,
+             "theta": 0.0}
+            for clip_id, a in (("a", 0.1), ("b", 1e305), ("c", 5e306))
+            for i in range(31)
+        ]
+        path = tmp_path / "trajectories.jsonl"
+        io.write_jsonl(path, rows)
+        thresholds = tmp_path / "thresholds.json"
+        io.write_json(thresholds, {"trend_deadzone": 0.001})
+        out = tmp_path / "o"
+        config = {"thresholds": str(thresholds), "out": str(out)}
+        if command == "label":
+            config["input"] = str(path)
+            named = "clip 'c': rule evidence overflows at alpha 1.0"
+        else:
+            preds = tmp_path / "preds.jsonl"
+            io.write_jsonl(preds, [{"clip_id": r["clip_id"], "question_id": r["question_id"],
+                                    "response": r["answer"]} for r in _label_rows("abc")])
+            config.update(trajectories=str(path), predictions={"m": str(preds)},
+                          alphas=[0.5, 1.0])
+            named = "clip 'b': rule evidence overflows at alpha 0.5"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli(command, config, tmp_path) == 2
+        assert [w.message for w in caught] == []
+        assert capsys.readouterr().err == (
+            f"egodyn {command}: {named}: 'longitudinal_activity' is not finite\n")
+        assert not (out / "manifest.json").exists()
 
     @pytest.mark.parametrize("command", ["label", "calibrate-thresholds"])
     def test_summary_overflow_names_the_first_clip(self, tmp_path, capsys, command):
@@ -1341,6 +1404,62 @@ class TestMalformedJson:
         assert f"{config}:{line}:" in err
 
 
+class TestLoneSurrogates:
+    """A JSON string holding a lone UTF-16 surrogate escape, which UTF-8
+    cannot write, exits 2 with ``<path>:<line>:`` in the message."""
+
+    def write_with_surrogate_line(self, path, rows, at=2):
+        rows = [dict(row) for row in rows]
+        rows[at]["clip_id"] = "\ud800"
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        return f"{path}:{at + 1}: string holds \\ud800, a lone UTF-16 surrogate"
+
+    def exit_2_message(self, tmp_path, capsys, command, config):
+        status = run_cli(command, {**config, "out": str(tmp_path / "o")}, tmp_path)
+        err = capsys.readouterr().err
+        assert status == 2, err
+        return err
+
+    def test_balance_labels(self, tmp_path, capsys):
+        labels = tmp_path / "labels.jsonl"
+        where = self.write_with_surrogate_line(labels, _label_rows(["c1", "c2", "c3"]))
+        err = self.exit_2_message(tmp_path, capsys, "balance", {"labels": str(labels), "n": 2})
+        assert where in err
+
+    @pytest.mark.parametrize("broken", ["truth", "predictions"])
+    def test_evaluate_inputs(self, tmp_path, capsys, broken):
+        truth = _label_rows(["c1"])
+        preds = [{"clip_id": r["clip_id"], "question_id": r["question_id"],
+                  "response": r["answer"]} for r in truth]
+        paths = {name: tmp_path / f"{name}.jsonl" for name in ("truth", "predictions")}
+        for name, rows in (("truth", truth), ("predictions", preds)):
+            if name == broken:
+                where = self.write_with_surrogate_line(paths[name], rows)
+            else:
+                io.write_jsonl(paths[name], rows)
+        err = self.exit_2_message(
+            tmp_path, capsys, "evaluate", {name: str(p) for name, p in paths.items()}
+        )
+        assert where in err
+
+    def test_label_input(self, tmp_path, capsys):
+        path = tmp_path / "trajectories.jsonl"
+        where = self.write_with_surrogate_line(path, _pose_rows("a") + _pose_rows("b"), at=40)
+        err = self.exit_2_message(tmp_path, capsys, "label", {"input": str(path)})
+        assert where in err
+
+    def test_config_names_the_line_of_the_string(self, tmp_path, capsys):
+        """The escape in a key or a value of a multi-line JSON document; an
+        escaped backslash before ``u`` and a surrogate pair are text."""
+        config = tmp_path / "config.json"
+        config.write_text('{\n  "labels": "a\\\\ud800.jsonl",\n  "n": 2,\n'
+                          '  "out": "\\ud83d\\ude00",\n  "\\udfff": 1\n}\n')
+        status = main(["balance", "--config", str(config)])
+        err = capsys.readouterr().err
+        assert status == 2, err
+        assert f"{config}:5: string holds \\udfff, a lone UTF-16 surrogate" in err
+
+
 class TestThresholdFileErrors:
     """A thresholds file that is not valid JSON, or holds a field that is
     not a finite number, a non-bool flag or a non-positive divisor, exits 2
@@ -1592,15 +1711,9 @@ class TestCommandKeys:
         err = self.exit_2_message(tmp_path, capsys, "synth", config)
         assert named in err
 
-    @pytest.mark.parametrize(
-        "schema,huge",
-        [("pose", lambda i: {"x": 1.5e308 if i % 2 else -1.5e308, "y": 0.0, "heading": 0.0}),
-         ("rate", lambda i: {"v": 1.7e308 if i % 2 else 0.0, "omega": 0.0})],
-    )
-    def test_derivation_overflow_names_the_clip(self, tmp_path, capsys, schema, huge):
-        rows = _ROWS[schema]("a") + [
-            {"clip_id": "b", "t": i / 10.0, **huge(i)} for i in range(31)
-        ]
+    @pytest.mark.parametrize("schema", ["pose", "rate"])
+    def test_derivation_overflow_names_the_clip(self, tmp_path, capsys, schema):
+        rows = _ROWS[schema]("a") + _overflowing_rows("b", schema)
         traj = tmp_path / "trajectories.jsonl"
         io.write_jsonl(traj, rows)
         err = self.exit_2_message(tmp_path, capsys, "label", {"input": str(traj)})

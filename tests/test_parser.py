@@ -5,8 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from egodyn import parsing
-from egodyn.parsing import UNPARSED, ParseResult, _normalize, _word_pattern, parse, parse_rate
+from egodyn.parsing import UNPARSED, ParseResult, _normalize, _word_pattern, parse
 from egodyn.questions import ANSWER_SPACES
+from egodyn.report import parse_predictions, parse_rate_report
 
 YES_NO = ("yes", "no")
 HALVES = ("first_half", "second_half", "no_peak")
@@ -138,9 +139,13 @@ def test_case_changes_never_change_result(space, data):
 
 
 def test_parse_rate():
-    results = [parse("yes", YES_NO)] * 3 + [parse("???", YES_NO)]
-    assert parse_rate(results) == pytest.approx(75.0)
-    assert parse_rate([]) == 0.0
+    rows = parse_predictions([
+        {"clip_id": "c1", "question_id": "mean_speed_low", "response": response}
+        for response in ["yes"] * 3 + ["???"]
+    ])
+    assert parse_rate_report(rows) == {"default": {
+        "n": 4, "parsed": 3, "parse_rate_percent": 75.0, "stages": {"exact": 3, "none": 1}}}
+    assert parse_rate_report([]) == {}
 
 
 def reference_parse(raw, answer_space):

@@ -167,7 +167,7 @@ def test_mixed_row_counts_in_one_call_equal_each_log_alone(logs):
             names, grid, derive = ("v", "omega"), reference_rate(t, a, b), derive_rate_batch
         clips[f"c{k}"] = [{"clip_id": f"c{k}", "t": ti, **dict(zip(names, values))}
                           for ti, *values in zip(t.tolist(), a.tolist(), b.tolist(), c.tolist())]
-        seq = derive(*(channel[None] for channel in grid)).sequence(0)
+        seq = derive(*(channel[None] for channel in grid))[0]
         expected.append(as_bytes(getattr(seq, name) for name in CHANNELS))
     staged = io.rows_to_sequences(clips, RATE_HZ, WINDOW_S)
     assert [clip_id for clip_id, _ in staged] == list(clips)

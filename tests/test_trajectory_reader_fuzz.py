@@ -5,10 +5,10 @@ spoiled fields: absent, strings (numeric ones too), booleans, integers too
 large for a float, NaN and +/-1e308 (in one row or in every row of a clip,
 so that a derivation or a summary overflows), and with timestamps out of
 order, spans shorter than the window, array or integer ids and rows that
-are not contiguous. ``label`` stages clips by schema; it must exit 0 when
+are not contiguous. ``label`` builds clips by schema; it must exit 0 when
 every clip passes, and otherwise exit 2 with the message of the reference
-below, which stages, derives and summarizes the clips one by one. It must
-never raise.
+below, which builds (stages, derives and checks), then summarizes, then
+labels the clips one by one, in input order. It must never raise.
 """
 
 from __future__ import annotations
@@ -26,13 +26,16 @@ from egodyn import io
 from egodyn.cli import main
 from egodyn.errors import ConfigError, EgodynError
 from egodyn.kinematics import (
+    PoseSample,
     StateSequence,
-    derive_pose_batch,
-    derive_rate_batch,
+    derive_states,
+    derive_states_from_rates,
     resample_pose_log,
     resample_rate_log,
     summarize_batch,
 )
+from egodyn.oracle import label_batch
+from egodyn.thresholds import ThresholdConfig
 
 FIELDS = {
     "pose": ("x", "y", "heading"),
@@ -46,18 +49,19 @@ FAULTS = ["order", "span", "array_id", "integer_id"]
 # --- one-by-one reference -------------------------------------------------
 
 
-def stage_alone(rows):
-    """One clip's schema and its states or grid channels, checked alone."""
+def build_alone(rows):
+    """One clip's StateSequence, staged, derived and checked alone."""
     keys = set(rows[0])
     if {"t", "v", "a", "j", "omega", "theta"} <= keys:
         names = ("t", "v", "a", "j", "omega", "theta") + (("x", "y") if {"x", "y"} <= keys else ())
-        return "state", StateSequence(**{name: io._channel(rows, name) for name in names})
+        return StateSequence(**{name: io._channel(rows, name) for name in names})
     if {"t", "x", "y", "heading"} <= keys:
         channels = [io._channel(rows, name) for name in ("t", "x", "y", "heading")]
-        return "pose", resample_pose_log(*channels, 10.0, 3.0)
+        grid = resample_pose_log(*channels, 10.0, 3.0)
+        return derive_states([PoseSample(*sample) for sample in zip(*grid)])
     if {"t", "v", "omega"} <= keys:
         channels = [io._channel(rows, name) for name in ("t", "v", "omega")]
-        return "rate", resample_rate_log(*channels, 10.0, 3.0)
+        return derive_states_from_rates(*resample_rate_log(*channels, 10.0, 3.0))
     raise ConfigError(
         "trajectory rows must carry (t,x,y,heading), (t,v,omega), or the "
         f"full state chain; got fields {sorted(keys)}"
@@ -67,33 +71,20 @@ def stage_alone(rows):
 def one_by_one(path):
     """label's stderr for ``path``, or None when it must succeed.
 
-    Every clip is staged alone in input order, so a staging error names
-    the first failing clip. Then the gridded clips of each schema, the
-    schemas in order of first appearance, are derived alone in input
-    order, and the derived clips are checked alone in input order. Last,
-    every clip is summarized alone in input order.
+    One pass builds every clip alone in input order, so the first clip
+    that fails to stage, derive or check is named whatever its schema.
+    Then every clip is summarized alone in input order, and then labeled
+    alone in input order.
     """
     try:
-        gridded: dict[str, list] = {}
         states = {}
         for clip_id, rows in io.read_trajectory_clips(path).items():
             with io._naming(clip_id):
-                schema, staged = stage_alone(rows)
-            if schema != "state":
-                gridded.setdefault(schema, []).append((clip_id, staged))
-            states[clip_id] = staged
-        derived = {}
-        for schema, grids in gridded.items():
-            derive = {"pose": derive_pose_batch, "rate": derive_rate_batch}[schema]
-            for clip_id, grid in grids:
-                with io._naming(clip_id):
-                    derived[clip_id] = derive(*(channel[None] for channel in grid))
-        for clip_id in states:
-            if clip_id in derived:
-                with io._naming(clip_id):
-                    states[clip_id] = derived[clip_id].sequence(0)
-        for clip_id, seq in states.items():
-            summarize_batch([seq], clip_ids=[clip_id])
+                states[clip_id] = build_alone(rows)
+        summaries = [summarize_batch([seq], clip_ids=[clip_id])[0]
+                     for clip_id, seq in states.items()]
+        for (clip_id, seq), summary in zip(states.items(), summaries):
+            label_batch([seq], [summary], ThresholdConfig(), [clip_id])
     except EgodynError as exc:
         return f"egodyn label: {exc}\n"
     return None
