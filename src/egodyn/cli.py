@@ -221,29 +221,35 @@ def _checked_rows(path: str, rows: list[dict], check, *fields: str):
             raise
 
 
-def _answer_table(path: str, rows, field: str, predicted: bool = False) -> AnswerTable:
-    """The table of ``rows``, row ``i`` of which is row ``i`` of ``path``."""
+def _truth_table(path: str) -> AnswerTable:
+    """The table of the truth rows of ``path``."""
 
     def table(rows):
         return AnswerTable.from_rows(
-            ((row["clip_id"], row["question_id"], row[field]) for row in rows), predicted
+            (row["clip_id"], row["question_id"], row["answer"]) for row in rows
         )
 
-    return _checked_rows(path, rows, table, field)
+    return _checked_rows(path, io.read_jsonl(path), table, "answer")
 
 
-def _predictions(path: str) -> list[dict]:
-    """The prediction rows of ``path``, each with its parsed label and stage."""
-    return _checked_rows(path, io.read_predictions(path), report.parse_predictions)
+def _prediction_table(path: str, fill: bool = False) -> tuple[list[dict], AnswerTable]:
+    """The prediction rows of ``path`` and their table, in one pass of
+    ``report.prediction_codes``; with ``fill``, each row gains its parsed
+    label and stage. Row faults are named before two rows for one cell."""
+    rows = io.read_predictions(path)
+    columns, codes = _checked_rows(
+        path, rows, lambda rows: report.prediction_codes(rows, fill))
+    with io.keyed_rows(path, rows):
+        table = AnswerTable.from_codes(
+            [row["clip_id"] for row in rows], columns, codes, predicted=True)
+    return rows, table
 
 
 def _cmd_evaluate(cfg: RunConfig) -> dict[str, Path]:
     truth_path, predictions_path = cfg.params["truth"], cfg.params["predictions"]
-    truth = _answer_table(truth_path, io.read_jsonl(truth_path), "answer")
-    parsed = _predictions(predictions_path)
-    doc = report.build_evaluation_report(
-        truth, _answer_table(predictions_path, parsed, "parsed", predicted=True), truth_path
-    )
+    truth = _truth_table(truth_path)
+    parsed, predictions = _prediction_table(predictions_path, fill=True)
+    doc = report.build_evaluation_report(truth, predictions, truth_path)
     out = cfg.out_dir
     io.write_json(out / "report.json", doc)
     io.write_jsonl(out / "parsed_predictions.jsonl", parsed)
@@ -256,11 +262,9 @@ def _cmd_evaluate(cfg: RunConfig) -> dict[str, Path]:
 def _cmd_sweep(cfg: RunConfig) -> dict[str, Path]:
     thresholds = _load_thresholds(cfg)
     sequences = _load_clips(cfg, key="trajectories")
-    model_predictions = {}
-    for model, path in cfg.params["predictions"].items():
-        model_predictions[model] = _answer_table(
-            path, _predictions(path), "parsed", predicted=True
-        )
+    model_predictions = {
+        model: _prediction_table(path)[1] for model, path in cfg.params["predictions"].items()
+    }
     results = metrics.sensitivity_sweep(sequences, model_predictions, thresholds, cfg.alphas)
     out = cfg.out_dir
     io.write_json(out / "sweep.json", {"results": [r.to_dict() for r in results]})
@@ -269,7 +273,8 @@ def _cmd_sweep(cfg: RunConfig) -> dict[str, Path]:
 
 
 def _cmd_parse(cfg: RunConfig) -> dict[str, Path]:
-    parsed = _predictions(cfg.params["predictions"])
+    path = cfg.params["predictions"]
+    parsed = _checked_rows(path, io.read_predictions(path), report.parse_predictions)
     rates = report.parse_rate_report(parsed)
     out = cfg.out_dir
     io.write_jsonl(out / "parsed_predictions.jsonl", parsed)

@@ -5,6 +5,14 @@ actually occur in the ground truth; unparsed predictions count as wrong
 for every class, never as a class of their own. Ranking stability across
 threshold perturbations is measured with Kendall's tau (tau-b for tied
 scores) against the nominal (alpha = 1) ranking.
+
+There is one scorer, for M models at once: the answer codes of the models
+on the truth clips are stacked as (M, N, 14), one ``np.bincount`` per
+question gives every model's (k, k + 1) confusion table, and accuracy,
+balanced accuracy and macro-F1 are computed on the (M, k, k + 1) counts
+with the float operations of one table. ``sensitivity_sweep`` scores all
+its models this way at each alpha; ``score_questions`` (``evaluate``'s
+report) and ``score_model`` are the case M = 1.
 """
 
 from __future__ import annotations
@@ -66,47 +74,75 @@ class ConfusionTable:
         }
 
 
+def _rates(counts: np.ndarray) -> np.ndarray:
+    """Accuracy, balanced accuracy and macro-F1 of (M, k, k + 1) counts, as
+    a (3, M) array: one confusion table per model, rows in answer-space
+    order, the unparsed column last.
+
+    Each value takes the float operations of a table alone: a class left
+    out of a mean adds ``+0.0`` to a sum of ``k`` terms, and numpy sums
+    fewer than 8 terms in order, so ``k`` must be below 8 (every answer
+    space, and the pooled temporal table, has at most 4 labels). Every
+    model's table must hold a truth row.
+    """
+    k = counts.shape[1]
+    matrix = counts[:, :, :k]
+    diag = np.diagonal(matrix, axis1=1, axis2=2)
+    row_sums = counts.sum(axis=2)
+    col_sums = matrix.sum(axis=1)
+    acc = diag.sum(axis=1) / row_sums.sum(axis=1)
+    # recall over classes with truth; unparsed predictions are wrong
+    present = row_sums > 0
+    recalls = np.where(present, diag / np.maximum(row_sums, 1), 0.0)
+    bacc = recalls.sum(axis=1) / present.sum(axis=1)
+    # F1 over classes with truth or predictions
+    scored = present | (col_sums > 0)
+    f1 = np.where(scored, 2.0 * diag / np.maximum(row_sums + col_sums, 1), 0.0)
+    return np.stack([acc, bacc, f1.sum(axis=1) / scored.sum(axis=1)])
+
+
 def accuracy(ct: ConfusionTable) -> float:
     """Raw accuracy; unparsed predictions are wrong."""
-    total = ct.total
-    if total == 0:
+    if ct.total == 0:
         raise NoGroundTruth(f"no records for {ct.question_id}")
-    k = len(ct.labels)
-    return float(np.trace(ct.counts[:, :k]) / total)
+    return float(_rates(ct.counts[None])[0, 0])
 
 
 def balanced_accuracy(ct: ConfusionTable) -> float:
     """Mean of class-wise recalls over classes with ground-truth mass."""
-    row_sums = ct.counts.sum(axis=1)
-    present = row_sums > 0
-    if not present.any():
+    if ct.total == 0:
         raise NoGroundTruth(f"no ground-truth instances for {ct.question_id}")
-    k = len(ct.labels)
-    diag = np.diag(ct.counts[:, :k])
-    recalls = diag[present] / row_sums[present]
-    return float(recalls.mean())
+    return float(_rates(ct.counts[None])[1, 0])
 
 
 def macro_f1(ct: ConfusionTable) -> float:
     """Unweighted mean of per-class F1.
 
-    Classes with neither ground-truth nor predicted mass are excluded;
-    a zero precision+recall denominator yields F1 = 0 for that class.
+    Classes with neither ground-truth nor predicted mass are excluded.
     """
-    k = len(ct.labels)
-    matrix = ct.counts[:, :k]
-    row_sums = ct.counts.sum(axis=1)
-    col_sums = matrix.sum(axis=0)
-    if not (row_sums > 0).any():
+    if ct.total == 0:
         raise NoGroundTruth(f"no ground-truth instances for {ct.question_id}")
-    scores = []
-    for c in range(k):
-        if row_sums[c] == 0 and col_sums[c] == 0:
+    return float(_rates(ct.counts[None])[2, 0])
+
+
+def _confusion_counts(truth: np.ndarray, answers: np.ndarray) -> dict[str, np.ndarray]:
+    """(M, k, k + 1) counts of each question answered in the (N, 14)
+    ``truth`` codes, for the (M, N, 14) codes of M models on its clips: one
+    ``np.bincount`` per question over (model, truth, prediction). A
+    prediction without an answer counts in the unparsed column."""
+    models = np.arange(len(answers))[:, None]
+    counts = {}
+    for j, question in enumerate(QUESTION_ORDER):
+        present = truth[:, j] != NO_ANSWER
+        if not present.any():
             continue
-        tp = matrix[c, c]
-        denom = row_sums[c] + col_sums[c]
-        scores.append(2.0 * tp / denom if denom > 0 else 0.0)
-    return float(np.mean(scores))
+        k = len(ANSWER_SPACES[question])
+        pred = answers[:, present, j]
+        pred = np.where(pred == NO_ANSWER, k, pred)
+        cells = (models * k + truth[present, j]) * (k + 1) + pred
+        size = len(answers) * k * (k + 1)
+        counts[question] = np.bincount(cells.ravel(), minlength=size).reshape(-1, k, k + 1)
+    return counts
 
 
 def build_confusions(truth: AnswerTable, predictions: AnswerTable) -> dict[str, ConfusionTable]:
@@ -114,20 +150,8 @@ def build_confusions(truth: AnswerTable, predictions: AnswerTable) -> dict[str, 
 
     A prediction without an answer counts in the unparsed column.
     """
-    predicted = predictions.answers_on(truth)
-    tables = {}
-    for j, question in enumerate(QUESTION_ORDER):
-        present = truth.codes[:, j] != NO_ANSWER
-        if not present.any():
-            continue
-        labels = ANSWER_SPACES[question]
-        k = len(labels)
-        pred = predicted[present, j]
-        pred = np.where(pred == NO_ANSWER, k, pred)
-        cells = truth.codes[present, j] * (k + 1) + pred
-        counts = np.bincount(cells, minlength=k * (k + 1)).reshape(k, k + 1)
-        tables[question] = ConfusionTable(question, labels, counts.astype(np.int64))
-    return tables
+    counts = _confusion_counts(truth.codes, predictions.answers_on(truth)[None])
+    return {q: ConfusionTable(q, ANSWER_SPACES[q], c[0]) for q, c in counts.items()}
 
 
 def _temporal_tables(tables: Mapping[str, ConfusionTable]) -> list[ConfusionTable]:
@@ -221,6 +245,25 @@ class ModelScores:
     aggregate: dict[str, float]
 
 
+_METRICS = ("acc", "bacc", "f1")
+
+
+def _scores(counts: Mapping[str, np.ndarray]) -> tuple[dict[str, np.ndarray], list[dict]]:
+    """The (3, M) rates of each question's (M, k, k + 1) ``counts`` and, per
+    model, their unweighted means over those questions: one ``np.mean`` per
+    model and metric, as pairwise summation groups 8 or more terms by
+    their count."""
+    if not counts:
+        raise NoGroundTruth("no scorable questions in the truth set")
+    rates = {q: _rates(c) for q, c in counts.items()}
+    by_question = np.stack(list(rates.values()), axis=-1)  # (3, M, questions)
+    aggregate = [
+        {name: float(np.mean(by_question[i, m])) for i, name in enumerate(_METRICS)}
+        for m in range(by_question.shape[1])
+    ]
+    return rates, aggregate
+
+
 def score_questions(truth: AnswerTable, predictions: AnswerTable) -> ModelScores:
     """Accuracy/balanced accuracy/macro-F1 per question and their means.
 
@@ -228,22 +271,12 @@ def score_questions(truth: AnswerTable, predictions: AnswerTable) -> ModelScores
     questions present in the ground truth, taken in ``QUESTION_ORDER``.
     """
     tables = build_confusions(truth, predictions)
+    rates, aggregate = _scores({q: t.counts[None] for q, t in tables.items()})
     per_question = {
-        q: {
-            "acc": accuracy(tables[q]),
-            "bacc": balanced_accuracy(tables[q]),
-            "f1": macro_f1(tables[q]),
-        }
-        for q in QUESTION_ORDER
-        if q in tables
+        q: {name: float(value) for name, value in zip(_METRICS, r[:, 0])}
+        for q, r in rates.items()
     }
-    if not per_question:
-        raise NoGroundTruth("no scorable questions in the truth set")
-    aggregate = {
-        name: float(np.mean([scores[name] for scores in per_question.values()]))
-        for name in ("acc", "bacc", "f1")
-    }
-    return ModelScores(tables, per_question, aggregate)
+    return ModelScores(tables, per_question, aggregate[0])
 
 
 def score_model(truth: AnswerTable, predictions: AnswerTable) -> dict[str, float]:
@@ -266,8 +299,9 @@ def sensitivity_sweep(
     ``clips`` pairs clip ids with their StateSequence. The alpha list must
     contain the nominal factor 1.0, which anchors the tau comparison.
     Models are ranked by aggregate balanced accuracy. Clips are summarized
-    once (summaries do not depend on alpha); each alpha is one
-    ``label_batch`` call, whose codes are the truth table.
+    once (summaries do not depend on alpha), and each model's answers are
+    put in clip order once; each alpha is one ``label_batch`` call, whose
+    codes are the truth table, and one stacked scoring of every model.
     """
     alphas = list(alphas)
     if not alphas or any(a <= 0 for a in alphas):
@@ -280,11 +314,12 @@ def sensitivity_sweep(
     clip_ids = tuple(clip_id for clip_id, _ in clips)
     seqs = [seq for _, seq in clips]
     summaries = summarize_batch(seqs, cfg.heading_total_mode, clip_ids)
+    models = list(model_predictions)
+    answers = np.stack([model_predictions[m].on_clips(clip_ids) for m in models])
 
     def scores_at(alpha: float) -> dict[str, dict[str, float]]:
         codes, _ = label_batch(seqs, summaries, cfg.with_alpha(cfg.alpha * alpha), clip_ids)
-        truth = AnswerTable(clip_ids, codes)
-        return {model: score_model(truth, preds) for model, preds in model_predictions.items()}
+        return dict(zip(models, _scores(_confusion_counts(codes, answers))[1]))
 
     scores = {alpha: scores_at(alpha) for alpha in dict.fromkeys(alphas)}
     nominal_bacc = {m: s["bacc"] for m, s in scores[1.0].items()}

@@ -316,8 +316,3 @@ def label_all(
         summary = summarize(seq, heading_mode=cfg.heading_total_mode)
     codes, evidence = label_batch([seq], [summary], cfg, [clip_id])
     return records([clip_id], codes, evidence, cfg)
-
-
-def answers_of(qa_records: list[QARecord]) -> dict[str, str]:
-    """Collapse QARecords to a question -> answer mapping."""
-    return {r.question_id: r.answer for r in qa_records}

@@ -1,7 +1,7 @@
-"""Deterministic cascade mapping free-form model text to a label.
+"""Deterministic cascade mapping free-form model text to an answer code.
 
 Stages, applied in order after trimming and lowercasing; the earliest
-matching stage wins and is recorded on the result:
+matching stage wins and is returned with the code:
 
 1. exact      -- the whole response equals a label.
 2. underscore -- equality after collapsing every non-alphanumeric run to
@@ -15,8 +15,11 @@ matching stage wins and is recorded on the result:
                  distinct label occurs; two different labels on the
                  final line are ambiguous and yield ``unparsed``.
 
-Anything else -- truncated output, refusals, empty text -- is unparsed.
-The function is total: it never raises on response content.
+Anything else -- truncated output, refusals, empty text -- is unparsed,
+coded ``NO_ANSWER``. ``parse_code`` runs the cascade on the tables of one
+answer space (``tables``) and returns ``(code, stage)``: the index of the
+label in that space. ``parse`` is the same cascade returning the label as
+a ``ParseResult``. Both are total: they never raise on response content.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import re
 from dataclasses import dataclass
 from typing import Sequence
 
-from .questions import UNPARSED
+from .questions import NO_ANSWER, UNPARSED
 
 STAGE_EXACT = "exact"
 STAGE_UNDERSCORE = "underscore"
@@ -58,44 +61,56 @@ def _word_pattern(label: str) -> re.Pattern:
 
 
 @functools.cache
-def _tables(answer_space: tuple[str, ...]):
-    """The answer space as a set, its ``_normalize``d labels mapped back to
-    the labels, and each label with its whole-word pattern in answer-space
-    order; built once per answer space, and never for an invalid one."""
+def tables(answer_space: tuple[str, ...]):
+    """The cascade's tables for ``answer_space``: each label mapped to its
+    code, each ``_normalize``d label mapped to its code, and each code with
+    its label's whole-word pattern in answer-space order. Built on first
+    use, once per answer space, and never for an invalid one."""
     if not answer_space:
         raise ValueError("answer_space must be non-empty")
     for label in answer_space:
         if label != label.lower():
             raise ValueError(f"answer-space labels must be lowercase: {label!r}")
-    by_normalized = {_normalize(label): label for label in answer_space}
-    patterns = tuple((label, _word_pattern(label)) for label in answer_space)
-    return frozenset(answer_space), by_normalized, patterns
+    codes = {label: code for code, label in enumerate(answer_space)}
+    by_normalized = {_normalize(label): code for code, label in enumerate(answer_space)}
+    patterns = tuple((code, _word_pattern(label)) for code, label in enumerate(answer_space))
+    return codes, by_normalized, patterns
+
+
+def parse_code(raw: str, space_tables) -> tuple[int, str]:
+    """``(code, stage)`` of response text ``raw`` under the ``tables`` of
+    an answer space; ``(NO_ANSWER, "none")`` when no stage matches."""
+    codes, by_normalized, patterns = space_tables
+
+    text = raw.strip().lower()
+    code = codes.get(text)
+    if code is not None:
+        return code, STAGE_EXACT
+
+    code = by_normalized.get(_normalize(text))
+    if code is not None:
+        return code, STAGE_UNDERSCORE
+
+    if not text:
+        return NO_ANSWER, STAGE_NONE
+    # ``text`` is stripped and every line break is whitespace, so its last
+    # line holds its last character: the final non-empty line.
+    last = text.splitlines()[-1].strip()
+    if last != text:
+        code = codes.get(last)
+        if code is None:
+            code = by_normalized.get(_normalize(last))
+        if code is not None:
+            return code, STAGE_LAST_LINE
+
+    found = [code for code, pattern in patterns if pattern.search(last)]
+    if len(found) == 1:
+        return found[0], STAGE_SUBSTRING
+    return NO_ANSWER, STAGE_NONE
 
 
 def parse(raw: str, answer_space: Sequence[str]) -> ParseResult:
     """Map raw response text to a label in ``answer_space`` or unparsed."""
-    labels, by_normalized, patterns = _tables(tuple(answer_space))
-
-    text = raw.strip().lower()
-    if text in labels:
-        return ParseResult(text, STAGE_EXACT, raw)
-
-    normalized = _normalize(text)
-    if normalized in by_normalized:
-        return ParseResult(by_normalized[normalized], STAGE_UNDERSCORE, raw)
-
-    lines = [line.strip() for line in text.splitlines() if line.strip()]
-    if not lines:
-        return ParseResult(UNPARSED, STAGE_NONE, raw)
-    last = lines[-1]
-    if last != text:
-        if last in labels:
-            return ParseResult(last, STAGE_LAST_LINE, raw)
-        if _normalize(last) in by_normalized:
-            return ParseResult(by_normalized[_normalize(last)], STAGE_LAST_LINE, raw)
-
-    found = [label for label, pattern in patterns if pattern.search(last)]
-    if len(found) == 1:
-        return ParseResult(found[0], STAGE_SUBSTRING, raw)
-    return ParseResult(UNPARSED, STAGE_NONE, raw)
-
+    space = tuple(answer_space)
+    code, stage = parse_code(raw, tables(space))
+    return ParseResult(UNPARSED if code == NO_ANSWER else space[code], stage, raw)

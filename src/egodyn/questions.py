@@ -14,7 +14,7 @@ treats "no answer" alike.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -65,6 +65,7 @@ def answer_space(question_id: str) -> tuple[str, ...]:
 
 NO_ANSWER = -1  # the code of an absent cell and of an ``unparsed`` prediction
 
+_WIDTH = len(QUESTION_ORDER)
 _COLUMN = {q: j for j, q in enumerate(QUESTION_ORDER)}
 _CODES = {
     q: {label: code for code, label in enumerate(space)} for q, space in ANSWER_SPACES.items()
@@ -108,24 +109,53 @@ class AnswerTable:
     ) -> "AnswerTable":
         """Table of ``(clip_id, question_id, label)`` rows, each checked by
         ``answer_code``; two rows for one cell raise ``ConfigError``."""
-        index: dict[str, int] = {}
-        cells: dict[tuple[int, int], int] = {}
+        index: dict = {}
+        ids, cells, codes = [], [], []
         for clip_id, question_id, label in rows:
-            code = answer_code(clip_id, question_id, label, predicted)
-            cell = (index.setdefault(clip_id, len(index)), _COLUMN[question_id])
-            if cell in cells:
-                kind = "prediction" if predicted else "truth"
-                raise ConfigError(f"clip {clip_id!r}, question {question_id!r}: two {kind} rows")
-            cells[cell] = code
-        codes = np.full((len(index), len(QUESTION_ORDER)), NO_ANSWER, dtype=np.intp)
-        if cells:
-            codes[tuple(zip(*cells))] = list(cells.values())
-        return cls(tuple(index), codes)
+            codes.append(answer_code(clip_id, question_id, label, predicted))
+            cells.append(index.setdefault(clip_id, len(index)) * _WIDTH + _COLUMN[question_id])
+            ids.append(clip_id)
+        return cls._from_cells(tuple(index), ids, cells, codes, predicted)
+
+    @classmethod
+    def from_codes(
+        cls, ids: Sequence, columns: Sequence[int], codes: Sequence[int], predicted: bool = False
+    ) -> "AnswerTable":
+        """Table of rows already coded: row ``i`` is clip ``ids[i]``, column
+        ``columns[i]`` of ``QUESTION_ORDER`` and code ``codes[i]``. Two rows
+        for one cell raise ``ConfigError``; an id that is not hashable
+        raises ``TypeError``."""
+        index: dict = {}
+        cells = [index.setdefault(clip_id, len(index)) * _WIDTH + column
+                 for clip_id, column in zip(ids, columns)]
+        return cls._from_cells(tuple(index), ids, cells, codes, predicted)
+
+    @classmethod
+    def _from_cells(cls, clip_ids: tuple, ids: Sequence, cells: list[int], codes, predicted: bool):
+        """The table whose flat cell ``cells[i]`` (clip * 14 + column) holds
+        ``codes[i]``; a repeated cell raises ``ConfigError`` naming
+        ``ids[i]`` of its first repeat."""
+        flat = np.full(len(clip_ids) * _WIDTH, NO_ANSWER, dtype=np.intp)
+        at = np.array(cells, dtype=np.intp)
+        if at.size and np.bincount(at).max() > 1:
+            seen = set()
+            for clip_id, cell in zip(ids, cells):
+                if cell in seen:
+                    kind = "prediction" if predicted else "truth"
+                    raise ConfigError(f"clip {clip_id!r}, question "
+                                      f"{QUESTION_ORDER[cell % _WIDTH]!r}: two {kind} rows")
+                seen.add(cell)
+        flat[at] = codes
+        return cls(clip_ids, flat.reshape(len(clip_ids), _WIDTH))
+
+    def on_clips(self, clip_ids: Sequence) -> np.ndarray:
+        """This table's codes on ``clip_ids``, in their order, with
+        ``NO_ANSWER`` for a clip it does not hold."""
+        row = {clip_id: i for i, clip_id in enumerate(self.clip_ids)}
+        padded = np.vstack([self.codes, np.full((1, _WIDTH), NO_ANSWER)])
+        return padded[[row.get(clip_id, -1) for clip_id in clip_ids]]  # -1: the padding
 
     def answers_on(self, truth: "AnswerTable") -> np.ndarray:
         """This table's codes on the clips of ``truth``, in its order,
         with ``NO_ANSWER`` wherever ``truth`` has no answer."""
-        row = {clip_id: i for i, clip_id in enumerate(self.clip_ids)}
-        padded = np.vstack([self.codes, np.full((1, len(QUESTION_ORDER)), NO_ANSWER)])
-        rows = [row.get(clip_id, -1) for clip_id in truth.clip_ids]  # -1: the padding
-        return np.where(truth.codes == NO_ANSWER, NO_ANSWER, padded[rows])
+        return np.where(truth.codes == NO_ANSWER, NO_ANSWER, self.on_clips(truth.clip_ids))

@@ -1,4 +1,12 @@
-"""Evaluation report assembly: parsing, scoring, and consistency in one pass."""
+"""Evaluation report assembly: prediction codes, scoring, and consistency.
+
+``prediction_codes`` is the one pass from prediction rows to answer
+codes: it parses each free-text row once through the cascade of
+``parsing`` and checks each pre-parsed label, so ``sweep`` and
+``evaluate`` build their prediction tables with
+``AnswerTable.from_codes`` and ``parse`` and ``evaluate`` write the same
+``parsed`` and ``stage`` fields.
+"""
 
 from __future__ import annotations
 
@@ -11,31 +19,74 @@ import numpy as np
 
 from . import consistency, metrics, parsing
 from .errors import ConfigError, NoGroundTruth
-from .questions import ANSWER_SPACES, NO_ANSWER, AnswerTable, answer_code
+from .questions import ANSWER_SPACES, NO_ANSWER, QUESTION_ORDER, UNPARSED, AnswerTable, answer_code
 
 
-def parse_predictions(rows: Sequence[Mapping]) -> list[dict]:
-    """Attach parsed label and stage to raw prediction rows.
+def _json_kind(value) -> str:
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "a boolean"
+    if isinstance(value, (int, float)):
+        return "a number"
+    return "an array" if isinstance(value, list) else "an object"
 
-    A pre-parsed label must pass ``questions.answer_code``, and every
-    ``question_id`` must be one of the 14, or ``ConfigError`` is raised
-    naming the clip.
+
+def _question(clip_id, question_id) -> tuple:
+    """What the pass needs for one question: its column, its labels with
+    ``unparsed`` last (so code ``NO_ANSWER`` indexes it) and its parse
+    tables."""
+    space = ANSWER_SPACES.get(question_id)
+    if space is None:
+        answer_code(clip_id, question_id, None)  # raises, naming the clip
+    return QUESTION_ORDER.index(question_id), space + (UNPARSED,), parsing.tables(space)
+
+
+def prediction_codes(rows: Sequence[dict], fill: bool = False) -> tuple[list[int], list[int]]:
+    """The ``QUESTION_ORDER`` column and the answer code of each prediction
+    row. A row with ``response`` is parsed from it, which must be a JSON
+    string; a row with only ``parsed`` must carry a label of its question's
+    answer space or ``unparsed``. With ``fill``, each row gains its parsed
+    label and stage in place: ``external`` for a pre-parsed row, unless it
+    carries a ``stage``.
+
+    Raises:
+        ConfigError: naming the clip, for an unknown question id, a label
+            outside the answer space or a ``response`` that is not a string.
+        TypeError: for a ``question_id`` that cannot be a key.
     """
-    out = []
+    parse_code = parsing.parse_code  # looked up per call: tests count its calls
+    questions: dict = {}
+    columns, codes = [], []
     for row in rows:
-        enriched = dict(row)
-        if "parsed" in row and "response" not in row:
-            answer_code(row["clip_id"], row["question_id"], row["parsed"], predicted=True)
-            enriched.setdefault("stage", "external")
+        question_id = row["question_id"]
+        question = questions.get(question_id)
+        if question is None:
+            question = questions[question_id] = _question(row["clip_id"], question_id)
+        column, labels, tables = question
+        if "response" in row:
+            raw = row["response"]
+            if not isinstance(raw, str):
+                raise ConfigError(f"clip {row['clip_id']!r}: field 'response' holds "
+                                  f"{_json_kind(raw)}, not a string")
+            code, stage = parse_code(raw, tables)
+            if fill:
+                row["parsed"] = labels[code]
+                row["stage"] = stage
         else:
-            space = ANSWER_SPACES.get(row["question_id"])
-            if space is None:
-                answer_code(row["clip_id"], row["question_id"], None)  # raises, naming the clip
-            result = parsing.parse(str(row["response"]), space)
-            enriched["parsed"] = result.label
-            enriched["stage"] = result.stage
-        out.append(enriched)
-    return out
+            code = answer_code(row["clip_id"], question_id, row["parsed"], predicted=True)
+            if fill:
+                row.setdefault("stage", "external")
+        columns.append(column)
+        codes.append(code)
+    return columns, codes
+
+
+def parse_predictions(rows: Sequence[dict]) -> Sequence[dict]:
+    """``rows``, each with its parsed label and stage filled in place by
+    ``prediction_codes``, which also raises as that says."""
+    prediction_codes(rows, fill=True)
+    return rows
 
 
 def _clip_order(clip_ids: tuple, truth_path: str) -> list[int]:
@@ -118,7 +169,7 @@ def parse_rate_report(parsed_rows: Sequence[Mapping]) -> dict:
         by_model.setdefault(str(row.get("model", "default")), []).append(row)
     report = {}
     for model, rows in sorted(by_model.items()):
-        parsed = sum(1 for r in rows if r["parsed"] != parsing.UNPARSED)
+        parsed = sum(1 for r in rows if r["parsed"] != UNPARSED)
         rate = 100.0 * parsed / len(rows)
         stages: dict[str, int] = {}
         for r in rows:

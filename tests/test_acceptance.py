@@ -28,7 +28,7 @@ from egodyn.baselines import (
 from egodyn.consistency import ClipConsistency, clip_consistency, pcov, wpcr
 from egodyn.kinematics import PoseSample, derive_states, smooth_savgol
 from egodyn.metrics import ConfusionTable, balanced_accuracy, sensitivity_sweep
-from egodyn.oracle import answers_of, label_all
+from egodyn.oracle import label_all
 from egodyn.parsing import UNPARSED, parse
 from egodyn.questions import ANSWER_SPACES, GEOMETRIC_SUBSET, QUESTION_ORDER
 from egodyn.report import parse_rate_report
@@ -50,7 +50,8 @@ def test_criterion_01_oracle_fidelity():
     cfg = ThresholdConfig()
     mismatches = []
     for clip in suite:
-        got = answers_of(label_all(clip.seq, cfg=cfg, clip_id=clip.clip_id))
+        records = label_all(clip.seq, cfg=cfg, clip_id=clip.clip_id)
+        got = {r.question_id: r.answer for r in records}
         if got != clip.expected:
             mismatches.append(clip.clip_id)
     elapsed = time.perf_counter() - start
@@ -131,7 +132,8 @@ def test_criterion_04_oracle_self_consistency():
     suite = generate_suite(200, seed=104)
     offenders = []
     for clip in suite:
-        answers = answers_of(label_all(clip.seq, cfg=cfg, clip_id=clip.clip_id))
+        records = label_all(clip.seq, cfg=cfg, clip_id=clip.clip_id)
+        answers = {r.question_id: r.answer for r in records}
         consistency = clip_consistency(clip.clip_id, answers)
         if consistency.violated:
             offenders.append((clip.clip_id, clip.template, consistency.violated_rules))
@@ -382,7 +384,7 @@ def test_criterion_09_baseline_mapping_fidelity():
     disagreements = []
     for name, spec in sorted(AGREEMENT_SPECS.items()):
         seq, _ = generate(spec)
-        oracle_ans = answers_of(label_all(seq, cfg=cfg))
+        oracle_ans = {r.question_id: r.answer for r in label_all(seq, cfg=cfg)}
         flow, odom = synth_proxies(seq, noise_level=0.0)
         flow_ans = {r.question_id: r.answer for r in flow_answers(flow, FLOW_DEFAULT)}
         vo_ans = {r.question_id: r.answer for r in vo_answers(odom, VO_DEFAULT)}

@@ -16,7 +16,7 @@ from egodyn.baselines import (
     vo_answers,
 )
 from egodyn.errors import EmptySeries
-from egodyn.oracle import answers_of, label_all
+from egodyn.oracle import label_all
 from egodyn.questions import GEOMETRIC_SUBSET
 from egodyn.synth import ManeuverSpec, generate
 from egodyn.thresholds import ThresholdConfig
@@ -214,7 +214,7 @@ class TestZeroNoiseAgreement:
     @pytest.mark.parametrize("name", sorted(AGREEMENT_SPECS))
     def test_flow_and_vo_match_oracle(self, name):
         seq, _ = generate(AGREEMENT_SPECS[name])
-        oracle_ans = answers_of(label_all(seq, cfg=ThresholdConfig()))
+        oracle_ans = {r.question_id: r.answer for r in label_all(seq, cfg=ThresholdConfig())}
         flow, odom = synth_proxies(seq, noise_level=0.0)
         flow_got = answers(flow_answers(flow, FLOW_DEFAULT))
         vo_got = answers(vo_answers(odom, VO_DEFAULT))

@@ -544,6 +544,47 @@ class TestSweepCommand:
         csv_text = (sweep_out / "sweep.csv").read_text()
         assert csv_text.splitlines()[0] == "alpha,model,bacc,kendall_tau_vs_nominal"
 
+    def test_alpha_one_scores_equal_evaluate(self, tmp_path):
+        """``sweep`` at alpha 1 scores each model as ``evaluate`` does on
+        the labels of ``label``, to the bit."""
+        synth_out = tmp_path / "synth"
+        run_cli("synth", {"count": 40, "seed": 5, "out": str(synth_out)}, tmp_path)
+        trajectories = str(synth_out / "trajectories.jsonl")
+        assert run_cli("label", {"input": trajectories, "out": str(tmp_path / "label")},
+                       tmp_path) == 0
+        labels = io.read_jsonl(tmp_path / "label" / "labels.jsonl")
+        rng = np.random.default_rng(5)
+        models = {}
+        for model, noise in {"m0": 0.0, "m1": 0.15, "m2": 0.3, "m3": 0.6}.items():
+            rows = []
+            for row in labels:
+                if rng.random() < 0.05:
+                    continue  # no prediction: counts as unparsed
+                space = ANSWER_SPACES[row["question_id"]]
+                label = row["answer"]
+                if rng.random() < noise:
+                    label = space[int(rng.integers(len(space)))]
+                response = [label, "Reasoning first.\n" + label, "The answer is " + label,
+                            "I cannot tell."][int(rng.integers(4))]
+                rows.append({"clip_id": row["clip_id"], "question_id": row["question_id"],
+                             "response": response})
+            models[model] = tmp_path / f"{model}.jsonl"
+            io.write_jsonl(models[model], rows)
+        sweep_out = tmp_path / "sweep"
+        assert run_cli("sweep", {"trajectories": trajectories, "alphas": [0.5, 1.0, 1.5],
+                                 "predictions": {m: str(p) for m, p in models.items()},
+                                 "out": str(sweep_out)}, tmp_path, "sweep.json") == 0
+        nominal = next(r for r in io.read_json(sweep_out / "sweep.json")["results"]
+                       if r["alpha"] == 1.0)
+        for model, path in models.items():
+            out = tmp_path / f"eval_{model}"
+            assert run_cli("evaluate", {"truth": str(tmp_path / "label" / "labels.jsonl"),
+                                        "predictions": str(path), "out": str(out)},
+                           tmp_path, "evaluate.json") == 0
+            aggregate = io.read_json(out / "report.json")["aggregate"]
+            expected = {name: aggregate[name] for name in ("acc", "bacc", "f1")}
+            assert nominal["model_scores"][model] == expected
+
 
 class TestParseCommand:
     def test_parse_rate_report(self, tmp_path):
@@ -610,13 +651,13 @@ class TestMixedStagePredictions:
     @pytest.fixture
     def parse_calls(self, monkeypatch):
         calls = []
-        original = parsing.parse
+        original = parsing.parse_code
 
-        def counting(raw, answer_space):
+        def counting(raw, tables):
             calls.append(raw)
-            return original(raw, answer_space)
+            return original(raw, tables)
 
-        monkeypatch.setattr(parsing, "parse", counting)
+        monkeypatch.setattr(parsing, "parse_code", counting)
         return calls
 
     @pytest.fixture
@@ -1300,7 +1341,17 @@ class TestKeyedRowErrors:
           "clip 'c2': unknown question id 'bogus'"),
          ("evaluate", "predictions", {"response": DROP, "parsed": "sideways"},
           "clip 'c2', question 'driving_smoothness': parsed label 'sideways' is not in "
-          "the answer space")],
+          "the answer space"),
+         ("parse", "predictions", {"response": None},
+          "clip 'c2': field 'response' holds null, not a string"),
+         ("parse", "predictions", {"response": True, "parsed": "smooth"},
+          "clip 'c2': field 'response' holds a boolean, not a string"),
+         ("evaluate", "predictions", {"response": ["smooth"]},
+          "clip 'c2': field 'response' holds an array, not a string"),
+         ("evaluate", "predictions", {"response": 3},
+          "clip 'c2': field 'response' holds a number, not a string"),
+         ("sweep", "predictions", {"response": {"a": "smooth"}},
+          "clip 'c2': field 'response' holds an object, not a string")],
         ids=["balance-no-answer", "balance-no-clip", "balance-no-question",
              "balance-array-clip", "balance-array-question", "truth-no-answer",
              "truth-no-question", "truth-array-clip", "truth-array-question",
@@ -1309,7 +1360,9 @@ class TestKeyedRowErrors:
              "parse-array-question", "parse-object-question", "sweep-array-clip",
              "parse-unknown-question", "parse-unknown-question-parsed",
              "evaluate-unknown-question", "sweep-unknown-question",
-             "evaluate-parsed-out-of-space"],
+             "evaluate-parsed-out-of-space", "parse-null-response",
+             "parse-boolean-response", "evaluate-array-response",
+             "evaluate-number-response", "sweep-object-response"],
     )
     def test_exits_2_naming_the_line(self, tmp_path, capsys, command, broken, edit, named):
         labels = _label_rows(["c1", "c2", "c3"])

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.stats import kendalltau
 
 from conftest import GRID, answer_table, make_seq, random_seq
+from egodyn import metrics
 from egodyn.errors import NoGroundTruth
 from egodyn.metrics import (
     ConfusionTable,
@@ -22,6 +23,7 @@ from egodyn.metrics import (
     temporal_accuracy,
     temporal_macro_f1,
 )
+from egodyn.questions import ANSWER_SPACES, NO_ANSWER, QUESTION_ORDER
 from egodyn.thresholds import ThresholdConfig
 
 ABC = ("a", "b", "c")
@@ -267,3 +269,87 @@ class TestConfusionTable:
         tables = build_confusions(answer_table(truth), answer_table(preds, predicted=True))
         assert set(tables) == {"turn_direction", "mean_speed_low"}
         assert tables["mean_speed_low"].counts.tolist() == [[0, 0, 1], [0, 0, 1]]
+
+
+# The per-table scorer that the stacked one replaced, kept as the reference:
+# one confusion table per model and question, each metric a loop or a mean
+# over the classes it keeps, and each aggregate one ``np.mean``.
+
+
+def ref_accuracy(counts):
+    k = counts.shape[0]
+    return float(np.trace(counts[:, :k]) / int(counts.sum()))
+
+
+def ref_balanced_accuracy(counts):
+    k = counts.shape[0]
+    row_sums = counts.sum(axis=1)
+    present = row_sums > 0
+    return float((np.diag(counts[:, :k])[present] / row_sums[present]).mean())
+
+
+def ref_macro_f1(counts):
+    k = counts.shape[0]
+    matrix = counts[:, :k]
+    row_sums, col_sums = counts.sum(axis=1), matrix.sum(axis=0)
+    scores = [2.0 * matrix[c, c] / (row_sums[c] + col_sums[c])
+              for c in range(k) if row_sums[c] or col_sums[c]]
+    return float(np.mean(scores))
+
+
+def ref_scores(truth, answers):
+    """Per question the (acc, bacc, f1) of one model, and their means."""
+    per_question = {}
+    for j, question in enumerate(QUESTION_ORDER):
+        present = truth[:, j] != NO_ANSWER
+        if not present.any():
+            continue
+        k = len(ANSWER_SPACES[question])
+        counts = np.zeros((k, k + 1), dtype=np.int64)
+        for t, p in zip(truth[present, j], answers[present, j]):
+            counts[t, k if p == NO_ANSWER else p] += 1
+        per_question[question] = (
+            ref_accuracy(counts), ref_balanced_accuracy(counts), ref_macro_f1(counts))
+    aggregate = {name: float(np.mean([s[i] for s in per_question.values()]))
+                 for i, name in enumerate(("acc", "bacc", "f1"))}
+    return per_question, aggregate
+
+
+@st.composite
+def stacked_codes(draw):
+    """(N, 14) truth codes with absent cells and absent classes, and the
+    (M, N, 14) codes of M models, some unparsed."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, m = draw(st.integers(1, 40)), draw(st.integers(1, 6))
+    truth = np.full((n, len(QUESTION_ORDER)), NO_ANSWER, dtype=np.intp)
+    for j, question in enumerate(QUESTION_ORDER):
+        k = len(ANSWER_SPACES[question])
+        classes = rng.choice(k, size=int(rng.integers(1, k + 1)), replace=False)
+        answered = rng.random(n) < draw(st.sampled_from([0.0, 0.5, 1.0]))
+        truth[answered, j] = rng.choice(classes, size=int(answered.sum()))
+    answers = np.stack([
+        np.stack([rng.integers(-1, len(ANSWER_SPACES[q]), size=n) for q in QUESTION_ORDER],
+                 axis=1)
+        for _ in range(m)
+    ])
+    return truth, answers
+
+
+@settings(max_examples=200, deadline=None)
+@given(stacked_codes())
+def test_stacked_scores_equal_per_table_reference(codes):
+    """Every model's per-question and aggregate scores from one stacked
+    pass have the bits of the per-table reference."""
+    truth, answers = codes
+    counts = metrics._confusion_counts(truth, answers)
+    if not counts:
+        with pytest.raises(NoGroundTruth):
+            metrics._scores(counts)
+        return
+    rates, aggregate = metrics._scores(counts)
+    for model in range(len(answers)):
+        per_question, expected = ref_scores(truth, answers[model])
+        assert list(rates) == list(per_question)
+        for question, values in per_question.items():
+            assert tuple(float(v) for v in rates[question][:, model]) == values
+        assert aggregate[model] == expected

@@ -16,7 +16,7 @@ from egodyn.thresholds import ThresholdConfig, calibrate_thresholds
 
 
 def label(question, seq, cfg):
-    return oracle.answers_of(oracle.label_all(seq, summarize(seq), cfg))[question]
+    return {r.question_id: r.answer for r in oracle.label_all(seq, summarize(seq), cfg)}[question]
 
 
 class TestTurnDirection:
@@ -226,7 +226,7 @@ class TestLabelAll:
     def test_quiescent_fourteen_tuple(self, cfg):
         records = oracle.label_all(make_seq(), cfg=cfg, clip_id="zero")
         assert [r.question_id for r in records] == list(QUESTION_ORDER)
-        assert oracle.answers_of(records) == QUIESCENT_EXPECTED
+        assert {r.question_id: r.answer for r in records} == QUIESCENT_EXPECTED
 
     def test_records_carry_traceability(self, cfg):
         for record in oracle.label_all(make_seq(v=8.0, omega=0.2), cfg=cfg):

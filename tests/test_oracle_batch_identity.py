@@ -613,7 +613,7 @@ def test_ties_of_the_feature_rules():
                           speed_stopped=4.0, speed_slow=5.0, jerk_smooth=1.0, jerk_moderate=2.0,
                           contrastive_rel_band=0.0, contrastive_abs_band=0.5,
                           peak_epsilon=0.0)
-    answers = oracle.answers_of(oracle.label_all(seq, cfg=cfg))
+    answers = {r.question_id: r.answer for r in oracle.label_all(seq, cfg=cfg)}
     assert answers["turn_direction"] == "straight"
     assert answers["motion_axis"] == "longitudinal"
     assert answers["speed_regime"] == "slow"

@@ -193,6 +193,7 @@ RESPONSES = st.lists(
         st.sampled_from(LABEL_WORDS).map(str.upper),
         st.sampled_from(SEPARATORS),
         st.sampled_from(NEWLINES),
+        st.text(max_size=4),
     ),
     max_size=12,
 ).map("".join)

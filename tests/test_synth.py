@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from egodyn.errors import ImplausibleSpec
-from egodyn.oracle import answers_of, label_all
+from egodyn.oracle import label_all
 from egodyn.questions import ANSWER_SPACES
 from egodyn.synth import (
     GRID_SAMPLES,
@@ -150,7 +150,8 @@ class TestSuite:
     def test_oracle_matches_expected_at_zero_noise(self):
         cfg = ThresholdConfig()
         for clip in generate_suite(120, seed=9):
-            assert answers_of(label_all(clip.seq, cfg=cfg)) == clip.expected, (
+            answers = {r.question_id: r.answer for r in label_all(clip.seq, cfg=cfg)}
+            assert answers == clip.expected, (
                 clip.clip_id,
                 clip.template,
             )
@@ -162,7 +163,7 @@ class TestSuite:
         agree = 0
         total = 0
         for clip in suite:
-            got = answers_of(label_all(clip.seq, cfg=cfg))
+            got = {r.question_id: r.answer for r in label_all(clip.seq, cfg=cfg)}
             for question in ANSWER_SPACES:
                 total += 1
                 agree += got[question] == clip.expected[question]
