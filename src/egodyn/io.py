@@ -156,6 +156,18 @@ def _row_line(path: str | Path, index: int) -> int:
         return next(itertools.islice(numbers, index, None))
 
 
+def json_kind(value) -> str:
+    """What a decoded JSON value other than a string is, in words:
+    ``null``, ``a boolean``, ``a number``, ``an array`` or ``an object``."""
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "a boolean"
+    if isinstance(value, (int, float)):
+        return "a number"
+    return "an array" if isinstance(value, list) else "an object"
+
+
 def _row_fault(row: Mapping[str, Any], fields: Iterable[str]) -> str | None:
     """What keeps ``row`` from being keyed: a field of ``fields`` it lacks,
     or a ``clip_id`` or ``question_id`` that is an array or an object."""
@@ -164,8 +176,7 @@ def _row_fault(row: Mapping[str, Any], fields: Iterable[str]) -> str | None:
             return f"row lacks field {field!r}"
     for field in ("clip_id", "question_id"):
         if isinstance(row.get(field), (list, dict)):
-            kind = "an array" if isinstance(row[field], list) else "an object"
-            return f"field {field!r} holds {kind}, not a string or a number"
+            return f"field {field!r} holds {json_kind(row[field])}, not a string or a number"
     return None
 
 

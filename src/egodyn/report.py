@@ -17,19 +17,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from . import consistency, metrics, parsing
+from . import consistency, io, metrics, parsing
 from .errors import ConfigError, NoGroundTruth
 from .questions import ANSWER_SPACES, NO_ANSWER, QUESTION_ORDER, UNPARSED, AnswerTable, answer_code
-
-
-def _json_kind(value) -> str:
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "a boolean"
-    if isinstance(value, (int, float)):
-        return "a number"
-    return "an array" if isinstance(value, list) else "an object"
 
 
 def _question(clip_id, question_id) -> tuple:
@@ -68,7 +58,7 @@ def prediction_codes(rows: Sequence[dict], fill: bool = False) -> tuple[list[int
             raw = row["response"]
             if not isinstance(raw, str):
                 raise ConfigError(f"clip {row['clip_id']!r}: field 'response' holds "
-                                  f"{_json_kind(raw)}, not a string")
+                                  f"{io.json_kind(raw)}, not a string")
             code, stage = parse_code(raw, tables)
             if fill:
                 row["parsed"] = labels[code]
