@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import balancer, baselines, io, metrics, report
 from .encodings import ENCODING_MODES, encode_trajectory
-from .errors import ConfigError, EgodynError
+from .errors import ConfigError, EgodynError, MissingChannels
 from .kinematics import stratification_bin, summarize_batch
 from .oracle import label_batch, label_lines, rule_table, tags_of
 from .questions import QUESTION_ORDER, AnswerTable
@@ -101,6 +101,8 @@ class RunConfig:
             raise ConfigError("sweep alpha list must include 1.0")
         if self.encoding is not None and self.encoding not in ENCODING_MODES:
             raise ConfigError(f"unknown encoding mode {self.encoding!r}")
+        if "encoding_steps" in self.params:
+            _integer("encoding_steps", self.params["encoding_steps"], 2)
 
 
 def _load_thresholds(cfg: RunConfig) -> ThresholdConfig:
@@ -134,8 +136,18 @@ def _load_clips(cfg: RunConfig, key: str = "input"):
     return io.rows_to_sequences(io.read_trajectory_clips(path), rate, window)
 
 
+def _check_positions(cfg: RunConfig, clips) -> None:
+    """Raise ``MissingChannels`` naming the first of the ``(clip_id, seq)``
+    ``clips`` without ``x`` and ``y`` when ``cfg.encoding`` renders them."""
+    if cfg.encoding in ("coordinates", "full"):
+        for clip_id, seq in clips:
+            if not seq.has_position():
+                raise MissingChannels(
+                    f"clip {clip_id!r}: {cfg.encoding} encoding needs x and y channels")
+
+
 def _write_prompts(cfg: RunConfig, summarized, out_dir: Path) -> Path:
-    n_steps = _integer("encoding_steps", cfg.params.get("encoding_steps", 10), 2)
+    n_steps = cfg.params.get("encoding_steps", 10)  # checked by RunConfig.validate
     rows = [
         {
             "clip_id": clip_id,
@@ -152,6 +164,7 @@ def _write_prompts(cfg: RunConfig, summarized, out_dir: Path) -> Path:
 def _cmd_label(cfg: RunConfig) -> dict[str, Path]:
     thresholds = _load_thresholds(cfg)
     clips = _load_clips(cfg)
+    _check_positions(cfg, clips)
     clip_ids = [clip_id for clip_id, _ in clips]
     seqs = [seq for _, seq in clips]
     summaries = summarize_batch(seqs, thresholds.heading_total_mode, clip_ids)
@@ -275,6 +288,9 @@ def _cmd_sweep(cfg: RunConfig) -> dict[str, Path]:
 def _cmd_parse(cfg: RunConfig) -> dict[str, Path]:
     path = cfg.params["predictions"]
     parsed = _checked_rows(path, io.read_predictions(path), report.parse_predictions)
+    with io.keyed_rows(path, parsed):
+        for row in parsed:
+            hash(row["clip_id"])  # an array or object id raises TypeError
     rates = report.parse_rate_report(parsed)
     out = cfg.out_dir
     io.write_jsonl(out / "parsed_predictions.jsonl", parsed)
@@ -328,6 +344,11 @@ def _cmd_balance(cfg: RunConfig) -> dict[str, Path]:
             if question in clip_answers:
                 raise ConfigError(f"clip {clip_id!r}, question {question!r}: two labels rows")
             clip_answers[question] = row["answer"]
+    unknown = set().union(*answers.values()).difference(QUESTION_ORDER)
+    if unknown:  # searched for its row only now: the loop above stays lean
+        index, row = next((i, r) for i, r in enumerate(rows) if r["question_id"] in unknown)
+        raise ConfigError(f"{labels}:{io._row_line(labels, index)}: clip {row['clip_id']!r}: "
+                          f"unknown question id {row['question_id']!r}")
     sources = (
         io.read_source_manifest(cfg.params["sources"])
         if cfg.params.get("sources")

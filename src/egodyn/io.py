@@ -425,7 +425,8 @@ def sequence_to_rows(clip_id: str, seq: StateSequence) -> list[dict]:
 
 def read_source_manifest(path: str | Path) -> dict[str, str]:
     """clip_id -> source mapping from a CSV with ``clip_id`` and ``source``
-    columns; a missing column or a second row for a clip is a ``ConfigError``."""
+    columns; a missing column, a row with more or fewer fields than the
+    header, or a second row for a clip is a ``ConfigError``."""
     sources = {}
     with _utf8(path), Path(path).open("r", encoding="utf-8", newline="") as handle:
         reader = csv.DictReader(handle)
@@ -433,6 +434,9 @@ def read_source_manifest(path: str | Path) -> dict[str, str]:
             if column not in (reader.fieldnames or ()):
                 raise ConfigError(f"{path}: source manifest has no {column!r} column")
         for row in reader:
+            if None in row or None in row.values():  # csv's marks of a long or short row
+                more = "more" if None in row else "fewer"
+                raise ConfigError(f"{path}:{reader.line_num}: {more} fields than the header")
             clip_id = row["clip_id"]
             if clip_id in sources:
                 raise ConfigError(

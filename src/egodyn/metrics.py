@@ -6,13 +6,16 @@ for every class, never as a class of their own. Ranking stability across
 threshold perturbations is measured with Kendall's tau (tau-b for tied
 scores) against the nominal (alpha = 1) ranking.
 
-There is one scorer, for M models at once: the answer codes of the models
-on the truth clips are stacked as (M, N, 14), one ``np.bincount`` per
-question gives every model's (k, k + 1) confusion table, and accuracy,
-balanced accuracy and macro-F1 are computed on the (M, k, k + 1) counts
-with the float operations of one table. ``sensitivity_sweep`` scores all
-its models this way at each alpha; ``score_questions`` (``evaluate``'s
-report) and ``score_model`` are the case M = 1.
+A score has one representation: a question's (k, k + 1) int64 confusion
+counts, rows in answer-space order and the unparsed column last. The
+scorer takes M models at once: their answer codes on the truth clips are
+stacked as (M, N, 14), one ``np.bincount`` per question gives every
+model's counts, and ``_rates`` computes accuracy, balanced accuracy and
+macro-F1 on the (M, k, k + 1) counts with the float operations of one
+table. ``sensitivity_sweep`` scores all its models this way at each
+alpha; ``score_questions`` (``evaluate``'s report) and ``score_model``
+are the case M = 1, and the temporal scores are ``_rates`` of the
+temporal questions' counts pooled by label.
 """
 
 from __future__ import annotations
@@ -30,48 +33,9 @@ from .questions import (
     NO_ANSWER,
     QUESTION_ORDER,
     TEMPORAL_QUESTIONS,
-    UNPARSED,
     AnswerTable,
-    answer_space,
 )
 from .thresholds import ThresholdConfig
-
-
-@dataclass
-class ConfusionTable:
-    """Truth x prediction counts for one question, plus an unparsed column.
-
-    Rows are ground-truth classes in answer-space order; the extra final
-    column counts predictions that did not parse to any label.
-    """
-
-    question_id: str
-    labels: tuple[str, ...]
-    counts: np.ndarray  # shape (k, k + 1), dtype int64
-
-    @classmethod
-    def empty(cls, question_id: str, labels: Sequence[str] | None = None):
-        labels = tuple(labels if labels is not None else answer_space(question_id))
-        return cls(question_id, labels, np.zeros((len(labels), len(labels) + 1), dtype=np.int64))
-
-    def add(self, truth: str, prediction: str | None) -> None:
-        row = self.labels.index(truth)
-        if prediction is None or prediction == UNPARSED:
-            col = len(self.labels)
-        else:
-            col = self.labels.index(prediction)
-        self.counts[row, col] += 1
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-    def to_dict(self) -> dict:
-        return {
-            "labels": list(self.labels),
-            "matrix": self.counts[:, : len(self.labels)].tolist(),
-            "unparsed": self.counts[:, len(self.labels)].tolist(),
-        }
 
 
 def _rates(counts: np.ndarray) -> np.ndarray:
@@ -101,30 +65,6 @@ def _rates(counts: np.ndarray) -> np.ndarray:
     return np.stack([acc, bacc, f1.sum(axis=1) / scored.sum(axis=1)])
 
 
-def accuracy(ct: ConfusionTable) -> float:
-    """Raw accuracy; unparsed predictions are wrong."""
-    if ct.total == 0:
-        raise NoGroundTruth(f"no records for {ct.question_id}")
-    return float(_rates(ct.counts[None])[0, 0])
-
-
-def balanced_accuracy(ct: ConfusionTable) -> float:
-    """Mean of class-wise recalls over classes with ground-truth mass."""
-    if ct.total == 0:
-        raise NoGroundTruth(f"no ground-truth instances for {ct.question_id}")
-    return float(_rates(ct.counts[None])[1, 0])
-
-
-def macro_f1(ct: ConfusionTable) -> float:
-    """Unweighted mean of per-class F1.
-
-    Classes with neither ground-truth nor predicted mass are excluded.
-    """
-    if ct.total == 0:
-        raise NoGroundTruth(f"no ground-truth instances for {ct.question_id}")
-    return float(_rates(ct.counts[None])[2, 0])
-
-
 def _confusion_counts(truth: np.ndarray, answers: np.ndarray) -> dict[str, np.ndarray]:
     """(M, k, k + 1) counts of each question answered in the (N, 14)
     ``truth`` codes, for the (M, N, 14) codes of M models on its clips: one
@@ -145,27 +85,24 @@ def _confusion_counts(truth: np.ndarray, answers: np.ndarray) -> dict[str, np.nd
     return counts
 
 
-def build_confusions(truth: AnswerTable, predictions: AnswerTable) -> dict[str, ConfusionTable]:
-    """One confusion table per question answered in ``truth``.
+def build_confusions(truth: AnswerTable, predictions: AnswerTable) -> dict[str, np.ndarray]:
+    """The (k, k + 1) counts of each question answered in ``truth``.
 
     A prediction without an answer counts in the unparsed column.
     """
     counts = _confusion_counts(truth.codes, predictions.answers_on(truth)[None])
-    return {q: ConfusionTable(q, ANSWER_SPACES[q], c[0]) for q, c in counts.items()}
+    return {q: c[0] for q, c in counts.items()}
 
 
-def _temporal_tables(tables: Mapping[str, ConfusionTable]) -> list[ConfusionTable]:
-    temporal = [tables[q] for q in TEMPORAL_QUESTIONS if q in tables]
-    if not temporal:
-        raise NoGroundTruth("no temporal records")
-    return temporal
-
-
-def temporal_accuracy(tables: Mapping[str, ConfusionTable]) -> float:
-    """Accuracy over the event-ordering questions only."""
-    temporal = _temporal_tables(tables)
-    hits = sum(int(np.trace(t.counts[:, : len(t.labels)])) for t in temporal)
-    return hits / sum(t.total for t in temporal)
+def confusion_json(question: str, counts: np.ndarray) -> dict:
+    """The (k, k + 1) ``counts`` of ``question`` as the report's confusion:
+    its labels, the truth x prediction matrix and the unparsed column."""
+    k = len(ANSWER_SPACES[question])
+    return {
+        "labels": list(ANSWER_SPACES[question]),
+        "matrix": counts[:, :k].tolist(),
+        "unparsed": counts[:, k].tolist(),
+    }
 
 
 # the labels of the temporal questions, each once, in first-seen order
@@ -174,15 +111,23 @@ _POOLED_TEMPORAL_LABELS = tuple(
 )
 
 
-def temporal_macro_f1(tables: Mapping[str, ConfusionTable]) -> float:
-    """Macro-F1 over the pooled confusion table of the temporal questions."""
-    temporal = _temporal_tables(tables)
-    pooled = ConfusionTable.empty("temporal_pooled", _POOLED_TEMPORAL_LABELS)
-    unparsed = len(pooled.labels)
-    for table in temporal:
-        rows = [pooled.labels.index(label) for label in table.labels]
-        pooled.counts[np.ix_(rows, rows + [unparsed])] += table.counts
-    return macro_f1(pooled)
+def temporal_scores(counts: Mapping[str, np.ndarray]) -> tuple[float, float]:
+    """Accuracy and macro-F1 of the event-ordering questions: the rates of
+    their (k, k + 1) ``counts`` pooled by label into one table.
+
+    Raises:
+        NoGroundTruth: when no temporal question is answered.
+    """
+    temporal = [q for q in TEMPORAL_QUESTIONS if q in counts]
+    if not temporal:
+        raise NoGroundTruth("no temporal records")
+    k = len(_POOLED_TEMPORAL_LABELS)
+    pooled = np.zeros((k, k + 1), dtype=np.int64)
+    for q in temporal:
+        rows = [_POOLED_TEMPORAL_LABELS.index(label) for label in ANSWER_SPACES[q]]
+        pooled[np.ix_(rows, rows + [k])] += counts[q]
+    acc, _, f1 = _rates(pooled[None])[:, 0]
+    return float(acc), float(f1)
 
 
 def kendall_tau_scores(
@@ -236,15 +181,6 @@ class SweepResult:
         }
 
 
-@dataclass(frozen=True)
-class ModelScores:
-    """One model scored against the truth, question by question."""
-
-    tables: dict[str, ConfusionTable]
-    per_question: dict[str, dict[str, float]]
-    aggregate: dict[str, float]
-
-
 _METRICS = ("acc", "bacc", "f1")
 
 
@@ -264,24 +200,27 @@ def _scores(counts: Mapping[str, np.ndarray]) -> tuple[dict[str, np.ndarray], li
     return rates, aggregate
 
 
-def score_questions(truth: AnswerTable, predictions: AnswerTable) -> ModelScores:
-    """Accuracy/balanced accuracy/macro-F1 per question and their means.
+def score_questions(
+    truth: AnswerTable, predictions: AnswerTable
+) -> tuple[dict[str, np.ndarray], dict[str, dict[str, float]], dict[str, float]]:
+    """The ``build_confusions`` counts, the accuracy/balanced accuracy/
+    macro-F1 of each question and their means.
 
     Aggregates are unweighted means of the per-question metrics over the
     questions present in the ground truth, taken in ``QUESTION_ORDER``.
     """
-    tables = build_confusions(truth, predictions)
-    rates, aggregate = _scores({q: t.counts[None] for q, t in tables.items()})
+    counts = build_confusions(truth, predictions)
+    rates, aggregate = _scores({q: c[None] for q, c in counts.items()})
     per_question = {
         q: {name: float(value) for name, value in zip(_METRICS, r[:, 0])}
         for q, r in rates.items()
     }
-    return ModelScores(tables, per_question, aggregate[0])
+    return counts, per_question, aggregate[0]
 
 
 def score_model(truth: AnswerTable, predictions: AnswerTable) -> dict[str, float]:
     """Aggregate accuracy/balanced accuracy/macro-F1 for one model."""
-    return score_questions(truth, predictions).aggregate
+    return score_questions(truth, predictions)[2]
 
 
 def _rank_models(scores: Mapping[str, Mapping[str, float]]) -> tuple[str, ...]:

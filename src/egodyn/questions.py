@@ -56,13 +56,6 @@ GEOMETRIC_SUBSET: tuple[str, ...] = (
 )
 
 
-def answer_space(question_id: str) -> tuple[str, ...]:
-    try:
-        return ANSWER_SPACES[question_id]
-    except KeyError:
-        raise KeyError(f"unknown question id: {question_id!r}") from None
-
-
 NO_ANSWER = -1  # the code of an absent cell and of an ``unparsed`` prediction
 
 _WIDTH = len(QUESTION_ORDER)

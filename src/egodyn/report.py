@@ -6,6 +6,10 @@ codes: it parses each free-text row once through the cascade of
 ``evaluate`` build their prediction tables with
 ``AnswerTable.from_codes`` and ``parse`` and ``evaluate`` write the same
 ``parsed`` and ``stage`` fields.
+
+``build_evaluation_report`` reads every score of the report, the
+confusion matrices, the per-question and aggregate scores and the
+temporal ones, from the confusion counts of ``metrics.score_questions``.
 """
 
 from __future__ import annotations
@@ -105,18 +109,13 @@ def build_evaluation_report(
 ) -> dict:
     """Full per-question and aggregate report for one model, whose truth
     was read from ``truth_path``."""
-    scores = metrics.score_questions(truth, predictions)
-    per_question = {
-        q: {**question_scores, "confusion": scores.tables[q].to_dict()}
-        for q, question_scores in scores.per_question.items()
-    }
-
+    counts, per_question, aggregate = metrics.score_questions(truth, predictions)
+    for q, question_scores in per_question.items():
+        question_scores["confusion"] = metrics.confusion_json(q, counts[q])
     try:
-        temporal_acc = metrics.temporal_accuracy(scores.tables)
-        temporal_f1 = metrics.temporal_macro_f1(scores.tables)
+        temporal_acc, temporal_f1 = metrics.temporal_scores(counts)
     except NoGroundTruth:
-        temporal_acc = None
-        temporal_f1 = None
+        temporal_acc = temporal_f1 = None
 
     answers = predictions.answers_on(truth)
     by_clip = _clip_order(truth.clip_ids, truth_path)
@@ -130,7 +129,7 @@ def build_evaluation_report(
     return {
         "per_question": per_question,
         "aggregate": {
-            **scores.aggregate,
+            **aggregate,
             "temporal_acc": temporal_acc,
             "temporal_f1": temporal_f1,
             "wpcr": consistency.wpcr(per_clip),

@@ -3,9 +3,9 @@
 The reference below is the scoring path that ``questions.AnswerTable``
 replaced, kept here as the oracle: truth and predictions as
 ``{(clip_id, question_id): label}`` dicts, one ``EvalRecord`` per truth
-cell, confusion tables filled one cell at a time with
-``ConfusionTable.add``, and the consistency rules evaluated clip by clip
-on string answers. Both paths run through ``cli.main`` into the same
+cell, confusion tables filled one cell at a time and scored with the
+plain formulas of ``metrics_reference``, and the consistency rules
+evaluated clip by clip on string answers. Both paths run through ``cli.main`` into the same
 output directory, and every output file, the manifest included, must be
 byte-identical.
 """
@@ -24,14 +24,9 @@ from egodyn import cli, consistency, io, metrics, report
 from egodyn.errors import ConfigError, NoGroundTruth
 from egodyn.kinematics import summarize_batch
 from egodyn.oracle import label_all
-from egodyn.questions import (
-    ANSWER_SPACES,
-    QUESTION_ORDER,
-    TEMPORAL_QUESTIONS,
-    UNPARSED,
-    answer_space,
-)
+from egodyn.questions import ANSWER_SPACES, QUESTION_ORDER, TEMPORAL_QUESTIONS, UNPARSED
 from egodyn.synth import generate_suite
+from metrics_reference import ref_accuracy, ref_balanced_accuracy, ref_macro_f1
 
 # --------------------------------------------------------------- reference
 
@@ -48,7 +43,7 @@ def ref_read_truth(path) -> dict[tuple[str, str], str]:
     truth = {}
     for row in io.read_jsonl(path):
         clip_id, question, label = row["clip_id"], row["question_id"], row["answer"]
-        if label not in answer_space(question):
+        if label not in ANSWER_SPACES[question]:
             raise ConfigError(f"clip {clip_id!r}: truth answer {label!r}")
         if (clip_id, question) in truth:
             raise ConfigError(f"clip {clip_id!r}, question {question!r}: two truth rows")
@@ -66,13 +61,28 @@ def ref_prediction_map(parsed_rows) -> dict[tuple[str, str], str | None]:
     return preds
 
 
-def ref_confusions(records) -> dict[str, metrics.ConfusionTable]:
+def ref_add(table, labels, truth, prediction) -> None:
+    """Count one (truth, prediction) cell of the (k, k + 1) ``table`` over
+    ``labels``; a prediction of ``None`` goes to the unparsed column."""
+    column = len(labels) if prediction is None else labels.index(prediction)
+    table[labels.index(truth), column] += 1
+
+
+def ref_confusions(records) -> dict[str, np.ndarray]:
     tables = {}
     for rec in records:
         if rec.question_id not in tables:
-            tables[rec.question_id] = metrics.ConfusionTable.empty(rec.question_id)
-        tables[rec.question_id].add(rec.truth, rec.prediction)
+            k = len(ANSWER_SPACES[rec.question_id])
+            tables[rec.question_id] = np.zeros((k, k + 1), dtype=np.int64)
+        ref_add(tables[rec.question_id], ANSWER_SPACES[rec.question_id],
+                rec.truth, rec.prediction)
     return tables
+
+
+def ref_confusion_dict(question, table) -> dict:
+    labels = ANSWER_SPACES[question]
+    return {"labels": list(labels), "matrix": table[:, : len(labels)].tolist(),
+            "unparsed": table[:, len(labels)].tolist()}
 
 
 def ref_score_questions(truth, predictions):
@@ -83,9 +93,9 @@ def ref_score_questions(truth, predictions):
     tables = ref_confusions(records)
     per_question = {
         q: {
-            "acc": metrics.accuracy(tables[q]),
-            "bacc": metrics.balanced_accuracy(tables[q]),
-            "f1": metrics.macro_f1(tables[q]),
+            "acc": ref_accuracy(tables[q]),
+            "bacc": ref_balanced_accuracy(tables[q]),
+            "f1": ref_macro_f1(tables[q]),
         }
         for q in QUESTION_ORDER
         if q in tables
@@ -107,10 +117,10 @@ def ref_temporal(records) -> tuple[float | None, float | None]:
     labels = []
     for q in TEMPORAL_QUESTIONS:
         labels += [label for label in ANSWER_SPACES[q] if label not in labels]
-    pooled = metrics.ConfusionTable.empty("temporal_pooled", labels)
+    pooled = np.zeros((len(labels), len(labels) + 1), dtype=np.int64)
     for rec in subset:
-        pooled.add(rec.truth, rec.prediction)
-    return accuracy, metrics.macro_f1(pooled)
+        ref_add(pooled, labels, rec.truth, rec.prediction)
+    return accuracy, ref_macro_f1(pooled)
 
 
 def ref_holds(condition, value) -> bool:
@@ -151,7 +161,8 @@ def ref_evaluation_report(truth, predictions) -> dict:
     parsed_count = sum(1 for r in records if r.prediction is not None)
     return {
         "per_question": {
-            q: {**scores, "confusion": tables[q].to_dict()} for q, scores in per_question.items()
+            q: {**scores, "confusion": ref_confusion_dict(q, tables[q])}
+            for q, scores in per_question.items()
         },
         "aggregate": {
             **aggregate,

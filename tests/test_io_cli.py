@@ -1243,6 +1243,14 @@ class TestKeyedInputErrors:
         err = self.exit_2_message(tmp_path, capsys, "balance", {**config, "caps": caps})
         assert "caps must map" in err or "cap of source 'real'" in err
 
+    @pytest.mark.parametrize("answer", ["whatever", ["x"]])
+    def test_balance_unknown_question_id(self, tmp_path, capsys, answer):
+        rows = _label_rows(["c0", "c1", "c2"])
+        rows.insert(20, {"clip_id": "c0", "question_id": "bogus", "answer": answer})
+        config = self.balance_config(tmp_path, rows)
+        err = self.exit_2_message(tmp_path, capsys, "balance", config)
+        assert f"egodyn balance: {config['labels']}:21: clip 'c0': unknown question id 'bogus'" in err
+
     def test_balance_two_labels_rows(self, tmp_path, capsys):
         rows = _label_rows(["c1", "c2", "c3"])
         rows.append({**rows[15], "answer": ANSWER_SPACES[rows[15]["question_id"]][1]})
@@ -1331,6 +1339,10 @@ class TestKeyedRowErrors:
          ("parse", "predictions", {"question_id": {"q": 1}, "parsed": "left"},
           "field 'question_id' holds an object"),
          ("sweep", "predictions", {"clip_id": ["c2"]}, "field 'clip_id' holds an array"),
+         ("parse", "predictions", {"clip_id": ["c2"]},
+          "field 'clip_id' holds an array, not a string or a number"),
+         ("parse", "predictions", {"clip_id": {"a": 1}, "parsed": "smooth"},
+          "field 'clip_id' holds an object, not a string or a number"),
          ("parse", "predictions", {"question_id": "bogus"},
           "clip 'c2': unknown question id 'bogus'"),
          ("parse", "predictions", {"question_id": "bogus", "response": DROP, "parsed": "left"},
@@ -1358,6 +1370,7 @@ class TestKeyedRowErrors:
              "predictions-array-clip", "predictions-object-clip", "predictions-no-clip",
              "predictions-no-question", "predictions-no-response",
              "parse-array-question", "parse-object-question", "sweep-array-clip",
+             "parse-array-clip", "parse-object-clip",
              "parse-unknown-question", "parse-unknown-question-parsed",
              "evaluate-unknown-question", "sweep-unknown-question",
              "evaluate-parsed-out-of-space", "parse-null-response",
@@ -1587,6 +1600,47 @@ class TestConfigNumbers:
             extra=["--encoding", "timeseries"],
         )
         assert "encoding_steps must be an integer >= 2" in err
+
+
+class TestEncodingChecks:
+    """``encoding_steps`` is checked whenever the key is present, and clips
+    without positions under a coordinates encoding are named, before
+    ``label`` or ``synth`` writes any output."""
+
+    def exit_2_without_outputs(self, tmp_path, capsys, command, config, extra=()):
+        out = tmp_path / "o"
+        status = run_cli(command, {**config, "out": str(out)}, tmp_path, extra=extra)
+        err = capsys.readouterr().err
+        assert status == 2, err
+        assert not out.exists() or not any(out.iterdir())
+        return err
+
+    @pytest.mark.parametrize("command", ["label", "synth"])
+    @pytest.mark.parametrize("steps,extra", [(1, ["--encoding", "summary"]), ("abc", []),
+                                             (2.5, []), (True, ["--encoding", "full"])])
+    def test_encoding_steps(self, tmp_path, capsys, command, steps, extra):
+        traj = tmp_path / "trajectories.jsonl"
+        io.write_jsonl(traj, _pose_rows("a"))
+        config = {"input": str(traj)} if command == "label" else {"count": 2}
+        err = self.exit_2_without_outputs(
+            tmp_path, capsys, command, {**config, "encoding_steps": steps}, extra)
+        assert f"egodyn {command}: encoding_steps must be an integer >= 2, got {steps!r}" in err
+
+    @pytest.mark.parametrize("mode", ["coordinates", "full"])
+    def test_clip_without_positions(self, tmp_path, capsys, mode):
+        traj = tmp_path / "trajectories.jsonl"
+        io.write_jsonl(traj, _pose_rows("a") + _state_rows("b") + _state_rows("c"))
+        err = self.exit_2_without_outputs(
+            tmp_path, capsys, "label", {"input": str(traj)}, ["--encoding", mode])
+        assert f"egodyn label: clip 'b': {mode} encoding needs x and y channels" in err
+
+    @pytest.mark.parametrize("mode", ["summary", "timeseries"])
+    def test_modes_without_positions_need_none(self, tmp_path, mode):
+        traj = tmp_path / "trajectories.jsonl"
+        io.write_jsonl(traj, _pose_rows("a") + _state_rows("b"))
+        config = {"input": str(traj), "out": str(tmp_path / "o")}
+        assert run_cli("label", config, tmp_path, extra=["--encoding", mode]) == 0
+        assert len(io.read_jsonl(tmp_path / "o" / "prompts.jsonl")) == 2
 
 
 class TestTextInputErrors:

@@ -12,97 +12,112 @@ from conftest import GRID, answer_table, make_seq, random_seq
 from egodyn import metrics
 from egodyn.errors import NoGroundTruth
 from egodyn.metrics import (
-    ConfusionTable,
-    accuracy,
-    balanced_accuracy,
     build_confusions,
     kendall_tau_scores,
-    macro_f1,
     score_model,
+    score_questions,
     sensitivity_sweep,
-    temporal_accuracy,
-    temporal_macro_f1,
+    temporal_scores,
 )
-from egodyn.questions import ANSWER_SPACES, NO_ANSWER, QUESTION_ORDER
+from egodyn.questions import ANSWER_SPACES, NO_ANSWER, QUESTION_ORDER, UNPARSED
 from egodyn.thresholds import ThresholdConfig
+from metrics_reference import ref_accuracy, ref_balanced_accuracy, ref_macro_f1
 
 ABC = ("a", "b", "c")
 
 
-def table(question_id="turn_direction", labels=ABC, pairs=()):
-    ct = ConfusionTable.empty(question_id, labels)
-    for truth, pred in pairs:
-        ct.add(truth, pred)
-    return ct
+def table(pairs=(), question_id="turn_direction"):
+    """The counts and scores of ``score_questions`` on one clip per (truth,
+    prediction) pair; ``ABC`` stand for the question's three labels in
+    order, and a prediction of ``None`` is unparsed."""
+    space = ANSWER_SPACES[question_id]
+    truth = {(f"c{i}", question_id): space[ABC.index(t)] for i, (t, _) in enumerate(pairs)}
+    preds = {(f"c{i}", question_id): UNPARSED if p is None else space[ABC.index(p)]
+             for i, (_, p) in enumerate(pairs)}
+    counts, per_question, _ = score_questions(
+        answer_table(truth), answer_table(preds, predicted=True))
+    return counts[question_id], per_question[question_id]
+
+
+def balanced_accuracy(pairs):
+    return table(pairs)[1]["bacc"]
+
+
+def macro_f1(pairs):
+    return table(pairs)[1]["f1"]
+
+
+def accuracy(pairs):
+    return table(pairs)[1]["acc"]
 
 
 class TestBalancedAccuracy:
     def test_diagonal_is_perfect(self):
-        ct = table(pairs=[("a", "a"), ("b", "b"), ("c", "c")] * 4)
-        assert balanced_accuracy(ct) == pytest.approx(1.0)
+        pairs = [("a", "a"), ("b", "b"), ("c", "c")] * 4
+        assert balanced_accuracy(pairs) == pytest.approx(1.0)
 
     def test_constant_class_predictor_on_balanced_classes(self):
         pairs = [(truth, "a") for truth in ABC for _ in range(10)]
-        assert balanced_accuracy(table(pairs=pairs)) == pytest.approx(1.0 / 3.0)
+        assert balanced_accuracy(pairs) == pytest.approx(1.0 / 3.0)
 
     def test_zero_truth_class_excluded(self):
         pairs = [("a", "a")] * 5 + [("b", "b")] * 5  # no "c" ground truth
-        assert balanced_accuracy(table(pairs=pairs)) == pytest.approx(1.0)
+        assert balanced_accuracy(pairs) == pytest.approx(1.0)
 
     def test_unparsed_counts_as_wrong(self):
         pairs = [("a", "a"), ("a", None)]
-        assert balanced_accuracy(table(pairs=pairs)) == pytest.approx(0.5)
+        assert balanced_accuracy(pairs) == pytest.approx(0.5)
 
     def test_no_ground_truth_raises(self):
         with pytest.raises(NoGroundTruth):
-            balanced_accuracy(table())
+            balanced_accuracy([])
 
 
 class TestMacroF1:
     def test_perfect(self):
-        ct = table(pairs=[("a", "a"), ("b", "b"), ("c", "c")])
-        assert macro_f1(ct) == pytest.approx(1.0)
+        assert macro_f1([("a", "a"), ("b", "b"), ("c", "c")]) == pytest.approx(1.0)
 
     def test_constant_predictor_three_balanced_classes(self):
         n = 7
         pairs = [(truth, "a") for truth in ABC for _ in range(n)]
         # class a: precision 1/3, recall 1 -> f1 = 0.5; others 0
-        assert macro_f1(table(pairs=pairs)) == pytest.approx(1.0 / 6.0)
+        assert macro_f1(pairs) == pytest.approx(1.0 / 6.0)
 
     def test_all_unparsed_is_zero(self):
         pairs = [(truth, None) for truth in ABC for _ in range(3)]
-        assert macro_f1(table(pairs=pairs)) == pytest.approx(0.0)
+        assert macro_f1(pairs) == pytest.approx(0.0)
 
     def test_absent_class_excluded(self):
         pairs = [("a", "a"), ("b", "b")]  # "c" has no truth and no predictions
-        assert macro_f1(table(pairs=pairs)) == pytest.approx(1.0)
+        assert macro_f1(pairs) == pytest.approx(1.0)
 
     def test_one_only_iff_diagonal_without_unparsed(self):
         rng = np.random.default_rng(2)
         for _ in range(50):
-            ct = ConfusionTable.empty("turn_direction", ABC)
+            pairs = []
             for _ in range(20):
                 truth = ABC[rng.integers(3)]
                 pred = (None, *ABC)[rng.integers(4)]
-                ct.add(truth, pred)
-            k = len(ct.labels)
+                pairs.append((truth, pred))
+            counts, scores = table(pairs)
+            k = len(ABC)
             diagonal = (
-                np.all(ct.counts[:, :k] == np.diag(np.diag(ct.counts[:, :k])))
-                and ct.counts[:, k].sum() == 0
+                np.all(counts[:, :k] == np.diag(np.diag(counts[:, :k])))
+                and counts[:, k].sum() == 0
             )
-            assert (macro_f1(ct) == pytest.approx(1.0)) == bool(diagonal)
+            assert (scores["f1"] == pytest.approx(1.0)) == bool(diagonal)
 
 
 class TestAccuracy:
     def test_perfect(self):
-        assert accuracy(table(pairs=[("a", "a")] * 4)) == pytest.approx(1.0)
+        assert accuracy([("a", "a")] * 4) == pytest.approx(1.0)
 
     def test_half_right(self):
-        assert accuracy(table(pairs=[("a", "a"), ("a", "b")])) == pytest.approx(0.5)
+        assert accuracy([("a", "a"), ("a", "b")]) == pytest.approx(0.5)
 
     def test_empty_raises(self):
         with pytest.raises(NoGroundTruth):
-            accuracy(table())
+            accuracy([])
 
 
 class TestTemporal:
@@ -118,19 +133,19 @@ class TestTemporal:
         return build_confusions(answer_table(truth), answer_table(preds))
 
     def test_both_right(self):
-        assert temporal_accuracy(self.tables(True, True)) == pytest.approx(1.0)
+        assert temporal_scores(self.tables(True, True))[0] == pytest.approx(1.0)
 
     def test_one_question_right_everywhere(self):
-        assert temporal_accuracy(self.tables(True, False)) == pytest.approx(0.5)
+        assert temporal_scores(self.tables(True, False))[0] == pytest.approx(0.5)
 
     def test_non_temporal_records_ignored(self):
-        assert temporal_macro_f1(self.tables(True, True)) > 0.0
+        assert temporal_scores(self.tables(True, True))[1] > 0.0
 
     def test_empty_raises(self):
         cell = {("c", "turn_direction"): "left"}
         tables = build_confusions(answer_table(cell), answer_table(cell))
         with pytest.raises(NoGroundTruth):
-            temporal_accuracy(tables)
+            temporal_scores(tables)
 
 
 class TestKendallTau:
@@ -268,33 +283,12 @@ class TestConfusionTable:
                  ("c3", "mean_speed_low"): "no"}
         tables = build_confusions(answer_table(truth), answer_table(preds, predicted=True))
         assert set(tables) == {"turn_direction", "mean_speed_low"}
-        assert tables["mean_speed_low"].counts.tolist() == [[0, 0, 1], [0, 0, 1]]
+        assert tables["mean_speed_low"].tolist() == [[0, 0, 1], [0, 0, 1]]
 
 
 # The per-table scorer that the stacked one replaced, kept as the reference:
-# one confusion table per model and question, each metric a loop or a mean
-# over the classes it keeps, and each aggregate one ``np.mean``.
-
-
-def ref_accuracy(counts):
-    k = counts.shape[0]
-    return float(np.trace(counts[:, :k]) / int(counts.sum()))
-
-
-def ref_balanced_accuracy(counts):
-    k = counts.shape[0]
-    row_sums = counts.sum(axis=1)
-    present = row_sums > 0
-    return float((np.diag(counts[:, :k])[present] / row_sums[present]).mean())
-
-
-def ref_macro_f1(counts):
-    k = counts.shape[0]
-    matrix = counts[:, :k]
-    row_sums, col_sums = counts.sum(axis=1), matrix.sum(axis=0)
-    scores = [2.0 * matrix[c, c] / (row_sums[c] + col_sums[c])
-              for c in range(k) if row_sums[c] or col_sums[c]]
-    return float(np.mean(scores))
+# one confusion table per model and question, each metric one of the plain
+# formulas of ``metrics_reference``, and each aggregate one ``np.mean``.
 
 
 def ref_scores(truth, answers):

@@ -12,8 +12,9 @@ below, which keeps the path that
 row copied and parsed alone with ``parsing.parse``, every label checked by
 ``answer_code``, then a table keyed by ``(clip, column)`` tuples that
 checks each label again, each step searched row by row for the first row
-that fails alone. The one rule the reference adds to that path is the
-string ``response``.
+that fails alone. The reference adds two rules to that path: the
+string ``response``, and that ``parse``, like ``evaluate``, rejects an
+array or object ``clip_id`` once no row fails alone.
 """
 
 from __future__ import annotations
@@ -117,7 +118,12 @@ def ref_predictions(path):
 
 
 def ref_cmd_parse(cfg):
-    parsed = ref_predictions(cfg.params["predictions"])
+    path = cfg.params["predictions"]
+    parsed = ref_predictions(path)
+    for index, row in enumerate(parsed):  # after every row fault, as in evaluate
+        if isinstance(row["clip_id"], (list, dict)):
+            raise ConfigError(f"{path}:{io._row_line(path, index)}: field 'clip_id' holds "
+                              f"{ref_kind(row['clip_id'])}, not a string or a number")
     out = cfg.out_dir
     io.write_jsonl(out / "parsed_predictions.jsonl", parsed)
     io.write_json(out / "parse_report.json", report.parse_rate_report(parsed))
