@@ -12,6 +12,7 @@ outputs so results can be verified and reproduced byte for byte.
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import sys
 from dataclasses import dataclass, field, fields
@@ -262,10 +263,10 @@ def _cmd_evaluate(cfg: RunConfig) -> dict[str, Path]:
     truth_path, predictions_path = cfg.params["truth"], cfg.params["predictions"]
     truth = _truth_table(truth_path)
     parsed, predictions = _prediction_table(predictions_path, fill=True)
-    doc = report.build_evaluation_report(truth, predictions, truth_path)
+    text = report.build_evaluation_report(truth, predictions, truth_path)
     out = cfg.out_dir
-    io.write_json(out / "report.json", doc)
-    io.write_jsonl(out / "parsed_predictions.jsonl", parsed)
+    (out / "report.json").write_text(text, encoding="utf-8")
+    report.write_parsed_predictions(out / "parsed_predictions.jsonl", parsed)
     return {
         "report": out / "report.json",
         "parsed_predictions": out / "parsed_predictions.jsonl",
@@ -293,7 +294,7 @@ def _cmd_parse(cfg: RunConfig) -> dict[str, Path]:
             hash(row["clip_id"])  # an array or object id raises TypeError
     rates = report.parse_rate_report(parsed)
     out = cfg.out_dir
-    io.write_jsonl(out / "parsed_predictions.jsonl", parsed)
+    report.write_parsed_predictions(out / "parsed_predictions.jsonl", parsed)
     io.write_json(out / "parse_report.json", rates)
     return {
         "parsed_predictions": out / "parsed_predictions.jsonl",
@@ -468,12 +469,21 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    # The objects left by the imports live as long as the process, so a
+    # full collection during the command would walk them all for nothing:
+    # freeze them for the command, unless the caller froze its own heap.
+    freeze = gc.get_freeze_count() == 0
+    if freeze:
+        gc.freeze()
     try:
         cfg = config_from_args(args)
         return run(cfg)
     except (EgodynError, FileNotFoundError, KeyError) as exc:
         print(f"egodyn {args.command}: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if freeze:
+            gc.unfreeze()
 
 
 if __name__ == "__main__":

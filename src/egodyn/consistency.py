@@ -13,7 +13,9 @@ untriggered; an absent consequent under a holding antecedent counts as a
 violation, since the implication cannot be verified.
 
 Rules are evaluated for all clips at once, as column masks over an
-(N, 14) matrix of answer codes (see ``questions.AnswerTable``).
+(N, 14) matrix of answer codes (see ``questions.AnswerTable``), into
+(N, 10) triggered and violated matrices; ``rates`` takes WPCR and PCov
+from them, and ``clip_consistency`` is the per-clip wrapper.
 """
 
 from __future__ import annotations
@@ -85,21 +87,28 @@ class ClipConsistency:
         }
 
 
-def consistency_of(clip_ids: Sequence[str], answers: np.ndarray) -> list[ClipConsistency]:
-    """Every clip's rule outcomes, from its row of (N, 14) answer codes."""
-    rule_ids = [rule.rule_id for rule in RULES_V1]
+def consistency_of(answers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (N, 10) triggered and violated matrices of every clip, from its
+    row of (N, 14) answer codes; column k is rule k of ``RULES_V1``."""
     triggered = np.column_stack([rule.antecedent.holds(answers) for rule in RULES_V1])
     violated = triggered & ~np.column_stack(
         [rule.consequent.holds(answers) for rule in RULES_V1]
     )
-    clips = []
-    for clip_id, trig_row, viol_row in zip(clip_ids, triggered.tolist(), violated.tolist()):
-        trig = tuple(rule_id for rule_id, hit in zip(rule_ids, trig_row) if hit)
-        viol = tuple(rule_id for rule_id, hit in zip(rule_ids, viol_row) if hit)
-        t, v = len(trig), len(viol)
-        contribution = t / len(RULES_V1) if (v == 0 and t > 0) else 0.0
-        clips.append(ClipConsistency(clip_id, t, v, contribution, trig, viol))
-    return clips
+    return triggered, violated
+
+
+def contribution(triggered: int, violated: int) -> float:
+    """A clip's term of WPCR, from its counts of triggered and violated
+    rules: T_c over |R| for a clean clip that triggers a rule, else zero."""
+    return triggered / len(RULES_V1) if (violated == 0 and triggered > 0) else 0.0
+
+
+def outcome(clip_id, triggered: np.ndarray, violated: np.ndarray) -> ClipConsistency:
+    """The ``ClipConsistency`` of one row of ``consistency_of``'s matrices."""
+    trig = tuple(rule.rule_id for rule, hit in zip(RULES_V1, triggered) if hit)
+    viol = tuple(rule.rule_id for rule, hit in zip(RULES_V1, violated) if hit)
+    return ClipConsistency(
+        clip_id, len(trig), len(viol), contribution(len(trig), len(viol)), trig, viol)
 
 
 def clip_consistency(clip_id: str, answers: Mapping[str, str]) -> ClipConsistency:
@@ -109,19 +118,31 @@ def clip_consistency(clip_id: str, answers: Mapping[str, str]) -> ClipConsistenc
     codes = AnswerTable.from_rows(rows, predicted=True).codes
     if not rows:
         codes = np.full((1, len(QUESTION_ORDER)), NO_ANSWER)
-    return consistency_of([clip_id], codes)[0]
+    triggered, violated = consistency_of(codes)
+    return outcome(clip_id, triggered[0], violated[0])
+
+
+def _mean(terms: list[float], name: str) -> float:
+    """The sum of ``terms``, added in order, over their count."""
+    if not terms:
+        raise EmptySet(f"{name} needs at least one clip")
+    return float(sum(terms) / len(terms))
 
 
 def wpcr(clips: Sequence[ClipConsistency]) -> float:
     """Mean clip contribution: T_c over |R| for clean clips, else zero."""
-    if not clips:
-        raise EmptySet("wpcr needs at least one clip")
-    return float(sum(c.contribution for c in clips) / len(clips))
+    return _mean([c.contribution for c in clips], "wpcr")
 
 
 def pcov(clips: Sequence[ClipConsistency]) -> float:
     """Mean fraction of rules triggered per clip."""
-    if not clips:
-        raise EmptySet("pcov needs at least one clip")
-    n_rules = len(RULES_V1)
-    return float(sum(c.triggered / n_rules for c in clips) / len(clips))
+    return _mean([c.triggered / len(RULES_V1) for c in clips], "pcov")
+
+
+def rates(triggered: np.ndarray, violated: np.ndarray) -> tuple[float, float]:
+    """``wpcr`` and ``pcov`` of the clips of ``consistency_of``'s matrices,
+    with the terms of their ``ClipConsistency`` added in clip order."""
+    counts = triggered.sum(axis=1).tolist()
+    violations = violated.sum(axis=1).tolist()
+    return (_mean(list(map(contribution, counts, violations)), "wpcr"),
+            _mean([t / len(RULES_V1) for t in counts], "pcov"))

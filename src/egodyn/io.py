@@ -60,6 +60,11 @@ _encode = json.encoder.c_make_encoder(
 )  # markers, default, string encoder, indent, separators, sort_keys, skipkeys, allow_nan
 
 
+def json_text(value) -> str:
+    """``json.dumps(value, sort_keys=True, ensure_ascii=False)``."""
+    return "".join(_encode(value, 0))
+
+
 def write_jsonl(path: str | Path, records: Iterable[Mapping[str, Any]]) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -105,6 +110,31 @@ def _check_surrogates(text: str, path: str | Path, line: int) -> None:
                 ) from None
 
 
+# A string, with the colon that makes it a key, or a bracket, matched from
+# the start of a valid JSON text: outside its strings it holds no quote.
+_TOKEN = re.compile(rf"({_STRING.pattern})([ \t\n\r]*:)?|[{{}}\[\]]")
+
+
+def _check_keys(text: str, path: str | Path, line: int) -> None:
+    """Raise ``ConfigError("<path>:<line>: ...")`` for the first key that
+    repeats in its object of the valid JSON text ``text``, which starts on
+    ``line`` of ``path``; keys are compared as decoded, as a dict would."""
+    objects: list[set | None] = []  # the keys of each open object; None for an array
+    for match in _TOKEN.finditer(text):
+        string, colon = match.groups()
+        if string is None:
+            if match.group() in "{[":
+                objects.append(set() if match.group() == "{" else None)
+            else:
+                objects.pop()
+        elif colon:
+            key = json.loads(string)
+            if key in objects[-1]:
+                number = line + text.count("\n", 0, match.start())
+                raise ConfigError(f"{path}:{number}: key {key!r} repeats in its object")
+            objects[-1].add(key)
+
+
 @contextmanager
 def _utf8(path: str | Path):
     """Re-raise a decode error of ``path`` as ``ConfigError("<path>:<line>:
@@ -125,34 +155,49 @@ def _utf8(path: str | Path):
         raise
 
 
-def read_jsonl(path: str | Path) -> list[dict]:
-    """One JSON object per non-blank line, whose strings are Unicode text.
+# The whitespace that JSON allows around a value; ``str.strip()`` would
+# also take characters such as ``\x0c``, ``\x1f`` and ``\xa0``, which
+# ``json.loads`` rejects.
+_JSON_SPACE = " \t\n\r"
 
-    A stripped line has no JSON whitespace at either end, so ``raw_decode``
-    consuming all of it accepts exactly what ``json.loads`` accepts. Only
-    the lines that hold a ``\\u`` escape are searched for lone surrogates.
+
+def read_jsonl(path: str | Path) -> list[dict]:
+    """One JSON object per line, whose strings are Unicode text; a line of
+    JSON whitespace alone is blank and skipped.
+
+    A line is decoded as read, and accepted when its value is an object
+    followed by JSON whitespace alone. Any other line is stripped of JSON
+    whitespace, so ``raw_decode`` consuming all of it accepts exactly
+    what ``json.loads`` accepts. Only the lines that hold a ``\\u``
+    escape are searched for lone surrogates.
     """
     records = []
     with _utf8(path), Path(path).open("r", encoding="utf-8") as handle:
         for number, line in enumerate(handle, 1):
-            line = line.strip()
-            if line:
+            try:
+                value, end = _decode(line)
+            except json.JSONDecodeError:  # leading whitespace, a blank line or no JSON
+                value, end = None, 0
+            if type(value) is not dict or line[end:] not in ("\n", ""):
+                line = line.strip(_JSON_SPACE)
+                if not line:
+                    continue
                 try:
                     value, end = _decode(line)
                 except json.JSONDecodeError:
                     value, end = None, 0
                 if end != len(line) or not isinstance(value, dict):
                     value = _json_object(line, path, number)  # raises, naming the line
-                if "\\u" in line:
-                    _check_surrogates(line, path, number)
-                records.append(value)
+            if "\\u" in line:
+                _check_surrogates(line, path, number)
+            records.append(value)
     return records
 
 
 def _row_line(path: str | Path, index: int) -> int:
     """The line of ``path`` that holds row ``index`` of ``read_jsonl(path)``."""
     with Path(path).open("r", encoding="utf-8") as handle:
-        numbers = (number for number, line in enumerate(handle, 1) if line.strip())
+        numbers = (number for number, line in enumerate(handle, 1) if line.strip(_JSON_SPACE))
         return next(itertools.islice(numbers, index, None))
 
 
@@ -208,14 +253,16 @@ def write_json(path: str | Path, payload: Mapping[str, Any]) -> None:
 
 
 def read_json(path: str | Path) -> dict:
-    """A single JSON object document, whose strings are Unicode text."""
+    """A single JSON object document, whose strings are Unicode text and
+    whose objects, at any depth, name each key once."""
     with _utf8(path):
         text = Path(path).read_text(encoding="utf-8")
-    body = text.lstrip()
+    body = text.lstrip(_JSON_SPACE)
     line = text[: len(text) - len(body)].count("\n") + 1
     value = _json_object(body, path, line)
     if "\\u" in body:
         _check_surrogates(body, path, line)
+    _check_keys(body, path, line)
     return value
 
 

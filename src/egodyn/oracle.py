@@ -200,11 +200,6 @@ def rule_table(cfg: ThresholdConfig) -> dict[str, tuple[str, dict, tuple[str, ..
     return table
 
 
-def _json(value) -> str:
-    """``json.dumps(value, sort_keys=True, ensure_ascii=False)``."""
-    return "".join(io._encode(value, 0))
-
-
 def _column_texts(column: np.ndarray) -> list[str]:
     """The JSON text of each value of an evidence column: ``float.__repr__``
     for a finite float column, which is what the encoder writes for a finite
@@ -213,7 +208,7 @@ def _column_texts(column: np.ndarray) -> list[str]:
     values = column.tolist()
     if column.dtype.kind == "f" and np.isfinite(column).all():
         return list(map(float.__repr__, values))
-    return [_json(value) for value in values]
+    return [io.json_text(value) for value in values]
 
 
 def label_lines(
@@ -235,7 +230,7 @@ def label_lines(
     """
     if not len(codes):
         return ""
-    ids = [_json(clip_id) for clip_id in clip_ids]
+    ids = [io.json_text(clip_id) for clip_id in clip_ids]
     texts: dict[str, list[str]] = {}
     by_question = []
     for k, (question, (rule, params, names)) in enumerate(table.items()):
@@ -251,8 +246,8 @@ def label_lines(
         if not names:
             raise ValueError("evidence must not be empty")
         keys = sorted(names)
-        tail = _json({"question_id": question, "rule_name": rule, "rule_params": params})
-        fields = ", ".join(_json(name).replace("%", "%%") + ": %s" for name in keys)
+        tail = io.json_text({"question_id": question, "rule_name": rule, "rule_params": params})
+        fields = ", ".join(io.json_text(name).replace("%", "%%") + ": %s" for name in keys)
         template = (
             '{"answer": %s, "clip_id": %s, "evidence": {' + fields + "}, "
             + tail[1:].replace("%", "%%") + "\n"
@@ -260,7 +255,7 @@ def label_lines(
         for name in keys:
             if name not in texts:
                 texts[name] = _column_texts(evidence[name])
-        answers = [_json(answer) for answer in space]
+        answers = [io.json_text(answer) for answer in space]
         by_question.append([
             template % values for values in zip(
                 map(answers.__getitem__, column.tolist()), ids, *(texts[name] for name in keys))

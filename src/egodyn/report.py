@@ -10,20 +10,29 @@ codes: it parses each free-text row once through the cascade of
 ``build_evaluation_report`` reads every score of the report, the
 confusion matrices, the per-question and aggregate scores and the
 temporal ones, from the confusion counts of ``metrics.score_questions``.
+
+The two outputs that grow with the input are written as text, byte for
+byte what the dict encoders of ``io`` write: ``write_parsed_predictions``
+builds a row of the known keys from pieces encoded once, and the report's
+per-clip consistency block is built from the rule matrices of
+``consistency.consistency_of``, one object text per outcome pattern.
 """
 
 from __future__ import annotations
 
 import csv
 import itertools
+import json
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from . import consistency, io, metrics, parsing
 from .errors import ConfigError, NoGroundTruth
 from .questions import ANSWER_SPACES, NO_ANSWER, QUESTION_ORDER, UNPARSED, AnswerTable, answer_code
+
+_encode_string = json.encoder.c_encode_basestring  # what io._encode writes for a str
 
 
 def _question(clip_id, question_id) -> tuple:
@@ -83,6 +92,50 @@ def parse_predictions(rows: Sequence[dict]) -> Sequence[dict]:
     return rows
 
 
+class _Pieces(dict):
+    """String -> its JSON text, encoded on first use. Only strings are keys,
+    so a value that is not a string misses and raises ``KeyError`` (or
+    ``TypeError`` when it cannot be a key)."""
+
+    def __missing__(self, value):
+        if type(value) is not str:
+            raise KeyError(value)
+        text = self[value] = _encode_string(value)
+        return text
+
+
+def write_parsed_predictions(path: str | Path, rows: Iterable[Mapping]) -> None:
+    """Write ``rows``, filled by ``prediction_codes``, as the bytes that
+    ``io.write_jsonl`` writes, one line at a time.
+
+    A row whose keys are ``clip_id``, ``question_id``, ``parsed`` and
+    ``stage``, and ``response`` and ``model`` if it has them, and whose
+    values are strings is built as text: its question id, label, stage and model are
+    encoded once per run, and its clip id and response once per row. Every
+    other row goes through ``io.json_text``.
+    """
+    pieces = _Pieces()
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("w", encoding="utf-8") as handle:
+        write = handle.write
+        for row in rows:
+            try:
+                head, size = _encode_string(row["clip_id"]), 4
+                if "model" in row:
+                    head, size = f'{head}, "model": {pieces[row["model"]]}', 5
+                tail = pieces[row["question_id"]]
+                if "response" in row:
+                    tail, size = f'{tail}, "response": {_encode_string(row["response"])}', size + 1
+                if len(row) == size:
+                    write(f'{{"clip_id": {head}, "parsed": {pieces[row["parsed"]]}, '
+                          f'"question_id": {tail}, "stage": {pieces[row["stage"]]}}}\n')
+                    continue
+            except (KeyError, TypeError):
+                pass
+            write(io.json_text(row) + "\n")
+
+
 def _clip_order(clip_ids: tuple, truth_path: str) -> list[int]:
     """Indices of ``clip_ids`` in sorted id order.
 
@@ -104,11 +157,53 @@ def _clip_order(clip_ids: tuple, truth_path: str) -> list[int]:
         raise
 
 
+# The per-clip block is written as text and put in place of this string,
+# which no other value of the report can hold.
+_PER_CLIP = "\0per_clip_consistency"
+
+
+def _rule_list(rule_ids: Sequence[str]) -> str:
+    """Rule ids as ``io.write_json`` writes a list at depth 3 of a document."""
+    if not rule_ids:
+        return "[]"
+    return "[\n" + ",\n".join("        " + _encode_string(r) for r in rule_ids) + "\n      ]"
+
+
+def _per_clip_text(clip_ids: Sequence, triggered: np.ndarray, violated: np.ndarray) -> str:
+    """The ``per_clip_consistency`` list of ``ClipConsistency.to_dict()``
+    objects, one per clip of ``consistency_of``'s matrices, as
+    ``io.write_json`` writes it at depth 1 of a document.
+
+    Clips with one pattern of rule outcomes differ only in their id, so
+    the rest of an object is built once per pattern.
+    """
+    if not len(clip_ids):
+        return "[]"
+    outcomes = np.hstack([triggered, violated])
+    codes = outcomes @ (1 << np.arange(outcomes.shape[1]))
+    tails = {}
+    for code, clip in zip(*(a.tolist() for a in np.unique(codes, return_index=True))):
+        c = consistency.outcome(None, triggered[clip].tolist(), violated[clip].tolist())
+        tails[code] = (f'\n      "contribution": {float.__repr__(c.contribution)},'
+                       f'\n      "triggered": {_rule_list(c.triggered_rules)},'
+                       f'\n      "violated": {_rule_list(c.violated_rules)}\n    }}')
+    return "[\n" + ",\n".join(
+        f'    {{\n      "clip_id": {io.json_text(clip_id)},{tails[code]}'
+        for clip_id, code in zip(clip_ids, codes.tolist())
+    ) + "\n  ]"
+
+
 def build_evaluation_report(
     truth: AnswerTable, predictions: AnswerTable, truth_path: str
-) -> dict:
-    """Full per-question and aggregate report for one model, whose truth
-    was read from ``truth_path``."""
+) -> str:
+    """The text of ``report.json``, the full per-question and aggregate
+    report for one model, whose truth was read from ``truth_path``.
+
+    The text is what ``io.write_json`` writes for the report as a dict
+    whose ``per_clip_consistency`` holds each clip's
+    ``ClipConsistency.to_dict()``; that block is built as text from the
+    rule matrices and put in its sorted place in the document.
+    """
     counts, per_question, aggregate = metrics.score_questions(truth, predictions)
     for q, question_scores in per_question.items():
         question_scores["confusion"] = metrics.confusion_json(q, counts[q])
@@ -119,24 +214,23 @@ def build_evaluation_report(
 
     answers = predictions.answers_on(truth)
     by_clip = _clip_order(truth.clip_ids, truth_path)
-    per_clip = consistency.consistency_of(
-        [truth.clip_ids[i] for i in by_clip], answers[by_clip]
-    )
+    triggered, violated = consistency.consistency_of(answers[by_clip])
+    wpcr, pcov = consistency.rates(triggered, violated)
 
     total = int(np.count_nonzero(truth.codes != NO_ANSWER))
     parsed_count = int(np.count_nonzero(answers != NO_ANSWER))
 
-    return {
+    doc = {
         "per_question": per_question,
         "aggregate": {
             **aggregate,
             "temporal_acc": temporal_acc,
             "temporal_f1": temporal_f1,
-            "wpcr": consistency.wpcr(per_clip),
-            "pcov": consistency.pcov(per_clip),
+            "wpcr": wpcr,
+            "pcov": pcov,
             "parsable_rate": 100.0 * parsed_count / total if total else 0.0,
         },
-        "per_clip_consistency": [c.to_dict() for c in per_clip],
+        "per_clip_consistency": _PER_CLIP,
         "metadata": {
             "n_predictions": total,
             "n_clips": len(truth.clip_ids),
@@ -146,6 +240,9 @@ def build_evaluation_report(
             "unparsed_policy": "counted incorrect for every metric",
         },
     }
+    text = json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False)
+    block = _per_clip_text([truth.clip_ids[i] for i in by_clip], triggered, violated)
+    return text.replace(_encode_string(_PER_CLIP), block, 1) + "\n"
 
 
 def parse_rate_report(parsed_rows: Sequence[Mapping]) -> dict:

@@ -1,9 +1,10 @@
 """Committed output digests, equal under every OpenBLAS kernel.
 
 The commands that write derived numbers (``synth``, ``label``,
-``calibrate-thresholds``, ``sweep`` and ``baseline``) run on a corpus made
-here from a fixed seed, and the SHA-256 of every output file must equal
-``GOLDEN``. The byte-identity tests elsewhere compare two computations in
+``calibrate-thresholds``, ``sweep`` and ``baseline``), and the ones that
+parse and score free-text answers (``evaluate`` and ``parse``), run on a
+corpus made here from a fixed seed, and the SHA-256 of every output file
+must equal ``GOLDEN``. The byte-identity tests elsewhere compare two computations in
 one process, so they cannot see a numpy, BLAS or CPU change that moves
 both; this test fails on one.
 
@@ -40,12 +41,20 @@ GOLDEN = {
         "39b2914812bd6d3307df9b37fa5df72e83cf1e9236ae439fd9583b800b113a0f",
     "calibrate/thresholds.json":
         "7278c3464ee10a93bce31953947cbc84f6a164552e4aaa5d92cb825ebad8f72b",
+    "evaluate/parsed_predictions.jsonl":
+        "97d9371794a8fbe903613fefc8d2966ef2ffb16a03ad0f13374188d8d7f2f953",
+    "evaluate/report.json":
+        "c62abd64add97738434bff3437f7407062bbbb35eddb037202ddcfde55d73deb",
     "label/clip_summaries.jsonl":
         "9dfb822624572c4ebd1088b456d3f487e5fe1a6eee1208e287dc8793fed8d374",
     "label/labels.jsonl":
         "d7fa84c5d1066256670f47b032fa97cec786c4e40b4ee6359b3ee8adc389151d",
     "label/prompts.jsonl":
         "edce68bfa06af4fd2f759946c16dbe4d435d9c690ec3ee98c2f345a351b9ab6c",
+    "parse/parse_report.json":
+        "258fdea4689bd34cd342a3e316d999350b92f33b6962c17965b19fe9a9f38868",
+    "parse/parsed_predictions.jsonl":
+        "b641ff87b8e87f2200ca3deef6d468c140f2d91dd0133f225f5cba8fe5e1f7ff",
     "sweep/sweep.csv":
         "449471b4073db7c02a91fe544240a0b86b58e9a63b3b14917be3f1c524fcc00b",
     "sweep/sweep.json":
@@ -100,6 +109,23 @@ def run_commands(work: Path) -> dict[str, str]:
             row["response"] = ANSWER_SPACES[row["question_id"]][0] if wrong else row["answer"]
         io.write_jsonl(work / f"{model}.jsonl", rows)
         models[model] = str(work / f"{model}.jsonl")
+    # free text in several forms, and some pre-parsed rows, with or without a stage
+    forms = ("{}", "Answer: {}", "I think it is {}.\nFinal: {}", "{} — sûrement",
+             'no idea "{}"\\?', "\t{}\x01", "¯\\_(ツ)_/¯")
+    free = []
+    for i, row in enumerate(io.read_jsonl(work / "synth" / "expected_labels.jsonl")):
+        label = ANSWER_SPACES[row["question_id"]][i % 2] if i % 5 == 0 else row["answer"]
+        pred = {"clip_id": row["clip_id"], "question_id": row["question_id"]}
+        if i % 11 == 0:
+            pred["parsed"] = label
+            if i % 22 == 0:
+                pred["stage"] = "manual"
+        else:
+            pred["response"] = forms[i % len(forms)].format(label, label)
+        free.append(pred)
+    io.write_jsonl(work / "free.jsonl", free)
+    io.write_jsonl(work / "mixed.jsonl", [{**row, "model": "free"} for row in free[::3]]
+                   + io.read_jsonl(work / "coarse.jsonl")[::5])
     raw_path = str(work / "raw.jsonl")
     _run("label", {"input": raw_path, "encoding": "summary", "out": str(work / "label")}, work)
     _run("calibrate-thresholds", {"input": raw_path, "out": str(work / "calibrate")}, work)
@@ -107,6 +133,10 @@ def run_commands(work: Path) -> dict[str, str]:
                    "alphas": [0.8, 1.0, 1.25], "out": str(work / "sweep")}, work)
     _run("baseline", {"proxies": str(work / "odom.jsonl"), "kind": "vo",
                       "out": str(work / "baseline")}, work)
+    _run("evaluate", {"truth": str(work / "synth" / "expected_labels.jsonl"),
+                      "predictions": str(work / "free.jsonl"),
+                      "out": str(work / "evaluate")}, work)
+    _run("parse", {"predictions": str(work / "mixed.jsonl"), "out": str(work / "parse")}, work)
     return {
         f"{out.name}/{path.name}": hashlib.sha256(path.read_bytes()).hexdigest()
         for out in sorted(p for p in work.iterdir() if p.is_dir())

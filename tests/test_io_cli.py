@@ -41,12 +41,13 @@ class TestJsonl:
 
 
 def reference_read_jsonl(path):
-    """``read_jsonl`` by ``json.loads``: ``_json_object`` on each stripped,
-    non-blank line."""
+    """``read_jsonl`` by ``json.loads``: ``_json_object`` on each line
+    stripped of JSON whitespace (space, tab, line feed, carriage return)
+    that is not blank."""
     records = []
     with io._utf8(path), Path(path).open("r", encoding="utf-8") as handle:
         for number, line in enumerate(handle, 1):
-            line = line.strip()
+            line = line.strip(" \t\n\r")
             if line:
                 records.append(io._json_object(line, path, number))
     return records
@@ -74,16 +75,22 @@ NAMED_JSONL = {
     "bom": ('\ufeff{"a": 1}', ":1: invalid JSON (Unexpected UTF-8 BOM"),
     "cr_ends": ('{"a": 1}\r{"a": 2}\r\r[3]\r', ":4: expected a JSON object"),
     "crlf_ends": ('{"a": 1}\r\n\r\n{"a": 2}\r\n[3]', ":4: expected a JSON object"),
-    "blank_lines": ('\n  \n\t\xa0\u3000\n{"a": 1}\n\x1c\n{', ":6: invalid JSON"),
+    "blank_lines": ('\n  \n\t \n{"a": 1}\n \n{', ":6: invalid JSON"),
+    # only JSON whitespace pads a line or makes it blank; json.loads rejects the rest
+    "non_json_blank": ('\n  \n\t\xa0\u3000\n{"a": 1}', ":3: invalid JSON"),
+    "control_blank": ('{"a": 1}\n\x1c\n{"a": 2}', ":2: invalid JSON"),
+    "form_feed_and_nbsp": ('\x0c{"a": 1}\xa0', ":1: invalid JSON (Expecting value"),
+    "unit_separator_tail": ('{"a": 1}\x1f\n{"a": 2}', ":1: invalid JSON (Extra data, column 9)"),
     "separators_in_strings": ('{"s": "a\u2028b\x85c"}\n{"s": "\u2028"}', None),
     "nan_and_infinity": ('{"a": NaN, "b": [Infinity, -Infinity]}', None),
-    "padded_object": (' \t{"a": {"b": []}}\xa0\u3000', None),
+    "padded_object": (' \t{"a": {"b": []}}\t ', None),
+    "unicode_padded_object": (' \t{"a": {"b": []}}\xa0\u3000', ":1: invalid JSON (Extra data"),
 }
 
 
 class TestJsonlIdentity:
-    """``read_jsonl`` returns what ``json.loads`` on each stripped line
-    returns, or raises the same message; ``write_jsonl`` writes the bytes
+    """``read_jsonl`` returns what ``json.loads`` on each line stripped of
+    JSON whitespace returns, or raises the same message; ``write_jsonl`` writes the bytes
     of a ``json.dumps`` loop."""
 
     @pytest.mark.parametrize("case", NAMED_JSONL)
@@ -1410,6 +1417,10 @@ BAD_JSON_LINES = {
     "two_objects": '{"clip_id": "c1"}, {"question_id": "q"}',
     # joined with the next line this would decode as two objects
     "split_objects": '{"a": 1}, {"b": [{}\n{}]}',
+    # padding and blanks that str.strip() takes but JSON does not
+    "non_json_padding": '\x0c{"clip_id": "c1"}\xa0',
+    "control_tail": '{"clip_id": "c1"}\x1f',
+    "non_json_blank": "\xa0",
 }
 
 
@@ -1460,7 +1471,8 @@ class TestMalformedJson:
         err = self.exit_2_message(tmp_path, capsys, "label", {"input": str(path)})
         assert where in err
 
-    @pytest.mark.parametrize("text,line", [('{"labels": ', 1), ("[1]", 1), ("\n\n[1]\n", 3)])
+    @pytest.mark.parametrize("text,line", [('{"labels": ', 1), ("[1]", 1), ("\n\n[1]\n", 3),
+                                           ("\n\x0c{}", 2)])
     def test_config(self, tmp_path, capsys, text, line):
         config = tmp_path / "config.json"
         config.write_text(text)
@@ -1553,6 +1565,51 @@ class TestThresholdFileErrors:
         err = capsys.readouterr().err
         assert status == 2, err
         assert str(thresholds) in err and named in err
+
+
+class TestRepeatedKeys:
+    """A key that repeats in an object of a config or thresholds document
+    exits 2 naming the file, the line and the key, whichever value comes
+    first; a JSON Lines row keeps the last value, as ``json.loads`` does."""
+
+    @pytest.mark.parametrize("text,line", [
+        ('{"turn_deadzone": "abc", "turn_deadzone": 0.04}', 1),
+        ('{"turn_deadzone": 0.04,\n "turn_deadzone": "abc"}', 2),
+        ('{\n "turn_deadzone": 0.04,\n "\\u0074urn_deadzone": 0.04\n}', 3),
+    ])
+    def test_thresholds(self, tmp_path, capsys, text, line):
+        traj = tmp_path / "trajectories.jsonl"
+        io.write_jsonl(traj, _pose_rows("a"))
+        thresholds = tmp_path / "thresholds.json"
+        thresholds.write_text(text)
+        status = run_cli("label", {"input": str(traj), "thresholds": str(thresholds),
+                                   "out": str(tmp_path / "o")}, tmp_path)
+        err = capsys.readouterr().err
+        assert status == 2, err
+        assert f"{thresholds}:{line}: key 'turn_deadzone' repeats in its object" in err
+
+    @pytest.mark.parametrize("text,line,key", [
+        ('{"labels": "l.jsonl", "n": 2, "labels": "l.jsonl"}', 1, "labels"),
+        ('{"labels": "l.jsonl", "n": 2,\n "caps": {"real": 1,\n "real": 2}}', 3, "real"),
+        ('{"n": 2, "caps": {"a": [{"b": 1, "c": {"d": "}\\"", "d": 1}}]}}', 1, "d"),
+    ])
+    def test_config_at_any_depth(self, tmp_path, capsys, text, line, key):
+        config = tmp_path / "config.json"
+        config.write_text(text)
+        status = main(["balance", "--config", str(config)])
+        err = capsys.readouterr().err
+        assert status == 2, err
+        assert f"{config}:{line}: key {key!r} repeats in its object" in err
+
+    def test_keys_in_other_objects_and_strings_are_not_repeats(self, tmp_path):
+        path = tmp_path / "doc.json"
+        path.write_text('{"a": {"k": 1}, "b": [{"k": 2}, {"k": "\\"k\\": {"}], "k": "a"}')
+        assert io.read_json(path) == {"a": {"k": 1}, "b": [{"k": 2}, {"k": '"k": {'}], "k": "a"}
+
+    def test_jsonl_row_keeps_the_last_value(self, tmp_path):
+        path = tmp_path / "rows.jsonl"
+        path.write_text('{"a": 1, "a": 2}\n')
+        assert io.read_jsonl(path) == [{"a": 2}]
 
 
 class TestConfigNumbers:
