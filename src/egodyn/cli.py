@@ -468,19 +468,22 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     # The objects left by the imports live as long as the process, so a
     # full collection during the command would walk them all for nothing:
     # freeze them for the command, unless the caller froze its own heap.
+    # Young garbage, such as an earlier command's, is collected first, and
+    # the parser is built after the freeze, so neither is held frozen.
     freeze = gc.get_freeze_count() == 0
     if freeze:
+        gc.collect(1)
         gc.freeze()
     try:
-        cfg = config_from_args(args)
-        return run(cfg)
-    except (EgodynError, FileNotFoundError, KeyError) as exc:
-        print(f"egodyn {args.command}: {exc}", file=sys.stderr)
-        return 2
+        args = build_parser().parse_args(argv)
+        try:
+            return run(config_from_args(args))
+        except (EgodynError, FileNotFoundError, KeyError) as exc:
+            print(f"egodyn {args.command}: {exc}", file=sys.stderr)
+            return 2
     finally:
         if freeze:
             gc.unfreeze()

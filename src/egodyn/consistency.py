@@ -97,18 +97,13 @@ def consistency_of(answers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return triggered, violated
 
 
-def contribution(triggered: int, violated: int) -> float:
-    """A clip's term of WPCR, from its counts of triggered and violated
-    rules: T_c over |R| for a clean clip that triggers a rule, else zero."""
-    return triggered / len(RULES_V1) if (violated == 0 and triggered > 0) else 0.0
-
-
 def outcome(clip_id, triggered: np.ndarray, violated: np.ndarray) -> ClipConsistency:
     """The ``ClipConsistency`` of one row of ``consistency_of``'s matrices."""
     trig = tuple(rule.rule_id for rule, hit in zip(RULES_V1, triggered) if hit)
     viol = tuple(rule.rule_id for rule, hit in zip(RULES_V1, violated) if hit)
-    return ClipConsistency(
-        clip_id, len(trig), len(viol), contribution(len(trig), len(viol)), trig, viol)
+    t, v = len(trig), len(viol)
+    contribution = t / len(RULES_V1) if (v == 0 and t > 0) else 0.0
+    return ClipConsistency(clip_id, t, v, contribution, trig, viol)
 
 
 def clip_consistency(clip_id: str, answers: Mapping[str, str]) -> ClipConsistency:
@@ -122,27 +117,29 @@ def clip_consistency(clip_id: str, answers: Mapping[str, str]) -> ClipConsistenc
     return outcome(clip_id, triggered[0], violated[0])
 
 
-def _mean(terms: list[float], name: str) -> float:
-    """The sum of ``terms``, added in order, over their count."""
-    if not terms:
-        raise EmptySet(f"{name} needs at least one clip")
-    return float(sum(terms) / len(terms))
-
-
 def wpcr(clips: Sequence[ClipConsistency]) -> float:
     """Mean clip contribution: T_c over |R| for clean clips, else zero."""
-    return _mean([c.contribution for c in clips], "wpcr")
+    if not clips:
+        raise EmptySet("wpcr needs at least one clip")
+    return float(sum(c.contribution for c in clips) / len(clips))
 
 
 def pcov(clips: Sequence[ClipConsistency]) -> float:
     """Mean fraction of rules triggered per clip."""
-    return _mean([c.triggered / len(RULES_V1) for c in clips], "pcov")
+    if not clips:
+        raise EmptySet("pcov needs at least one clip")
+    n_rules = len(RULES_V1)
+    return float(sum(c.triggered / n_rules for c in clips) / len(clips))
 
 
 def rates(triggered: np.ndarray, violated: np.ndarray) -> tuple[float, float]:
     """``wpcr`` and ``pcov`` of the clips of ``consistency_of``'s matrices,
     with the terms of their ``ClipConsistency`` added in clip order."""
+    if not len(triggered):
+        raise EmptySet("wpcr needs at least one clip")
+    n_rules = len(RULES_V1)
     counts = triggered.sum(axis=1).tolist()
     violations = violated.sum(axis=1).tolist()
-    return (_mean(list(map(contribution, counts, violations)), "wpcr"),
-            _mean([t / len(RULES_V1) for t in counts], "pcov"))
+    terms = [t / n_rules if (v == 0 and t > 0) else 0.0 for t, v in zip(counts, violations)]
+    return (float(sum(terms) / len(terms)),
+            float(sum(t / n_rules for t in counts) / len(counts)))

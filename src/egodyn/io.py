@@ -165,32 +165,25 @@ def read_jsonl(path: str | Path) -> list[dict]:
     """One JSON object per line, whose strings are Unicode text; a line of
     JSON whitespace alone is blank and skipped.
 
-    A line is decoded as read, and accepted when its value is an object
-    followed by JSON whitespace alone. Any other line is stripped of JSON
-    whitespace, so ``raw_decode`` consuming all of it accepts exactly
-    what ``json.loads`` accepts. Only the lines that hold a ``\\u``
-    escape are searched for lone surrogates.
+    A line stripped of JSON whitespace has none at either end, so
+    ``raw_decode`` consuming all of it accepts exactly what ``json.loads``
+    accepts. Only the lines that hold a ``\\u`` escape are searched for
+    lone surrogates.
     """
     records = []
     with _utf8(path), Path(path).open("r", encoding="utf-8") as handle:
         for number, line in enumerate(handle, 1):
-            try:
-                value, end = _decode(line)
-            except json.JSONDecodeError:  # leading whitespace, a blank line or no JSON
-                value, end = None, 0
-            if type(value) is not dict or line[end:] not in ("\n", ""):
-                line = line.strip(_JSON_SPACE)
-                if not line:
-                    continue
+            line = line.strip(_JSON_SPACE)
+            if line:
                 try:
                     value, end = _decode(line)
                 except json.JSONDecodeError:
                     value, end = None, 0
                 if end != len(line) or not isinstance(value, dict):
                     value = _json_object(line, path, number)  # raises, naming the line
-            if "\\u" in line:
-                _check_surrogates(line, path, number)
-            records.append(value)
+                if "\\u" in line:
+                    _check_surrogates(line, path, number)
+                records.append(value)
     return records
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import gc
 import json
+import weakref
 from unittest import mock
 
 import pytest
@@ -209,3 +210,41 @@ def test_main_leaves_a_callers_freeze_in_place(config):
         assert 0 < gc.get_freeze_count() <= seen[0] <= frozen
     finally:
         gc.unfreeze()
+
+
+def test_main_unfreezes_when_the_arguments_do_not_parse(capsys):
+    with pytest.raises(SystemExit):
+        cli.main(["synth", "--no-such-option"])
+    assert gc.get_freeze_count() == 0
+
+
+class _Cycle:
+    def __init__(self):
+        self.cycle = self
+
+
+def test_main_freezes_no_garbage(config):
+    """Young garbage left before the command, and the parser, which holds
+    reference cycles in later Python releases, are ordinary objects that a
+    collection during the command frees: a loop of commands does not keep
+    the garbage of the earlier ones."""
+    garbage = _Cycle()
+    refs, alive = [weakref.ref(garbage)], []
+    del garbage
+    build = cli.build_parser
+
+    def recorded():
+        parser = build()
+        parser.cycle = parser
+        refs.append(weakref.ref(parser))
+        return parser
+
+    def run(cfg):
+        gc.collect()
+        alive.extend(ref() is not None for ref in refs)
+        return cli._cmd_synth(cfg)
+
+    with mock.patch.object(cli, "build_parser", recorded), \
+            mock.patch.dict(cli._RUNNERS, {"synth": run}):
+        assert cli.main(["synth", "--config", str(config)]) == 0
+    assert alive == [False, False]
