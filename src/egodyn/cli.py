@@ -14,7 +14,10 @@ from __future__ import annotations
 import argparse
 import gc
 import math
+import os
+import pickle
 import sys
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -46,6 +49,12 @@ COMMAND_KEYS = {
 # ``predictions`` of ``sweep`` maps model names to paths.
 _INPUT_KEYS = ("input", "truth", "predictions", "trajectories", "proxies", "labels",
                "sources", "thresholds")
+
+# The largest sizes a config may ask for: far larger ones fit in no memory,
+# and failed with a traceback or ran until memory ran out.
+_MAX_COUNT = 100_000  # synth clips
+_MAX_ENCODING_STEPS = 10_000
+_MAX_GRID_STEPS = 100_000  # rate_hz * window_s, the steps of a clip's grid
 
 
 def _input_paths(command: str, params: dict) -> dict[str, str]:
@@ -103,7 +112,7 @@ class RunConfig:
         if self.encoding is not None and self.encoding not in ENCODING_MODES:
             raise ConfigError(f"unknown encoding mode {self.encoding!r}")
         if "encoding_steps" in self.params:
-            _integer("encoding_steps", self.params["encoding_steps"], 2)
+            _integer("encoding_steps", self.params["encoding_steps"], 2, _MAX_ENCODING_STEPS)
 
 
 def _load_thresholds(cfg: RunConfig) -> ThresholdConfig:
@@ -122,11 +131,13 @@ def _positive(key: str, value) -> float:
     return number
 
 
-def _integer(key: str, value, minimum: int) -> int:
-    """``value`` of ``key`` as a JSON integer of at least ``minimum``; else
-    ``ConfigError``."""
+def _integer(key: str, value, minimum: int, maximum: int) -> int:
+    """``value`` of ``key`` as a JSON integer from ``minimum`` to
+    ``maximum``; else ``ConfigError``."""
     if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
         raise ConfigError(f"{key} must be an integer >= {minimum}, got {value!r}")
+    if value > maximum:
+        raise ConfigError(f"{key} must be at most {maximum}, got {value}")
     return value
 
 
@@ -134,6 +145,9 @@ def _load_clips(cfg: RunConfig, key: str = "input"):
     path = cfg.params[key]
     rate = _positive("rate_hz", cfg.params.get("rate_hz", 10.0))
     window = _positive("window_s", cfg.params.get("window_s", 3.0))
+    if rate * window > _MAX_GRID_STEPS:
+        raise ConfigError(
+            f"rate_hz * window_s must be at most {_MAX_GRID_STEPS}, got {rate!r} * {window!r}")
     return io.rows_to_sequences(io.read_trajectory_clips(path), rate, window)
 
 
@@ -190,8 +204,8 @@ def _cmd_label(cfg: RunConfig) -> dict[str, Path]:
 
 
 def _cmd_synth(cfg: RunConfig) -> dict[str, Path]:
-    count = _integer("count", cfg.params.get("count", 100), 0)
-    seed = _integer("seed", 0 if cfg.seed is None else cfg.seed, 0)
+    count = _integer("count", cfg.params.get("count", 100), 0, _MAX_COUNT)
+    seed = _integer("seed", 0 if cfg.seed is None else cfg.seed, 0, math.inf)
     suite = generate_suite(count, seed=seed, regime_mix=cfg.params.get("regime_mix"))
     out = cfg.out_dir
     outputs = {
@@ -235,6 +249,68 @@ def _checked_rows(path: str, rows: list[dict], check, *fields: str):
             raise
 
 
+@contextmanager
+def _in_child(fn, *args):
+    """Run ``fn(*args)`` in a forked child while the block runs.
+
+    The block gets ``collect``, which waits for the child and returns what
+    ``fn`` returned, or raises what it raised; both come back pickled
+    through a pipe. Where the process may run on one CPU only, or cannot
+    fork (``os.sched_getaffinity`` exists only where ``os.fork`` does),
+    there is no child and ``collect`` calls ``fn`` itself. So a command
+    that collects where its serial order would call ``fn`` writes the
+    same bytes and raises the same first error either way. A child that
+    has not been collected when the block ends, say on an error or an
+    interrupt, is killed and reaped. ``fn`` must call no BLAS routine:
+    the child has no copy of OpenBLAS's worker threads.
+    """
+    affinity = getattr(os, "sched_getaffinity", None)
+    if affinity is None or len(affinity(0)) < 2:
+        yield lambda: fn(*args)
+        return
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read)
+            try:
+                data = pickle.dumps((True, fn(*args)), pickle.HIGHEST_PROTOCOL)
+            except BaseException as exc:
+                data = pickle.dumps((False, exc), pickle.HIGHEST_PROTOCOL)
+            with open(write, "wb") as pipe:
+                pipe.write(data)
+            status = 0
+        finally:
+            os._exit(status)  # no atexit handlers, no flush of the parent's buffers
+    os.close(write)
+    pipe = open(read, "rb")
+    waited = False
+
+    def collect():
+        nonlocal waited
+        data = pipe.read()
+        status = os.waitpid(pid, 0)[1]
+        waited = True
+        if not data:
+            raise RuntimeError(f"{fn.__name__} ended without a result (wait status {status})")
+        done, value = pickle.loads(data)
+        if done:
+            return value
+        raise value
+
+    try:
+        yield collect
+    finally:
+        pipe.close()
+        if not waited:
+            from signal import SIGKILL
+
+            with suppress(ProcessLookupError):
+                os.kill(pid, SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def _truth_table(path: str) -> AnswerTable:
     """The table of the truth rows of ``path``."""
 
@@ -259,10 +335,19 @@ def _prediction_table(path: str, fill: bool = False) -> tuple[list[dict], Answer
     return rows, table
 
 
+def _prediction_tables(paths: list[str]) -> list[AnswerTable]:
+    return [_prediction_table(path)[1] for path in paths]
+
+
 def _cmd_evaluate(cfg: RunConfig) -> dict[str, Path]:
     truth_path, predictions_path = cfg.params["truth"], cfg.params["predictions"]
-    truth = _truth_table(truth_path)
-    parsed, predictions = _prediction_table(predictions_path, fill=True)
+    with _in_child(_truth_table, truth_path) as collect_truth:
+        try:
+            parsed, predictions = _prediction_table(predictions_path, fill=True)
+        except Exception:
+            collect_truth()  # an error of the truth, read first, comes first
+            raise
+        truth = collect_truth()
     text = report.build_evaluation_report(truth, predictions, truth_path)
     out = cfg.out_dir
     (out / "report.json").write_text(text, encoding="utf-8")
@@ -275,10 +360,11 @@ def _cmd_evaluate(cfg: RunConfig) -> dict[str, Path]:
 
 def _cmd_sweep(cfg: RunConfig) -> dict[str, Path]:
     thresholds = _load_thresholds(cfg)
-    sequences = _load_clips(cfg, key="trajectories")
-    model_predictions = {
-        model: _prediction_table(path)[1] for model, path in cfg.params["predictions"].items()
-    }
+    models = list(cfg.params["predictions"].items())
+    with _in_child(_prediction_tables, [path for _, path in models[1:]]) as collect_rest:
+        sequences = _load_clips(cfg, key="trajectories")
+        tables = _prediction_tables([path for _, path in models[:1]]) + collect_rest()
+    model_predictions = {model: table for (model, _), table in zip(models, tables)}
     results = metrics.sensitivity_sweep(sequences, model_predictions, thresholds, cfg.alphas)
     out = cfg.out_dir
     io.write_json(out / "sweep.json", {"results": [r.to_dict() for r in results]})

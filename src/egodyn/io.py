@@ -490,7 +490,7 @@ def read_predictions(path: str | Path) -> list[dict]:
     """Prediction rows: clip_id, question_id, and response text.
 
     Rows may instead carry a pre-parsed label under ``parsed``; an
-    optional ``model`` field tags multi-model files.
+    optional ``model`` field, a string, tags multi-model files.
     """
     rows = read_jsonl(path)
     for index, row in enumerate(rows):
@@ -500,6 +500,9 @@ def read_predictions(path: str | Path) -> list[dict]:
             fault = _row_fault(row, ("clip_id", "question_id"))
             fault = fault or "row lacks field 'response' or 'parsed'"
             raise ConfigError(f"{path}:{_row_line(path, index)}: {fault}")
+        if "model" in row and not isinstance(row["model"], str):
+            raise ConfigError(f"{path}:{_row_line(path, index)}: field 'model' holds "
+                              f"{json_kind(row['model'])}, not a string")
     return rows
 
 

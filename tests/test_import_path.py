@@ -1,12 +1,16 @@
-"""Importing the CLI, and running its commands, loads no scipy module.
+"""Importing the CLI, and running its commands, loads no scipy module and
+no process-pool machinery.
 
 numpy is the engine's only runtime dependency; scipy is a test-time
 reference. Every command pays its imports before it starts, and a scipy
 subpackage costs each run from 0.3 s (``scipy.ndimage``) to over a
-second (``scipy.signal``, which brings ``scipy.stats``). The modules are
-checked after the import, and again after ``label`` on pose and rate rows
-(which runs the smoothing) and ``sweep``, so that an import made lazily
-inside a command fails the test too.
+second (``scipy.signal``, which brings ``scipy.stats``). ``sweep`` and
+``evaluate`` fork their child with ``os.fork`` and a pipe, so
+``multiprocessing``, ``concurrent.futures`` and ``subprocess`` stay out
+of the import too. The modules are checked after the import, and again
+after ``label`` on pose and rate rows (which runs the smoothing) and
+``sweep``, so that an import made lazily inside a command fails the test
+too.
 """
 
 from __future__ import annotations
@@ -16,6 +20,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import egodyn
 from egodyn import io
@@ -76,7 +82,11 @@ def _write_inputs(tmp_path: Path) -> list[list[str]]:
     return argvs
 
 
-def test_cli_import_and_commands_load_no_scipy(tmp_path):
+@pytest.fixture(scope="module")
+def loaded(tmp_path_factory):
+    """The modules loaded after ``import egodyn.cli`` and after each of a
+    ``label`` and a ``sweep`` run in a fresh interpreter, and the outputs."""
+    tmp_path = tmp_path_factory.mktemp("commands")
     argvs = _write_inputs(tmp_path)
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
@@ -89,6 +99,11 @@ def test_cli_import_and_commands_load_no_scipy(tmp_path):
     )
     doc = json.loads(result.stdout)
     assert doc["statuses"] == [0, 0]
+    return tmp_path, doc
+
+
+def test_cli_import_and_commands_load_no_scipy(loaded):
+    tmp_path, doc = loaded
     assert (tmp_path / "label" / "labels.jsonl").exists()
     assert (tmp_path / "sweep" / "sweep.json").exists()
     after_import = doc["loaded"][0]
@@ -97,3 +112,9 @@ def test_cli_import_and_commands_load_no_scipy(tmp_path):
     for stage, modules in zip(("import", "label", "sweep"), doc["loaded"]):
         scipy = [m for m in modules if m == "scipy" or m.startswith("scipy.")]
         assert scipy == [], f"after {stage}: {scipy[:5]}"
+
+
+def test_cli_import_and_commands_load_no_process_pool(loaded):
+    for stage, modules in zip(("import", "label", "sweep"), loaded[1]["loaded"]):
+        pools = {"multiprocessing", "concurrent.futures", "subprocess"}.intersection(modules)
+        assert pools == set(), f"after {stage}: {sorted(pools)}"

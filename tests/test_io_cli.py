@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import re
+import time
 import warnings
 from pathlib import Path
 
@@ -12,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import GRID, make_seq, ref_label_rows
-from egodyn import io, oracle, parsing
+from egodyn import cli, io, oracle, parsing
 from egodyn.cli import COMMAND_KEYS, main
 from egodyn.errors import ConfigError, InvalidTrajectory
 from egodyn.kinematics import PoseSample, stratification_bin, summarize_batch
@@ -1370,7 +1372,12 @@ class TestKeyedRowErrors:
          ("evaluate", "predictions", {"response": 3},
           "clip 'c2': field 'response' holds a number, not a string"),
          ("sweep", "predictions", {"response": {"a": "smooth"}},
-          "clip 'c2': field 'response' holds an object, not a string")],
+          "clip 'c2': field 'response' holds an object, not a string"),
+         ("parse", "predictions", {"model": 1}, "field 'model' holds a number, not a string"),
+         ("parse", "predictions", {"model": None}, "field 'model' holds null, not a string"),
+         ("evaluate", "predictions", {"model": True},
+          "field 'model' holds a boolean, not a string"),
+         ("sweep", "predictions", {"model": ["m"]}, "field 'model' holds an array, not a string")],
         ids=["balance-no-answer", "balance-no-clip", "balance-no-question",
              "balance-array-clip", "balance-array-question", "truth-no-answer",
              "truth-no-question", "truth-array-clip", "truth-array-question",
@@ -1382,7 +1389,8 @@ class TestKeyedRowErrors:
              "evaluate-unknown-question", "sweep-unknown-question",
              "evaluate-parsed-out-of-space", "parse-null-response",
              "parse-boolean-response", "evaluate-array-response",
-             "evaluate-number-response", "sweep-object-response"],
+             "evaluate-number-response", "sweep-object-response", "parse-number-model",
+             "parse-null-model", "evaluate-boolean-model", "sweep-array-model"],
     )
     def test_exits_2_naming_the_line(self, tmp_path, capsys, command, broken, edit, named):
         labels = _label_rows(["c1", "c2", "c3"])
@@ -1658,6 +1666,38 @@ class TestConfigNumbers:
         )
         assert "encoding_steps must be an integer >= 2" in err
 
+    @pytest.mark.parametrize(
+        "command,config,named",
+        [("synth", {"count": 100_001}, "count must be at most 100000, got 100001"),
+         ("synth", {"count": 10**400}, "count must be at most 100000, got 1000"),
+         ("synth", {"count": 1, "encoding_steps": 10_001},
+          "encoding_steps must be at most 10000, got 10001"),
+         ("label", {"encoding_steps": 10**12}, "encoding_steps must be at most 10000"),
+         ("label", {"encoding_steps": 10**400}, "encoding_steps must be at most 10000"),
+         ("label", {"rate_hz": 1e12}, "rate_hz * window_s must be at most 100000, got "
+                                      "1000000000000.0 * 3.0"),
+         ("calibrate-thresholds", {"window_s": 1e300},
+          "rate_hz * window_s must be at most 100000, got 10.0 * 1e+300"),
+         ("sweep", {"rate_hz": 33_334}, "rate_hz * window_s must be at most 100000"),
+         ("label", {"rate_hz": 20_000, "window_s": 5}, "log spans 3.000 s but window is 5.000 s")],
+        ids=["count", "count-beyond-memory", "synth-steps", "label-steps",
+             "steps-beyond-memory", "rate", "window", "sweep-rate", "largest-grid"],
+    )
+    def test_sizes_beyond_the_largest(self, tmp_path, capsys, command, config, named):
+        """A size no memory could hold exits 2 before any input is read;
+        the largest grid is taken (and this clip is too short for it)."""
+        traj = tmp_path / "trajectories.jsonl"
+        io.write_jsonl(traj, _pose_rows("a"))
+        preds = tmp_path / "preds.jsonl"
+        io.write_jsonl(preds, [])
+        inputs = {"synth": {}, "label": {"input": str(traj), "encoding": "timeseries"},
+                  "calibrate-thresholds": {"input": str(traj)},
+                  "sweep": {"trajectories": str(traj), "predictions": {"m": str(preds)},
+                            "alphas": [1.0]}}[command]
+        err = self.exit_2_message(tmp_path, capsys, command, {**inputs, **config})
+        assert named in err
+        assert not (tmp_path / "o").exists() or not any((tmp_path / "o").iterdir())
+
 
 class TestEncodingChecks:
     """``encoding_steps`` is checked whenever the key is present, and clips
@@ -1883,3 +1923,145 @@ class TestCommandKeys:
         err = self.exit_2_message(tmp_path, capsys, "label", {"input": str(traj)})
         assert "clip 'b': state derivation overflows" in err
         assert "clip 'a'" not in err
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestForkedInputs:
+    """``sweep`` builds the tables of every model but the first, and
+    ``evaluate`` its truth table, in a forked child when the process may
+    use two CPUs, and inline on one. Both paths write the same bytes and
+    name the same first error, that of the first failing input in config
+    order, and leave no child behind."""
+
+    MODELS = 4
+
+    @pytest.fixture(params=["inline", "forked"])
+    def path(self, request, monkeypatch):
+        """Force one path through the CPU check, and count the forks."""
+        cpus = {0} if request.param == "inline" else {0, 1}
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        forks, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        yield request.param, forks
+        _no_child_left()
+
+    @pytest.fixture
+    def corpus(self, tmp_path):
+        """Trajectories, truth and four models' free-text predictions."""
+        synth_out = tmp_path / "synth"
+        assert run_cli("synth", {"count": 6, "seed": 2, "out": str(synth_out)}, tmp_path) == 0
+        truth = synth_out / "expected_labels.jsonl"
+        predictions = {}
+        for k in range(self.MODELS):
+            path = predictions[f"m{k}"] = tmp_path / f"pred_m{k}.jsonl"
+            io.write_jsonl(path, [
+                {"clip_id": r["clip_id"], "question_id": r["question_id"],
+                 "response": r["answer"] if (i + k) % 3 else
+                 f"I think: {ANSWER_SPACES[r['question_id']][k % 2]}"}
+                for i, r in enumerate(io.read_jsonl(truth))
+            ])
+        return {"trajectories": synth_out / "trajectories.jsonl", "truth": truth,
+                "predictions": predictions}
+
+    @staticmethod
+    def config(command, corpus, out):
+        if command == "sweep":
+            return {"trajectories": str(corpus["trajectories"]), "alphas": [0.8, 1.0, 1.25],
+                    "predictions": {m: str(p) for m, p in corpus["predictions"].items()},
+                    "out": str(out)}
+        return {"truth": str(corpus["truth"]), "predictions": str(corpus["predictions"]["m0"]),
+                "out": str(out)}
+
+    @staticmethod
+    def break_line(path, line, text="{\"clip_id\": "):
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[line - 1] = text + "\n"
+        path.write_text("".join(lines), encoding="utf-8")
+
+    @pytest.mark.parametrize("command", ["sweep", "evaluate"])
+    def test_both_paths_write_the_same_bytes(self, tmp_path, monkeypatch, corpus, command):
+        out = tmp_path / "out"
+        written = {}
+        for cpus in ({0}, {0, 1}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+            assert run_cli(command, self.config(command, corpus, out), tmp_path) == 0
+            written[len(cpus)] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+            _no_child_left()
+        assert "manifest.json" in written[1]
+        assert written[1] == written[2]
+
+    @pytest.mark.parametrize("command", ["sweep", "evaluate"])
+    def test_one_fork_on_two_cpus(self, tmp_path, corpus, path, command):
+        mode, forks = path
+        assert run_cli(command, self.config(command, corpus, tmp_path / "out"), tmp_path) == 0
+        assert len(forks) == (mode == "forked")
+
+    @pytest.mark.parametrize(
+        "broken,named",
+        [(("trajectories", "m3"), "trajectories.jsonl:3: invalid JSON"),
+         (("m0", "m3"), "pred_m0.jsonl:3: invalid JSON"),
+         (("m1", "m3"), "pred_m1.jsonl:3: invalid JSON"),
+         (("m3",), "pred_m3.jsonl:3: invalid JSON")],
+        ids=["trajectories-before-m3", "m0-before-m3", "m1-before-m3", "m3-alone"],
+    )
+    def test_sweep_names_the_first_failing_input(
+        self, tmp_path, capsys, corpus, path, broken, named
+    ):
+        paths = {"trajectories": corpus["trajectories"], **corpus["predictions"]}
+        for name in broken:
+            self.break_line(paths[name], 3)
+        status = run_cli("sweep", self.config("sweep", corpus, tmp_path / "out"), tmp_path)
+        err = capsys.readouterr().err
+        assert status == 2
+        assert err.startswith(f"egodyn sweep: {tmp_path}/") and named in err, err
+
+    def test_sweep_names_a_model_value_in_the_child(self, tmp_path, capsys, corpus, path):
+        rows = io.read_jsonl(corpus["predictions"]["m3"])
+        rows[4]["model"] = 7
+        io.write_jsonl(corpus["predictions"]["m3"], rows)
+        status = run_cli("sweep", self.config("sweep", corpus, tmp_path / "out"), tmp_path)
+        err = capsys.readouterr().err
+        assert status == 2
+        assert err == (f"egodyn sweep: {corpus['predictions']['m3']}:5: "
+                       "field 'model' holds a number, not a string\n")
+
+    @pytest.mark.parametrize(
+        "broken,named",
+        [(("truth", "predictions"), "expected_labels.jsonl:3: invalid JSON"),
+         (("truth",), "expected_labels.jsonl:3: invalid JSON"),
+         (("predictions",), "pred_m0.jsonl:3: invalid JSON")],
+        ids=["truth-before-predictions", "truth-alone", "predictions-alone"],
+    )
+    def test_evaluate_names_the_truth_first(self, tmp_path, capsys, corpus, path, broken, named):
+        paths = {"truth": corpus["truth"], "predictions": corpus["predictions"]["m0"]}
+        for name in broken:
+            self.break_line(paths[name], 3)
+        status = run_cli("evaluate", self.config("evaluate", corpus, tmp_path / "out"), tmp_path)
+        err = capsys.readouterr().err
+        assert status == 2
+        assert named in err, err
+
+    @pytest.mark.parametrize(
+        "command,stalls,interrupted",
+        [("sweep", "_prediction_table", "_load_clips"),
+         ("evaluate", "_truth_table", "_prediction_table")],
+    )
+    def test_an_interrupt_kills_and_reaps_the_child(
+        self, tmp_path, monkeypatch, corpus, path, command, stalls, interrupted
+    ):
+        """The parent is interrupted while the child still works: the
+        interrupt ends the command at once and no child is left."""
+
+        def interrupt(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, stalls, lambda *args, **kwargs: time.sleep(60))
+        monkeypatch.setattr(cli, interrupted, interrupt)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            run_cli(command, self.config(command, corpus, tmp_path / "out"), tmp_path)
+        assert time.monotonic() - start < 30
