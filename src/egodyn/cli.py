@@ -131,7 +131,7 @@ def _positive(key: str, value) -> float:
     return number
 
 
-def _integer(key: str, value, minimum: int, maximum: int) -> int:
+def _integer(key: str, value, minimum: int, maximum: float = math.inf) -> int:
     """``value`` of ``key`` as a JSON integer from ``minimum`` to
     ``maximum``; else ``ConfigError``."""
     if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
@@ -205,7 +205,7 @@ def _cmd_label(cfg: RunConfig) -> dict[str, Path]:
 
 def _cmd_synth(cfg: RunConfig) -> dict[str, Path]:
     count = _integer("count", cfg.params.get("count", 100), 0, _MAX_COUNT)
-    seed = _integer("seed", 0 if cfg.seed is None else cfg.seed, 0, math.inf)
+    seed = _integer("seed", 0 if cfg.seed is None else cfg.seed, 0)
     suite = generate_suite(count, seed=seed, regime_mix=cfg.params.get("regime_mix"))
     out = cfg.out_dir
     outputs = {
@@ -250,23 +250,29 @@ def _checked_rows(path: str, rows: list[dict], check, *fields: str):
 
 
 @contextmanager
-def _in_child(fn, *args):
+def _in_child(fn, *args, first: bool = False):
     """Run ``fn(*args)`` in a forked child while the block runs.
 
     The block gets ``collect``, which waits for the child and returns what
     ``fn`` returned, or raises what it raised; both come back pickled
     through a pipe. Where the process may run on one CPU only, or cannot
     fork (``os.sched_getaffinity`` exists only where ``os.fork`` does),
-    there is no child and ``collect`` calls ``fn`` itself. So a command
-    that collects where its serial order would call ``fn`` writes the
-    same bytes and raises the same first error either way. A child that
-    has not been collected when the block ends, say on an error or an
-    interrupt, is killed and reaped. ``fn`` must call no BLAS routine:
-    the child has no copy of OpenBLAS's worker threads.
+    there is no child: ``fn`` runs inline where the command's serial
+    order puts it, before the block if ``first``, else when ``collect`` is
+    called. A command whose block and ``collect`` follow that order
+    writes the same bytes, raises the same first error and holds the
+    same data at once either way. A child that has not been collected
+    when the block ends, say on an error or an interrupt, is killed and
+    reaped. ``fn`` must call no BLAS routine: the child has no copy of
+    OpenBLAS's worker threads.
     """
     affinity = getattr(os, "sched_getaffinity", None)
     if affinity is None or len(affinity(0)) < 2:
-        yield lambda: fn(*args)
+        if first:
+            value = fn(*args)
+            yield lambda: value
+        else:
+            yield lambda: fn(*args)
         return
     read, write = os.pipe()
     pid = os.fork()
@@ -341,7 +347,7 @@ def _prediction_tables(paths: list[str]) -> list[AnswerTable]:
 
 def _cmd_evaluate(cfg: RunConfig) -> dict[str, Path]:
     truth_path, predictions_path = cfg.params["truth"], cfg.params["predictions"]
-    with _in_child(_truth_table, truth_path) as collect_truth:
+    with _in_child(_truth_table, truth_path, first=True) as collect_truth:
         try:
             parsed, predictions = _prediction_table(predictions_path, fill=True)
         except Exception:
@@ -360,11 +366,12 @@ def _cmd_evaluate(cfg: RunConfig) -> dict[str, Path]:
 
 def _cmd_sweep(cfg: RunConfig) -> dict[str, Path]:
     thresholds = _load_thresholds(cfg)
-    models = list(cfg.params["predictions"].items())
-    with _in_child(_prediction_tables, [path for _, path in models[1:]]) as collect_rest:
+    predictions = cfg.params["predictions"]
+    paths = list(predictions.values())
+    with _in_child(_prediction_tables, paths[1:]) as collect_rest:
         sequences = _load_clips(cfg, key="trajectories")
-        tables = _prediction_tables([path for _, path in models[:1]]) + collect_rest()
-    model_predictions = {model: table for (model, _), table in zip(models, tables)}
+        tables = _prediction_tables(paths[:1]) + collect_rest()
+    model_predictions = dict(zip(predictions, tables))
     results = metrics.sensitivity_sweep(sequences, model_predictions, thresholds, cfg.alphas)
     out = cfg.out_dir
     io.write_json(out / "sweep.json", {"results": [r.to_dict() for r in results]})

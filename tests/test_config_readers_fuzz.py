@@ -336,4 +336,4 @@ def test_config_document(tmp_path_factory, command_inputs, doc):
         status, message = _run(command, config)
     finally:
         os.chdir(cwd)
-    _assert_outcome(command, status, message, named and named.format(config=config))
+    _assert_outcome(command, status, message, named and named.replace("{config}", str(config)))

@@ -2046,12 +2046,29 @@ class TestForkedInputs:
         assert named in err, err
 
     @pytest.mark.parametrize(
+        "command,order",
+        [("sweep", ["trajectories", "pred_m0", "pred_m1", "pred_m2", "pred_m3"]),
+         ("evaluate", ["expected_labels", "pred_m0"])],
+    )
+    def test_inline_inputs_keep_the_serial_order(
+        self, tmp_path, monkeypatch, corpus, command, order
+    ):
+        """On one CPU every input is read in the serial order, so no more
+        of them is held at once than before."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        read, read_jsonl = [], io.read_jsonl
+        monkeypatch.setattr(io, "read_jsonl",
+                            lambda path: read.append(Path(path).stem) or read_jsonl(path))
+        assert run_cli(command, self.config(command, corpus, tmp_path / "out"), tmp_path) == 0
+        assert read == order
+
+    @pytest.mark.parametrize(
         "command,stalls,interrupted",
         [("sweep", "_prediction_table", "_load_clips"),
          ("evaluate", "_truth_table", "_prediction_table")],
     )
     def test_an_interrupt_kills_and_reaps_the_child(
-        self, tmp_path, monkeypatch, corpus, path, command, stalls, interrupted
+        self, tmp_path, monkeypatch, corpus, command, stalls, interrupted
     ):
         """The parent is interrupted while the child still works: the
         interrupt ends the command at once and no child is left."""
@@ -2059,9 +2076,11 @@ class TestForkedInputs:
         def interrupt(*args, **kwargs):
             raise KeyboardInterrupt
 
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         monkeypatch.setattr(cli, stalls, lambda *args, **kwargs: time.sleep(60))
         monkeypatch.setattr(cli, interrupted, interrupt)
         start = time.monotonic()
         with pytest.raises(KeyboardInterrupt):
             run_cli(command, self.config(command, corpus, tmp_path / "out"), tmp_path)
         assert time.monotonic() - start < 30
+        _no_child_left()
