@@ -1977,9 +1977,10 @@ class TestForkedInputs:
                 "out": str(out)}
 
     @staticmethod
-    def break_line(path, line, text="{\"clip_id\": "):
+    def break_line(path, line):
+        """Make ``line`` of ``path`` invalid JSON."""
         lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-        lines[line - 1] = text + "\n"
+        lines[line - 1] = '{"clip_id": \n'
         path.write_text("".join(lines), encoding="utf-8")
 
     @pytest.mark.parametrize("command", ["sweep", "evaluate"])
