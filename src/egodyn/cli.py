@@ -24,7 +24,7 @@ from pathlib import Path
 from . import balancer, baselines, io, metrics, report
 from .encodings import ENCODING_MODES, encode_trajectory
 from .errors import ConfigError, EgodynError, MissingChannels
-from .kinematics import stratification_bin, summarize_batch
+from .kinematics import stratification_bin, summarize_batch, summary_rows
 from .oracle import label_batch, label_lines, rule_table, tags_of
 from .questions import QUESTION_ORDER, AnswerTable
 from .synth import generate_suite
@@ -182,15 +182,12 @@ def _cmd_label(cfg: RunConfig) -> dict[str, Path]:
     _check_positions(cfg, clips)
     clip_ids = [clip_id for clip_id, _ in clips]
     seqs = [seq for _, seq in clips]
-    summaries = summarize_batch(seqs, thresholds.heading_total_mode, clip_ids)
-    codes, ev = label_batch(seqs, summaries, thresholds, clip_ids)
+    columns = summarize_batch(seqs, thresholds.heading_total_mode, clip_ids)
+    codes, ev = label_batch(seqs, columns, thresholds, clip_ids)
+    summaries = summary_rows(columns)
     meta_rows = [
-        {
-            "clip_id": clip_id,
-            "summary": summary.as_dict(),
-            "tags": tags,
-            "stratification_bin": stratification_bin(tags),
-        }
+        {"clip_id": clip_id, "summary": summary, "tags": tags,
+         "stratification_bin": stratification_bin(tags)}
         for clip_id, summary, tags in zip(clip_ids, summaries, tags_of(codes))
     ]
     out = cfg.out_dir
@@ -222,7 +219,7 @@ def _cmd_synth(cfg: RunConfig) -> dict[str, Path]:
         for question in QUESTION_ORDER
     ])
     if cfg.encoding:
-        summaries = summarize_batch([c.seq for c in suite])
+        summaries = summary_rows(summarize_batch([c.seq for c in suite]))
         outputs["prompts"] = _write_prompts(
             cfg, [(c.clip_id, c.seq, s) for c, s in zip(suite, summaries)], out
         )
@@ -472,9 +469,8 @@ def _cmd_balance(cfg: RunConfig) -> dict[str, Path]:
 def _cmd_calibrate(cfg: RunConfig) -> dict[str, Path]:
     base = _load_thresholds(cfg)
     sequences = _load_clips(cfg)
-    summaries = summarize_batch(
-        [seq for _, seq in sequences], clip_ids=[clip_id for clip_id, _ in sequences])
-    calibrated = calibrate_thresholds(summaries, base)
+    calibrated = calibrate_thresholds(summarize_batch(
+        [seq for _, seq in sequences], clip_ids=[clip_id for clip_id, _ in sequences]), base)
     out = cfg.out_dir
     calibrated.to_json(out / "thresholds.json")
     return {"thresholds": out / "thresholds.json"}

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import MissingChannels
-from .kinematics import KinematicSummary, StateSequence
+from .kinematics import StateSequence
 
 ENCODING_MODES = ("summary", "timeseries", "coordinates", "full")
 
@@ -31,17 +31,17 @@ def _row(values, decimals: int) -> str:
     return ", ".join(_fmt(float(v), decimals) for v in values)
 
 
-def _summary_block(summary: KinematicSummary) -> str:
-    kmh = round(summary.max_speed * 3.6)
+def _summary_block(summary: dict[str, float]) -> str:
+    kmh = round(summary["max_speed"] * 3.6)
     fields = [
-        f"max_speed = {_fmt(summary.max_speed, 1)} m/s ({kmh}km/h)",
-        f"mean_speed = {_fmt(summary.mean_speed, 1)} m/s",
-        f"min_accel = {_fmt(summary.min_accel, 2)} m/s²",
-        f"max_yaw_rate = {_fmt(summary.max_abs_yaw_rate, 3)} rad/s",
-        f"max_jerk = {_fmt(summary.max_abs_jerk, 2)} m/s³",
-        f"mean_jerk = {_fmt(summary.mean_abs_jerk, 2)} m/s³",
-        f"max_lat_accel = {_fmt(summary.max_lat_accel, 2)} m/s²",
-        f"heading_change = {_fmt(summary.total_heading_change, 3)} rad",
+        f"max_speed = {_fmt(summary['max_speed'], 1)} m/s ({kmh}km/h)",
+        f"mean_speed = {_fmt(summary['mean_speed'], 1)} m/s",
+        f"min_accel = {_fmt(summary['min_accel'], 2)} m/s²",
+        f"max_yaw_rate = {_fmt(summary['max_abs_yaw_rate'], 3)} rad/s",
+        f"max_jerk = {_fmt(summary['max_abs_jerk'], 2)} m/s³",
+        f"mean_jerk = {_fmt(summary['mean_abs_jerk'], 2)} m/s³",
+        f"max_lat_accel = {_fmt(summary['max_lat_accel'], 2)} m/s²",
+        f"heading_change = {_fmt(summary['total_heading_change'], 3)} rad",
     ]
     return "Vehicle dynamics: " + ", ".join(fields) + "."
 
@@ -83,11 +83,12 @@ def _coordinates_block(seq: StateSequence, n_steps: int) -> str:
 
 def encode_trajectory(
     seq: StateSequence,
-    summary: KinematicSummary,
+    summary: dict[str, float],
     mode: str,
     n_steps: int = 10,
 ) -> str:
-    """Render one clip's trajectory context in the requested mode."""
+    """Render one clip's trajectory context in the requested mode; ``summary``
+    is the clip's row of ``kinematics.summary_rows``."""
     if mode not in ENCODING_MODES:
         raise ValueError(f"unknown encoding mode {mode!r}")
     if n_steps < 2:

@@ -25,6 +25,7 @@ import hashlib
 import itertools
 import json
 import re
+import sys
 from contextlib import contextmanager
 from numbers import Real
 from operator import itemgetter
@@ -79,7 +80,9 @@ def _json_object(text: str, path: str | Path, line: int) -> dict:
     ``ConfigError("<path>:<line>: ...")``."""
     try:
         value = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        if not isinstance(exc, json.JSONDecodeError):  # an integer too long for int()
+            exc = json.JSONDecodeError(str(exc).partition(";")[0], text, _long_integer(text))
         raise ConfigError(
             f"{path}:{line + exc.lineno - 1}: invalid JSON ({exc.msg}, column {exc.colno})"
         ) from None
@@ -91,6 +94,15 @@ def _json_object(text: str, path: str | Path, line: int) -> dict:
 # One string of a JSON text, matched from the start of the text: outside its
 # strings a valid JSON text holds no quote and no backslash.
 _STRING = re.compile(r'"(?:[^"\\]|\\.)*"')
+# A string, or an integer's digits (not a fraction's or exponent's), of a JSON text.
+_INTEGER = re.compile(rf"{_STRING.pattern}|(?<![\d.eE+-])-?(\d+)(?![\d.eE])")
+
+
+def _long_integer(text: str) -> int:
+    """The offset in the JSON ``text`` of its first integer of more digits
+    than ``int()`` converts (``sys.get_int_max_str_digits()``)."""
+    limit = sys.get_int_max_str_digits()
+    return next((m.start() for m in _INTEGER.finditer(text) if len(m.group(1) or "") > limit), 0)
 
 
 def _check_surrogates(text: str, path: str | Path, line: int) -> None:
@@ -177,7 +189,7 @@ def read_jsonl(path: str | Path) -> list[dict]:
             if line:
                 try:
                     value, end = _decode(line)
-                except json.JSONDecodeError:
+                except ValueError:  # JSONDecodeError, or an integer too long to convert
                     value, end = None, 0
                 if end != len(line) or not isinstance(value, dict):
                     value = _json_object(line, path, number)  # raises, naming the line
@@ -445,22 +457,10 @@ def rows_to_sequence(
 
 
 def sequence_to_rows(clip_id: str, seq: StateSequence) -> list[dict]:
-    rows = []
-    for i in range(seq.n):
-        row = {
-            "clip_id": clip_id,
-            "t": float(seq.t[i]),
-            "v": float(seq.v[i]),
-            "a": float(seq.a[i]),
-            "j": float(seq.j[i]),
-            "omega": float(seq.omega[i]),
-            "theta": float(seq.theta[i]),
-        }
-        if seq.has_position():
-            row["x"] = float(seq.x[i])
-            row["y"] = float(seq.y[i])
-        rows.append(row)
-    return rows
+    """One full-state row per sample, with ``x`` and ``y`` when ``seq`` has them."""
+    names = _FULL_STATE_KEYS + (("x", "y") if seq.has_position() else ())
+    columns = [getattr(seq, name).tolist() for name in names]
+    return [{"clip_id": clip_id, **dict(zip(names, values))} for values in zip(*columns)]
 
 
 def read_source_manifest(path: str | Path) -> dict[str, str]:

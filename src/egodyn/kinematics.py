@@ -38,7 +38,9 @@ log is interpolated with ``np.interp``, so every log gets the bytes it
 gets alone. A derived batch comes back as checked StateSequences, views
 into its (N, n) arrays, checked in one pass. A batch's checks fail when
 any clip fails them; callers that must name the failing clip run each
-clip alone, in input order, after a failure.
+clip alone, in input order, after a failure. Summaries stay columns
+(``summarize_batch``) through labeling and calibration up to the written
+rows (``summary_rows``); ``summarize`` gives one clip's ``KinematicSummary``.
 """
 
 from __future__ import annotations
@@ -130,10 +132,6 @@ class StateSequence:
         return self.t.size
 
     @property
-    def dt(self) -> float:
-        return float(self.t[1] - self.t[0])
-
-    @property
     def duration(self) -> float:
         return float(self.t[-1] - self.t[0])
 
@@ -163,12 +161,6 @@ class KinematicSummary:
     max_lat_accel: float
     total_heading_change: float
     percentiles: dict[str, dict[str, float]]
-
-    def as_dict(self) -> dict:
-        """``dataclasses.asdict(self)``, read straight from the fields."""
-        doc = {name: getattr(self, name) for name in _SUMMARY_STATS}
-        doc["percentiles"] = {kind: dict(p) for kind, p in self.percentiles.items()}
-        return doc
 
 
 def _check_states(t: np.ndarray, v: np.ndarray, *channels: np.ndarray) -> None:
@@ -573,8 +565,10 @@ def reduce_by_sample_count(
 def summarize_batch(
     seqs: Sequence[StateSequence], heading_mode: str = "net",
     clip_ids: Sequence[str] | None = None,
-) -> list[KinematicSummary]:
-    """Clip-level aggregates of many state sequences, in input order.
+) -> dict[str, np.ndarray]:
+    """Clip-level aggregates of many state sequences as columns, in input
+    order, for any N (0 too): each ``KinematicSummary`` statistic (N,), and
+    ``accel`` and ``abs_jerk`` (N, 3), their P25, P50 and P75.
 
     Clips are stacked by sample count and each stack is reduced in one
     pass along the sample axis. heading_mode "net" measures
@@ -611,6 +605,8 @@ def summarize_batch(
             "abs_jerk": np.percentile(abs_jerk, _PERCENTILES, axis=-1).T,
         }
 
+    if not seqs:  # no stacks to reduce: one of 0 clips gives the empty columns
+        return reduce(*np.empty((5, 0, 2)))
     columns = reduce_by_sample_count(seqs, ("v", "a", "j", "omega", "theta"), reduce)
     finite = np.logical_and.reduce(
         [np.isfinite(column).reshape(len(seqs), -1).all(axis=1) for column in columns.values()])
@@ -619,23 +615,31 @@ def summarize_batch(
         clip = repr(clip_ids[i]) if clip_ids is not None else f"at position {i}"
         raise InvalidTrajectory(
             f"clip {clip}: summary statistics overflow: a summary value is not finite")
-    columns = {key: column.tolist() for key, column in columns.items()}
+    return columns
+
+
+def summary_rows(columns: dict[str, np.ndarray]) -> list[dict]:
+    """Each clip's ``dataclasses.asdict(KinematicSummary)`` from ``summarize_batch``
+    columns: the ``clip_summaries.jsonl`` rows and the ``summary`` prompt input."""
+    stats = zip(*(columns[name].tolist() for name in _SUMMARY_STATS))
     return [
-        KinematicSummary(
-            **{name: columns[name][i] for name in _SUMMARY_STATS},
-            percentiles={
-                kind: dict(zip(_PERCENTILE_KEYS, columns[kind][i]))
-                for kind in ("accel", "abs_jerk")
-            },
-        )
-        for i in range(len(seqs))
+        {**dict(zip(_SUMMARY_STATS, values)), "percentiles": {
+            "accel": dict(zip(_PERCENTILE_KEYS, accel)),
+            "abs_jerk": dict(zip(_PERCENTILE_KEYS, abs_jerk))}}
+        for values, accel, abs_jerk in zip(
+            stats, columns["accel"].tolist(), columns["abs_jerk"].tolist())
     ]
 
 
 def summarize(seq: StateSequence, heading_mode: str = "net") -> KinematicSummary:
     """Compute clip-level aggregates of one state sequence; a batch of one
     of ``summarize_batch``."""
-    return summarize_batch([seq], heading_mode)[0]
+    return KinematicSummary(**summary_rows(summarize_batch([seq], heading_mode))[0])
+
+
+def _summary_columns(summary: KinematicSummary) -> dict[str, np.ndarray]:
+    """One clip's summary statistics (no rule reads its percentiles) as columns."""
+    return {name: np.array([getattr(summary, name)], dtype=float) for name in _SUMMARY_STATS}
 
 
 def stratification_tags(seq, summary, thresholds) -> dict[str, bool]:
@@ -643,7 +647,7 @@ def stratification_tags(seq, summary, thresholds) -> dict[str, bool]:
     has_aggressive; a batch of one of ``oracle.tags_of``."""
     from . import oracle  # local import; oracle depends on this module
 
-    codes, _ = oracle.label_batch([seq], [summary], thresholds)
+    codes, _ = oracle.label_batch([seq], _summary_columns(summary), thresholds)
     return oracle.tags_of(codes)[0]
 
 

@@ -238,9 +238,10 @@ def sensitivity_sweep(
     ``clips`` pairs clip ids with their StateSequence. The alpha list must
     contain the nominal factor 1.0, which anchors the tau comparison.
     Models are ranked by aggregate balanced accuracy. Clips are summarized
-    once (summaries do not depend on alpha), and each model's answers are
-    put in clip order once; each alpha is one ``label_batch`` call, whose
-    codes are the truth table, and one stacked scoring of every model.
+    once, as columns (summaries do not depend on alpha), and each model's
+    answers are put in clip order once; each alpha is one ``label_batch``
+    call on those columns (which restacks the channels), whose codes are the
+    truth table, and one stacked scoring of every model.
     """
     alphas = list(alphas)
     if not alphas or any(a <= 0 for a in alphas):
@@ -252,12 +253,12 @@ def sensitivity_sweep(
 
     clip_ids = tuple(clip_id for clip_id, _ in clips)
     seqs = [seq for _, seq in clips]
-    summaries = summarize_batch(seqs, cfg.heading_total_mode, clip_ids)
+    columns = summarize_batch(seqs, cfg.heading_total_mode, clip_ids)
     models = list(model_predictions)
     answers = np.stack([model_predictions[m].on_clips(clip_ids) for m in models])
 
     def scores_at(alpha: float) -> dict[str, dict[str, float]]:
-        codes, _ = label_batch(seqs, summaries, cfg.with_alpha(cfg.alpha * alpha), clip_ids)
+        codes, _ = label_batch(seqs, columns, cfg.with_alpha(cfg.alpha * alpha), clip_ids)
         return dict(zip(models, _scores(_confusion_counts(codes, answers))[1]))
 
     scores = {alpha: scores_at(alpha) for alpha in dict.fromkeys(alphas)}

@@ -18,14 +18,14 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import io
 from .errors import InvalidTrajectory
-from .kinematics import (KinematicSummary, StateSequence, half_split_index,
-                         reduce_by_sample_count, summarize)
+from .kinematics import (KinematicSummary, StateSequence, _summary_columns, half_split_index,
+                         reduce_by_sample_count, summarize_batch)
 from .questions import ANSWER_SPACES, QUESTION_ORDER, answer_code
 from .thresholds import ThresholdConfig
 
@@ -108,11 +108,11 @@ def decide(conditions: Sequence[Sequence[np.ndarray]]) -> np.ndarray:
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow is checked, not warned
 def label_batch(
-    seqs: Sequence[StateSequence], summaries: Sequence[KinematicSummary], cfg: ThresholdConfig,
+    seqs: Sequence[StateSequence], summaries: Mapping[str, np.ndarray], cfg: ThresholdConfig,
     clip_ids: Sequence[str] | None = None,
 ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """Answer all 14 questions for many clips, given their summaries under
-    ``cfg.heading_total_mode``.
+    """Answer all 14 questions for many clips, given their summary columns
+    (``summarize_batch``) under ``cfg.heading_total_mode``.
 
     Returns the (N, 14) ``intp`` answer codes, columns in ``QUESTION_ORDER``,
     and the rule inputs as columns, among them the evidence named in ``RULES``.
@@ -147,8 +147,7 @@ def label_batch(
         }
 
     ev = reduce_by_sample_count(seqs, ("v", "a", "j", "omega"), reduce)
-    for name in _SUMMARY_EVIDENCE:
-        ev[name] = np.array([getattr(s, name) for s in summaries], dtype=float)
+    ev.update((name, summaries[name]) for name in _SUMMARY_EVIDENCE)
     peak, d1, d2 = ev["peak_yaw_rate"], ev["dynamism_first"], ev["dynamism_second"]
     lon = ev["longitudinal_activity"] = np.abs(ev["mean_accel"]) / eff.trend_deadzone
     lat = ev["lateral_activity"] = ev["max_lat_accel"] / eff.lat_accel_high
@@ -307,7 +306,7 @@ def label_all(
     """Answer all 14 questions for one clip, in canonical order; a batch
     of one of ``label_batch``."""
     cfg = cfg or ThresholdConfig()
-    if summary is None:
-        summary = summarize(seq, heading_mode=cfg.heading_total_mode)
-    codes, evidence = label_batch([seq], [summary], cfg, [clip_id])
+    columns = (summarize_batch([seq], cfg.heading_total_mode) if summary is None
+               else _summary_columns(summary))
+    codes, evidence = label_batch([seq], columns, cfg, [clip_id])
     return records([clip_id], codes, evidence, cfg)

@@ -132,9 +132,10 @@ class ThresholdConfig:
 
 
 def calibrate_thresholds(
-    summaries, base: ThresholdConfig | None = None
+    summaries: dict[str, np.ndarray], base: ThresholdConfig | None = None
 ) -> ThresholdConfig:
-    """Re-derive the percentile-calibrated boundaries from a corpus.
+    """Re-derive the percentile-calibrated boundaries from a corpus's
+    ``kinematics.summarize_batch`` columns.
 
     Braking buckets come from P25/P50/P75 of the per-clip minimum
     acceleration distribution (three boundaries for four classes). The
@@ -143,13 +144,10 @@ def calibrate_thresholds(
     the corpus. Physics-anchored thresholds are left untouched.
     """
     base = base or ThresholdConfig()
-    summaries = list(summaries)
-    if not summaries:
+    if not len(summaries["min_accel"]):
         raise ConfigError("calibration needs a non-empty corpus")
-    min_acc = np.array([s.min_accel for s in summaries])
-    mean_jerk = np.array([s.mean_abs_jerk for s in summaries])
-    brake = np.percentile(min_acc, [25, 50, 75])
-    jerk = np.percentile(mean_jerk, [50, 75])
+    brake = np.percentile(summaries["min_accel"], [25, 50, 75])
+    jerk = np.percentile(summaries["mean_abs_jerk"], [50, 75])
     if not (brake[0] < brake[1] < brake[2] < 0):
         raise ConfigError(
             "degenerate braking distribution: percentiles are not ordered "

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from egodyn import cli, consistency, io, metrics, report
 from egodyn.errors import ConfigError, NoGroundTruth
-from egodyn.kinematics import summarize_batch
+from egodyn.kinematics import summarize
 from egodyn.oracle import label_all
 from egodyn.questions import ANSWER_SPACES, QUESTION_ORDER, TEMPORAL_QUESTIONS, UNPARSED
 from egodyn.synth import generate_suite
@@ -198,7 +198,7 @@ def ref_cmd_evaluate(cfg):
 
 
 def ref_sweep(clips, model_predictions, cfg, alphas) -> list[metrics.SweepResult]:
-    summaries = summarize_batch([seq for _, seq in clips], heading_mode=cfg.heading_total_mode)
+    summaries = [summarize(seq, heading_mode=cfg.heading_total_mode) for _, seq in clips]
 
     def scores_at(alpha):
         scaled = cfg.with_alpha(cfg.alpha * alpha).scaled()

@@ -10,11 +10,15 @@ Savitzky-Golay reference (``savgol_reference``), ``np.gradient`` and
 
 from __future__ import annotations
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import GRID, make_seq
 from egodyn import io
 from egodyn.errors import EgodynError, WindowTooLarge
 from egodyn.kinematics import (
@@ -31,6 +35,7 @@ from egodyn.kinematics import (
     smooth_savgol,
     summarize,
     summarize_batch,
+    summary_rows,
 )
 from egodyn.synth import generate_suite
 from savgol_reference import savgol_reference
@@ -80,7 +85,7 @@ def reference_summary(seq, heading_mode):
         name: {f"p{q}": float(np.percentile(values, q)) for q in (25, 50, 75)}
         for name, values in (("accel", seq.a), ("abs_jerk", abs_jerk))
     }
-    return KinematicSummary(
+    return dict(
         max_speed=float(np.max(seq.v)),
         mean_speed=float(np.mean(seq.v)),
         min_accel=float(np.min(seq.a)),
@@ -103,13 +108,37 @@ def seq_bytes(seq):
 
 
 def summary_bytes(summary):
-    doc = summary.as_dict()
+    """The floats of a summary row (``dataclasses.asdict`` of a summary)."""
+    doc = dict(summary)
     pct = doc.pop("percentiles")
     values = list(doc.values()) + [pct[k][p] for k in sorted(pct) for p in sorted(pct[k])]
     return np.array(values, dtype=float).tobytes()
 
 
+def summary_shapes(n):
+    """The shape of every ``summarize_batch`` column for n clips."""
+    stats = [f.name for f in dataclasses.fields(KinematicSummary) if f.name != "percentiles"]
+    return {**{name: (n,) for name in stats}, "accel": (n, 3), "abs_jerk": (n, 3)}
+
+
+def clip_summaries_text(path, clip_ids, rows):
+    io.write_jsonl(path, [{"clip_id": c, "summary": row} for c, row in zip(clip_ids, rows)])
+    return path.read_bytes()
+
+
 # --- inputs -----------------------------------------------------------------
+
+
+def edge_value_clips():
+    """Clips whose summaries hold -0.0, 5e-324 (the least subnormal) and
+    1e308 (near the largest float) without overflowing."""
+    spike = np.zeros(GRID.size)
+    spike[3] = 1e308
+    return [
+        make_seq(v=0.0, a=-0.0, j=-0.0, omega=-0.0),
+        make_seq(v=5e-324, a=5e-324, j=-5e-324, omega=5e-324),
+        make_seq(v=spike, a=-spike, j=spike, omega=0.0),
+    ]
 
 
 def raw_logs(count, seed, noise):
@@ -172,7 +201,10 @@ class TestDerivationBatch:
             assert seq_bytes(derive_states_from_rates(*grid)) == expected
 
     @pytest.mark.parametrize("mode", ["net", "sum"])
-    def test_summary_batch_equals_batches_of_one_and_reference(self, noise, mode):
+    def test_summary_batch_equals_batches_of_one_and_reference(self, tmp_path, noise, mode):
+        """Columns, their rows and the rows' JSON Lines bytes equal those of
+        every clip alone and of the reference, over mixed sample counts,
+        extreme values and numeric clip ids; and for no clips."""
         poses, rates = raw_logs(30, seed=23, noise=noise)
         seqs = [c.seq for c in generate_suite(30, seed=24, noise_std=NOISE if noise else None)]
         pose_batch = derive_pose_batch(*stack(pose_grids(poses)))
@@ -181,11 +213,28 @@ class TestDerivationBatch:
         # two more sample counts, interleaved with the 31-sample clips
         seqs.insert(5, derive_states_from_rates(*resample_rate_log(*rates[0], 10.0, 2.5)))
         seqs.insert(50, derive_states_from_rates(*resample_rate_log(*rates[1], 5.0, 3.0)))
-        batch = summarize_batch(seqs, mode)
-        assert len(batch) == len(seqs)
-        for seq, summary in zip(seqs, batch):
-            expected = summary_bytes(reference_summary(seq, mode))
-            assert summary_bytes(summary) == summary_bytes(summarize(seq, mode)) == expected
+        seqs[7:7] = edge_value_clips()
+        clip_ids = [k if k % 2 else k / 4 for k in range(len(seqs))]  # numeric ids
+        columns = summarize_batch(seqs, mode, clip_ids)
+        assert {key: column.shape for key, column in columns.items()} == summary_shapes(len(seqs))
+        rows = summary_rows(columns)
+        assert len(rows) == len(seqs)
+        alone = [dataclasses.asdict(summarize(seq, mode)) for seq in seqs]
+        for seq, row, one in zip(seqs, rows, alone):
+            assert row == one
+            assert summary_bytes(row) == summary_bytes(one) == summary_bytes(
+                reference_summary(seq, mode))
+        # the clip_summaries.jsonl text of the rows is that of the clips alone
+        text = clip_summaries_text(tmp_path / "batch.jsonl", clip_ids, rows)
+        assert text == clip_summaries_text(tmp_path / "alone.jsonl", clip_ids, alone)
+        assert text == "".join(
+            json.dumps({"clip_id": clip_id, "summary": one}, sort_keys=True, ensure_ascii=False)
+            + "\n" for clip_id, one in zip(clip_ids, alone)).encode("utf-8")
+        assert all(token in text for token in (b"-0.0", b"5e-324", b"1e+308"))
+        # no clips: every column, with no rows
+        columns = summarize_batch([], mode, [])
+        assert {key: column.shape for key, column in columns.items()} == summary_shapes(0)
+        assert summary_rows(columns) == []
 
 
 @pytest.mark.parametrize(
@@ -290,7 +339,7 @@ def test_hypothesis_mixed_clips_equal_clip_by_clip(logs, mode):
     for (_, seq), rows, reference in zip(batch, clips.values(), expected):
         assert seq_bytes(seq) == seq_bytes(io.rows_to_sequence(rows)) == reference
     seqs = [seq for _, seq in batch]
-    for seq, summary in zip(seqs, summarize_batch(seqs, mode)):
+    for seq, summary in zip(seqs, summary_rows(summarize_batch(seqs, mode))):
         assert summary_bytes(summary) == summary_bytes(reference_summary(seq, mode))
 
 

@@ -3,9 +3,10 @@
 ``label --encoding summary``, ``sweep`` and ``calibrate-thresholds`` run
 through ``cli.main`` twice on one corpus that mixes pose, rate and
 full-state clips (and two sample counts): once as shipped, and once with
-ingest and summaries done clip by clip through the per-clip wrappers
-``io.rows_to_sequence`` and ``kinematics.summarize``. Every output file,
-the manifest included, must be byte-identical between the two runs.
+ingest and summaries done clip by clip, through the per-clip wrapper
+``io.rows_to_sequence`` and ``kinematics.summarize_batch`` of one clip.
+Every output file, the manifest included, must be byte-identical between
+the two runs. The batch commands build no per-clip ``KinematicSummary``.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 from egodyn import cli, io, metrics
-from egodyn.kinematics import summarize
+from egodyn.kinematics import KinematicSummary, summarize, summarize_batch
 from egodyn.questions import ANSWER_SPACES, QUESTION_ORDER
 from egodyn.synth import generate_suite
 
@@ -103,7 +104,8 @@ def patch_clip_by_clip(monkeypatch) -> dict[str, int]:
 
     def summarize_each(seqs, heading_mode="net", clip_ids=None):  # ids name an overflow
         calls["summarize"] += len(seqs)
-        return [summarize(seq, heading_mode) for seq in seqs]
+        alone = [summarize_batch([seq], heading_mode) for seq in seqs]
+        return {key: np.concatenate([columns[key] for columns in alone]) for key in alone[0]}
 
     monkeypatch.setattr(cli, "_load_clips", load_clips)
     monkeypatch.setattr(cli, "summarize_batch", summarize_each)
@@ -133,3 +135,31 @@ def test_batched_outputs_equal_clip_by_clip(corpus, monkeypatch, command, headin
     assert cli.main(argv) == 0
     assert calls["rows_to_sequence"] == 45 and calls["summarize"] == 45
     assert _outputs(corpus / name) == batched
+
+
+def test_batch_commands_build_no_kinematic_summary(corpus, monkeypatch):
+    """``label``, ``sweep``, ``calibrate-thresholds`` and ``synth`` keep
+    their summaries as columns; only the per-clip ``summarize`` builds a
+    ``KinematicSummary``, one per call."""
+    built = []
+    init = KinematicSummary.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(KinematicSummary, "__init__", counting_init)
+    traj = str(corpus / "trajectories.jsonl")
+    runs = {
+        "label": {"input": traj, "encoding": "summary"},
+        "sweep": {"trajectories": traj, "alphas": [0.8, 1.0, 1.3],
+                  "predictions": {m: str(corpus / f"{m}.jsonl") for m in ("close", "far")}},
+        "calibrate-thresholds": {"input": traj},
+        "synth": {"count": 6, "encoding": "summary"},
+    }
+    for command, params in runs.items():
+        assert cli.main([command, "--config", _config(corpus, f"built_{command}", params)]) == 0
+    assert (corpus / "built_synth" / "prompts.jsonl").stat().st_size > 0
+    assert built == []
+    summarize(generate_suite(1, seed=3)[0].seq)
+    assert len(built) == 1

@@ -323,6 +323,9 @@ def command_inputs(tmp_path_factory):
 @example(doc=("sweep", '{"trajectories": "@trajectories", "predictions": {"m": "@predictions", '
                        '"m": "@predictions"}, "alphas": [1.0], "out": "out"}',
               "{config}:1: key 'm' repeats in its object"))
+@example(doc=("synth", '{"out": "out",\n "count": %s}' % ("9" * 5001),
+              "{config}:2: invalid JSON (Exceeds the limit (4300 digits) for integer string "
+              "conversion: value has 5001 digits, column 11)"))
 def test_config_document(tmp_path_factory, command_inputs, doc):
     command, text, named = doc
     for key, path in command_inputs.items():

@@ -17,7 +17,7 @@ from conftest import GRID, make_seq, ref_label_rows
 from egodyn import cli, io, oracle, parsing
 from egodyn.cli import COMMAND_KEYS, main
 from egodyn.errors import ConfigError, InvalidTrajectory
-from egodyn.kinematics import PoseSample, stratification_bin, summarize_batch
+from egodyn.kinematics import PoseSample, stratification_bin, summarize_batch, summary_rows
 from egodyn.questions import ANSWER_SPACES, QUESTION_ORDER
 from egodyn.synth import TEMPLATE_NAMES, ManeuverSpec, generate, generate_suite
 from egodyn.thresholds import ThresholdConfig
@@ -86,6 +86,10 @@ NAMED_JSONL = {
     "separators_in_strings": ('{"s": "a\u2028b\x85c"}\n{"s": "\u2028"}', None),
     "nan_and_infinity": ('{"a": NaN, "b": [Infinity, -Infinity]}', None),
     "padded_object": (' \t{"a": {"b": []}}\t ', None),
+    # int() converts at most 4,300 digits (sys.get_int_max_str_digits())
+    "long_integer": ('{"a": 1}\n{"s": "%s", "f": 1.%s, "n": -%s}' % (("1" * 5001,) * 3),
+                     ":2: invalid JSON (Exceeds the limit (4300 digits) for integer string "
+                     "conversion: value has 5001 digits, column 10027)"),
     "unicode_padded_object": (' \t{"a": {"b": []}}\xa0\u3000', ":1: invalid JSON (Extra data"),
 }
 
@@ -167,14 +171,15 @@ class TestJsonlIdentity:
         edges = [np.float64(0.1), -0.0, 1e308, math.nan, math.inf, -math.inf, True, None,
                  "\u00e9", 5]
         seqs = [clip.seq for clip in generate_suite(len(edges), seed=5)]
-        summaries = summarize_batch(seqs)
+        columns = summarize_batch(seqs)
         cfg = ThresholdConfig(alpha=0.93)
-        codes, evidence = oracle.label_batch(seqs, summaries, cfg)
+        codes, evidence = oracle.label_batch(seqs, columns, cfg)
         clip_ids = ["c0", "k\u00f6rung \U0001f697", "\u2028", "100%", *"abcdef"]
-        summary_rows = [
-            {"clip_id": clip_id, "summary": s.as_dict(), "tags": tags,
+        meta_rows = [
+            {"clip_id": clip_id, "summary": summary, "tags": tags,
              "stratification_bin": stratification_bin(tags)}
-            for clip_id, s, tags in zip(clip_ids, summaries, oracle.tags_of(codes))
+            for clip_id, summary, tags in zip(clip_ids, summary_rows(columns),
+                                              oracle.tags_of(codes))
         ]
         evidence["edge"] = np.array(edges, dtype=object)
         table = {question: (rule, params, names + ("edge",))
@@ -182,12 +187,12 @@ class TestJsonlIdentity:
         labels = oracle.label_lines(clip_ids, codes, evidence, table)
         assert labels.encode("utf-8") == self.dumps_loop(
             ref_label_rows(clip_ids, codes, evidence, table))
-        summary_rows[0]["summary"]["max_speed"] = np.float64(-0.0)
-        summary_rows[1]["summary"]["percentiles"]["accel"]["p50"] = math.nan
-        summary_rows[2]["tags"]["has_turn"] = None
+        meta_rows[0]["summary"]["max_speed"] = np.float64(-0.0)
+        meta_rows[1]["summary"]["percentiles"]["accel"]["p50"] = math.nan
+        meta_rows[2]["tags"]["has_turn"] = None
         path = tmp_path / "rows.jsonl"
-        io.write_jsonl(path, summary_rows)
-        assert path.read_bytes() == self.dumps_loop(summary_rows)
+        io.write_jsonl(path, meta_rows)
+        assert path.read_bytes() == self.dumps_loop(meta_rows)
 
     def test_failed_write_leaves_no_state(self, tmp_path):
         """A row that fails to encode, then the same containers again: the
@@ -971,6 +976,44 @@ class TestCalibrateCommand:
         assert status == 2
 
 
+class TestZeroClips:
+    """Commands on an input of no clips: those that can write nothing write
+    empty files and exit 0; those that need clips exit 2 saying why."""
+
+    @pytest.fixture
+    def empty(self, tmp_path):
+        path = tmp_path / "empty.jsonl"
+        path.write_text("")
+        return path
+
+    def test_label_writes_empty_files(self, tmp_path, empty):
+        out = tmp_path / "o"
+        assert run_cli("label", {"input": str(empty), "out": str(out),
+                                 "encoding": "summary"}, tmp_path) == 0
+        for name in ("labels.jsonl", "clip_summaries.jsonl", "prompts.jsonl"):
+            assert (out / name).read_bytes() == b""
+
+    def test_synth_summary_prompts_are_empty(self, tmp_path):
+        out = tmp_path / "o"
+        assert run_cli("synth", {"count": 0, "encoding": "summary", "out": str(out)},
+                       tmp_path) == 0
+        assert (out / "prompts.jsonl").read_bytes() == b""
+
+    def test_calibrate_needs_clips(self, tmp_path, capsys, empty):
+        status = run_cli("calibrate-thresholds", {"input": str(empty), "out": str(tmp_path / "o")},
+                         tmp_path)
+        err = capsys.readouterr().err
+        assert status == 2, err
+        assert "calibration needs a non-empty corpus" in err
+
+    def test_sweep_has_no_truth(self, tmp_path, capsys, empty):
+        status = run_cli("sweep", {"trajectories": str(empty), "predictions": {"m": str(empty)},
+                                   "alphas": [0.5, 1.0], "out": str(tmp_path / "o")}, tmp_path)
+        err = capsys.readouterr().err
+        assert status == 2, err
+        assert "no scorable questions in the truth set" in err
+
+
 class TestValidation:
     def test_missing_input_path(self, tmp_path):
         status = run_cli(
@@ -1429,6 +1472,7 @@ BAD_JSON_LINES = {
     "non_json_padding": '\x0c{"clip_id": "c1"}\xa0',
     "control_tail": '{"clip_id": "c1"}\x1f',
     "non_json_blank": "\xa0",
+    "long_integer": '{"clip_id": "c1", "extra": %s}' % ("9" * 5001),
 }
 
 

@@ -10,7 +10,7 @@ import pytest
 from conftest import make_seq, random_seq
 from egodyn import oracle
 from egodyn.errors import ConfigError
-from egodyn.kinematics import summarize
+from egodyn.kinematics import summarize, summarize_batch
 from egodyn.questions import ANSWER_SPACES, QUESTION_ORDER
 from egodyn.thresholds import ThresholdConfig, calibrate_thresholds
 
@@ -327,15 +327,15 @@ class TestThresholdConfig:
 class TestCalibration:
     def test_percentile_recalibration(self):
         rng = np.random.default_rng(17)
-        summaries = []
+        seqs = []
         min_accels = rng.uniform(-4.0, -0.1, 200)
         mean_jerks = rng.uniform(0.2, 4.0, 200)
         for min_a, mean_j in zip(min_accels, mean_jerks):
             a = np.zeros(31)
             a[10] = min_a
             j = np.full(31, mean_j)
-            summaries.append(summarize(make_seq(a=a, j=j)))
-        calibrated = calibrate_thresholds(summaries)
+            seqs.append(make_seq(a=a, j=j))
+        calibrated = calibrate_thresholds(summarize_batch(seqs))
         assert calibrated.brake_emergency == pytest.approx(np.percentile(min_accels, 25))
         assert calibrated.brake_moderate == pytest.approx(np.percentile(min_accels, 50))
         assert calibrated.brake_low == pytest.approx(np.percentile(min_accels, 75))
@@ -348,4 +348,4 @@ class TestCalibration:
     def test_degenerate_corpus_rejected(self):
         seq = make_seq(a=np.full(31, 0.5), j=1.0)
         with pytest.raises(ConfigError):
-            calibrate_thresholds([summarize(seq)] * 5)
+            calibrate_thresholds(summarize_batch([seq] * 5))

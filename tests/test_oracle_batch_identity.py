@@ -404,8 +404,9 @@ def assert_same_records(clips, cfg):
     batch, give the reference records of every clip."""
     clip_ids = [clip_id for clip_id, _ in clips]
     seqs = [seq for _, seq in clips]
-    summaries = summarize_batch(seqs, heading_mode=cfg.heading_total_mode)
-    codes, evidence = oracle.label_batch(seqs, summaries, cfg)
+    codes, evidence = oracle.label_batch(
+        seqs, summarize_batch(seqs, heading_mode=cfg.heading_total_mode), cfg)
+    summaries = [summarize(seq, heading_mode=cfg.heading_total_mode) for seq in seqs]
     got = [r.to_dict() for r in oracle.records(clip_ids, codes, evidence, cfg)]
     want = [
         r.to_dict()
@@ -659,7 +660,7 @@ def test_label_command_writes_the_reference_bytes(tmp_path, monkeypatch, mode):
 
     rows = io.read_trajectory_clips(tmp_path / "traj.jsonl")
     seqs = [seq for _, seq in io.rows_to_sequences(rows)]
-    summaries = summarize_batch(seqs, heading_mode=mode)
+    summaries = [summarize(seq, heading_mode=mode) for seq in seqs]
     want = [r.to_dict() for (clip_id, _), seq, summary in zip(clips, seqs, summaries)
             for r in ref_label_all(seq, summary, cfg, clip_id)]
     assert (tmp_path / "out" / "labels.jsonl").read_text() == jsonl(want)
@@ -696,7 +697,7 @@ def test_sweep_builds_no_records_and_labels_once_per_alpha(monkeypatch):
     monkeypatch.undo()
     assert calls == [0.5, 0.93, 1.0, 1.5]
 
-    summaries = summarize_batch([seq for _, seq in clips], heading_mode="sum")
+    summaries = [summarize(seq, heading_mode="sum") for _, seq in clips]
     for result in results:
         scaled = cfg.with_alpha(result.alpha).scaled()
         truth = AnswerTable.from_rows(

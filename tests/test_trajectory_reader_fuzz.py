@@ -81,10 +81,10 @@ def one_by_one(path):
         for clip_id, rows in io.read_trajectory_clips(path).items():
             with io._naming(clip_id):
                 states[clip_id] = build_alone(rows)
-        summaries = [summarize_batch([seq], clip_ids=[clip_id])[0]
+        summaries = [summarize_batch([seq], clip_ids=[clip_id])
                      for clip_id, seq in states.items()]
         for (clip_id, seq), summary in zip(states.items(), summaries):
-            label_batch([seq], [summary], ThresholdConfig(), [clip_id])
+            label_batch([seq], summary, ThresholdConfig(), [clip_id])
     except EgodynError as exc:
         return f"egodyn label: {exc}\n"
     return None
