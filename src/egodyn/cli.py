@@ -141,14 +141,16 @@ def _integer(key: str, value, minimum: int, maximum: float = math.inf) -> int:
     return value
 
 
-def _load_clips(cfg: RunConfig, key: str = "input"):
+def _load_clips(cfg: RunConfig, key: str = "input", start: int = 0, end: int | None = None):
+    """The ``(clip_id, seq)`` clips of the trajectory file ``cfg.params[key]``,
+    or of its bytes from ``start`` to ``end`` (``io.read_jsonl``)."""
     path = cfg.params[key]
     rate = _positive("rate_hz", cfg.params.get("rate_hz", 10.0))
     window = _positive("window_s", cfg.params.get("window_s", 3.0))
     if rate * window > _MAX_GRID_STEPS:
         raise ConfigError(
             f"rate_hz * window_s must be at most {_MAX_GRID_STEPS}, got {rate!r} * {window!r}")
-    return io.rows_to_sequences(io.read_trajectory_clips(path), rate, window)
+    return io.rows_to_sequences(io.read_trajectory_clips(path, start, end), rate, window)
 
 
 def _check_positions(cfg: RunConfig, clips) -> None:
@@ -161,42 +163,73 @@ def _check_positions(cfg: RunConfig, clips) -> None:
                     f"clip {clip_id!r}: {cfg.encoding} encoding needs x and y channels")
 
 
-def _write_prompts(cfg: RunConfig, summarized, out_dir: Path) -> Path:
+def _prompt_lines(cfg: RunConfig, summarized) -> str:
+    """The ``prompts.jsonl`` text of the ``(clip_id, seq, summary)`` clips."""
     n_steps = cfg.params.get("encoding_steps", 10)  # checked by RunConfig.validate
-    rows = [
+    return io.jsonl_text(
         {
             "clip_id": clip_id,
             "mode": cfg.encoding,
             "text": encode_trajectory(seq, summary, cfg.encoding, n_steps),
         }
         for clip_id, seq, summary in summarized
-    ]
-    path = out_dir / "prompts.jsonl"
-    io.write_jsonl(path, rows)
-    return path
+    )
 
 
-def _cmd_label(cfg: RunConfig) -> dict[str, Path]:
-    thresholds = _load_thresholds(cfg)
-    clips = _load_clips(cfg)
+def _label_clips(
+    cfg: RunConfig, thresholds: ThresholdConfig, start: int = 0, end: int | None = None,
+) -> tuple[list[str], str, str, str]:
+    """``label``'s work on the clips of the input, or of its bytes from
+    ``start`` to ``end``: their ids and the text of their ``labels.jsonl``,
+    ``clip_summaries.jsonl`` and ``prompts.jsonl`` lines (no prompts
+    without ``cfg.encoding``)."""
+    clips = _load_clips(cfg, start=start, end=end)
     _check_positions(cfg, clips)
     clip_ids = [clip_id for clip_id, _ in clips]
     seqs = [seq for _, seq in clips]
     columns = summarize_batch(seqs, thresholds.heading_total_mode, clip_ids)
     codes, ev = label_batch(seqs, columns, thresholds, clip_ids)
     summaries = summary_rows(columns)
-    meta_rows = [
+    meta = io.jsonl_text(
         {"clip_id": clip_id, "summary": summary, "tags": tags,
          "stratification_bin": stratification_bin(tags)}
         for clip_id, summary, tags in zip(clip_ids, summaries, tags_of(codes))
-    ]
+    )
+    prompts = _prompt_lines(cfg, zip(clip_ids, seqs, summaries)) if cfg.encoding else ""
+    return clip_ids, label_lines(clip_ids, codes, ev, rule_table(thresholds)), meta, prompts
+
+
+def _split_label(cfg: RunConfig, thresholds: ThresholdConfig):
+    """The ``_label_clips`` of the input's two parts, cut at
+    ``io.clip_boundary``: a forked child labels the second while the
+    command labels the first. None where ``_in_child`` would not fork, the
+    input is not cut, either part fails or a clip has rows in both."""
+    if not _forks():
+        return None
+    try:
+        split = io.clip_boundary(cfg.params["input"])
+        if split is None:
+            return None
+        with _in_child(_label_clips, cfg, thresholds, split) as collect:
+            first, second = _label_clips(cfg, thresholds, 0, split), collect()
+    except Exception:  # whatever it is, labeling the whole input names it
+        return None
+    return [first, second] if set(first[0]).isdisjoint(second[0]) else None
+
+
+def _cmd_label(cfg: RunConfig) -> dict[str, Path]:
+    """Label the input's clips, in two parts at once where it can
+    (``_split_label``), else in one, which names any fault as on one CPU."""
+    thresholds = _load_thresholds(cfg)
+    parts = _split_label(cfg, thresholds) or [_label_clips(cfg, thresholds)]
     out = cfg.out_dir
     outputs = {"labels": out / "labels.jsonl", "clip_summaries": out / "clip_summaries.jsonl"}
-    outputs["labels"].write_text(
-        label_lines(clip_ids, codes, ev, rule_table(thresholds)), encoding="utf-8")
-    io.write_jsonl(outputs["clip_summaries"], meta_rows)
     if cfg.encoding:
-        outputs["prompts"] = _write_prompts(cfg, zip(clip_ids, seqs, summaries), out)
+        outputs["prompts"] = out / "prompts.jsonl"
+    for k, path in enumerate(outputs.values(), 1):  # text k of each part
+        with path.open("w", encoding="utf-8") as handle:
+            for part in parts:
+                handle.write(part[k])
     return outputs
 
 
@@ -220,9 +253,9 @@ def _cmd_synth(cfg: RunConfig) -> dict[str, Path]:
     ])
     if cfg.encoding:
         summaries = summary_rows(summarize_batch([c.seq for c in suite]))
-        outputs["prompts"] = _write_prompts(
-            cfg, [(c.clip_id, c.seq, s) for c, s in zip(suite, summaries)], out
-        )
+        outputs["prompts"] = out / "prompts.jsonl"
+        outputs["prompts"].write_text(_prompt_lines(
+            cfg, [(c.clip_id, c.seq, s) for c, s in zip(suite, summaries)]), encoding="utf-8")
     return outputs
 
 
@@ -246,6 +279,13 @@ def _checked_rows(path: str, rows: list[dict], check, *fields: str):
             raise
 
 
+def _forks() -> bool:
+    """Whether ``_in_child`` forks: the process may run on two or more CPUs
+    (``os.sched_getaffinity`` exists only where ``os.fork`` does)."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return affinity is not None and len(affinity(0)) >= 2
+
+
 @contextmanager
 def _in_child(fn, *args, first: bool = False):
     """Run ``fn(*args)`` in a forked child while the block runs.
@@ -253,18 +293,16 @@ def _in_child(fn, *args, first: bool = False):
     The block gets ``collect``, which waits for the child and returns what
     ``fn`` returned, or raises what it raised; both come back pickled
     through a pipe. Where the process may run on one CPU only, or cannot
-    fork (``os.sched_getaffinity`` exists only where ``os.fork`` does),
-    there is no child: ``fn`` runs inline where the command's serial
-    order puts it, before the block if ``first``, else when ``collect`` is
-    called. A command whose block and ``collect`` follow that order
-    writes the same bytes, raises the same first error and holds the
-    same data at once either way. A child that has not been collected
+    fork (``_forks``), there is no child: ``fn`` runs inline where the
+    command's serial order puts it, before the block if ``first``, else
+    when ``collect`` is called. A command whose block and ``collect``
+    follow that order writes the same bytes, raises the same first error
+    and holds the same data at once either way. A child that has not been collected
     when the block ends, say on an error or an interrupt, is killed and
     reaped. ``fn`` must call no BLAS routine: the child has no copy of
     OpenBLAS's worker threads.
     """
-    affinity = getattr(os, "sched_getaffinity", None)
-    if affinity is None or len(affinity(0)) < 2:
+    if not _forks():
         if first:
             value = fn(*args)
             yield lambda: value

@@ -24,9 +24,11 @@ import csv
 import hashlib
 import itertools
 import json
+import mmap
 import re
 import sys
 from contextlib import contextmanager
+from io import BytesIO, TextIOWrapper
 from numbers import Real
 from operator import itemgetter
 from pathlib import Path
@@ -66,13 +68,15 @@ def json_text(value) -> str:
     return "".join(_encode(value, 0))
 
 
+def jsonl_text(records: Iterable[Mapping[str, Any]]) -> str:
+    """The JSON Lines text of ``records``: each one's ``json_text`` and ``\\n``."""
+    return "".join(["".join(_encode(record, 0)) + "\n" for record in records])
+
+
 def write_jsonl(path: str | Path, records: Iterable[Mapping[str, Any]]) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as handle:
-        for record in records:
-            handle.write("".join(_encode(record, 0)))
-            handle.write("\n")
+    path.write_text(jsonl_text(records), encoding="utf-8")
 
 
 def _json_object(text: str, path: str | Path, line: int) -> dict:
@@ -173,7 +177,18 @@ def _utf8(path: str | Path):
 _JSON_SPACE = " \t\n\r"
 
 
-def read_jsonl(path: str | Path) -> list[dict]:
+def _text(path: str | Path, start: int, end: int | None):
+    """The text of ``path``, or of its bytes from ``start`` to ``end``, as
+    lines in universal newline mode."""
+    if start == 0 and end is None:
+        return Path(path).open("r", encoding="utf-8")
+    with Path(path).open("rb") as handle:
+        handle.seek(start)
+        data = handle.read(-1 if end is None else end - start)
+    return TextIOWrapper(BytesIO(data), encoding="utf-8")
+
+
+def read_jsonl(path: str | Path, start: int = 0, end: int | None = None) -> list[dict]:
     """One JSON object per line, whose strings are Unicode text; a line of
     JSON whitespace alone is blank and skipped.
 
@@ -181,9 +196,15 @@ def read_jsonl(path: str | Path) -> list[dict]:
     ``raw_decode`` consuming all of it accepts exactly what ``json.loads``
     accepts. Only the lines that hold a ``\\u`` escape are searched for
     lone surrogates.
+
+    With ``start`` or ``end``, only the bytes from ``start`` up to ``end``
+    (the end of the file if None) are read; each must be a line start or
+    the end of the file, so the rows of ``[0, s)`` and then ``[s, end)``
+    are those of the whole file. A message names lines counted from
+    ``start``.
     """
     records = []
-    with _utf8(path), Path(path).open("r", encoding="utf-8") as handle:
+    with _utf8(path), _text(path, start, end) as handle:
         for number, line in enumerate(handle, 1):
             line = line.strip(_JSON_SPACE)
             if line:
@@ -283,9 +304,15 @@ def sha256_text(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _read_rows(path: str | Path) -> list[dict]:
+def _is_csv(path: str | Path) -> bool:
+    return Path(path).suffix.lower() == ".csv"
+
+
+def _read_rows(path: str | Path, start: int = 0, end: int | None = None) -> list[dict]:
+    """The rows of a CSV file, or of the JSONL file's bytes from ``start``
+    to ``end`` (``read_jsonl``)."""
     path = Path(path)
-    if path.suffix.lower() == ".csv":
+    if _is_csv(path):
         with _utf8(path), path.open("r", encoding="utf-8", newline="") as handle:
             rows = []
             reader = csv.DictReader(handle)
@@ -306,24 +333,40 @@ def _read_rows(path: str | Path) -> list[dict]:
                             ) from None
                 rows.append(parsed)
             return rows
-    return read_jsonl(path)
+    return read_jsonl(path, start, end)
 
 
-def read_trajectory_clips(path: str | Path) -> dict[str, list[dict]]:
-    """Group trajectory rows by clip id, in first-seen order.
+def _clip_key(clip_id) -> str | None:
+    """A trajectory row's ``clip_id`` that is not a string, as its clips are
+    grouped: a JSON number as its string; None for null, a boolean, an
+    array or an object, which name no clip."""
+    if clip_id is None or isinstance(clip_id, (bool, list, dict)):
+        return None
+    return str(clip_id)
+
+
+def read_trajectory_clips(
+    path: str | Path, start: int = 0, end: int | None = None,
+) -> dict[str, list[dict]]:
+    """Group trajectory rows by clip id, in first-seen order; of a JSONL
+    file, only the rows of its bytes from ``start`` to ``end`` (see
+    ``read_jsonl``).
 
     Raises:
         ConfigError: the rows of a clip are not contiguous, or a
-            ``clip_id`` is an array or an object (naming its line).
+            ``clip_id`` is null, a boolean, an array or an object (naming
+            its line).
     """
     clips: dict[str, list[dict]] = {}
     current = None
-    for index, row in enumerate(_read_rows(path)):
+    for index, row in enumerate(_read_rows(path, start, end)):
         clip_id = row.get("clip_id", DEFAULT_CLIP_ID)
         if type(clip_id) is not str:  # one type test for a row whose id is a string
-            if isinstance(clip_id, (list, dict)):
-                raise ConfigError(f"{path}:{_row_line(path, index)}: {_row_fault(row, ())}")
-            clip_id = str(clip_id)
+            key = _clip_key(clip_id)
+            if key is None:
+                raise ConfigError(f"{path}:{_row_line(path, index)}: field 'clip_id' holds "
+                                  f"{json_kind(clip_id)}, not a string or a number")
+            clip_id = key
         if clip_id != current:
             if clip_id in clips:
                 raise ConfigError(
@@ -334,6 +377,48 @@ def read_trajectory_clips(path: str | Path) -> dict[str, list[dict]]:
             clips[clip_id] = []
         clips[clip_id].append(row)
     return clips
+
+
+def clip_boundary(path: str | Path) -> int | None:
+    """Where a JSONL trajectory file may be cut in two between clips: the
+    first line start at or after its middle byte whose row's clip id
+    differs from that of the row on the line before.
+
+    None for a CSV or empty file, for one with no ``\\n`` after its middle,
+    and when no such line start comes before a line that is blank or not a
+    row with a clip id (``_clip_key``): the whole file is then read as one.
+    """
+    if _is_csv(path):
+        return None
+    with Path(path).open("rb") as handle:
+        size = handle.seek(0, 2)
+        if size == 0:
+            return None
+        with mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ) as data:
+            start = data.find(b"\n", size // 2 - 1) + 1
+            if start == 0:
+                return None
+            previous = _line_clip(data[data.rfind(b"\n", 0, start - 1) + 1:start])
+            while previous is not None and start < size:
+                end = data.find(b"\n", start) + 1 or size
+                clip = _line_clip(data[start:end])
+                if clip != previous:
+                    return None if clip is None else start
+                previous, start = clip, end
+    return None
+
+
+def _line_clip(line: bytes) -> str | None:
+    """The clip of the trajectory row on ``line``, grouped as
+    ``read_trajectory_clips`` groups it; None if the line holds no such row."""
+    try:
+        row = json.loads(line.decode("utf-8"))
+    except (ValueError, RecursionError):  # not UTF-8 or JSON, or not one read_jsonl reads
+        return None
+    if not isinstance(row, dict):
+        return None
+    clip_id = row.get("clip_id", DEFAULT_CLIP_ID)
+    return clip_id if type(clip_id) is str else _clip_key(clip_id)
 
 
 _FULL_STATE_KEYS = ("t", "v", "a", "j", "omega", "theta")

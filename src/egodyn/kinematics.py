@@ -536,29 +536,46 @@ _PERCENTILE_KEYS = ("p25", "p50", "p75")
 _SUMMARY_STATS = tuple(f.name for f in fields(KinematicSummary) if f.name != "percentiles")
 
 
+def sample_count_stacks(
+    seqs: Sequence[object], channels: Sequence[str],
+) -> list[tuple[list[int], tuple[np.ndarray, ...]]]:
+    """The clips of ``seqs`` stacked by the length of their first channel:
+    per stack, the positions of its m clips in ``seqs`` and each of
+    ``channels`` as an (m, n) array."""
+    by_count: dict[int, list[int]] = {}
+    for i, seq in enumerate(seqs):
+        by_count.setdefault(len(getattr(seq, channels[0])), []).append(i)
+    return [
+        (members, tuple(np.array([getattr(seqs[i], name) for i in members]) for name in channels))
+        for members in by_count.values()
+    ]
+
+
+def reduce_stacks(
+    count: int, stacks: Sequence[tuple[list[int], tuple[np.ndarray, ...]]],
+    reduce: Callable[..., dict[str, np.ndarray]],
+) -> dict[str, np.ndarray]:
+    """Columns of ``reduce`` over the ``count`` clips of ``stacks``
+    (``sample_count_stacks``), in input order: ``reduce`` gets a stack's
+    arrays and returns columns whose first axis runs over its clips. No
+    stacks give no columns."""
+    out: dict[str, np.ndarray] = {}
+    for members, stacked in stacks:
+        for key, column in reduce(*stacked).items():
+            if key not in out:
+                out[key] = np.empty((count,) + column.shape[1:], dtype=column.dtype)
+            out[key][members] = column
+    return out
+
+
 def reduce_by_sample_count(
     seqs: Sequence[object],
     channels: Sequence[str],
     reduce: Callable[..., dict[str, np.ndarray]],
 ) -> dict[str, np.ndarray]:
-    """Columns of ``reduce`` over many clips, in input order.
-
-    Clips are stacked by the length of their first channel; ``reduce``
-    gets each stack's ``channels`` as (m, n) arrays and returns columns
-    whose first axis runs over the stack's m clips. Every column comes
-    back with one row per clip of ``seqs``; no clips give no columns.
-    """
-    by_count: dict[int, list[int]] = {}
-    for i, seq in enumerate(seqs):
-        by_count.setdefault(len(getattr(seq, channels[0])), []).append(i)
-    out: dict[str, np.ndarray] = {}
-    for members in by_count.values():
-        stacked = (np.array([getattr(seqs[i], name) for i in members]) for name in channels)
-        for key, column in reduce(*stacked).items():
-            if key not in out:
-                out[key] = np.empty((len(seqs),) + column.shape[1:], dtype=column.dtype)
-            out[key][members] = column
-    return out
+    """Columns of ``reduce`` over many clips, in input order, with each
+    stack of ``sample_count_stacks`` reduced in one call (``reduce_stacks``)."""
+    return reduce_stacks(len(seqs), sample_count_stacks(seqs, channels), reduce)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow is checked, not warned

@@ -12,10 +12,11 @@ scorer takes M models at once: their answer codes on the truth clips are
 stacked as (M, N, 14), one ``np.bincount`` per question gives every
 model's counts, and ``_rates`` computes accuracy, balanced accuracy and
 macro-F1 on the (M, k, k + 1) counts with the float operations of one
-table. ``sensitivity_sweep`` scores all its models this way at each
-alpha; ``score_questions`` (``evaluate``'s report) and ``score_model``
-are the case M = 1, and the temporal scores are ``_rates`` of the
-temporal questions' counts pooled by label.
+table. ``sensitivity_sweep`` stacks the truth of every alpha as well, so
+one ``np.bincount`` per question counts every alpha and model;
+``score_questions`` (``evaluate``'s report) and ``score_model`` are the
+case M = 1, and the temporal scores are ``_rates`` of the temporal
+questions' counts pooled by label.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 
 from .errors import EmptySet, MismatchedModelSets, NoGroundTruth
 from .kinematics import summarize_batch
-from .oracle import label_batch
+from .oracle import label_at, rule_inputs
 from .questions import (
     ANSWER_SPACES,
     NO_ANSWER,
@@ -69,19 +70,27 @@ def _confusion_counts(truth: np.ndarray, answers: np.ndarray) -> dict[str, np.nd
     """(M, k, k + 1) counts of each question answered in the (N, 14)
     ``truth`` codes, for the (M, N, 14) codes of M models on its clips: one
     ``np.bincount`` per question over (model, truth, prediction). A
-    prediction without an answer counts in the unparsed column."""
-    models = np.arange(len(answers))[:, None]
+    prediction without an answer counts in the unparsed column.
+
+    A (T, N, 14) ``truth``, T tables of the same clips, gives (T, M, k,
+    k + 1) counts in the same one ``np.bincount`` per question. A table
+    without truth for a question that another table answers gets counts
+    without a truth row, which ``_rates`` cannot score; the oracle's
+    tables answer every question."""
+    lead, models = truth.shape[:-2], len(answers)
+    pairs = np.arange(int(np.prod(lead)) * models).reshape(*lead, models, 1)
     counts = {}
     for j, question in enumerate(QUESTION_ORDER):
-        present = truth[:, j] != NO_ANSWER
+        present = truth[..., j] != NO_ANSWER
         if not present.any():
             continue
         k = len(ANSWER_SPACES[question])
-        pred = answers[:, present, j]
+        pred = answers[:, :, j]
         pred = np.where(pred == NO_ANSWER, k, pred)
-        cells = (models * k + truth[present, j]) * (k + 1) + pred
-        size = len(answers) * k * (k + 1)
-        counts[question] = np.bincount(cells.ravel(), minlength=size).reshape(-1, k, k + 1)
+        cells = (pairs * k + truth[..., None, :, j]) * (k + 1) + pred
+        cells = cells[np.broadcast_to(present[..., None, :], cells.shape)]
+        size = pairs.size * k * (k + 1)
+        counts[question] = np.bincount(cells, minlength=size).reshape(*lead, models, k, k + 1)
     return counts
 
 
@@ -238,10 +247,11 @@ def sensitivity_sweep(
     ``clips`` pairs clip ids with their StateSequence. The alpha list must
     contain the nominal factor 1.0, which anchors the tau comparison.
     Models are ranked by aggregate balanced accuracy. Clips are summarized
-    once, as columns (summaries do not depend on alpha), and each model's
-    answers are put in clip order once; each alpha is one ``label_batch``
-    call on those columns (which restacks the channels), whose codes are the
-    truth table, and one stacked scoring of every model.
+    once, as columns, and so are the other rule inputs (``rule_inputs``;
+    none depends on alpha); each model's answers are put in clip order
+    once. Each distinct alpha is one ``label_at`` call, whose codes are its
+    truth table, and every alpha and model is scored at once: one
+    ``np.bincount`` per question.
     """
     alphas = list(alphas)
     if not alphas or any(a <= 0 for a in alphas):
@@ -256,12 +266,16 @@ def sensitivity_sweep(
     columns = summarize_batch(seqs, cfg.heading_total_mode, clip_ids)
     models = list(model_predictions)
     answers = np.stack([model_predictions[m].on_clips(clip_ids) for m in models])
-
-    def scores_at(alpha: float) -> dict[str, dict[str, float]]:
-        codes, _ = label_batch(seqs, columns, cfg.with_alpha(cfg.alpha * alpha), clip_ids)
-        return dict(zip(models, _scores(_confusion_counts(codes, answers))[1]))
-
-    scores = {alpha: scores_at(alpha) for alpha in dict.fromkeys(alphas)}
+    inputs = rule_inputs(seqs, columns)
+    distinct = list(dict.fromkeys(alphas))
+    truth = np.stack([
+        label_at(inputs, cfg.with_alpha(cfg.alpha * alpha), clip_ids)[0] for alpha in distinct])
+    counts = _confusion_counts(truth, answers)
+    aggregate = _scores({q: c.reshape(-1, *c.shape[2:]) for q, c in counts.items()})[1]
+    scores = {
+        alpha: dict(zip(models, aggregate[t * len(models):(t + 1) * len(models)]))
+        for t, alpha in enumerate(distinct)
+    }
     nominal_bacc = {m: s["bacc"] for m, s in scores[1.0].items()}
     return [
         SweepResult(

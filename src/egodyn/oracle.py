@@ -3,7 +3,10 @@
 ``label_batch`` answers the 14 questions for many clips at once. It
 computes every rule input once per clip, as columns along the batch, and
 decides each question with array comparisons (``decide``) into an (N, 14)
-matrix of answer codes (the codes of ``questions.AnswerTable``).
+matrix of answer codes (the codes of ``questions.AnswerTable``). It is two
+steps: ``rule_inputs`` computes what no threshold changes, and
+``label_at`` makes the comparisons at one alpha, so a sweep over alphas
+computes the first once.
 ``label_lines`` turns codes and a rule table into the JSON Lines text of
 the label rows, each with the answer, its rule, the exact (alpha-scaled)
 parameters and the evidence used, so every label is auditable after the
@@ -25,7 +28,7 @@ import numpy as np
 from . import io
 from .errors import InvalidTrajectory
 from .kinematics import (KinematicSummary, StateSequence, _summary_columns, half_split_index,
-                         reduce_by_sample_count, summarize_batch)
+                         reduce_stacks, sample_count_stacks, summarize_batch)
 from .questions import ANSWER_SPACES, QUESTION_ORDER, answer_code
 from .thresholds import ThresholdConfig
 
@@ -106,13 +109,47 @@ def decide(conditions: Sequence[Sequence[np.ndarray]]) -> np.ndarray:
     return np.stack([np.select(held, range(len(held)), len(held)) for held in conditions], 1)
 
 
+# The alpha-free rule inputs of N clips: (N,) columns, and per stack of
+# clips that share a sample count, their positions and (m, n) v, a and |omega|.
+RuleInputs = tuple[dict[str, np.ndarray], list[tuple[list[int], tuple[np.ndarray, ...]]]]
+
+
+def rule_inputs(
+    seqs: Sequence[StateSequence], summaries: Mapping[str, np.ndarray],
+) -> RuleInputs:
+    """What the rules read that no threshold changes, computed once for any
+    number of alphas: the summary evidence of ``summaries``
+    (``summarize_batch``), peak yaw rate, speed spread and argmax, the
+    half-split jerk means, and the stacked channels of the ordered-pair
+    rules."""
+    stacks = sample_count_stacks(seqs, ("v", "a", "j", "omega"))
+
+    def reduce(v, a, j, omega):
+        abs_jerk = np.abs(j)
+        mid = half_split_index(v.shape[-1])
+        min_speed = np.min(v, axis=-1)
+        return {
+            "peak_yaw_rate": np.take_along_axis(
+                omega, np.argmax(np.abs(omega), axis=-1)[:, None], axis=-1)[:, 0],
+            "min_speed": min_speed,
+            "speed_spread": np.max(v, axis=-1) - min_speed,
+            "speed_argmax": np.argmax(v, axis=-1),
+            "mid_index": np.full(len(v), mid),
+            "dynamism_first": np.mean(abs_jerk[:, : mid + 1], axis=-1),
+            "dynamism_second": np.mean(abs_jerk[:, mid + 1 :], axis=-1),
+        }
+
+    columns = reduce_stacks(len(seqs), stacks, reduce)
+    columns.update((name, summaries[name]) for name in _SUMMARY_EVIDENCE)
+    return columns, [(members, (v, a, np.abs(omega))) for members, (v, a, _, omega) in stacks]
+
+
 @np.errstate(over="ignore", invalid="ignore")  # overflow is checked, not warned
-def label_batch(
-    seqs: Sequence[StateSequence], summaries: Mapping[str, np.ndarray], cfg: ThresholdConfig,
-    clip_ids: Sequence[str] | None = None,
+def label_at(
+    inputs: RuleInputs, cfg: ThresholdConfig, clip_ids: Sequence[str] | None = None,
 ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """Answer all 14 questions for many clips, given their summary columns
-    (``summarize_batch``) under ``cfg.heading_total_mode``.
+    """Answer all 14 questions under ``cfg`` for the clips of ``inputs``
+    (``rule_inputs``): every threshold comparison, at ``cfg.alpha``.
 
     Returns the (N, 14) ``intp`` answer codes, columns in ``QUESTION_ORDER``,
     and the rule inputs as columns, among them the evidence named in ``RULES``.
@@ -123,31 +160,20 @@ def label_batch(
             ``cfg``); names the first such clip, by its id in ``clip_ids``
             or else by its position.
     """
-    if not seqs:
+    columns, stacks = inputs
+    if not stacks:
         return np.empty((0, len(QUESTION_ORDER)), dtype=np.intp), {}
     eff = cfg.scaled()
 
-    def reduce(v, a, j, omega):
-        abs_omega, abs_jerk = np.abs(omega), np.abs(j)
-        mid = half_split_index(v.shape[-1])
+    def pairs(v, a, abs_omega):
         stopped, moving = v < eff.stopgo_stop, v > eff.stopgo_move
-        min_speed = np.min(v, axis=-1)
         return {
-            "peak_yaw_rate": np.take_along_axis(
-                omega, np.argmax(abs_omega, axis=-1)[:, None], axis=-1)[:, 0],
-            "min_speed": min_speed,
-            "speed_spread": np.max(v, axis=-1) - min_speed,
-            "speed_argmax": np.argmax(v, axis=-1),
-            "mid_index": np.full(len(v), mid),
-            "dynamism_first": np.mean(abs_jerk[:, : mid + 1], axis=-1),
-            "dynamism_second": np.mean(abs_jerk[:, mid + 1 :], axis=-1),
             "stop_to_move": ordered_pair(stopped, moving),
             "move_to_stop": ordered_pair(moving, stopped),
             "brake_to_turn": ordered_pair(a < eff.btt_brake, abs_omega > eff.btt_yaw),
         }
 
-    ev = reduce_by_sample_count(seqs, ("v", "a", "j", "omega"), reduce)
-    ev.update((name, summaries[name]) for name in _SUMMARY_EVIDENCE)
+    ev = {**columns, **reduce_stacks(len(columns["mid_index"]), stacks, pairs)}
     peak, d1, d2 = ev["peak_yaw_rate"], ev["dynamism_first"], ev["dynamism_second"]
     lon = ev["longitudinal_activity"] = np.abs(ev["mean_accel"]) / eff.trend_deadzone
     lat = ev["lateral_activity"] = ev["max_lat_accel"] / eff.lat_accel_high
@@ -187,6 +213,18 @@ def label_batch(
         "contrastive_halves": [differ & (d1 > d2), differ],
     }
     return decide([conditions[question] for question in QUESTION_ORDER]), ev
+
+
+def label_batch(
+    seqs: Sequence[StateSequence], summaries: Mapping[str, np.ndarray], cfg: ThresholdConfig,
+    clip_ids: Sequence[str] | None = None,
+) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """Answer all 14 questions for many clips, given their summary columns
+    (``summarize_batch``) under ``cfg.heading_total_mode``: ``label_at`` of
+    their ``rule_inputs``."""
+    if not seqs:
+        return np.empty((0, len(QUESTION_ORDER)), dtype=np.intp), {}
+    return label_at(rule_inputs(seqs, summaries), cfg, clip_ids)
 
 
 def rule_table(cfg: ThresholdConfig) -> dict[str, tuple[str, dict, tuple[str, ...]]]:

@@ -11,6 +11,8 @@ the two runs. The batch commands build no per-clip ``KinematicSummary``.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
@@ -90,14 +92,15 @@ def _outputs(out_dir):
 
 
 def patch_clip_by_clip(monkeypatch) -> dict[str, int]:
-    """Replace the batched ingest and summaries with per-clip loops."""
+    """Replace the batched ingest and summaries with per-clip loops, on one
+    CPU, so that ``label`` counts every clip in this process."""
     calls = {"rows_to_sequence": 0, "summarize": 0}
 
-    def load_clips(cfg, key="input"):
+    def load_clips(cfg, key="input", start=0, end=None):
         rate = float(cfg.params.get("rate_hz", 10.0))
         window = float(cfg.params.get("window_s", 3.0))
         out = []
-        for clip_id, rows in io.read_trajectory_clips(cfg.params[key]).items():
+        for clip_id, rows in io.read_trajectory_clips(cfg.params[key], start, end).items():
             calls["rows_to_sequence"] += 1
             out.append((clip_id, io.rows_to_sequence(rows, rate, window)))
         return out
@@ -107,6 +110,7 @@ def patch_clip_by_clip(monkeypatch) -> dict[str, int]:
         alone = [summarize_batch([seq], heading_mode) for seq in seqs]
         return {key: np.concatenate([columns[key] for columns in alone]) for key in alone[0]}
 
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     monkeypatch.setattr(cli, "_load_clips", load_clips)
     monkeypatch.setattr(cli, "summarize_batch", summarize_each)
     monkeypatch.setattr(metrics, "summarize_batch", summarize_each)

@@ -4,13 +4,13 @@ no process-pool machinery.
 numpy is the engine's only runtime dependency; scipy is a test-time
 reference. Every command pays its imports before it starts, and a scipy
 subpackage costs each run from 0.3 s (``scipy.ndimage``) to over a
-second (``scipy.signal``, which brings ``scipy.stats``). ``sweep`` and
-``evaluate`` fork their child with ``os.fork`` and a pipe, so
-``multiprocessing``, ``concurrent.futures`` and ``subprocess`` stay out
-of the import too. The modules are checked after the import, and again
-after ``label`` on pose and rate rows (which runs the smoothing) and
-``sweep``, so that an import made lazily inside a command fails the test
-too.
+second (``scipy.signal``, which brings ``scipy.stats``). ``label``,
+``sweep`` and ``evaluate`` fork their child with ``os.fork`` and a pipe
+(``cli._in_child``), so ``multiprocessing``, ``concurrent.futures`` and
+``subprocess`` stay out of the import too. The modules are checked after
+the import, and again after ``label`` on pose and rate rows (which runs
+the smoothing) and ``sweep``, so that an import made lazily inside a
+command fails the test too; on two CPUs each of the two forks once.
 """
 
 from __future__ import annotations
@@ -29,15 +29,17 @@ from egodyn.questions import ANSWER_SPACES, QUESTION_ORDER
 
 SRC = str(Path(egodyn.__file__).resolve().parents[1])
 
-# Prints the loaded module names after the import and after each command.
+# Prints the loaded module names after the import and after each command,
+# and the forks of each command.
 _SCRIPT = """
-import json, sys
+import json, os, sys
 import egodyn.cli
-loaded, statuses = [sorted(sys.modules)], []
+loaded, statuses, forks, fork = [sorted(sys.modules)], [], [], os.fork
+os.fork = lambda: forks.append(len(statuses)) or fork()
 for argv in json.loads(sys.argv[1]):
     statuses.append(egodyn.cli.main(argv))
     loaded.append(sorted(sys.modules))
-print(json.dumps({"loaded": loaded, "statuses": statuses}))
+print(json.dumps({"loaded": loaded, "statuses": statuses, "forks": forks}))
 """
 
 
@@ -115,6 +117,9 @@ def test_cli_import_and_commands_load_no_scipy(loaded):
 
 
 def test_cli_import_and_commands_load_no_process_pool(loaded):
-    for stage, modules in zip(("import", "label", "sweep"), loaded[1]["loaded"]):
+    doc = loaded[1]
+    for stage, modules in zip(("import", "label", "sweep"), doc["loaded"]):
         pools = {"multiprocessing", "concurrent.futures", "subprocess"}.intersection(modules)
         assert pools == set(), f"after {stage}: {sorted(pools)}"
+    two_cpus = len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) >= 2
+    assert doc["forks"] == ([0, 1] if two_cpus else [])

@@ -1139,6 +1139,37 @@ class TestTrajectoryInputErrors:
             f"egodyn label: {path}:41: field 'clip_id' holds {kind}, not a string or a number\n"
         )
 
+    @pytest.mark.parametrize("command", ["label", "sweep", "calibrate-thresholds", "baseline"])
+    @pytest.mark.parametrize(
+        ("clip_id", "kind"), [(None, "null"), (True, "a boolean"), (False, "a boolean")],
+        ids=["null", "true", "false"],
+    )
+    def test_null_or_boolean_clip_id_names_the_line(
+        self, tmp_path, capsys, command, clip_id, kind
+    ):
+        """No JSON reader spells null or a boolean as the ``"None"`` or
+        ``"True"`` such an id would otherwise name."""
+        path = tmp_path / "trajectories.jsonl"
+        if command == "baseline":
+            rows = [{"clip_id": "a", "t": float(i), "m_disp": 1.0, "theta_deg": 0.0}
+                    for i in range(40)]
+            config = {"proxies": str(path), "kind": "vo"}
+        else:
+            rows = _state_rows("a") + _state_rows("b")
+            config = {"trajectories" if command == "sweep" else "input": str(path)}
+        if command == "sweep":
+            predictions = tmp_path / "predictions.jsonl"
+            io.write_jsonl(predictions, [
+                {"clip_id": "a", "question_id": "turn_direction", "response": "left"}])
+            config.update(predictions={"m": str(predictions)}, alphas=[1.0])
+        rows[31]["clip_id"] = clip_id
+        io.write_jsonl(path, rows)
+        status = run_cli(command, {**config, "out": str(tmp_path / "o")}, tmp_path)
+        assert status == 2
+        assert capsys.readouterr().err == (
+            f"egodyn {command}: {path}:32: field 'clip_id' holds {kind}, not a string or a number\n"
+        )
+
     def test_batch_check_names_the_first_failing_clip_in_input_order(self, tmp_path, capsys):
         """Every clip derives, but two fail the check of their derived
         states: rate clip 'b', whose integrated x overflows, and the later
@@ -2102,8 +2133,8 @@ class TestForkedInputs:
         of them is held at once than before."""
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         read, read_jsonl = [], io.read_jsonl
-        monkeypatch.setattr(io, "read_jsonl",
-                            lambda path: read.append(Path(path).stem) or read_jsonl(path))
+        monkeypatch.setattr(io, "read_jsonl", lambda path, *span: (
+            read.append(Path(path).stem) or read_jsonl(path, *span)))
         assert run_cli(command, self.config(command, corpus, tmp_path / "out"), tmp_path) == 0
         assert read == order
 
@@ -2127,5 +2158,162 @@ class TestForkedInputs:
         start = time.monotonic()
         with pytest.raises(KeyboardInterrupt):
             run_cli(command, self.config(command, corpus, tmp_path / "out"), tmp_path)
+        assert time.monotonic() - start < 30
+        _no_child_left()
+
+
+def _mixed_rows(count: int = 9, seed: int = 3) -> list[dict]:
+    """Rows of ``count`` synth clips cycling pose, rate and full-state
+    schemas; every clip has positions, given or derived."""
+    rows = []
+    for k, clip in enumerate(generate_suite(count, seed=seed)):
+        seq, clip_id = clip.seq, clip.clip_id
+        if k % 3 == 2:
+            rows += io.sequence_to_rows(clip_id, seq)
+            continue
+        names = (("x", "x"), ("y", "y"), ("heading", "theta")) if k % 3 == 0 else (
+            ("v", "v"), ("omega", "omega"))
+        columns = [seq.t.tolist()] + [getattr(seq, name).tolist() for _, name in names]
+        rows += [{"clip_id": clip_id, **dict(zip(["t", *(key for key, _ in names)], values))}
+                 for values in zip(*columns)]
+    return rows
+
+
+def _long_pose_rows(clip_id: str, hz: int) -> list[dict]:
+    """A pose log of one synth clip sampled at ``hz`` over its 3 s."""
+    seq = generate_suite(1, seed=5)[0].seq
+    t = np.linspace(0.0, 3.0, 3 * hz + 1)
+    columns = [np.interp(t, seq.t, getattr(seq, name)).tolist() for name in ("x", "y", "theta")]
+    return [{"clip_id": clip_id, "t": ti, "x": x, "y": y, "heading": h}
+            for ti, x, y, h in zip(t.tolist(), *columns)]
+
+
+class TestLabelSplit:
+    """``label`` on two CPUs cuts a JSONL input at ``io.clip_boundary``: a
+    forked child labels the clips after the cut while the command labels
+    those before it. Both paths write the same bytes, the manifest
+    included, and name the same first error, and no child is left."""
+
+    ENCODINGS = [None, "summary", "coordinates", "full"]
+
+    @staticmethod
+    def write_input(tmp_path, layout: str) -> Path:
+        path = tmp_path / "trajectories.jsonl"
+        if layout == "straddle":  # a long clip holds the middle byte; the cut is at 'c'
+            rows = (_pose_rows("a") + _long_pose_rows("long", 100)
+                    + [{**r, "clip_id": "c"} for r in _mixed_rows(2)[31:]])
+            io.write_jsonl(path, rows)
+            data = path.read_bytes()
+            long_rows = data.index(b'"clip_id": "long"'), data.index(b'"clip_id": "c"')
+            assert long_rows[0] < len(data) // 2 < long_rows[1]
+            assert io.clip_boundary(path) == data.rfind(b"\n", 0, long_rows[1]) + 1
+        else:
+            text = io.jsonl_text(_mixed_rows())
+            if layout == "crlf":
+                text = text.replace("\n", "\r\n")
+            path.write_bytes(text.encode("utf-8"))
+        return path
+
+    @staticmethod
+    def run_both(tmp_path, monkeypatch, capsys, path, encoding=None):
+        """``label`` on one CPU, then on two: per CPU count, its status,
+        stderr, forks and output bytes."""
+        runs = {}
+        for cpus in ({0}, {0, 1}):
+            forks, fork = [], os.fork
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+            monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+            out = tmp_path / "out"
+            extra = ["--encoding", encoding] if encoding else []
+            status = run_cli("label", {"input": str(path), "out": str(out)}, tmp_path,
+                             extra=extra)
+            written = {p.name: p.read_bytes() for p in sorted(out.iterdir())} if status == 0 \
+                else None
+            runs[len(cpus)] = (status, capsys.readouterr().err, len(forks), written)
+            monkeypatch.undo()
+            _no_child_left()
+        return runs
+
+    @pytest.mark.parametrize("encoding", ENCODINGS)
+    @pytest.mark.parametrize("layout", ["mixed", "straddle", "crlf"])
+    def test_both_paths_write_the_same_bytes(
+        self, tmp_path, monkeypatch, capsys, layout, encoding
+    ):
+        path = self.write_input(tmp_path, layout)
+        runs = self.run_both(tmp_path, monkeypatch, capsys, path, encoding)
+        (status, _, forks, written), forked = runs[1], runs[2]
+        assert (status, forks) == (0, 0) and forked[:3] == (0, "", 1)
+        assert "manifest.json" in written and ("prompts.jsonl" in written) == bool(encoding)
+        assert forked[3] == written
+
+    @pytest.mark.parametrize("case", ["clips", "csv", "one_clip", "empty"])
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_one_fork_only_for_a_cut_file_on_two_cpus(self, tmp_path, monkeypatch, case, cpus):
+        rows = _pose_rows("a") + _rate_rows("b") + _pose_rows("c")
+        path = tmp_path / ("trajectories.csv" if case == "csv" else "trajectories.jsonl")
+        if case == "csv":
+            keys = ["clip_id", "t", "x", "y", "heading"]
+            path.write_text(",".join(keys) + "\n" + "".join(
+                ",".join(str(row[key]) for key in keys) + "\n" for row in _pose_rows("a")
+                + _pose_rows("b")), encoding="utf-8")
+        else:
+            io.write_jsonl(path, {"clips": rows, "one_clip": _pose_rows("a"), "empty": []}[case])
+        forks, fork = [], os.fork
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        assert run_cli("label", {"input": str(path), "out": str(tmp_path / "o")}, tmp_path) == 0
+        assert len(forks) == (case == "clips" and cpus == 2)
+        _no_child_left()
+
+    @pytest.mark.parametrize(
+        "case,named",
+        [("first", ":3: invalid JSON"), ("second", ":180: invalid JSON"),
+         ("both", ":3: invalid JSON"),
+         ("repeat", "clip 'a': rows are not contiguous (interrupted by clip 'e')"),
+         ("overflow", "clip 'f': summary statistics overflow: a summary value is not finite"),
+         ("positions", "clip 'f': coordinates encoding needs x and y channels")],
+    )
+    def test_both_paths_name_the_same_first_error(
+        self, tmp_path, monkeypatch, capsys, case, named
+    ):
+        """Faults in either part, a clip in both, and the checks after the
+        reading (summary overflow, positions) in the child's part."""
+        ids = "abcdef"
+        rows = [row for k, clip_id in enumerate(ids)
+                for row in (_pose_rows if k % 2 == 0 else _rate_rows)(clip_id)]
+        if case == "repeat":
+            rows[-31:] = _pose_rows("a")
+        if case == "overflow":
+            rows[-31:] = [{**row, "v": 1e308} for row in _state_rows("f")]
+        if case == "positions":
+            rows[-31:] = _state_rows("f")
+        lines = io.jsonl_text(rows).splitlines(keepends=True)
+        for index in {"first": [2], "second": [179], "both": [2, 179]}.get(case, []):
+            lines[index] = '{"clip_id": \n'
+        path = tmp_path / "trajectories.jsonl"
+        path.write_text("".join(lines), encoding="utf-8")
+        cut = path.read_bytes()[:io.clip_boundary(path)].count(b"\n")  # lines before the cut
+        assert 2 < cut <= 155  # lines 3 and 180, and clip 'f', are on either side
+        runs = self.run_both(tmp_path, monkeypatch, capsys, path,
+                             "coordinates" if case == "positions" else None)
+        (status, err, forks, _), forked = runs[1], runs[2]
+        assert (status, forks) == (2, 0) and forked[:3] == (2, err, 1)
+        assert err.startswith("egodyn label: ") and named in err, err
+
+    def test_an_interrupt_kills_and_reaps_the_child(self, tmp_path, monkeypatch):
+        """The command is interrupted while the child labels its part: the
+        interrupt ends the command at once and no child is left."""
+
+        def label_clips(cfg, thresholds, start=0, end=None):
+            if start:
+                time.sleep(60)
+            raise KeyboardInterrupt
+
+        path = self.write_input(tmp_path, "mixed")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(cli, "_label_clips", label_clips)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            run_cli("label", {"input": str(path), "out": str(tmp_path / "o")}, tmp_path)
         assert time.monotonic() - start < 30
         _no_child_left()

@@ -672,8 +672,9 @@ def test_label_command_writes_the_reference_bytes(tmp_path, monkeypatch, mode):
 
 
 def test_sweep_builds_no_records_and_labels_once_per_alpha(monkeypatch):
-    """The sweep's truth comes from ``label_batch`` codes alone, one call
-    per distinct alpha, and scores as the reference records do."""
+    """The sweep's truth comes from ``label_at`` codes alone, one call per
+    distinct alpha on one ``rule_inputs`` of the clips, and scores as the
+    reference records do."""
     suite = generate_suite(60, seed=4, noise_std=NOISE)
     clips = [(c.clip_id, c.seq) for c in suite]
     rng = np.random.default_rng(4)
@@ -689,13 +690,16 @@ def test_sweep_builds_no_records_and_labels_once_per_alpha(monkeypatch):
     def no_records(*args, **kwargs):
         raise AssertionError("the sweep built a QARecord")
 
-    calls = []
+    calls, inputs = [], []
     monkeypatch.setattr(oracle, "QARecord", no_records)
-    monkeypatch.setattr(metrics, "label_batch",
-                        lambda *args: calls.append(args[2].alpha) or oracle.label_batch(*args))
+    monkeypatch.setattr(metrics, "rule_inputs",
+                        lambda *args: inputs.append(1) or oracle.rule_inputs(*args))
+    monkeypatch.setattr(metrics, "label_at",
+                        lambda *args: calls.append(args[1].alpha) or oracle.label_at(*args))
     results = metrics.sensitivity_sweep(clips, predictions, cfg, alphas)
     monkeypatch.undo()
     assert calls == [0.5, 0.93, 1.0, 1.5]
+    assert len(inputs) == 1
 
     summaries = [summarize(seq, heading_mode="sum") for _, seq in clips]
     for result in results:
