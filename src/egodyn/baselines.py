@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EmptySeries, InvalidTrajectory
-from .kinematics import reduce_by_sample_count
+from .kinematics import reduce_stacks, sample_count_stacks
 from .oracle import QARecord, decide, label_lines, ordered_pair, read_records
 
 
@@ -219,7 +219,7 @@ def label_proxies(
         evidence, conditions = reduce(th, *stack)
         return {**evidence, "codes": decide(conditions)}
 
-    evidence = reduce_by_sample_count(series, channels, decide_stack)
+    evidence = reduce_stacks(sample_count_stacks(series, channels), decide_stack)
     codes = evidence.pop("codes")
     finite = np.logical_and.reduce([np.isfinite(column) for column in evidence.values()])
     if not finite.all():

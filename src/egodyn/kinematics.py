@@ -552,13 +552,14 @@ def sample_count_stacks(
 
 
 def reduce_stacks(
-    count: int, stacks: Sequence[tuple[list[int], tuple[np.ndarray, ...]]],
+    stacks: Sequence[tuple[list[int], tuple[np.ndarray, ...]]],
     reduce: Callable[..., dict[str, np.ndarray]],
 ) -> dict[str, np.ndarray]:
-    """Columns of ``reduce`` over the ``count`` clips of ``stacks``
+    """Columns of ``reduce`` over the clips of ``stacks``
     (``sample_count_stacks``), in input order: ``reduce`` gets a stack's
     arrays and returns columns whose first axis runs over its clips. No
     stacks give no columns."""
+    count = sum(len(members) for members, _ in stacks)
     out: dict[str, np.ndarray] = {}
     for members, stacked in stacks:
         for key, column in reduce(*stacked).items():
@@ -566,16 +567,6 @@ def reduce_stacks(
                 out[key] = np.empty((count,) + column.shape[1:], dtype=column.dtype)
             out[key][members] = column
     return out
-
-
-def reduce_by_sample_count(
-    seqs: Sequence[object],
-    channels: Sequence[str],
-    reduce: Callable[..., dict[str, np.ndarray]],
-) -> dict[str, np.ndarray]:
-    """Columns of ``reduce`` over many clips, in input order, with each
-    stack of ``sample_count_stacks`` reduced in one call (``reduce_stacks``)."""
-    return reduce_stacks(len(seqs), sample_count_stacks(seqs, channels), reduce)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow is checked, not warned
@@ -624,7 +615,7 @@ def summarize_batch(
 
     if not seqs:  # no stacks to reduce: one of 0 clips gives the empty columns
         return reduce(*np.empty((5, 0, 2)))
-    columns = reduce_by_sample_count(seqs, ("v", "a", "j", "omega", "theta"), reduce)
+    columns = reduce_stacks(sample_count_stacks(seqs, ("v", "a", "j", "omega", "theta")), reduce)
     finite = np.logical_and.reduce(
         [np.isfinite(column).reshape(len(seqs), -1).all(axis=1) for column in columns.values()])
     if not np.all(finite):

@@ -139,7 +139,7 @@ def rule_inputs(
             "dynamism_second": np.mean(abs_jerk[:, mid + 1 :], axis=-1),
         }
 
-    columns = reduce_stacks(len(seqs), stacks, reduce)
+    columns = reduce_stacks(stacks, reduce)
     columns.update((name, summaries[name]) for name in _SUMMARY_EVIDENCE)
     return columns, [(members, (v, a, np.abs(omega))) for members, (v, a, _, omega) in stacks]
 
@@ -173,7 +173,7 @@ def label_at(
             "brake_to_turn": ordered_pair(a < eff.btt_brake, abs_omega > eff.btt_yaw),
         }
 
-    ev = {**columns, **reduce_stacks(len(columns["mid_index"]), stacks, pairs)}
+    ev = {**columns, **reduce_stacks(stacks, pairs)}
     peak, d1, d2 = ev["peak_yaw_rate"], ev["dynamism_first"], ev["dynamism_second"]
     lon = ev["longitudinal_activity"] = np.abs(ev["mean_accel"]) / eff.trend_deadzone
     lat = ev["lateral_activity"] = ev["max_lat_accel"] / eff.lat_accel_high
