@@ -24,7 +24,6 @@ import csv
 import hashlib
 import itertools
 import json
-import mmap
 import re
 import sys
 from contextlib import contextmanager
@@ -390,21 +389,17 @@ def clip_boundary(path: str | Path) -> int | None:
     """
     if _is_csv(path):
         return None
-    with Path(path).open("rb") as handle:
-        size = handle.seek(0, 2)
-        if size == 0:
-            return None
-        with mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ) as data:
-            start = data.find(b"\n", size // 2 - 1) + 1
-            if start == 0:
-                return None
-            previous = _line_clip(data[data.rfind(b"\n", 0, start - 1) + 1:start])
-            while previous is not None and start < size:
-                end = data.find(b"\n", start) + 1 or size
-                clip = _line_clip(data[start:end])
-                if clip != previous:
-                    return None if clip is None else start
-                previous, start = clip, end
+    data = Path(path).read_bytes()
+    start = data.find(b"\n", max(len(data) // 2 - 1, 0)) + 1
+    if start == 0:
+        return None
+    previous = _line_clip(data[data.rfind(b"\n", 0, start - 1) + 1:start])
+    while previous is not None and start < len(data):
+        end = data.find(b"\n", start) + 1 or len(data)
+        clip = _line_clip(data[start:end])
+        if clip != previous:
+            return None if clip is None else start
+        previous, start = clip, end
     return None
 
 
