@@ -26,7 +26,7 @@ from .encodings import ENCODING_MODES, encode_trajectory
 from .errors import ConfigError, EgodynError, MissingChannels
 from .kinematics import stratification_bin, summarize_batch, summary_rows
 from .oracle import label_batch, label_lines, rule_table, tags_of
-from .questions import QUESTION_ORDER, AnswerTable
+from .questions import NO_ANSWER, QUESTION_ORDER, AnswerTable
 from .synth import generate_suite
 from .thresholds import ThresholdConfig, calibrate_thresholds
 
@@ -279,6 +279,27 @@ def _checked_rows(path: str, rows: list[dict], check, *fields: str):
             raise
 
 
+def _streamed(path: str, fold, name_fault):
+    """``fold(rows)``, where ``rows`` streams the rows of ``path`` as they
+    are decoded (``io.iter_jsonl``), so no row outlives its line.
+
+    When the fold raises, whatever it raises, the stream is closed and
+    ``name_fault()`` reads the file again as a list and runs the checks of
+    that list, which raise what reading it whole always raised: a read
+    fault anywhere in the file before any row fault, and the first row
+    fault by its line. Should they find none, the fold's error is raised.
+    """
+    rows = io.iter_jsonl(path)
+    try:
+        return fold(rows)
+    except Exception:
+        rows.close()  # before the file is opened again
+        name_fault()
+        raise
+    finally:
+        rows.close()
+
+
 def _forks() -> bool:
     """Whether ``_in_child`` forks: the process may run on two or more CPUs
     (``os.sched_getaffinity`` exists only where ``os.fork`` does)."""
@@ -353,38 +374,61 @@ def _in_child(fn, *args, first: bool = False):
 
 
 def _truth_table(path: str) -> AnswerTable:
-    """The table of the truth rows of ``path``."""
+    """The table of the truth rows of ``path``, built as they are decoded."""
 
     def table(rows):
         return AnswerTable.from_rows(
             (row["clip_id"], row["question_id"], row["answer"]) for row in rows
         )
 
-    return _checked_rows(path, io.read_jsonl(path), table, "answer")
+    return _streamed(path, table, lambda: _checked_rows(path, io.read_jsonl(path), table, "answer"))
 
 
-def _prediction_table(path: str, fill: bool = False) -> tuple[list[dict], AnswerTable]:
-    """The prediction rows of ``path`` and their table, in one pass of
-    ``report.prediction_codes``; with ``fill``, each row gains its parsed
-    label and stage. Row faults are named before two rows for one cell."""
-    rows = io.read_predictions(path)
-    columns, codes = _checked_rows(
-        path, rows, lambda rows: report.prediction_codes(rows, fill))
-    with io.keyed_rows(path, rows):
-        table = AnswerTable.from_codes(
-            [row["clip_id"] for row in rows], columns, codes, predicted=True)
-    return rows, table
+def _coded_predictions(path: str, fill: bool, finish):
+    """The prediction rows of ``path``, coded by ``report.prediction_codes``
+    as they are decoded, and ``finish`` of them; with ``fill``, the coded
+    rows carry their ``parsed_predictions.jsonl`` lines. A fault is named
+    as ``io.read_predictions``, then ``report.prediction_codes`` and
+    ``finish`` on its rows, name it."""
+
+    def fold(rows):
+        coded = report.prediction_codes(rows, fill)
+        if not set(map(type, coded.models)) <= {str}:
+            raise ConfigError("a row's field 'model' is not a string")  # named below
+        return coded, finish(coded)
+
+    def name_fault():
+        rows = io.read_predictions(path)
+        coded = _checked_rows(path, rows, report.prediction_codes)
+        with io.keyed_rows(path, rows):
+            finish(coded)
+
+    return _streamed(path, fold, name_fault)
+
+
+def _prediction_table(
+    path: str, fill: bool = False,
+) -> tuple[report.CodedPredictions, AnswerTable]:
+    """The coded prediction rows of ``path`` (``_coded_predictions``) and
+    their table. Row faults are named before two rows for one cell."""
+    return _coded_predictions(path, fill, lambda coded: AnswerTable.from_codes(
+        coded.ids, coded.columns, coded.codes, predicted=True))
 
 
 def _prediction_tables(paths: list[str]) -> list[AnswerTable]:
     return [_prediction_table(path)[1] for path in paths]
 
 
+def _write_lines(path: Path, lines: list[str]) -> None:
+    with path.open("w", encoding="utf-8") as handle:
+        handle.writelines(lines)
+
+
 def _cmd_evaluate(cfg: RunConfig) -> dict[str, Path]:
     truth_path, predictions_path = cfg.params["truth"], cfg.params["predictions"]
     with _in_child(_truth_table, truth_path, first=True) as collect_truth:
         try:
-            parsed, predictions = _prediction_table(predictions_path, fill=True)
+            coded, predictions = _prediction_table(predictions_path, fill=True)
         except Exception:
             collect_truth()  # an error of the truth, read first, comes first
             raise
@@ -392,7 +436,7 @@ def _cmd_evaluate(cfg: RunConfig) -> dict[str, Path]:
     text = report.build_evaluation_report(truth, predictions, truth_path)
     out = cfg.out_dir
     (out / "report.json").write_text(text, encoding="utf-8")
-    report.write_parsed_predictions(out / "parsed_predictions.jsonl", parsed)
+    _write_lines(out / "parsed_predictions.jsonl", coded.lines)
     return {
         "report": out / "report.json",
         "parsed_predictions": out / "parsed_predictions.jsonl",
@@ -416,13 +460,12 @@ def _cmd_sweep(cfg: RunConfig) -> dict[str, Path]:
 
 def _cmd_parse(cfg: RunConfig) -> dict[str, Path]:
     path = cfg.params["predictions"]
-    parsed = _checked_rows(path, io.read_predictions(path), report.parse_predictions)
-    with io.keyed_rows(path, parsed):
-        for row in parsed:
-            hash(row["clip_id"])  # an array or object id raises TypeError
-    rates = report.parse_rate_report(parsed)
+    # every clip id must be a key, as in evaluate: an array or object raises TypeError
+    coded, _ = _coded_predictions(path, True, lambda coded: set(coded.ids))
+    rates = report.parse_rates(
+        coded.models, [code != NO_ANSWER for code in coded.codes], coded.stages)
     out = cfg.out_dir
-    report.write_parsed_predictions(out / "parsed_predictions.jsonl", parsed)
+    _write_lines(out / "parsed_predictions.jsonl", coded.lines)
     io.write_json(out / "parse_report.json", rates)
     return {
         "parsed_predictions": out / "parsed_predictions.jsonl",
@@ -460,24 +503,52 @@ def _cmd_baseline(cfg: RunConfig) -> dict[str, Path]:
     return {"baseline_labels": out / "baseline_labels.jsonl"}
 
 
-def _cmd_balance(cfg: RunConfig) -> dict[str, Path]:
+def _clip_answers(rows) -> dict[str, dict[str, str]]:
+    """Each clip's answer per question, from label rows; a second row for
+    one question of a clip is a ``ConfigError``, and a row that cannot be
+    keyed raises ``KeyError`` or ``TypeError``."""
     answers: dict[str, dict[str, str]] = {}
-    labels = cfg.params["labels"]
-    rows = io.read_jsonl(labels)
-    with io.keyed_rows(labels, rows, "answer"):
-        for row in rows:
-            clip_id, question = row["clip_id"], row["question_id"]
-            clip_answers = answers.get(clip_id)
-            if clip_answers is None:  # not setdefault: it would build a dict per row
-                clip_answers = answers[clip_id] = {}
-            if question in clip_answers:
-                raise ConfigError(f"clip {clip_id!r}, question {question!r}: two labels rows")
-            clip_answers[question] = row["answer"]
-    unknown = set().union(*answers.values()).difference(QUESTION_ORDER)
-    if unknown:  # searched for its row only now: the loop above stays lean
-        index, row = next((i, r) for i, r in enumerate(rows) if r["question_id"] in unknown)
-        raise ConfigError(f"{labels}:{io._row_line(labels, index)}: clip {row['clip_id']!r}: "
-                          f"unknown question id {row['question_id']!r}")
+    for row in rows:
+        clip_id, question = row["clip_id"], row["question_id"]
+        clip_answers = answers.get(clip_id)
+        if clip_answers is None:  # not setdefault: it would build a dict per row
+            clip_answers = answers[clip_id] = {}
+        if question in clip_answers:
+            raise ConfigError(f"clip {clip_id!r}, question {question!r}: two labels rows")
+        clip_answers[question] = row["answer"]
+    return answers
+
+
+def _unknown_questions(answers: dict[str, dict[str, str]]) -> set:
+    return set().union(*answers.values()).difference(QUESTION_ORDER)
+
+
+def _label_answers(labels: str) -> dict[str, dict[str, str]]:
+    """``_clip_answers`` of the rows of ``labels``, grouped as they are
+    decoded. A question id that is not in ``QUESTION_ORDER`` is searched
+    for its row only after the grouping, so the loop stays lean."""
+
+    def fold(rows):
+        answers = _clip_answers(rows)
+        if _unknown_questions(answers):
+            raise ConfigError("unknown question id")  # named below
+        return answers
+
+    def name_fault():
+        rows = io.read_jsonl(labels)
+        with io.keyed_rows(labels, rows, "answer"):
+            answers = _clip_answers(rows)
+        unknown = _unknown_questions(answers)
+        if unknown:
+            index, row = next((i, r) for i, r in enumerate(rows) if r["question_id"] in unknown)
+            raise ConfigError(f"{labels}:{io._row_line(labels, index)}: clip "
+                              f"{row['clip_id']!r}: unknown question id {row['question_id']!r}")
+
+    return _streamed(labels, fold, name_fault)
+
+
+def _cmd_balance(cfg: RunConfig) -> dict[str, Path]:
+    answers = _label_answers(cfg.params["labels"])
     sources = (
         io.read_source_manifest(cfg.params["sources"])
         if cfg.params.get("sources")

@@ -2,13 +2,15 @@
 
 All record files are JSON Lines with sorted keys so reruns are
 byte-identical; configuration documents are single JSON files. Rows are
-read with one bound ``raw_decode`` and written with one C encoder, bound
-at import, that writes the bytes of ``json.dumps(row, sort_keys=True,
-ensure_ascii=False)``; label rows are built as that text straight from
-their columns (``oracle.label_lines``). Trajectory rows may carry poses (t, x, y,
-heading), rates (t, v, omega), or the full state chain (t, v, a, j,
-omega, theta[, x, y]); a ``clip_id`` field groups rows into clips and
-defaults to a single clip when absent.
+decoded one line at a time by ``iter_jsonl`` with json's C scanner, so a
+command can fold each row as it is decoded and hold no list of rows, and
+written with one C encoder, bound at import, that writes the bytes of
+``json.dumps(row, sort_keys=True, ensure_ascii=False)``; label rows are
+built as that text straight from their columns (``oracle.label_lines``).
+Trajectory rows may carry poses (t, x, y, heading), rates (t, v, omega),
+or the full state chain (t, v, a, j, omega, theta[, x, y]); a
+``clip_id`` field groups rows into clips and defaults to a single clip
+when absent.
 
 Trajectory clips are built by schema, whatever their row counts: each
 channel of a schema is one float array over its clips' rows, checked
@@ -31,7 +33,7 @@ from io import BytesIO, TextIOWrapper
 from numbers import Real
 from operator import itemgetter
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -50,12 +52,14 @@ from .kinematics import (
 DEFAULT_CLIP_ID = "clip_000"
 
 # Bound once, so that a row costs one call into the C scanner or encoder:
-# ``json.loads`` adds two Python calls and two regex matches per row, and
-# ``JSONEncoder.encode`` builds a C encoder per call. The encoder writes
-# what ``json.dumps(row, sort_keys=True, ensure_ascii=False)`` writes; it
-# keeps no circular-reference markers (rows are trees), so a row that
-# fails to encode leaves no state behind for the next one.
-_decode = json.JSONDecoder().raw_decode
+# ``json.loads`` adds three Python calls and two regex matches per row,
+# ``raw_decode`` one call, and ``JSONEncoder.encode`` builds a C encoder
+# per call. The scanner clears its memo of keys after each call. The
+# encoder writes what ``json.dumps(row, sort_keys=True,
+# ensure_ascii=False)`` writes; it keeps no circular-reference markers
+# (rows are trees), so a row that fails to encode leaves no state behind
+# for the next one.
+_scan = json.scanner.c_make_scanner(json.JSONDecoder())
 _encode = json.encoder.c_make_encoder(
     None, json.JSONEncoder().default, json.encoder.c_encode_basestring, None,
     ": ", ", ", True, False, True,
@@ -83,6 +87,8 @@ def _json_object(text: str, path: str | Path, line: int) -> dict:
     ``ConfigError("<path>:<line>: ...")``."""
     try:
         value = json.loads(text)
+    except RecursionError:
+        raise ConfigError(f"{path}:{line}: invalid JSON (nested too deeply to decode)") from None
     except ValueError as exc:
         if not isinstance(exc, json.JSONDecodeError):  # an integer too long for int()
             exc = json.JSONDecodeError(str(exc).partition(";")[0], text, _long_integer(text))
@@ -187,14 +193,16 @@ def _text(path: str | Path, start: int, end: int | None):
     return TextIOWrapper(BytesIO(data), encoding="utf-8")
 
 
-def read_jsonl(path: str | Path, start: int = 0, end: int | None = None) -> list[dict]:
-    """One JSON object per line, whose strings are Unicode text; a line of
-    JSON whitespace alone is blank and skipped.
+def iter_jsonl(path: str | Path, start: int = 0, end: int | None = None) -> Iterator[dict]:
+    """One JSON object per line, whose strings are Unicode text, each
+    yielded as its line is decoded; a line of JSON whitespace alone is
+    blank and skipped.
 
-    A line stripped of JSON whitespace has none at either end, so
-    ``raw_decode`` consuming all of it accepts exactly what ``json.loads``
+    A line stripped of JSON whitespace has none at either end, so the
+    scanner consuming all of it accepts exactly what ``json.loads``
     accepts. Only the lines that hold a ``\\u`` escape are searched for
-    lone surrogates.
+    lone surrogates. A fault raises ``ConfigError("<path>:<line>: ...")``
+    when the stream reaches its line; closing the stream closes the file.
 
     With ``start`` or ``end``, only the bytes from ``start`` up to ``end``
     (the end of the file if None) are read; each must be a line start or
@@ -202,21 +210,27 @@ def read_jsonl(path: str | Path, start: int = 0, end: int | None = None) -> list
     are those of the whole file. A message names lines counted from
     ``start``.
     """
-    records = []
     with _utf8(path), _text(path, start, end) as handle:
         for number, line in enumerate(handle, 1):
             line = line.strip(_JSON_SPACE)
             if line:
                 try:
-                    value, end = _decode(line)
-                except ValueError:  # JSONDecodeError, or an integer too long to convert
-                    value, end = None, 0
-                if end != len(line) or not isinstance(value, dict):
+                    value, stop = _scan(line, 0)
+                except (ValueError, StopIteration, RecursionError):
+                    # JSONDecodeError, an integer too long to convert, no value
+                    # at all, or one nested too deeply
+                    value, stop = None, 0
+                if stop != len(line) or not isinstance(value, dict):
                     value = _json_object(line, path, number)  # raises, naming the line
                 if "\\u" in line:
                     _check_surrogates(line, path, number)
-                records.append(value)
-    return records
+                yield value
+
+
+def read_jsonl(path: str | Path, start: int = 0, end: int | None = None) -> list[dict]:
+    """The rows of ``iter_jsonl(path, start, end)`` as a list: every read
+    fault of the file is raised before any row is used."""
+    return list(iter_jsonl(path, start, end))
 
 
 def _row_line(path: str | Path, index: int) -> int:
@@ -307,6 +321,18 @@ def _is_csv(path: str | Path) -> bool:
     return Path(path).suffix.lower() == ".csv"
 
 
+def _csv_reader(path: str | Path, handle) -> csv.DictReader:
+    """A ``csv.DictReader`` of ``handle``, the text of the CSV file
+    ``path``, whose header has been read; a file that starts with a UTF-8
+    byte order mark, which would join the first column's name, is a
+    ``ConfigError``."""
+    reader = csv.DictReader(handle)
+    if (reader.fieldnames or [""])[0].startswith("\ufeff"):
+        raise ConfigError(f"{path}:1: file starts with a UTF-8 byte order mark (U+FEFF); "
+                          "write it as UTF-8 without one")
+    return reader
+
+
 def _read_rows(path: str | Path, start: int = 0, end: int | None = None) -> list[dict]:
     """The rows of a CSV file, or of the JSONL file's bytes from ``start``
     to ``end`` (``read_jsonl``)."""
@@ -314,7 +340,7 @@ def _read_rows(path: str | Path, start: int = 0, end: int | None = None) -> list
     if _is_csv(path):
         with _utf8(path), path.open("r", encoding="utf-8", newline="") as handle:
             rows = []
-            reader = csv.DictReader(handle)
+            reader = _csv_reader(path, handle)
             for row in reader:
                 parsed = {}
                 for key, value in row.items():
@@ -549,7 +575,7 @@ def read_source_manifest(path: str | Path) -> dict[str, str]:
     header, or a second row for a clip is a ``ConfigError``."""
     sources = {}
     with _utf8(path), Path(path).open("r", encoding="utf-8", newline="") as handle:
-        reader = csv.DictReader(handle)
+        reader = _csv_reader(path, handle)
         for column in ("clip_id", "source"):
             if column not in (reader.fieldnames or ()):
                 raise ConfigError(f"{path}: source manifest has no {column!r} column")

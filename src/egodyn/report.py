@@ -5,15 +5,16 @@ codes: it parses each free-text row once through the cascade of
 ``parsing`` and checks each pre-parsed label, so ``sweep`` and
 ``evaluate`` build their prediction tables with
 ``AnswerTable.from_codes`` and ``parse`` and ``evaluate`` write the same
-``parsed`` and ``stage`` fields.
+``parsed`` and ``stage`` fields. It keeps columns, not rows, so it folds
+rows as ``io.iter_jsonl`` decodes them.
 
 ``build_evaluation_report`` reads every score of the report, the
 confusion matrices, the per-question and aggregate scores and the
 temporal ones, from the confusion counts of ``metrics.score_questions``.
 
 The two outputs that grow with the input are written as text, byte for
-byte what the dict encoders of ``io`` write: ``write_parsed_predictions``
-builds a row of the known keys from pieces encoded once, and the report's
+byte what the dict encoders of ``io`` write: ``_parsed_line`` builds a
+row of the known keys from pieces encoded once, and the report's
 per-clip consistency block is built from the rule matrices of
 ``consistency.consistency_of``, one object text per outcome pattern.
 """
@@ -24,7 +25,7 @@ import csv
 import itertools
 import json
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -45,44 +46,67 @@ def _question(clip_id, question_id) -> tuple:
     return QUESTION_ORDER.index(question_id), space + (UNPARSED,), parsing.tables(space)
 
 
-def prediction_codes(rows: Sequence[dict], fill: bool = False) -> tuple[list[int], list[int]]:
-    """The ``QUESTION_ORDER`` column and the answer code of each prediction
-    row. A row with ``response`` is parsed from it, which must be a JSON
-    string; a row with only ``parsed`` must carry a label of its question's
-    answer space or ``unparsed``. With ``fill``, each row gains its parsed
-    label and stage in place: ``external`` for a pre-parsed row, unless it
-    carries a ``stage``.
+class CodedPredictions(NamedTuple):
+    """Prediction rows as columns: item ``i`` of each is of row ``i``."""
+
+    ids: list  # clip ids
+    columns: list[int]  # QUESTION_ORDER columns
+    codes: list[int]  # answer codes
+    models: list  # ``model`` fields, ``default`` where a row has none
+    stages: list  # with ``fill``: the stage that gave each label
+    lines: list[str]  # with ``fill``: the ``parsed_predictions.jsonl`` lines
+
+
+def prediction_codes(rows: Iterable[dict], fill: bool = False) -> CodedPredictions:
+    """The clip id, ``QUESTION_ORDER`` column, answer code and model of each
+    prediction row, in one pass that may read ``rows`` as they are decoded.
+    A row with ``response`` is parsed from it, which must be a JSON string;
+    a row with only ``parsed`` must carry a label of its question's answer
+    space or ``unparsed``.
+
+    With ``fill``, each row gains its parsed label and stage in place
+    (``external`` for a pre-parsed row, unless it carries a ``stage``) and
+    its line of ``parsed_predictions.jsonl`` is rendered (``_parsed_line``).
 
     Raises:
         ConfigError: naming the clip, for an unknown question id, a label
             outside the answer space or a ``response`` that is not a string.
+        KeyError: for a row without ``clip_id``, ``question_id``, or
+            ``response`` or ``parsed``.
         TypeError: for a ``question_id`` that cannot be a key.
     """
     parse_code = parsing.parse_code  # looked up per call: tests count its calls
     questions: dict = {}
-    columns, codes = [], []
+    pieces = _Pieces()
+    coded = CodedPredictions([], [], [], [], [], [])
+    ids, columns, codes, models, stages, lines = coded
     for row in rows:
-        question_id = row["question_id"]
+        clip_id, question_id = row["clip_id"], row["question_id"]
         question = questions.get(question_id)
         if question is None:
-            question = questions[question_id] = _question(row["clip_id"], question_id)
+            question = questions[question_id] = _question(clip_id, question_id)
         column, labels, tables = question
         if "response" in row:
             raw = row["response"]
             if not isinstance(raw, str):
-                raise ConfigError(f"clip {row['clip_id']!r}: field 'response' holds "
+                raise ConfigError(f"clip {clip_id!r}: field 'response' holds "
                                   f"{io.json_kind(raw)}, not a string")
             code, stage = parse_code(raw, tables)
             if fill:
                 row["parsed"] = labels[code]
                 row["stage"] = stage
         else:
-            code = answer_code(row["clip_id"], question_id, row["parsed"], predicted=True)
+            code = answer_code(clip_id, question_id, row["parsed"], predicted=True)
             if fill:
-                row.setdefault("stage", "external")
+                stage = row.setdefault("stage", "external")
+        ids.append(clip_id)
         columns.append(column)
         codes.append(code)
-    return columns, codes
+        models.append(row.get("model", "default"))
+        if fill:
+            stages.append(stage)
+            lines.append(_parsed_line(row, pieces))
+    return coded
 
 
 def parse_predictions(rows: Sequence[dict]) -> Sequence[dict]:
@@ -104,36 +128,29 @@ class _Pieces(dict):
         return text
 
 
-def write_parsed_predictions(path: str | Path, rows: Iterable[Mapping]) -> None:
-    """Write ``rows``, filled by ``prediction_codes``, as the bytes that
-    ``io.write_jsonl`` writes, one line at a time.
+def _parsed_line(row: Mapping, pieces: _Pieces) -> str:
+    """The line that ``io.write_jsonl`` writes for ``row``, filled by
+    ``prediction_codes``.
 
     A row whose keys are ``clip_id``, ``question_id``, ``parsed`` and
     ``stage``, and ``response`` and ``model`` if it has them, and whose
-    values are strings is built as text: its question id, label, stage and model are
-    encoded once per run, and its clip id and response once per row. Every
-    other row goes through ``io.json_text``.
+    values are strings is built as text: its question id, label, stage and
+    model are encoded once per run (``pieces``), and its clip id and
+    response once per row. Every other row goes through ``io.json_text``.
     """
-    pieces = _Pieces()
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as handle:
-        write = handle.write
-        for row in rows:
-            try:
-                head, size = _encode_string(row["clip_id"]), 4
-                if "model" in row:
-                    head, size = f'{head}, "model": {pieces[row["model"]]}', 5
-                tail = pieces[row["question_id"]]
-                if "response" in row:
-                    tail, size = f'{tail}, "response": {_encode_string(row["response"])}', size + 1
-                if len(row) == size:
-                    write(f'{{"clip_id": {head}, "parsed": {pieces[row["parsed"]]}, '
-                          f'"question_id": {tail}, "stage": {pieces[row["stage"]]}}}\n')
-                    continue
-            except (KeyError, TypeError):
-                pass
-            write(io.json_text(row) + "\n")
+    try:
+        head, size = _encode_string(row["clip_id"]), 4
+        if "model" in row:
+            head, size = f'{head}, "model": {pieces[row["model"]]}', 5
+        tail = pieces[row["question_id"]]
+        if "response" in row:
+            tail, size = f'{tail}, "response": {_encode_string(row["response"])}', size + 1
+        if len(row) == size:
+            return (f'{{"clip_id": {head}, "parsed": {pieces[row["parsed"]]}, '
+                    f'"question_id": {tail}, "stage": {pieces[row["stage"]]}}}\n')
+    except (KeyError, TypeError):
+        pass
+    return io.json_text(row) + "\n"
 
 
 def _clip_order(clip_ids: tuple, truth_path: str) -> list[int]:
@@ -245,26 +262,31 @@ def build_evaluation_report(
     return text.replace(_encode_string(_PER_CLIP), block, 1) + "\n"
 
 
-def parse_rate_report(parsed_rows: Sequence[Mapping]) -> dict:
-    """Parsable-rate per model (rows without a model field pool together).
+def parse_rate_report(parsed_rows: Iterable[Mapping]) -> dict:
+    """``parse_rates`` of rows filled by ``prediction_codes``."""
+    rows = list(parsed_rows)
+    return parse_rates([str(row.get("model", "default")) for row in rows],
+                       [row["parsed"] != UNPARSED for row in rows], [row["stage"] for row in rows])
 
-    ``parsed_rows`` are the output of ``parse_predictions``.
-    """
-    by_model: dict[str, list[Mapping]] = {}
-    for row in parsed_rows:
-        by_model.setdefault(str(row.get("model", "default")), []).append(row)
+
+def parse_rates(models: Sequence[str], parsed: Sequence[bool], stages: Sequence) -> dict:
+    """Parsable-rate per model, of rows given as columns: row ``i`` is of
+    model ``models[i]`` (``default`` for rows without a model field), was
+    parsed if ``parsed[i]`` and got its label at stage ``stages[i]``."""
+    by_model: dict[str, list[int]] = {}
+    for index, model in enumerate(models):
+        by_model.setdefault(model, []).append(index)
     report = {}
     for model, rows in sorted(by_model.items()):
-        parsed = sum(1 for r in rows if r["parsed"] != UNPARSED)
-        rate = 100.0 * parsed / len(rows)
-        stages: dict[str, int] = {}
-        for r in rows:
-            stages[r["stage"]] = stages.get(r["stage"], 0) + 1
+        count = sum(1 for i in rows if parsed[i])
+        counts: dict = {}
+        for i in rows:
+            counts[stages[i]] = counts.get(stages[i], 0) + 1
         report[model] = {
             "n": len(rows),
-            "parsed": parsed,
-            "parse_rate_percent": round(rate, 1),
-            "stages": dict(sorted(stages.items())),
+            "parsed": count,
+            "parse_rate_percent": round(100.0 * count / len(rows), 1),
+            "stages": dict(sorted(counts.items())),
         }
     return report
 

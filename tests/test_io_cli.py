@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import json
 import math
 import os
@@ -1565,6 +1566,68 @@ class TestMalformedJson:
         assert f"{config}:{line}:" in err
 
 
+# An array nested far deeper than the recursion limit, and closed again.
+DEEP = "[" * 100_000 + "]" * 100_000
+DEEP_MESSAGE = "invalid JSON (nested too deeply to decode)"
+
+
+class TestDeepNesting:
+    """A JSON value nested deeper than the recursion limit exits 2 as
+    ``<path>:<line>: invalid JSON (...)``, not with a ``RecursionError``,
+    whichever reader meets it."""
+
+    def write_with_deep_line(self, path, rows, at):
+        lines = [json.dumps(row) for row in rows]
+        lines.insert(at, '{"clip_id": %s}' % DEEP)
+        path.write_text("\n".join(lines) + "\n")
+        return f"{path}:{at + 1}: {DEEP_MESSAGE}\n"
+
+    def message(self, tmp_path, capsys, command, config):
+        status = run_cli(command, {**config, "out": str(tmp_path / "o")}, tmp_path)
+        err = capsys.readouterr().err
+        assert status == 2, err
+        return err
+
+    def test_balance_labels(self, tmp_path, capsys):
+        labels = tmp_path / "labels.jsonl"
+        where = self.write_with_deep_line(labels, _label_rows(["c1", "c2", "c3"]), 20)
+        err = self.message(tmp_path, capsys, "balance", {"labels": str(labels), "n": 2})
+        assert err == f"egodyn balance: {where}"
+
+    def test_label_pose_input(self, tmp_path, capsys):
+        path = tmp_path / "trajectories.jsonl"
+        where = self.write_with_deep_line(path, _pose_rows("a") + _pose_rows("b"), 40)
+        err = self.message(tmp_path, capsys, "label", {"input": str(path)})
+        assert err == f"egodyn label: {where}"
+
+    def test_evaluate_predictions(self, tmp_path, capsys):
+        truth = _label_rows(["c1"])
+        io.write_jsonl(tmp_path / "truth.jsonl", truth)
+        predictions = tmp_path / "predictions.jsonl"
+        where = self.write_with_deep_line(predictions, [
+            {"clip_id": r["clip_id"], "question_id": r["question_id"], "response": r["answer"]}
+            for r in truth], 5)
+        err = self.message(tmp_path, capsys, "evaluate", {
+            "truth": str(tmp_path / "truth.jsonl"), "predictions": str(predictions)})
+        assert err == f"egodyn evaluate: {where}"
+
+    @pytest.mark.parametrize("document", ["config", "thresholds"])
+    def test_json_documents(self, tmp_path, capsys, document):
+        """The line named is the one the document's value starts on."""
+        traj = tmp_path / "trajectories.jsonl"
+        io.write_jsonl(traj, _pose_rows("a"))
+        thresholds = tmp_path / "thresholds.json"
+        thresholds.write_text("{}")
+        config = tmp_path / "config.json"
+        io.write_json(config, {"input": str(traj), "thresholds": str(thresholds)})
+        path = config if document == "config" else thresholds
+        path.write_text('\n\n{"out": "o",\n "x": %s}\n' % DEEP)
+        status = main(["label", "--config", str(config)])
+        err = capsys.readouterr().err
+        assert status == 2, err
+        assert err == f"egodyn label: {path}:3: {DEEP_MESSAGE}\n"
+
+
 class TestLoneSurrogates:
     """A JSON string holding a lone UTF-16 surrogate escape, which UTF-8
     cannot write, exits 2 with ``<path>:<line>:`` in the message."""
@@ -1863,6 +1926,34 @@ class TestTextInputErrors:
         assert f"{path}:2: not UTF-8" in err
 
 
+class TestByteOrderMark:
+    """A CSV input that starts with a UTF-8 byte order mark exits 2 with a
+    message that names it, not as a missing or non-numeric column."""
+
+    BOM_MESSAGE = "1: file starts with a UTF-8 byte order mark (U+FEFF); write it as UTF-8 without one"
+
+    def test_source_manifest(self, tmp_path, capsys):
+        labels = tmp_path / "labels.jsonl"
+        io.write_jsonl(labels, _label_rows(["c1", "c2"]))
+        sources = tmp_path / "sources.csv"
+        sources.write_text("\ufeffclip_id,source\nc1,real\nc2,sim\n", encoding="utf-8")
+        status = run_cli("balance", {"labels": str(labels), "n": 1, "sources": str(sources),
+                                     "out": str(tmp_path / "o")}, tmp_path)
+        err = capsys.readouterr().err
+        assert status == 2, err
+        assert err == f"egodyn balance: {sources}:{self.BOM_MESSAGE}\n"
+
+    @pytest.mark.parametrize("header", ["clip_id,t,v,omega", '"clip_id",t,v,omega'])
+    def test_csv_trajectory(self, tmp_path, capsys, header):
+        traj = tmp_path / "trajectories.csv"
+        traj.write_text("\ufeff" + header + "\n" + "".join(
+            f"a,{i / 10.0},5.0,0.1\n" for i in range(31)), encoding="utf-8")
+        status = run_cli("label", {"input": str(traj), "out": str(tmp_path / "o")}, tmp_path)
+        err = capsys.readouterr().err
+        assert status == 2, err
+        assert err == f"egodyn label: {traj}:{self.BOM_MESSAGE}\n"
+
+
 def _docs_command_keys():
     """The "Command configs" table of docs/formats.md as ``COMMAND_KEYS``."""
     text = (Path(__file__).resolve().parents[1] / "docs" / "formats.md").read_text("utf-8")
@@ -2132,9 +2223,9 @@ class TestForkedInputs:
         """On one CPU every input is read in the serial order, so no more
         of them is held at once than before."""
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        read, read_jsonl = [], io.read_jsonl
-        monkeypatch.setattr(io, "read_jsonl", lambda path, *span: (
-            read.append(Path(path).stem) or read_jsonl(path, *span)))
+        read, iter_jsonl = [], io.iter_jsonl
+        monkeypatch.setattr(io, "iter_jsonl", lambda path, *span: (
+            read.append(Path(path).stem) or iter_jsonl(path, *span)))
         assert run_cli(command, self.config(command, corpus, tmp_path / "out"), tmp_path) == 0
         assert read == order
 
@@ -2160,6 +2251,94 @@ class TestForkedInputs:
             run_cli(command, self.config(command, corpus, tmp_path / "out"), tmp_path)
         assert time.monotonic() - start < 30
         _no_child_left()
+
+
+class TestStreamedInputs:
+    """``balance``, ``evaluate`` (the command and its child), ``sweep``'s
+    prediction files and ``parse`` fold keyed rows as ``io.iter_jsonl``
+    decodes them: on valid input they read no file as a list and parse each
+    free-text row once, on one CPU and on two. A fold that fails mid-file
+    closes its stream before the file is read again as a list to name the
+    fault."""
+
+    MODELS, corpus = TestForkedInputs.MODELS, TestForkedInputs.corpus
+
+    @pytest.fixture(params=[{0}, {0, 1}], ids=["one-cpu", "two-cpus"])
+    def cpus(self, request, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: request.param, raising=False)
+        yield
+        _no_child_left()
+
+    @staticmethod
+    def config(command, corpus, out):
+        if command in ("sweep", "evaluate"):
+            return TestForkedInputs.config(command, corpus, out)
+        if command == "parse":
+            return {"predictions": str(corpus["predictions"]["m0"]), "out": str(out)}
+        return {"labels": str(corpus["truth"]), "n": 3, "out": str(out)}
+
+    @pytest.mark.parametrize("command", ["balance", "evaluate", "sweep", "parse"])
+    def test_valid_inputs_are_read_as_streams(self, tmp_path, monkeypatch, corpus, cpus, command):
+        def as_list(path, *span):
+            # raised in a forked child too, whose error the command raises
+            if Path(path).stem != "trajectories":
+                raise AssertionError(f"{path} read as a list")
+            return read_jsonl(path, *span)
+
+        def counting(raw, tables):  # a file, so that a forked child's calls count too
+            with calls.open("a", encoding="utf-8") as handle:
+                handle.write(json.dumps(raw) + "\n")
+            return parse_code(raw, tables)
+
+        read_jsonl, parse_code, calls = io.read_jsonl, parsing.parse_code, tmp_path / "calls"
+        calls.touch()
+        monkeypatch.setattr(io, "read_jsonl", as_list)
+        monkeypatch.setattr(io, "read_predictions", as_list)
+        monkeypatch.setattr(parsing, "parse_code", counting)
+        assert run_cli(command, self.config(command, corpus, tmp_path / "out"), tmp_path) == 0
+        models = {"balance": [], "evaluate": ["m0"], "parse": ["m0"]}.get(
+            command, list(corpus["predictions"]))
+        responses = [row["response"] for model in models
+                     for row in read_jsonl(corpus["predictions"][model])]
+        parsed = [json.loads(line) for line in calls.read_text(encoding="utf-8").splitlines()]
+        assert sorted(parsed) == sorted(responses)
+
+    @pytest.mark.filterwarnings("error::ResourceWarning")
+    @pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning")
+    @pytest.mark.parametrize(
+        "command,broken,named",
+        [("balance", "truth", ":3: row lacks field 'answer'"),
+         ("evaluate", "truth", ":3: row lacks field 'answer'"),
+         ("evaluate", "m0", ":3: clip 'synth_0000': unknown question id 'bogus'"),
+         ("parse", "m0", ":3: clip 'synth_0000': unknown question id 'bogus'"),
+         ("sweep", "m0", ":3: clip 'synth_0000': unknown question id 'bogus'")],
+    )
+    def test_a_failed_fold_closes_its_stream(
+        self, tmp_path, monkeypatch, capsys, corpus, command, broken, named
+    ):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        path = corpus["truth"] if broken == "truth" else corpus["predictions"][broken]
+        rows = io.read_jsonl(path)
+        if broken == "truth":
+            del rows[2]["answer"]
+        else:
+            rows[2]["question_id"] = "bogus"
+        io.write_jsonl(path, rows)
+        opened, text = [], io._text
+        monkeypatch.setattr(io, "_text", lambda *args: opened.append(text(*args)) or opened[-1])
+        read_jsonl = io.read_jsonl
+
+        def as_list(where, *span):
+            if Path(where) == path:  # read again to name the fault
+                assert opened and all(handle.closed for handle in opened)
+            return read_jsonl(where, *span)
+
+        monkeypatch.setattr(io, "read_jsonl", as_list)
+        status = run_cli(command, self.config(command, corpus, tmp_path / "out"), tmp_path)
+        gc.collect()
+        assert status == 2
+        assert capsys.readouterr().err == f"egodyn {command}: {path}{named}\n"
+        assert all(handle.closed for handle in opened)
 
 
 def _mixed_rows(count: int = 9, seed: int = 3) -> list[dict]:

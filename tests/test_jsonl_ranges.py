@@ -2,7 +2,8 @@
 a trajectory file.
 
 For every line start ``s`` of a JSONL file, the rows of bytes ``[0, s)``
-followed by those of ``[s, end)`` are the rows of the whole file, whatever
+followed by those of ``[s, end)`` are the rows of the whole file, and
+``io.iter_jsonl`` streams the rows that ``io.read_jsonl`` lists, whatever
 its line ends (``\\n``, ``\\r\\n``, a lone ``\\r``), blank or whitespace-only
 lines, non-ASCII strings or a missing final newline. ``clip_boundary``
 returns such a line start after the middle byte, at a change of clip, or
@@ -57,6 +58,16 @@ def test_two_ranges_read_the_whole_file(tmp_path_factory, lines):
     for start in _line_starts(data):
         assert io.read_jsonl(path, 0, start) + io.read_jsonl(path, start) == whole, start
         assert io.read_jsonl(path, start, len(data)) == io.read_jsonl(path, start)
+
+
+@settings(max_examples=100, deadline=None)
+@given(lines=_FILE)
+def test_the_stream_yields_the_rows_of_the_list(tmp_path_factory, lines):
+    path, data = _write(tmp_path_factory.mktemp("stream"), lines)
+    starts = _line_starts(data)
+    for start in starts:
+        for end in [None] + [end for end in starts if end >= start]:
+            assert list(io.iter_jsonl(path, start, end)) == io.read_jsonl(path, start, end)
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,6 +1,6 @@
 """Fuzz the labels and truth reader through ``balance`` and ``evaluate``.
 
-Both commands read keyed rows with ``io.read_jsonl`` and ``io.keyed_rows``:
+Both commands fold keyed rows as ``io.iter_jsonl`` decodes them:
 ``balance`` its labels file, ``evaluate`` its truth file. Each file holds
 the label rows of a few clips, with blank lines, and one fault in one
 line: a missing ``clip_id``, ``question_id`` or ``answer``; an array or
@@ -8,24 +8,67 @@ object id; invalid JSON; a JSON value that is not an object; or bytes
 that are not UTF-8. Each of these must exit 2 with ``<path>:<line>:`` of
 that line. Other spoiled values (answers and ids of every JSON type,
 unknown questions, lone surrogates, duplicate rows) must exit 0 or 2 with
-a one-line message. No input may raise.
+a one-line message. Some files hold a second fault on another line, one
+that reading the file fails on (invalid JSON, bytes that are not UTF-8, a
+lone surrogate), before or after the first. Every file must give the exit
+code, message and outputs of the reference below, which reads the file
+whole with ``io.read_jsonl`` and keys its rows under ``io.keyed_rows``. No
+input may raise.
 """
 
 from __future__ import annotations
 
 import contextlib
 import json
+import shutil
 from io import StringIO
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from egodyn import io
+from egodyn import balancer, cli, io
 from egodyn.cli import main
+from egodyn.errors import ConfigError
 from egodyn.questions import ANSWER_SPACES, QUESTION_ORDER
+from test_predictions_reader_fuzz import ref_cmd_evaluate
 
 LINE_FAULTS = ["missing", "array_id", "object_id", "bad_json", "not_object", "bad_utf8"]
+READ_FAULTS = ["bad_json", "bad_utf8", "surrogate"]
 VALUES = [5, 1.5, None, True, [1], {"a": 1}, "banana", "bogus_q", "\ud800", "", "körung"]
+
+
+def ref_cmd_balance(cfg):
+    """``balance`` on its labels file read whole: every read fault first,
+    then the first row that cannot be keyed or repeats a cell, then the
+    first unknown question id."""
+    labels = cfg.params["labels"]
+    rows = io.read_jsonl(labels)
+    answers = {}
+    with io.keyed_rows(labels, rows, "answer"):
+        for row in rows:
+            clip_answers = answers.setdefault(row["clip_id"], {})
+            if row["question_id"] in clip_answers:
+                raise ConfigError(f"clip {row['clip_id']!r}, question {row['question_id']!r}: "
+                                  "two labels rows")
+            clip_answers[row["question_id"]] = row["answer"]
+    for index, row in enumerate(rows):
+        if row["question_id"] not in QUESTION_ORDER:
+            raise ConfigError(f"{labels}:{io._row_line(labels, index)}: clip {row['clip_id']!r}: "
+                              f"unknown question id {row['question_id']!r}")
+    pool = [balancer.PoolClip(clip_id, "real", clip_answers)
+            for clip_id, clip_answers in answers.items()]
+    selected_ids = balancer.balance(pool, cfg.params["n"])
+    by_id = {clip.clip_id: clip for clip in pool}
+    out = cfg.out_dir
+    io.write_json(out / "selected_clips.json", {"selected": selected_ids})
+    io.write_json(out / "imbalance_report.json",
+                  balancer.imbalance_report([by_id[clip_id] for clip_id in selected_ids]))
+    return {"selected_clips": out / "selected_clips.json",
+            "imbalance_report": out / "imbalance_report.json"}
+
+
+REFERENCE = {"balance": ref_cmd_balance, "evaluate": ref_cmd_evaluate}
 
 
 @st.composite
@@ -58,17 +101,40 @@ def label_files(draw):
     elif fault == "not_object":
         lines[index] = json.dumps([row]).encode()
     elif fault == "bad_utf8":
-        at = draw(st.integers(0, len(lines[index])))
-        lines[index] = lines[index][:at] + b"\xff" + lines[index][at:]
+        lines[index] = _not_utf8(draw, lines[index])
+    second = len(lines) > 1 and draw(st.booleans()) and draw(st.sampled_from(READ_FAULTS))
+    if second:  # on a line before or after the first fault's
+        other = draw(st.integers(0, len(lines) - 1).filter(lambda i: i != index))
+        if second == "bad_json":
+            lines[other] = lines[other][:-1]
+        elif second == "bad_utf8":
+            lines[other] = _not_utf8(draw, lines[other])
+        else:
+            lines[other] = json.dumps({**rows[other], "rule_name": "\ud800"}).encode()
     blanks = draw(st.lists(st.integers(0, len(lines)), max_size=3))
     for at in sorted(blanks, reverse=True):  # blank lines are skipped but counted
         lines.insert(at, b"")
         index += at <= index
-    named = index + 1 if fault in LINE_FAULTS else None
+    named = index + 1 if fault in LINE_FAULTS and not second else None
     return b"".join(line + b"\n" for line in lines), named
 
 
-@settings(max_examples=150, deadline=None)
+def _not_utf8(draw, line: bytes) -> bytes:
+    at = draw(st.integers(0, len(line)))
+    return line[:at] + b"\xff" + line[at:]
+
+
+def _run(command, config_path, out):
+    if out.exists():
+        shutil.rmtree(out)
+    err = StringIO()
+    with contextlib.redirect_stderr(err):
+        status = main([command, "--config", str(config_path)])
+    files = {p.name: p.read_bytes() for p in sorted(out.iterdir())} if out.exists() else {}
+    return status, err.getvalue(), files
+
+
+@settings(max_examples=300, deadline=None)
 @given(file=label_files(), command=st.sampled_from(["balance", "evaluate"]))
 def test_malformed_rows_exit_2_naming_the_line(tmp_path_factory, file, command):
     data, named = file
@@ -86,10 +152,10 @@ def test_malformed_rows_exit_2_naming_the_line(tmp_path_factory, file, command):
         config = {"truth": str(path), "predictions": str(predictions),
                   "out": str(where / "out")}
     io.write_json(where / "config.json", config)
-    err = StringIO()
-    with contextlib.redirect_stderr(err):
-        status = main([command, "--config", str(where / "config.json")])
-    message = err.getvalue()
+    shipped = _run(command, where / "config.json", where / "out")
+    with mock.patch.dict(cli._RUNNERS, {command: REFERENCE[command]}):
+        assert _run(command, where / "config.json", where / "out") == shipped
+    status, message, _ = shipped
     if named is not None:
         assert status == 2
         assert message.startswith(f"egodyn {command}: {path}:{named}: "), message

@@ -5,7 +5,10 @@ spoiled with up to three faults in random rows: an unknown question id, a
 pre-parsed label outside the answer space, a second row for one cell, a
 missing field, an array or object id, a ``response`` that is not a JSON
 string, and numeric clip ids that are equal as keys (``1``, ``1.0``,
-``true``), sometimes in two rows for one cell. The command must exit
+``true``), sometimes in two rows for one cell. Some files also hold a
+line that reading the file fails on (invalid JSON, bytes that are not
+UTF-8, a lone surrogate), before or after the spoiled rows: reading the
+file whole names it before any of them. The command must exit
 with the code, print the message and write the bytes of the reference
 below, which keeps the path that
 ``report.prediction_codes`` and ``AnswerTable.from_codes`` replaced: every
@@ -224,6 +227,23 @@ def prediction_files(draw):
     return rows
 
 
+# A line that reading the file fails on, put before row ``at`` of a file.
+READ_FAULTS = {
+    "bad_json": b'{"clip_id": "synth_0000", "question_id": ',
+    "bad_utf8": b'{"clip_id": "synth_\xff", "question_id": "turn_direction", "parsed": "left"}',
+    "surrogate": b'{"clip_id": "\\ud800", "question_id": "turn_direction", "parsed": "left"}',
+}
+read_faults = st.none() | st.tuples(st.sampled_from(sorted(READ_FAULTS)), st.integers(0, 60))
+
+
+def _file_bytes(rows, read_fault) -> bytes:
+    lines = [json.dumps(row).encode() for row in rows]
+    if read_fault:
+        kind, at = read_fault
+        lines.insert(min(at, len(lines)), READ_FAULTS[kind])
+    return b"\n" + b"".join(line + b"\n" for line in lines)
+
+
 # ------------------------------------------------------------- comparison
 
 
@@ -247,14 +267,15 @@ ONLY_ID_FAULT = [
 ]
 
 
-@settings(max_examples=150, deadline=None)
-@given(rows=prediction_files(), command=st.sampled_from(["parse", "evaluate", "sweep"]))
-@example(rows=ONLY_ID_FAULT[0], command="parse")
-@example(rows=ONLY_ID_FAULT[1], command="parse")
-def test_predictions_reader_equals_reference(tmp_path_factory, rows, command):
+@settings(max_examples=300, deadline=None)
+@given(rows=prediction_files(), command=st.sampled_from(["parse", "evaluate", "sweep"]),
+       read_fault=read_faults)
+@example(rows=ONLY_ID_FAULT[0], command="parse", read_fault=None)
+@example(rows=ONLY_ID_FAULT[1], command="parse", read_fault=None)
+def test_predictions_reader_equals_reference(tmp_path_factory, rows, command, read_fault):
     where = tmp_path_factory.mktemp("fuzz")
     path = where / "predictions.jsonl"
-    path.write_text("\n" + "".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+    path.write_bytes(_file_bytes(rows, read_fault))
     out = where / "out"
     if command == "parse":
         config = {"predictions": str(path)}

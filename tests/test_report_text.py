@@ -1,7 +1,7 @@
 """The text writers of ``evaluate`` and ``parse`` write the dict path's bytes.
 
-``report.write_parsed_predictions`` must write what ``io.write_jsonl``
-writes for the same filled rows, and ``report.build_evaluation_report``
+The ``parsed_predictions.jsonl`` lines that ``report.prediction_codes``
+renders must be what ``io.write_jsonl`` writes for the same filled rows, and ``report.build_evaluation_report``
 must return what ``json.dumps(indent=2, sort_keys=True,
 ensure_ascii=False)`` gives for the report built as a dict, with one
 ``consistency.clip_consistency(...).to_dict()`` per clip and WPCR and PCov
@@ -58,9 +58,9 @@ def prediction_rows(draw):
 @settings(max_examples=200, deadline=None)
 @given(rows=st.lists(prediction_rows(), max_size=12))
 def test_parsed_rows_equal_write_jsonl(tmp_path_factory, rows):
-    report.prediction_codes(rows, fill=True)
+    coded = report.prediction_codes(rows, fill=True)
     where = tmp_path_factory.mktemp("parsed")
-    report.write_parsed_predictions(where / "text.jsonl", rows)
+    (where / "text.jsonl").write_text("".join(coded.lines), encoding="utf-8")
     io.write_jsonl(where / "dicts.jsonl", rows)
     assert (where / "text.jsonl").read_bytes() == (where / "dicts.jsonl").read_bytes()
 
