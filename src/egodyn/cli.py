@@ -388,8 +388,8 @@ def _coded_predictions(path: str, fill: bool, finish):
     """The prediction rows of ``path``, coded by ``report.prediction_codes``
     as they are decoded, and ``finish`` of them; with ``fill``, the coded
     rows carry their ``parsed_predictions.jsonl`` lines. A fault is named
-    as ``io.read_predictions``, then ``report.prediction_codes`` and
-    ``finish`` on its rows, name it."""
+    by ``io.read_predictions``, then by ``report.prediction_codes`` and
+    ``finish`` on the rows it read."""
 
     def fold(rows):
         coded = report.prediction_codes(rows, fill)

@@ -18,20 +18,16 @@ input may raise.
 
 from __future__ import annotations
 
-import contextlib
 import json
-import shutil
-from io import StringIO
 from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from egodyn import balancer, cli, io
-from egodyn.cli import main
 from egodyn.errors import ConfigError
 from egodyn.questions import ANSWER_SPACES, QUESTION_ORDER
-from test_predictions_reader_fuzz import ref_cmd_evaluate
+from test_predictions_reader_fuzz import _run, ref_cmd_evaluate
 
 LINE_FAULTS = ["missing", "array_id", "object_id", "bad_json", "not_object", "bad_utf8"]
 READ_FAULTS = ["bad_json", "bad_utf8", "surrogate"]
@@ -122,16 +118,6 @@ def label_files(draw):
 def _not_utf8(draw, line: bytes) -> bytes:
     at = draw(st.integers(0, len(line)))
     return line[:at] + b"\xff" + line[at:]
-
-
-def _run(command, config_path, out):
-    if out.exists():
-        shutil.rmtree(out)
-    err = StringIO()
-    with contextlib.redirect_stderr(err):
-        status = main([command, "--config", str(config_path)])
-    files = {p.name: p.read_bytes() for p in sorted(out.iterdir())} if out.exists() else {}
-    return status, err.getvalue(), files
 
 
 @settings(max_examples=300, deadline=None)
