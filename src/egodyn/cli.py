@@ -13,12 +13,14 @@ from __future__ import annotations
 
 import argparse
 import gc
+import itertools
 import math
 import os
 import pickle
 import sys
-from contextlib import contextmanager, suppress
+from contextlib import closing, contextmanager, suppress
 from dataclasses import dataclass, field, fields
+from functools import partial
 from pathlib import Path
 
 from . import balancer, baselines, io, metrics, report
@@ -55,6 +57,16 @@ _INPUT_KEYS = ("input", "truth", "predictions", "trajectories", "proxies", "labe
 _MAX_COUNT = 100_000  # synth clips
 _MAX_ENCODING_STEPS = 10_000
 _MAX_GRID_STEPS = 100_000  # rate_hz * window_s, the steps of a clip's grid
+
+# evaluate cuts its predictions file into this many parts for _job_queue:
+# enough that the two processes end close together although the child
+# builds the truth table first.
+_CHUNKS = 16
+# A job index in _job_queue's pipe is this many bytes, and the whole queue
+# is written before the fork, so it must fit in one page: the least a
+# pipe holds.
+_INDEX_BYTES = 2
+_MAX_JOBS = 4096 // _INDEX_BYTES
 
 
 def _input_paths(command: str, params: dict) -> dict[str, str]:
@@ -199,37 +211,26 @@ def _label_clips(
     return clip_ids, label_lines(clip_ids, codes, ev, rule_table(thresholds)), meta, prompts
 
 
-def _split_label(cfg: RunConfig, thresholds: ThresholdConfig):
-    """The ``_label_clips`` of the input's two parts, cut at
-    ``io.clip_boundary``: a forked child labels the second while the
-    command labels the first. None where ``_in_child`` would not fork, the
-    input is not cut, either part fails or a clip has rows in both."""
-    if not _forks():
-        return None
-    try:
-        split = io.clip_boundary(cfg.params["input"])
-        if split is None:
-            return None
-        with _in_child(_label_clips, cfg, thresholds, split) as collect:
-            first, second = _label_clips(cfg, thresholds, 0, split), collect()
-    except Exception:  # whatever it is, labeling the whole input names it
-        return None
-    return [first, second] if set(first[0]).isdisjoint(second[0]) else None
-
-
 def _cmd_label(cfg: RunConfig) -> dict[str, Path]:
-    """Label the input's clips, in two parts at once where it can
-    (``_split_label``), else in one, which names any fault as on one CPU."""
+    """Label the input's clips, in two parts at once where it can (a JSONL
+    input cut at ``io.clip_boundary``, on two CPUs), else in one, which
+    names any fault as on one CPU; so does a clip with rows in both parts."""
     thresholds = _load_thresholds(cfg)
-    parts = _split_label(cfg, thresholds) or [_label_clips(cfg, thresholds)]
+    cut = io.clip_boundary(cfg.params["input"]) if _forks() else None
+    halves = [(0, cut), (cut, None)] if cut else []
+    jobs = [partial(_label_clips, cfg, thresholds, start, end) for start, end in halves]
     out = cfg.out_dir
     outputs = {"labels": out / "labels.jsonl", "clip_summaries": out / "clip_summaries.jsonl"}
     if cfg.encoding:
         outputs["prompts"] = out / "prompts.jsonl"
-    for k, path in enumerate(outputs.values(), 1):  # text k of each part
-        with path.open("w", encoding="utf-8") as handle:
-            for part in parts:
-                handle.write(part[k])
+    with _job_queue(jobs) as collect:
+        parts = collect()
+        if parts is None or not set(parts[0][0]).isdisjoint(parts[1][0]):
+            parts = [_label_clips(cfg, thresholds)]
+        for k, path in enumerate(outputs.values(), 1):  # text k of each part
+            with path.open("w", encoding="utf-8") as handle:
+                for part in parts:
+                    handle.write(part[k])
     return outputs
 
 
@@ -301,76 +302,101 @@ def _streamed(path: str, fold, name_fault):
 
 
 def _forks() -> bool:
-    """Whether ``_in_child`` forks: the process may run on two or more CPUs
+    """Whether ``_job_queue`` forks: the process may run on two or more CPUs
     (``os.sched_getaffinity`` exists only where ``os.fork`` does)."""
     affinity = getattr(os, "sched_getaffinity", None)
     return affinity is not None and len(affinity(0)) >= 2
 
 
-@contextmanager
-def _in_child(fn, *args, first: bool = False):
-    """Run ``fn(*args)`` in a forked child while the block runs.
+def _take(queue: int) -> int | None:
+    """The next job index of the ``_job_queue`` pipe ``queue``; None once
+    it is empty. Every index was written before the fork and one read takes
+    all of an index, so the two processes never take one twice."""
+    data = os.read(queue, _INDEX_BYTES)
+    return int.from_bytes(data, "big") if data else None
 
-    The block gets ``collect``, which waits for the child and returns what
-    ``fn`` returned, or raises what it raised; both come back pickled
-    through a pipe. Where the process may run on one CPU only, or cannot
-    fork (``_forks``), there is no child: ``fn`` runs inline where the
-    command's serial order puts it, before the block if ``first``, else
-    when ``collect`` is called. A command whose block and ``collect``
-    follow that order writes the same bytes, raises the same first error
-    and holds the same data at once either way. A child that has not been collected
-    when the block ends, say on an error or an interrupt, is killed and
-    reaped. ``fn`` must call no BLAS routine: the child has no copy of
-    OpenBLAS's worker threads.
+
+def _kill(pid: int) -> None:
+    from signal import SIGKILL
+
+    with suppress(ProcessLookupError):
+        os.kill(pid, SIGKILL)
+
+
+@contextmanager
+def _job_queue(jobs: list):
+    """Share ``jobs``, callables without arguments, between the command
+    and one forked child.
+
+    The block gets ``collect``, which runs the command's share of the jobs
+    and returns the result of every job in job order; or None where there
+    is no child, or where a job failed in either process, and the command
+    then runs its serial path, which names the first fault as on one CPU.
+    The child runs job 0 first; then each process takes one index at a
+    time from a pipe of job indices written before the fork, until it is
+    empty. A child whose job fails empties the queue, so that the command
+    stops after its current job; a command whose job fails kills the
+    child. The child's results come back pickled through a second pipe.
+
+    There is no child where there is no job or more than ``_MAX_JOBS``, or
+    where the process may run on one CPU only, or cannot fork (``_forks``).
+    The child is reaped when the block ends, so the command need not wait
+    for its exit; if the command has not collected its results by then,
+    say on an error or an interrupt, it is killed first. Jobs must call no
+    BLAS routine: the child has no copy of OpenBLAS's worker threads.
     """
-    if not _forks():
-        if first:
-            value = fn(*args)
-            yield lambda: value
-        else:
-            yield lambda: fn(*args)
+    if not (0 < len(jobs) <= _MAX_JOBS and _forks()):
+        yield lambda: None
         return
+    queue, write = os.pipe()
+    with open(write, "wb") as handle:
+        handle.write(b"".join(index.to_bytes(_INDEX_BYTES, "big") for index in range(1, len(jobs))))
     read, write = os.pipe()
     pid = os.fork()
     if pid == 0:
-        status = 1
         try:
             os.close(read)
+            done = {}
             try:
-                data = pickle.dumps((True, fn(*args)), pickle.HIGHEST_PROTOCOL)
-            except BaseException as exc:
-                data = pickle.dumps((False, exc), pickle.HIGHEST_PROTOCOL)
+                for index in itertools.chain([0], iter(partial(_take, queue), None)):
+                    done[index] = jobs[index]()
+                data = pickle.dumps(done, pickle.HIGHEST_PROTOCOL)
+            except BaseException:  # the command runs its serial path
+                while _take(queue) is not None:
+                    pass
+                data = b""
             with open(write, "wb") as pipe:
                 pipe.write(data)
-            status = 0
         finally:
-            os._exit(status)  # no atexit handlers, no flush of the parent's buffers
+            os._exit(0)  # no atexit handlers, no flush of the parent's buffers
     os.close(write)
     pipe = open(read, "rb")
-    waited = False
+    collected = False
 
     def collect():
-        nonlocal waited
-        data = pipe.read()
-        status = os.waitpid(pid, 0)[1]
-        waited = True
+        nonlocal collected
+        results = {}
+        try:
+            for index in iter(partial(_take, queue), None):
+                results[index] = jobs[index]()
+        except Exception:
+            _kill(pid)
+            return None
+        data = pipe.read()  # until the child exits
+        collected = True
         if not data:
-            raise RuntimeError(f"{fn.__name__} ended without a result (wait status {status})")
-        done, value = pickle.loads(data)
-        if done:
-            return value
-        raise value
+            return None
+        results.update(pickle.loads(data))
+        return [results[index] for index in range(len(jobs))]
 
     try:
         yield collect
     finally:
         pipe.close()
-        if not waited:
-            from signal import SIGKILL
-
-            with suppress(ProcessLookupError):
-                os.kill(pid, SIGKILL)
-            os.waitpid(pid, 0)
+        os.close(queue)
+        if not collected:
+            _kill(pid)
+        os.waitpid(pid, 0)
 
 
 def _truth_table(path: str) -> AnswerTable:
@@ -384,39 +410,54 @@ def _truth_table(path: str) -> AnswerTable:
     return _streamed(path, table, lambda: _checked_rows(path, io.read_jsonl(path), table, "answer"))
 
 
+def _coded(rows, fill: bool) -> report.CodedPredictions:
+    """``report.prediction_codes`` of prediction ``rows``; a ``model`` that
+    is not a string raises ``ConfigError``."""
+    coded = report.prediction_codes(rows, fill)
+    if not set(map(type, coded.models)) <= {str}:
+        raise ConfigError("a row's field 'model' is not a string")  # named by read_predictions
+    return coded
+
+
+def _name_prediction_fault(path: str, finish) -> None:
+    """Raise the first fault of the prediction file ``path``, read as a
+    list: as ``io.read_predictions`` names it, then ``report.prediction_codes``
+    and ``finish`` of the coded rows."""
+    rows = io.read_predictions(path)
+    coded = _checked_rows(path, rows, report.prediction_codes)
+    with io.keyed_rows(path, rows):
+        finish(coded)
+
+
 def _coded_predictions(path: str, fill: bool, finish):
-    """The prediction rows of ``path``, coded by ``report.prediction_codes``
-    as they are decoded, and ``finish`` of them; with ``fill``, the coded
-    rows carry their ``parsed_predictions.jsonl`` lines. A fault is named
-    by ``io.read_predictions``, then by ``report.prediction_codes`` and
-    ``finish`` on the rows it read."""
+    """The prediction rows of ``path``, coded (``_coded``) as they are
+    decoded, and ``finish`` of them; with ``fill``, the coded rows carry
+    their ``parsed_predictions.jsonl`` lines. A fault is named by
+    ``_name_prediction_fault``."""
 
     def fold(rows):
-        coded = report.prediction_codes(rows, fill)
-        if not set(map(type, coded.models)) <= {str}:
-            raise ConfigError("a row's field 'model' is not a string")  # named below
+        coded = _coded(rows, fill)
         return coded, finish(coded)
 
-    def name_fault():
-        rows = io.read_predictions(path)
-        coded = _checked_rows(path, rows, report.prediction_codes)
-        with io.keyed_rows(path, rows):
-            finish(coded)
-
-    return _streamed(path, fold, name_fault)
+    return _streamed(path, fold, lambda: _name_prediction_fault(path, finish))
 
 
-def _prediction_table(
-    path: str, fill: bool = False,
-) -> tuple[report.CodedPredictions, AnswerTable]:
-    """The coded prediction rows of ``path`` (``_coded_predictions``) and
-    their table. Row faults are named before two rows for one cell."""
-    return _coded_predictions(path, fill, lambda coded: AnswerTable.from_codes(
-        coded.ids, coded.columns, coded.codes, predicted=True))
+def _answer_table(coded: report.CodedPredictions) -> AnswerTable:
+    return AnswerTable.from_codes(coded.ids, coded.columns, coded.codes, predicted=True)
 
 
-def _prediction_tables(paths: list[str]) -> list[AnswerTable]:
-    return [_prediction_table(path)[1] for path in paths]
+def _prediction_table(path: str) -> AnswerTable:
+    """The table of the prediction rows of ``path``. Row faults are named
+    before two rows for one cell."""
+    return _coded_predictions(path, False, _answer_table)[1]
+
+
+def _coded_chunk(path: str, start: int, end: int | None) -> report.CodedPredictions:
+    """``_coded`` of the prediction rows of the bytes of ``path`` from
+    ``start`` to ``end``, filled, with their lines joined as one."""
+    with closing(io.iter_jsonl(path, start, end)) as rows:
+        coded = _coded(rows, True)
+    return coded._replace(lines=["".join(coded.lines)])
 
 
 def _write_lines(path: Path, lines: list[str]) -> None:
@@ -425,18 +466,32 @@ def _write_lines(path: Path, lines: list[str]) -> None:
 
 
 def _cmd_evaluate(cfg: RunConfig) -> dict[str, Path]:
+    """Score the predictions against the truth. On two CPUs a forked child
+    builds the truth table, and both processes code the parts of the
+    predictions file (``_CHUNKS``); where that fails, the truth and then
+    the whole predictions file are read, which names the first fault."""
     truth_path, predictions_path = cfg.params["truth"], cfg.params["predictions"]
-    with _in_child(_truth_table, truth_path, first=True) as collect_truth:
-        try:
-            coded, predictions = _prediction_table(predictions_path, fill=True)
-        except Exception:
-            collect_truth()  # an error of the truth, read first, comes first
-            raise
-        truth = collect_truth()
-    text = report.build_evaluation_report(truth, predictions, truth_path)
+    jobs = [partial(_truth_table, truth_path)] + [
+        partial(_coded_chunk, predictions_path, start, end)
+        for start, end in io.line_spans(predictions_path, _CHUNKS)]
     out = cfg.out_dir
-    (out / "report.json").write_text(text, encoding="utf-8")
-    _write_lines(out / "parsed_predictions.jsonl", coded.lines)
+    with _job_queue(jobs) as collect:
+        results = collect()
+        if results is None:
+            truth = _truth_table(truth_path)
+            coded, predictions = _coded_predictions(predictions_path, True, _answer_table)
+        else:
+            truth, *chunks = results
+            coded = report.CodedPredictions(*(
+                list(itertools.chain.from_iterable(column)) for column in zip(*chunks)))
+            try:
+                predictions = _answer_table(coded)
+            except Exception:
+                _name_prediction_fault(predictions_path, _answer_table)
+                raise
+        text = report.build_evaluation_report(truth, predictions, truth_path)
+        (out / "report.json").write_text(text, encoding="utf-8")
+        _write_lines(out / "parsed_predictions.jsonl", coded.lines)
     return {
         "report": out / "report.json",
         "parsed_predictions": out / "parsed_predictions.jsonl",
@@ -444,17 +499,20 @@ def _cmd_evaluate(cfg: RunConfig) -> dict[str, Path]:
 
 
 def _cmd_sweep(cfg: RunConfig) -> dict[str, Path]:
+    """Sweep the alphas. On two CPUs the command reads the trajectories
+    while a forked child starts on the models' tables, which both then
+    share; where a table fails, all of them are built in config order."""
     thresholds = _load_thresholds(cfg)
     predictions = cfg.params["predictions"]
-    paths = list(predictions.values())
-    with _in_child(_prediction_tables, paths[1:]) as collect_rest:
-        sequences = _load_clips(cfg, key="trajectories")
-        tables = _prediction_tables(paths[:1]) + collect_rest()
-    model_predictions = dict(zip(predictions, tables))
-    results = metrics.sensitivity_sweep(sequences, model_predictions, thresholds, cfg.alphas)
+    jobs = [partial(_prediction_table, path) for path in predictions.values()]
     out = cfg.out_dir
-    io.write_json(out / "sweep.json", {"results": [r.to_dict() for r in results]})
-    report.write_sweep_csv(out / "sweep.csv", results)
+    with _job_queue(jobs) as collect:
+        sequences = _load_clips(cfg, key="trajectories")
+        tables = collect() or [job() for job in jobs]
+        results = metrics.sensitivity_sweep(
+            sequences, dict(zip(predictions, tables)), thresholds, cfg.alphas)
+        io.write_json(out / "sweep.json", {"results": [r.to_dict() for r in results]})
+        report.write_sweep_csv(out / "sweep.csv", results)
     return {"sweep": out / "sweep.json", "sweep_csv": out / "sweep.csv"}
 
 

@@ -429,6 +429,24 @@ def clip_boundary(path: str | Path) -> int | None:
     return None
 
 
+def line_spans(path: str | Path, count: int) -> list[tuple[int, int | None]]:
+    """At most ``count`` byte ranges ``(start, end)`` that cut ``path`` at
+    line starts, for ``iter_jsonl``: the k-th starts at the first line
+    start at or after k / ``count`` of the file's size, and the last ends
+    at the end of the file (None). A cut follows a ``\n``, which ends a
+    line in universal newline mode, and is never inside a UTF-8 character;
+    the rows of the ranges in order are those of the whole file."""
+    with Path(path).open("rb") as handle:
+        size = handle.seek(0, 2)
+        starts = [0]
+        for k in range(1, count):
+            handle.seek(max(k * size // count - 1, 0))
+            handle.readline()
+            if starts[-1] < handle.tell() < size:
+                starts.append(handle.tell())
+    return list(zip(starts, starts[1:] + [None]))
+
+
 def _line_clip(line: bytes) -> str | None:
     """The clip of the trajectory row on ``line``, grouped as
     ``read_trajectory_clips`` groups it; None if the line holds no such row."""

@@ -52,42 +52,46 @@ def _normalize(text: str) -> str:
     return _SEPARATOR_RUN.sub("_", text.lower()).strip("_")
 
 
-def _word_pattern(label: str) -> re.Pattern:
-    # Label parts may be separated by any non-alphanumeric run; the match
-    # must not butt against other alphanumerics ("eyes" does not say "yes").
-    parts = [re.escape(p) for p in label.split("_") if p]
-    body = r"[^a-z0-9]+".join(parts)
-    return re.compile(rf"(?<![a-z0-9]){body}(?![a-z0-9])")
+# A label is runs of lowercase ASCII letters and digits joined by single
+# underscores, so it is its own ``_normalize``d form.
+_LABEL = re.compile(r"[a-z0-9]+(?:_[a-z0-9]+)*")
 
 
 @functools.cache
 def tables(answer_space: tuple[str, ...]):
     """The cascade's tables for ``answer_space``: each label mapped to its
     code, each ``_normalize``d label mapped to its code, and each code with
-    its label's whole-word pattern in answer-space order. Built on first
-    use, once per answer space, and never for an invalid one."""
+    its label as a whole word (``_label_``) in answer-space order. Built on
+    first use, once per answer space, and never for an invalid one: a label
+    must be lowercase ASCII letters and digits in runs joined by single
+    underscores (``_LABEL``)."""
     if not answer_space:
         raise ValueError("answer_space must be non-empty")
     for label in answer_space:
         if label != label.lower():
             raise ValueError(f"answer-space labels must be lowercase: {label!r}")
+        if not _LABEL.fullmatch(label):
+            raise ValueError(
+                f"answer-space labels must be [a-z0-9] runs joined by single underscores: "
+                f"{label!r}")
     codes = {label: code for code, label in enumerate(answer_space)}
     by_normalized = {_normalize(label): code for code, label in enumerate(answer_space)}
-    patterns = tuple((code, _word_pattern(label)) for code, label in enumerate(answer_space))
-    return codes, by_normalized, patterns
+    words = tuple((code, f"_{label}_") for code, label in enumerate(answer_space))
+    return codes, by_normalized, words
 
 
 def parse_code(raw: str, space_tables) -> tuple[int, str]:
     """``(code, stage)`` of response text ``raw`` under the ``tables`` of
     an answer space; ``(NO_ANSWER, "none")`` when no stage matches."""
-    codes, by_normalized, patterns = space_tables
+    codes, by_normalized, words = space_tables
 
     text = raw.strip().lower()
     code = codes.get(text)
     if code is not None:
         return code, STAGE_EXACT
 
-    code = by_normalized.get(_normalize(text))
+    normalized = _normalize(text)
+    code = by_normalized.get(normalized)
     if code is not None:
         return code, STAGE_UNDERSCORE
 
@@ -97,13 +101,19 @@ def parse_code(raw: str, space_tables) -> tuple[int, str]:
     # line holds its last character: the final non-empty line.
     last = text.splitlines()[-1].strip()
     if last != text:
+        normalized = _normalize(last)
         code = codes.get(last)
         if code is None:
-            code = by_normalized.get(_normalize(last))
+            code = by_normalized.get(normalized)
         if code is not None:
             return code, STAGE_LAST_LINE
 
-    found = [code for code, pattern in patterns if pattern.search(last)]
+    # The last line's alphanumeric runs joined by single underscores: a
+    # label occurs in it as a whole word, its parts apart by any other
+    # characters ("eyes" does not say "yes"), where ``_label_`` occurs in
+    # ``_normalized_``.
+    padded = f"_{normalized}_"
+    found = [code for code, word in words if word in padded]
     if len(found) == 1:
         return found[0], STAGE_SUBSTRING
     return NO_ANSWER, STAGE_NONE

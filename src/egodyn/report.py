@@ -70,7 +70,8 @@ def prediction_codes(rows: Iterable[dict], fill: bool = False) -> CodedPredictio
 
     Raises:
         ConfigError: naming the clip, for an unknown question id, a label
-            outside the answer space or a ``response`` that is not a string.
+            outside the answer space or a ``response`` that is not a string;
+            for a pre-parsed row whose ``stage`` is not a string.
         KeyError: for a row without ``clip_id``, ``question_id``, or
             ``response`` or ``parsed``.
         TypeError: for a ``question_id`` that cannot be a key.
@@ -97,8 +98,11 @@ def prediction_codes(rows: Iterable[dict], fill: bool = False) -> CodedPredictio
                 row["stage"] = stage
         else:
             code = answer_code(clip_id, question_id, row["parsed"], predicted=True)
+            stage = row.get("stage", "external")
+            if type(stage) is not str:  # the line is named by the caller, as for 'model'
+                raise ConfigError(f"field 'stage' holds {io.json_kind(stage)}, not a string")
             if fill:
-                stage = row.setdefault("stage", "external")
+                row["stage"] = stage
         ids.append(clip_id)
         columns.append(column)
         codes.append(code)

@@ -5,12 +5,13 @@ numpy is the engine's only runtime dependency; scipy is a test-time
 reference. Every command pays its imports before it starts, and a scipy
 subpackage costs each run from 0.3 s (``scipy.ndimage``) to over a
 second (``scipy.signal``, which brings ``scipy.stats``). ``label``,
-``sweep`` and ``evaluate`` fork their child with ``os.fork`` and a pipe
-(``cli._in_child``), so ``multiprocessing``, ``concurrent.futures`` and
-``subprocess`` stay out of the import too. The modules are checked after
-the import, and again after ``label`` on pose and rate rows (which runs
-the smoothing) and ``sweep``, so that an import made lazily inside a
-command fails the test too; on two CPUs each of the two forks once.
+``sweep`` and ``evaluate`` fork their child with ``os.fork`` and share
+jobs with it through pipes (``cli._job_queue``), so ``multiprocessing``,
+``concurrent.futures`` and ``subprocess`` stay out of the import too.
+The modules are checked after the import, and again after ``label`` on
+pose and rate rows (which runs the smoothing) and ``sweep``, so that an
+import made lazily inside a command fails the test too; on two CPUs each
+of the two forks once.
 """
 
 from __future__ import annotations

@@ -2097,9 +2097,10 @@ def _no_child_left():
 
 
 class TestForkedInputs:
-    """``sweep`` builds the tables of every model but the first, and
-    ``evaluate`` its truth table, in a forked child when the process may
-    use two CPUs, and inline on one. Both paths write the same bytes and
+    """``sweep`` shares its models' tables, and ``evaluate`` its truth
+    table and the parts of its predictions file, between the command and
+    a forked child (``cli._job_queue``) when the process may use two CPUs,
+    and builds them inline on one. Both paths write the same bytes and
     name the same first error, that of the first failing input in config
     order, and leave no child behind."""
 
@@ -2232,7 +2233,7 @@ class TestForkedInputs:
     @pytest.mark.parametrize(
         "command,stalls,interrupted",
         [("sweep", "_prediction_table", "_load_clips"),
-         ("evaluate", "_truth_table", "_prediction_table")],
+         ("evaluate", "_truth_table", "_coded_chunk")],
     )
     def test_an_interrupt_kills_and_reaps_the_child(
         self, tmp_path, monkeypatch, corpus, command, stalls, interrupted
@@ -2251,6 +2252,215 @@ class TestForkedInputs:
             run_cli(command, self.config(command, corpus, tmp_path / "out"), tmp_path)
         assert time.monotonic() - start < 30
         _no_child_left()
+
+
+def _run_on_one_and_two_cpus(tmp_path, monkeypatch, capsys, command, config, extra=()):
+    """``command`` on one CPU, then on two: per CPU count, its status,
+    stderr, forks, output bytes (the manifest too) and whether the command
+    coded a whole predictions file, as the serial path does; no child is
+    left."""
+    runs = {}
+    for cpus in ({0}, {0, 1}):
+        forks, fork, serial, coded = [], os.fork, [], cli._coded_predictions
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        monkeypatch.setattr(cli, "_coded_predictions", lambda *a: serial.append(1) or coded(*a))
+        out = Path(config["out"])
+        status = run_cli(command, config, tmp_path, extra=extra)
+        written = {p.name: p.read_bytes() for p in sorted(out.iterdir())} if status == 0 \
+            else None
+        runs[len(cpus)] = (status, capsys.readouterr().err, len(forks), written, bool(serial))
+        monkeypatch.undo()
+        _no_child_left()
+    return runs
+
+
+class TestEvaluateChunks:
+    """On two CPUs ``evaluate`` cuts its predictions file at line starts
+    (``io.line_spans``) into up to ``cli._CHUNKS`` parts, which the command
+    and its child, once it has built the truth table, code from one job
+    queue. Both paths write the same bytes, the manifest included, and
+    name the same first error, with one fork on two CPUs and none on one."""
+
+    @staticmethod
+    def write_inputs(tmp_path, rows=None, truth_rows=None, text=None):
+        """The truth of 40 synth clips and a predictions file: ``rows``, or
+        ``text`` as it is, or a free-text row per truth row."""
+        suite = generate_suite(40, seed=6)
+        truth = tmp_path / "truth.jsonl"
+        io.write_jsonl(truth, truth_rows or [
+            {"clip_id": clip.clip_id, "question_id": q, "answer": clip.expected[q]}
+            for clip in suite for q in QUESTION_ORDER])
+        if rows is None:
+            rows = [{"clip_id": r["clip_id"], "question_id": r["question_id"],
+                     "response": r["answer"] if i % 4 else f"Answer:\n{r['answer']}."}
+                    for i, r in enumerate(io.read_jsonl(truth))]
+        predictions = tmp_path / "predictions.jsonl"
+        if text is None:
+            io.write_jsonl(predictions, rows)
+        else:
+            predictions.write_text(text, encoding="utf-8", newline="")
+        return {"truth": str(truth), "predictions": str(predictions),
+                "out": str(tmp_path / "out")}
+
+    def check_ok(self, tmp_path, monkeypatch, capsys, config):
+        runs = _run_on_one_and_two_cpus(tmp_path, monkeypatch, capsys, "evaluate", config)
+        (status, err, forks, written, _), forked = runs[1], runs[2]
+        assert (status, err, forks) == (0, "", 0) and forked[:3] == (0, "", 1)
+        assert "manifest.json" in written
+        assert forked[3] == written and not forked[4]  # the chunks, not the serial path
+
+    def check_fault(self, tmp_path, monkeypatch, capsys, config, named):
+        runs = _run_on_one_and_two_cpus(tmp_path, monkeypatch, capsys, "evaluate", config)
+        (status, err, forks, _, _), forked = runs[1], runs[2]
+        assert (status, forks) == (2, 0) and forked[:3] == (2, err, 1)
+        assert err.startswith("egodyn evaluate: ") and named in err, err
+
+    def test_a_file_in_chunks_writes_the_same_bytes(self, tmp_path, monkeypatch, capsys):
+        config = self.write_inputs(tmp_path)
+        assert len(io.line_spans(config["predictions"], cli._CHUNKS)) == cli._CHUNKS
+        self.check_ok(tmp_path, monkeypatch, capsys, config)
+
+    @pytest.mark.parametrize("lines", [0, 1, 3, 15])
+    def test_fewer_lines_than_chunks(self, tmp_path, monkeypatch, capsys, lines):
+        config = self.write_inputs(tmp_path)
+        rows = io.read_jsonl(config["predictions"])[:lines]
+        config = self.write_inputs(tmp_path, rows)
+        assert len(io.line_spans(config["predictions"], cli._CHUNKS)) == max(lines, 1)
+        self.check_ok(tmp_path, monkeypatch, capsys, config)
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\n \t\r\n\n", "\r\n\r\n  \n"])
+    def test_crlf_and_blank_lines_at_the_cuts(self, tmp_path, monkeypatch, capsys, newline):
+        """Every row ends in ``newline``, so every cut is after a CRLF, and
+        with blank lines many cuts start a blank line."""
+        config = self.write_inputs(tmp_path)
+        rows = io.read_jsonl(config["predictions"])
+        config = self.write_inputs(tmp_path, text="".join(
+            io.json_text(row) + newline for row in rows))
+        data = Path(config["predictions"]).read_bytes()
+        starts = [start for start, _ in io.line_spans(config["predictions"], cli._CHUNKS)]
+        assert len(starts) == cli._CHUNKS
+        assert all(data[start - 2:start] == b"\r\n" or data[start - 1:start] == b"\n"
+                   for start in starts[1:])
+        if newline != "\r\n":
+            assert any(data[start:start + 1] in b" \r\n" for start in starts[1:])
+        self.check_ok(tmp_path, monkeypatch, capsys, config)
+
+    def test_string_and_number_clip_ids(self, tmp_path, monkeypatch, capsys):
+        """Prediction rows whose clip ids are JSON numbers, for clips without
+        truth, in every chunk among string ids."""
+        config = self.write_inputs(tmp_path)
+        rows = io.read_jsonl(config["predictions"])
+        for i in range(0, len(rows), 7):
+            rows[i] = {**rows[i], "clip_id": [i, -i - 0.5][i % 2]}
+        config = self.write_inputs(tmp_path, rows)
+        self.check_ok(tmp_path, monkeypatch, capsys, config)
+
+    def test_two_rows_for_one_cell_in_different_chunks(self, tmp_path, monkeypatch, capsys):
+        config = self.write_inputs(tmp_path)
+        rows = io.read_jsonl(config["predictions"])
+        config = self.write_inputs(tmp_path, rows + [{**rows[1], "response": "no idea"}])
+        spans = io.line_spans(config["predictions"], cli._CHUNKS)
+        assert spans[-1][0] > len(io.json_text(rows[0])) * 2  # rows 1 and -1 in two chunks
+        self.check_fault(tmp_path, monkeypatch, capsys, config,
+                         f"clip {rows[1]['clip_id']!r}, question "
+                         f"{rows[1]['question_id']!r}: two prediction rows")
+
+    @pytest.mark.parametrize(
+        "fault,named",
+        [("question", ":560: clip 'synth_0039': unknown question id 'bogus'"),
+         ("model", ":560: field 'model' holds a number, not a string"),
+         ("stage", ":560: field 'stage' holds an object, not a string"),
+         ("array_id", ":560: field 'clip_id' holds an array, not a string or a number"),
+         ("json", ":560: invalid JSON")],
+    )
+    def test_a_fault_in_the_last_chunk(self, tmp_path, monkeypatch, capsys, fault, named):
+        """A fault on the last line, in the last chunk, which the child
+        may code; the line is named as by reading the whole file."""
+        config = self.write_inputs(tmp_path)
+        rows = io.read_jsonl(config["predictions"])
+        last = dict(rows[-1])
+        if fault == "question":
+            last["question_id"] = "bogus"
+        elif fault == "model":
+            last["model"] = 3
+        elif fault == "stage":
+            del last["response"]
+            last.update(parsed="left", question_id="turn_direction", stage={"a": 1})
+        elif fault == "array_id":
+            last["clip_id"] = [last["clip_id"]]
+        lines = [io.json_text(row) + "\n" for row in rows[:-1]]
+        lines.append('{"clip_id": \n' if fault == "json" else io.json_text(last) + "\n")
+        config = self.write_inputs(tmp_path, text="".join(lines))
+        assert len(lines) == 560
+        self.check_fault(tmp_path, monkeypatch, capsys, config, named)
+
+    @pytest.mark.parametrize("predictions_fault", [False, True])
+    def test_a_fault_in_the_truth_is_named_first(
+        self, tmp_path, monkeypatch, capsys, predictions_fault
+    ):
+        config = self.write_inputs(tmp_path)
+        rows = io.read_jsonl(config["predictions"])
+        if predictions_fault:
+            rows[-1] = {**rows[-1], "question_id": "bogus"}
+        truth = io.read_jsonl(config["truth"])
+        del truth[200]["answer"]
+        config = self.write_inputs(tmp_path, rows, truth_rows=truth)
+        self.check_fault(tmp_path, monkeypatch, capsys, config,
+                         "truth.jsonl:201: row lacks field 'answer'")
+
+
+class TestJobQueue:
+    """``cli._job_queue`` shares its jobs between the command and one forked
+    child: each job runs once, job 0 in the child, and the results come in
+    job order. Where a job fails, or there is no child, ``collect`` returns
+    None; no child is left either way."""
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        yield
+        _no_child_left()
+
+    def test_results_come_in_job_order(self, tmp_path):
+        runs = tmp_path / "runs"
+
+        def job(index):
+            with runs.open("a", encoding="utf-8") as handle:  # the child's runs count too
+                handle.write(f"{index}\n")
+            return index, os.getpid()
+
+        jobs = [lambda k=k: job(k) for k in range(40)]
+        with cli._job_queue(jobs) as collect:
+            results = collect()
+        assert [index for index, _ in results] == list(range(40))
+        assert results[0][1] != os.getpid()  # the child runs job 0
+        assert sorted(map(int, runs.read_text(encoding="utf-8").split())) == list(range(40))
+
+    @pytest.mark.parametrize("failing", [0, 1, 39])
+    def test_a_failed_job_in_either_process_gives_none(self, failing):
+        def job(index):
+            if index == failing:
+                raise ValueError(index)
+            return index
+
+        with cli._job_queue([lambda k=k: job(k) for k in range(40)]) as collect:
+            assert collect() is None
+
+    @pytest.mark.parametrize("count", [0, cli._MAX_JOBS + 1])
+    def test_no_child_without_jobs_or_beyond_the_queue(self, monkeypatch, count):
+        forks, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        with cli._job_queue([int] * count) as collect:
+            assert collect() is None
+        assert forks == []
+
+    def test_an_uncollected_child_is_killed_and_reaped(self):
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            with cli._job_queue([lambda: time.sleep(60)] * 2):
+                raise KeyboardInterrupt
+        assert time.monotonic() - start < 30
 
 
 class TestStreamedInputs:
@@ -2395,23 +2605,11 @@ class TestLabelSplit:
 
     @staticmethod
     def run_both(tmp_path, monkeypatch, capsys, path, encoding=None):
-        """``label`` on one CPU, then on two: per CPU count, its status,
-        stderr, forks and output bytes."""
-        runs = {}
-        for cpus in ({0}, {0, 1}):
-            forks, fork = [], os.fork
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
-            monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
-            out = tmp_path / "out"
-            extra = ["--encoding", encoding] if encoding else []
-            status = run_cli("label", {"input": str(path), "out": str(out)}, tmp_path,
-                             extra=extra)
-            written = {p.name: p.read_bytes() for p in sorted(out.iterdir())} if status == 0 \
-                else None
-            runs[len(cpus)] = (status, capsys.readouterr().err, len(forks), written)
-            monkeypatch.undo()
-            _no_child_left()
-        return runs
+        """``label`` on one CPU, then on two (``_run_on_one_and_two_cpus``)."""
+        return _run_on_one_and_two_cpus(
+            tmp_path, monkeypatch, capsys, "label",
+            {"input": str(path), "out": str(tmp_path / "out")},
+            ["--encoding", encoding] if encoding else [])
 
     @pytest.mark.parametrize("encoding", ENCODINGS)
     @pytest.mark.parametrize("layout", ["mixed", "straddle", "crlf"])
@@ -2420,7 +2618,7 @@ class TestLabelSplit:
     ):
         path = self.write_input(tmp_path, layout)
         runs = self.run_both(tmp_path, monkeypatch, capsys, path, encoding)
-        (status, _, forks, written), forked = runs[1], runs[2]
+        (status, _, forks, written, _), forked = runs[1], runs[2]
         assert (status, forks) == (0, 0) and forked[:3] == (0, "", 1)
         assert "manifest.json" in written and ("prompts.jsonl" in written) == bool(encoding)
         assert forked[3] == written
@@ -2475,7 +2673,7 @@ class TestLabelSplit:
         assert 2 < cut <= 155  # lines 3 and 180, and clip 'f', are on either side
         runs = self.run_both(tmp_path, monkeypatch, capsys, path,
                              "coordinates" if case == "positions" else None)
-        (status, err, forks, _), forked = runs[1], runs[2]
+        (status, err, forks, _, _), forked = runs[1], runs[2]
         assert (status, forks) == (2, 0) and forked[:3] == (2, err, 1)
         assert err.startswith("egodyn label: ") and named in err, err
 
@@ -2484,7 +2682,7 @@ class TestLabelSplit:
         interrupt ends the command at once and no child is left."""
 
         def label_clips(cfg, thresholds, start=0, end=None):
-            if start:
+            if not start:  # the child's part, job 0
                 time.sleep(60)
             raise KeyboardInterrupt
 

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from egodyn import parsing
-from egodyn.parsing import UNPARSED, ParseResult, _normalize, _word_pattern, parse
+from egodyn.parsing import UNPARSED, ParseResult, _normalize, parse
 from egodyn.questions import ANSWER_SPACES
 from egodyn.report import parse_predictions, parse_rate_report
 
@@ -114,6 +116,14 @@ class TestInvariants:
             with pytest.raises(ValueError):
                 parse("yes", ["Yes", "no"])
 
+    @pytest.mark.parametrize("label", ["no-peak", "_yes", "yes_", "first__half", "", "ja\u0308"])
+    def test_labels_that_are_not_their_normal_form_rejected(self, label):
+        """The substring stage looks for ``_label_`` in the normalized last
+        line, which finds only labels that ``_normalize`` leaves as they are."""
+        for _ in range(2):
+            with pytest.raises(ValueError, match="single underscores"):
+                parse("yes", ["yes", label])
+
 
 @settings(max_examples=300, deadline=None)
 @given(st.text(max_size=80), st.sampled_from(list(ANSWER_SPACES.values())))
@@ -148,9 +158,18 @@ def test_parse_rate():
     assert parse_rate_report([]) == {}
 
 
+def _word_pattern(label: str) -> re.Pattern:
+    # Label parts may be separated by any non-alphanumeric run; the match
+    # must not butt against other alphanumerics ("eyes" does not say "yes").
+    parts = [re.escape(p) for p in label.split("_") if p]
+    body = r"[^a-z0-9]+".join(parts)
+    return re.compile(rf"(?<![a-z0-9]){body}(?![a-z0-9])")
+
+
 def reference_parse(raw, answer_space):
     """``parse`` as it was before its tables were cached: every table is
-    built again on each call."""
+    built again on each call, and the substring stage searches the last
+    line with a whole-word pattern per label."""
     if not answer_space:
         raise ValueError("answer_space must be non-empty")
     for label in answer_space:

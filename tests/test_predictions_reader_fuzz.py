@@ -15,9 +15,10 @@ below, which keeps the path that
 row copied and parsed alone with ``parsing.parse``, every label checked by
 ``answer_code``, then a table keyed by ``(clip, column)`` tuples that
 checks each label again, each step searched row by row for the first row
-that fails alone. The reference adds two rules to that path: the
-string ``response``, and that ``parse``, like ``evaluate``, rejects an
-array or object ``clip_id`` once no row fails alone.
+that fails alone. The reference adds three rules to that path: the
+string ``response``, the string ``stage`` of a pre-parsed row, and that
+``parse``, like ``evaluate``, rejects an array or object ``clip_id`` once
+no row fails alone.
 """
 
 from __future__ import annotations
@@ -79,6 +80,9 @@ def ref_parse_predictions(rows):
         if "parsed" in row and "response" not in row:
             answer_code(row["clip_id"], row["question_id"], row["parsed"], predicted=True)
             enriched.setdefault("stage", "external")
+            if not isinstance(enriched["stage"], str):
+                raise ConfigError(f"field 'stage' holds {ref_kind(enriched['stage'])}, "
+                                  "not a string")
         else:
             space = ANSWER_SPACES.get(row["question_id"])
             if space is None:
@@ -267,11 +271,30 @@ ONLY_ID_FAULT = [
 ]
 
 
+# Pre-parsed rows whose ``stage`` is not a string: an array or an object,
+# and a number among strings, which cannot be counted or ordered as stages.
+STAGE_FAULTS = [
+    [{"clip_id": CLIPS[0], "question_id": "speed_trend", "parsed": "steady", "stage": "a"},
+     {"clip_id": CLIPS[0], "question_id": "turn_direction", "parsed": "left",
+      "stage": ["exact"]}],
+    [{"clip_id": CLIPS[1], "question_id": "turn_direction", "parsed": "left",
+      "stage": {"exact": 1}}],
+    [{"clip_id": CLIPS[0], "question_id": "speed_trend", "parsed": "steady", "stage": 2},
+     {"clip_id": CLIPS[0], "question_id": "turn_direction", "parsed": "left",
+      "stage": "external"}],
+]
+
+
 @settings(max_examples=300, deadline=None)
 @given(rows=prediction_files(), command=st.sampled_from(["parse", "evaluate", "sweep"]),
        read_fault=read_faults)
 @example(rows=ONLY_ID_FAULT[0], command="parse", read_fault=None)
 @example(rows=ONLY_ID_FAULT[1], command="parse", read_fault=None)
+@example(rows=STAGE_FAULTS[0], command="parse", read_fault=None)
+@example(rows=STAGE_FAULTS[1], command="parse", read_fault=None)
+@example(rows=STAGE_FAULTS[2], command="parse", read_fault=None)
+@example(rows=STAGE_FAULTS[0], command="evaluate", read_fault=None)
+@example(rows=STAGE_FAULTS[2], command="sweep", read_fault=None)
 def test_predictions_reader_equals_reference(tmp_path_factory, rows, command, read_fault):
     where = tmp_path_factory.mktemp("fuzz")
     path = where / "predictions.jsonl"
