@@ -664,16 +664,20 @@ MIXED_PARSED = [
 
 class TestMixedStagePredictions:
     @pytest.fixture
-    def parse_calls(self, monkeypatch):
-        calls = []
+    def parse_calls(self, tmp_path, monkeypatch):
+        """The texts ``parsing.parse_code`` was called on, recorded in a file
+        so that the calls of ``evaluate``'s forked child count too."""
+        calls = tmp_path / "parse_calls"
+        calls.touch()
         original = parsing.parse_code
 
         def counting(raw, tables):
-            calls.append(raw)
+            with calls.open("a", encoding="utf-8") as handle:
+                handle.write(json.dumps(raw) + "\n")
             return original(raw, tables)
 
         monkeypatch.setattr(parsing, "parse_code", counting)
-        return calls
+        return lambda: [json.loads(line) for line in calls.read_text(encoding="utf-8").splitlines()]
 
     @pytest.fixture
     def paths(self, tmp_path):
@@ -697,7 +701,7 @@ class TestMixedStagePredictions:
             "parse", {"predictions": str(pred_path), "out": str(out)}, tmp_path
         )
         assert status == 0
-        assert sorted(parse_calls) == self.free_text()
+        assert sorted(parse_calls()) == self.free_text()
         parsed = io.read_jsonl(out / "parsed_predictions.jsonl")
         assert [(r["parsed"], r["stage"]) for r in parsed] == MIXED_PARSED
         doc = io.read_json(out / "parse_report.json")
@@ -720,7 +724,7 @@ class TestMixedStagePredictions:
             tmp_path,
         )
         assert status == 0
-        assert sorted(parse_calls) == self.free_text()
+        assert sorted(parse_calls()) == self.free_text()
         parsed = io.read_jsonl(out / "parsed_predictions.jsonl")
         assert [(r["parsed"], r["stage"]) for r in parsed] == MIXED_PARSED
         doc = io.read_json(out / "report.json")
