@@ -634,9 +634,9 @@ def _reference_tags(seq, summary, cfg) -> dict[str, bool]:
 
 @pytest.mark.parametrize("mode", ["net", "sum"])
 def test_label_command_writes_the_reference_bytes(tmp_path, monkeypatch, mode):
-    """``label`` calls ``label_batch`` once, builds no QARecord and calls
-    no ``dataclasses.asdict``, and writes the reference records, tags and
-    summaries, byte for byte."""
+    """``label`` calls ``label_batch`` once per part, builds no QARecord
+    and calls no ``dataclasses.asdict``, and writes the reference records,
+    tags and summaries, byte for byte."""
     clips = [(c.clip_id, c.seq) for c in generate_suite(40, seed=8, noise_std=NOISE)]
     io.write_jsonl(tmp_path / "traj.jsonl",
                    [row for clip_id, seq in clips for row in io.sequence_to_rows(clip_id, seq)])
@@ -645,9 +645,15 @@ def test_label_command_writes_the_reference_bytes(tmp_path, monkeypatch, mode):
     io.write_json(tmp_path / "config.json", {
         "input": str(tmp_path / "traj.jsonl"), "thresholds": str(tmp_path / "thresholds.json"),
         "out": str(tmp_path / "out")})
-    calls = []
-    monkeypatch.setattr(cli, "label_batch",
-                        lambda *args: calls.append(1) or oracle.label_batch(*args))
+    calls = tmp_path / "calls"  # a file, so that a forked child's calls count too
+    calls.touch()
+
+    def label_batch(*args):
+        with calls.open("a", encoding="utf-8") as handle:
+            handle.write("1\n")
+        return oracle.label_batch(*args)
+
+    monkeypatch.setattr(cli, "label_batch", label_batch)
 
     def no_records(*args, **kwargs):
         raise AssertionError("label built a QARecord or called dataclasses.asdict")
@@ -656,7 +662,9 @@ def test_label_command_writes_the_reference_bytes(tmp_path, monkeypatch, mode):
     monkeypatch.setattr(dataclasses, "asdict", no_records)
     assert cli.main(["label", "--config", str(tmp_path / "config.json")]) == 0
     monkeypatch.undo()
-    assert len(calls) == 1
+    # once per part: on two CPUs the command and its child label a part each
+    parts = 2 if cli._forks() and io.clip_boundary(tmp_path / "traj.jsonl") else 1
+    assert len(calls.read_text(encoding="utf-8").split()) == parts
 
     rows = io.read_trajectory_clips(tmp_path / "traj.jsonl")
     seqs = [seq for _, seq in io.rows_to_sequences(rows)]
