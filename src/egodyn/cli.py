@@ -332,11 +332,15 @@ def _job_queue(jobs: list):
     and returns the result of every job in job order; or None where there
     is no child, or where a job failed in either process, and the command
     then runs its serial path, which names the first fault as on one CPU.
-    The child runs job 0 first; then each process takes one index at a
-    time from a pipe of job indices written before the fork, until it is
-    empty. A child whose job fails empties the queue, so that the command
-    stops after its current job; a command whose job fails kills the
-    child. The child's results come back pickled through a second pipe.
+    The child runs job 0 first and the command job 1; then each process
+    takes one index at a time from a pipe of the other indices, written
+    before the fork, until it is empty. The command's share thus never
+    shrinks to nothing while its block works before ``collect``, as
+    ``sweep``'s does: it would then wait for the child, and its time would
+    follow the other CPU's speed from run to run. A child whose job fails
+    empties the queue, so that the command stops after its current job; a
+    command whose job fails kills the child. The child's results come back
+    pickled through a second pipe.
 
     There is no child where there is no job or more than ``_MAX_JOBS``, or
     where the process may run on one CPU only, or cannot fork (``_forks``).
@@ -350,7 +354,7 @@ def _job_queue(jobs: list):
         return
     queue, write = os.pipe()
     with open(write, "wb") as handle:
-        handle.write(b"".join(index.to_bytes(_INDEX_BYTES, "big") for index in range(1, len(jobs))))
+        handle.write(b"".join(index.to_bytes(_INDEX_BYTES, "big") for index in range(2, len(jobs))))
     read, write = os.pipe()
     pid = os.fork()
     if pid == 0:
@@ -377,7 +381,8 @@ def _job_queue(jobs: list):
         nonlocal collected
         results = {}
         try:
-            for index in iter(partial(_take, queue), None):
+            own = range(1, min(2, len(jobs)))  # job 1, where there is one
+            for index in itertools.chain(own, iter(partial(_take, queue), None)):
                 results[index] = jobs[index]()
         except Exception:
             _kill(pid)
@@ -499,9 +504,10 @@ def _cmd_evaluate(cfg: RunConfig) -> dict[str, Path]:
 
 
 def _cmd_sweep(cfg: RunConfig) -> dict[str, Path]:
-    """Sweep the alphas. On two CPUs the command reads the trajectories
-    while a forked child starts on the models' tables, which both then
-    share; where a table fails, all of them are built in config order."""
+    """Sweep the alphas. On two CPUs a forked child builds the models'
+    tables while the command reads the trajectories and then builds the
+    second model's table and any the child has not taken; where a table
+    fails, all of them are built in config order."""
     thresholds = _load_thresholds(cfg)
     predictions = cfg.params["predictions"]
     jobs = [partial(_prediction_table, path) for path in predictions.values()]

@@ -2441,6 +2441,14 @@ class TestJobQueue:
         assert results[0][1] != os.getpid()  # the child runs job 0
         assert sorted(map(int, runs.read_text(encoding="utf-8").split())) == list(range(40))
 
+    def test_the_command_runs_job_1_however_late_it_collects(self):
+        # sweep reads its trajectories before collect; meanwhile the child
+        # may take every index of the queue, but never job 1
+        with cli._job_queue([os.getpid] * 4) as collect:
+            time.sleep(0.3)
+            results = collect()
+        assert results[1] == os.getpid() and os.getpid() not in results[:1] + results[2:]
+
     @pytest.mark.parametrize("failing", [0, 1, 39])
     def test_a_failed_job_in_either_process_gives_none(self, failing):
         def job(index):
